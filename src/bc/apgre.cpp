@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <span>
 
@@ -12,7 +11,6 @@
 #include "graph/transform.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -178,294 +176,13 @@ std::vector<double> subgraph_bc_serial(const Subgraph& sg) {
 }
 
 // --------------------------------------------------------------------------
-// Fine-grained parallel kernel: the same mathematics with a level-
-// synchronous parallel forward phase (CAS vertex claims, atomic sigma) and
-// a parallel successor-pull backward phase (single writer per delta cell).
-// Used for the large ("top") sub-graphs — paper §4, Algorithm 2.
-// --------------------------------------------------------------------------
-
-struct ParallelScratch {
-  std::vector<std::atomic<std::int32_t>> dist;
-  std::vector<std::atomic<double>> sigma;
-  std::vector<double> d_i2i;
-  std::vector<double> d_i2o;
-  std::vector<double> d_o2o;
-  LevelBuckets levels;
-  ThreadLocalFrontier next;
-  // Direction-optimising forward phase (hybrid_inner): unvisited list and
-  // per-thread split buffers.
-  std::vector<Vertex> candidates;
-  ThreadLocalFrontier remaining;
-
-  // Observability tallies. The plain fields are only touched from the
-  // serial sections between parallel regions; cas_retries is flushed once
-  // per thread per forward region.
-  std::uint64_t sources = 0;
-  std::uint64_t traversed_arcs = 0;
-  std::atomic<std::uint64_t> cas_retries{0};
-
-  explicit ParallelScratch(Vertex n)
-      : dist(n), sigma(n), d_i2i(n, 0.0), d_i2o(n, 0.0), d_o2o(n, 0.0) {
-    for (Vertex v = 0; v < n; ++v) {
-      dist[v].store(kUnvisited, std::memory_order_relaxed);
-      sigma[v].store(0.0, std::memory_order_relaxed);
-    }
-  }
-};
-
-/// Published through `fine_region_ctx` so subgraph_source_parallel's
-/// regions capture no enclosing locals (region-context idiom,
-/// support/parallel.hpp).
-struct FineRegionCtx {
-  const Subgraph* sg = nullptr;
-  ParallelScratch* st = nullptr;
-  double* bc = nullptr;
-  std::span<const Vertex> level;
-  std::int32_t depth = 0;
-  Vertex source = 0;
-  bool s_is_ap = false;
-  double size_o2i = 0.0;
-  double gamma_s = 0.0;
-};
-
-FineRegionCtx* fine_region_ctx = nullptr;
-
-/// Same idiom for apgre_bc's coarse-grained sub-graph region.
-struct CoarseRegionCtx {
-  const Decomposition* dec = nullptr;
-  std::span<const std::size_t> items;
-  double* bc = nullptr;
-  Vertex num_global_vertices = 0;
-  std::uint64_t* sources = nullptr;
-  std::uint64_t* traversed_arcs = nullptr;
-};
-
-CoarseRegionCtx* coarse_region_ctx = nullptr;
-
-void subgraph_source_parallel(const Subgraph& sg, Vertex s, ParallelScratch& st,
-                              std::vector<double>& bc, bool hybrid_inner) {
-  const CsrGraph& g = sg.graph;
-  const bool s_is_ap = sg.is_boundary_ap[s] != 0;
-  const double size_o2i = s_is_ap ? static_cast<double>(sg.beta[s]) : 0.0;
-  const double gamma_s = static_cast<double>(sg.gamma[s]);
-
-  FineRegionCtx ctx;
-  ctx.sg = &sg;
-  ctx.st = &st;
-  ctx.bc = bc.data();
-  ctx.source = s;
-  ctx.s_is_ap = s_is_ap;
-  ctx.size_o2i = size_o2i;
-  ctx.gamma_s = gamma_s;
-  fine_region_ctx = &ctx;
-
-  for (Vertex a : sg.boundary_aps) {
-    if (a == s) continue;
-    st.d_i2o[a] = static_cast<double>(sg.alpha[a]);
-    if (s_is_ap) st.d_o2o[a] = size_o2i * static_cast<double>(sg.alpha[a]);
-  }
-
-  st.dist[s].store(0, std::memory_order_relaxed);
-  st.sigma[s].store(1.0, std::memory_order_relaxed);
-  st.levels.push(s);
-  st.levels.finish_level();
-  const auto total_arcs = static_cast<double>(g.num_arcs());
-  std::uint64_t frontier_out_edges = g.out_degree(s);
-  double explored_arcs = 0.0;
-  bool candidates_valid = false;
-
-  for (std::size_t current = 0; !st.levels.level(current).empty(); ++current) {
-    const auto frontier = st.levels.level(current);
-    const auto depth = static_cast<std::int32_t>(current);
-    explored_arcs += static_cast<double>(frontier_out_edges);
-    // Beamer thresholds (alpha=15, beta=20), only when requested.
-    const bool bottom_up =
-        hybrid_inner &&
-        static_cast<double>(frontier_out_edges) >
-            (total_arcs - explored_arcs) / 15.0 &&
-        static_cast<double>(frontier.size()) >
-            static_cast<double>(g.num_vertices()) / 20.0;
-
-    if (bottom_up) {
-      if (!candidates_valid) {
-        st.candidates.clear();
-        for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          if (st.dist[v].load(std::memory_order_relaxed) == kUnvisited) {
-            st.candidates.push_back(v);
-          }
-        }
-        candidates_valid = true;
-      }
-      ctx.depth = depth;
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const FineRegionCtx& C = *fine_region_ctx;
-        ParallelScratch& ps = *C.st;
-        const CsrGraph& cg = C.sg->graph;
-#pragma omp for schedule(static) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(ps.candidates.size());
-             ++i) {
-          const Vertex v = ps.candidates[static_cast<std::size_t>(i)];
-          double paths = 0.0;
-          for (Vertex u : cg.in_neighbors(v)) {
-            if (ps.dist[u].load(std::memory_order_relaxed) == C.depth) {
-              paths += ps.sigma[u].load(std::memory_order_relaxed);
-            }
-          }
-          if (paths > 0.0) {
-            ps.dist[v].store(C.depth + 1, std::memory_order_relaxed);
-            ps.sigma[v].store(paths, std::memory_order_relaxed);
-            ps.next.local().push_back(v);
-          } else {
-            ps.remaining.local().push_back(v);
-          }
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
-      st.candidates.clear();
-      st.next.drain_into(st.levels);
-      {
-        // Re-collect the shrunken unvisited list from the split buffers.
-        LevelBuckets tmp;
-        st.remaining.drain_into(tmp);
-        st.candidates.assign(tmp.touched().begin(), tmp.touched().end());
-      }
-    } else {
-      ctx.level = frontier;
-      ctx.depth = depth;
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const FineRegionCtx& C = *fine_region_ctx;
-        ParallelScratch& ps = *C.st;
-        const CsrGraph& cg = C.sg->graph;
-        std::uint64_t lost_claims = 0;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          for (Vertex w : cg.out_neighbors(v)) {
-            std::int32_t expected = kUnvisited;
-            if (ps.dist[w].compare_exchange_strong(expected, C.depth + 1,
-                                                   std::memory_order_relaxed)) {
-              ps.next.local().push_back(w);
-              expected = C.depth + 1;
-            } else if (expected == C.depth + 1) {
-              ++lost_claims;
-            }
-            if (expected == C.depth + 1) {
-              ps.sigma[w].fetch_add(ps.sigma[v].load(std::memory_order_relaxed),
-                                    std::memory_order_relaxed);
-            }
-          }
-        }
-        if (lost_claims != 0) {
-          ps.cas_retries.fetch_add(lost_claims, std::memory_order_relaxed);
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
-      st.next.drain_into(st.levels);
-      candidates_valid = false;  // stale after a push level
-    }
-    st.levels.finish_level();
-    const auto fresh = st.levels.level(current + 1);
-    if (fresh.empty()) break;
-    frontier_out_edges = 0;
-    for (Vertex v : fresh) frontier_out_edges += g.out_degree(v);
-  }
-
-  for (std::size_t lvl = st.levels.num_levels(); lvl-- > 0;) {
-    ctx.level = st.levels.level(lvl);
-    omp_fork_fence();
-#pragma omp parallel
-    {
-      omp_worker_entry_fence();
-      const FineRegionCtx& C = *fine_region_ctx;
-      ParallelScratch& ps = *C.st;
-      const CsrGraph& cg = C.sg->graph;
-      // Phantom-pendant seed; see subgraph_source_serial.
-      const double* pw = C.sg->pendant_weight.empty()
-                             ? nullptr
-                             : C.sg->pendant_weight.data();
-#pragma omp for schedule(dynamic, 64) nowait
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-        const Vertex v = C.level[static_cast<std::size_t>(i)];
-        const auto dv = ps.dist[v].load(std::memory_order_relaxed);
-        const double sv = ps.sigma[v].load(std::memory_order_relaxed);
-        double acc_i2i = pw != nullptr ? pw[v] : 0.0;
-        double acc_i2o = ps.d_i2o[v];
-        double acc_o2o = ps.d_o2o[v];
-        for (Vertex w : cg.out_neighbors(v)) {
-          if (ps.dist[w].load(std::memory_order_relaxed) != dv + 1) continue;
-          const double coef = sv / ps.sigma[w].load(std::memory_order_relaxed);
-          acc_i2i += coef * (1.0 + ps.d_i2i[w]);
-          acc_i2o += coef * ps.d_i2o[w];
-          if (C.s_is_ap) acc_o2o += coef * ps.d_o2o[w];
-        }
-        ps.d_i2i[v] = acc_i2i;
-        ps.d_i2o[v] = acc_i2o;
-        ps.d_o2o[v] = acc_o2o;
-        if (v != C.source) {
-          C.bc[v] += (1.0 + C.gamma_s) * (acc_i2i + acc_i2o) +
-                     C.size_o2i * acc_i2i + acc_o2o;
-        } else if (C.gamma_s > 0.0) {
-          double self = acc_i2i + acc_i2o;
-          if (!cg.directed()) self -= 1.0;
-          if (C.s_is_ap) self += static_cast<double>(C.sg->alpha[C.source]);
-          C.bc[C.source] += C.gamma_s * self;
-        }
-      }
-      omp_worker_exit_fence();
-    }
-    omp_join_fence();
-  }
-  fine_region_ctx = nullptr;
-
-  ++st.sources;
-  for (Vertex v : st.levels.touched()) {
-    st.traversed_arcs += g.out_degree(v);
-    st.dist[v].store(kUnvisited, std::memory_order_relaxed);
-    st.sigma[v].store(0.0, std::memory_order_relaxed);
-    st.d_i2i[v] = 0.0;
-    st.d_i2o[v] = 0.0;
-    st.d_o2o[v] = 0.0;
-  }
-  st.levels.clear();
-  for (Vertex a : sg.boundary_aps) {
-    st.d_i2o[a] = 0.0;
-    st.d_o2o[a] = 0.0;
-  }
-}
-
-std::vector<double> subgraph_bc_parallel(const Subgraph& sg, bool hybrid_inner) {
-  // Region-context kernel: not reentrant, serialize whole invocations
-  // (support/parallel.hpp). The scheduler-native variant below has no such
-  // lock — that is the concurrent path.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
-  std::vector<double> bc(sg.num_vertices(), 0.0);
-  ParallelScratch scratch(sg.num_vertices());
-  for (Vertex s : sg.roots) {
-    subgraph_source_parallel(sg, s, scratch, bc, hybrid_inner);
-  }
-  flush_kernel_tallies(scratch.sources, scratch.traversed_arcs,
-                       scratch.cas_retries.load(std::memory_order_relaxed));
-  return bc;
-}
-
-// --------------------------------------------------------------------------
-// Scheduler-native fine-grained kernel: the same level-synchronous
-// mathematics as subgraph_source_parallel, but the per-level loops run as
-// nested WorkStealingScheduler::parallel_for calls instead of OpenMP
-// regions. Plain lambdas capture the enclosing locals directly — the
-// scheduler synchronises with std::atomic operations TSan understands, so
-// neither the fence idiom nor the region-context pointer (nor the
-// process-wide serialization they force) applies. This is the kernel the
-// "dedicated" large/few-root sub-graphs dispatch from inside scheduler
-// tasks, which is what lets N service clients drive N parallel solves
+// Fine-grained kernel: the same mathematics as subgraph_source_serial with
+// a level-synchronous parallel forward phase (CAS vertex claims, atomic
+// sigma) and a parallel successor-pull backward phase (single writer per
+// delta cell), each level one nested WorkStealingScheduler::parallel_for —
+// paper §4, Algorithm 2. This is the kernel the "dedicated" large/few-root
+// sub-graphs dispatch from inside scheduler tasks; the scheduler is
+// reentrant, so N service clients can drive N parallel solves
 // concurrently.
 // --------------------------------------------------------------------------
 
@@ -494,13 +211,6 @@ struct SchedScratch {
     }
   }
 };
-
-/// Chunk size for a level of `n` vertices: big enough to amortize the
-/// claim fetch_add, small enough to split a fat frontier across the pool.
-std::int64_t level_grain(std::size_t n, int workers) {
-  return std::max<std::int64_t>(
-      64, static_cast<std::int64_t>(n) / (8 * static_cast<std::int64_t>(workers)));
-}
 
 void subgraph_source_scheduled(const Subgraph& sg, Vertex s, SchedScratch& st,
                                std::vector<double>& bc, bool hybrid_inner,
@@ -571,14 +281,10 @@ void subgraph_source_scheduled(const Subgraph& sg, Vertex s, SchedScratch& st,
               }
             }
           });
+      // Re-collect the shrunken unvisited list from the split buffers.
       st.candidates.clear();
       st.next.drain_into(st.levels);
-      {
-        // Re-collect the shrunken unvisited list from the split buffers.
-        LevelBuckets tmp;
-        st.remaining.drain_into(tmp);
-        st.candidates.assign(tmp.touched().begin(), tmp.touched().end());
-      }
+      st.remaining.drain_into(st.candidates);
     } else {
       sched.parallel_for(
           0, static_cast<std::int64_t>(frontier.size()),
@@ -686,21 +392,6 @@ std::vector<double> subgraph_bc_scheduled(const Subgraph& sg, bool hybrid_inner,
   return bc;
 }
 
-/// Default pool options (threads == 0, random stealing) share the
-/// process-wide pool, so concurrent solves arbitrate the same cores
-/// instead of oversubscribing with private pools; anything pinned
-/// (explicit thread count, sequential stealing) gets a private scheduler
-/// with exactly those options.
-WorkStealingScheduler& select_scheduler(
-    const SchedulerOptions& sched,
-    std::optional<WorkStealingScheduler>& storage) {
-  if (sched.threads == 0 && sched.steal_policy == StealPolicy::kRandom) {
-    return WorkStealingScheduler::shared();
-  }
-  storage.emplace(sched);
-  return *storage;
-}
-
 /// Arc threshold above which a sub-graph is "large" (fine-grained tier).
 EdgeId fine_grain_cutoff(const ApgreOptions& opts, EdgeId total_arcs) {
   return std::max<EdgeId>(
@@ -709,115 +400,10 @@ EdgeId fine_grain_cutoff(const ApgreOptions& opts, EdgeId total_arcs) {
 }
 
 // --------------------------------------------------------------------------
-// Flat scoring path (the pre-scheduler driver, kept reachable with
-// SchedulerOptions::enabled = false): the top sub-graph and every other
-// large sub-graph run one at a time with the fine-grained kernel; the rest
-// are distributed across an OpenMP loop.
-// --------------------------------------------------------------------------
-
-std::vector<double> score_flat(const CsrGraph& g, const Decomposition& dec,
-                               const ApgreOptions& opts, ApgreStats& stats) {
-  // The coarse loop below and subgraph_bc_parallel are region-context
-  // OpenMP kernels; serialize the whole invocation against concurrent
-  // callers (recursive: subgraph_bc_parallel re-locks).
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
-  const EdgeId fine_cutoff = fine_grain_cutoff(opts, g.num_arcs());
-
-  std::vector<std::size_t> fine;
-  std::vector<std::size_t> coarse;
-  // With a single thread the fine-grained kernel only adds atomic-CAS
-  // overhead; route everything through the serial kernel instead. The top
-  // sub-graph is always processed on its own so its share of the runtime
-  // is measured directly (paper Figure 8).
-  const bool inner_parallel_pays = num_threads() > 1;
-  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
-    if (i == dec.top_subgraph) continue;
-    const bool fine_grained =
-        inner_parallel_pays && dec.subgraphs[i].num_arcs() >= fine_cutoff;
-    (fine_grained ? fine : coarse).push_back(i);
-  }
-
-  std::vector<double> bc(g.num_vertices(), 0.0);
-  auto merge_local = [&dec](std::vector<double>& into, std::size_t sgi,
-                            const std::vector<double>& local) {
-    const Subgraph& sg = dec.subgraphs[sgi];
-    for (Vertex v = 0; v < sg.num_vertices(); ++v) {
-      into[sg.to_global[v]] += local[v];
-    }
-  };
-
-  if (!dec.subgraphs.empty()) {
-    APGRE_TRACE_SPAN("apgre/top_bc");
-    ScopedTimer t(stats.top_bc_seconds);
-    const Subgraph& top = dec.subgraphs[dec.top_subgraph];
-    const bool parallel_top =
-        inner_parallel_pays && top.num_arcs() >= fine_cutoff;
-    merge_local(bc, dec.top_subgraph,
-                apgre_subgraph_bc(top, parallel_top, opts.hybrid_inner));
-  }
-  {
-    APGRE_TRACE_SPAN("apgre/rest_bc");
-    ScopedTimer t(stats.rest_bc_seconds);
-    for (std::size_t sgi : fine) {
-      merge_local(bc, sgi,
-                  subgraph_bc_parallel(dec.subgraphs[sgi], opts.hybrid_inner));
-    }
-    std::uint64_t coarse_sources = 0;
-    std::uint64_t coarse_traversed_arcs = 0;
-    CoarseRegionCtx cctx;
-    cctx.dec = &dec;
-    cctx.items = coarse;
-    cctx.bc = bc.data();
-    cctx.num_global_vertices = g.num_vertices();
-    cctx.sources = &coarse_sources;
-    cctx.traversed_arcs = &coarse_traversed_arcs;
-    coarse_region_ctx = &cctx;
-    omp_fork_fence();
-#pragma omp parallel
-    {
-      omp_worker_entry_fence();
-      const CoarseRegionCtx& C = *coarse_region_ctx;
-      // Per-thread global accumulation buffer: sub-graphs share vertices
-      // only at articulation points, but a private buffer avoids all races.
-      std::vector<double> thread_bc(C.num_global_vertices, 0.0);
-      SubgraphScratch scratch;
-      std::vector<double> local;
-#pragma omp for schedule(dynamic, 8) nowait
-      for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(C.items.size());
-           ++idx) {
-        const Subgraph& sg =
-            C.dec->subgraphs[C.items[static_cast<std::size_t>(idx)]];
-        scratch.ensure(sg.num_vertices());
-        local.assign(sg.num_vertices(), 0.0);
-        for (Vertex s : sg.roots) subgraph_source_serial(sg, s, scratch, local);
-        for (Vertex v = 0; v < sg.num_vertices(); ++v) {
-          thread_bc[sg.to_global[v]] += local[v];
-        }
-      }
-#pragma omp critical(apgre_bc_merge)
-      {
-        omp_critical_entry_fence();
-        for (Vertex v = 0; v < C.num_global_vertices; ++v) {
-          C.bc[v] += thread_bc[v];
-        }
-        *C.sources += scratch.sources;
-        *C.traversed_arcs += scratch.traversed_arcs;
-        omp_critical_exit_fence();
-      }
-      omp_worker_exit_fence();
-    }
-    omp_join_fence();
-    coarse_region_ctx = nullptr;
-    flush_kernel_tallies(coarse_sources, coarse_traversed_arcs);
-  }
-  return bc;
-}
-
-// --------------------------------------------------------------------------
-// Scheduled scoring path: every (sub-graph, root-batch) pair becomes a task
-// on the work-stealing scheduler (support/sched/scheduler.hpp). Sub-graphs
-// too large to split profitably become *dedicated* tasks that run the
-// scheduler-native level-synchronous kernel, opening nested parallel_for
+// Scoring: every (sub-graph, root-batch) pair becomes a task on the
+// work-stealing scheduler (support/sched/scheduler.hpp). Sub-graphs too
+// large to split profitably become *dedicated* tasks that run the
+// fine-grained level-synchronous kernel, opening nested parallel_for
 // calls from inside their task body — the whole run is one scheduler
 // invocation, so concurrent solves interleave freely (no process-wide
 // lock). The kernel per tier is chosen adaptively from size / root-count
@@ -827,9 +413,8 @@ std::vector<double> score_flat(const CsrGraph& g, const Decomposition& dec,
 std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
                                     const ApgreOptions& opts,
                                     const SchedulerOptions& sched,
+                                    WorkStealingScheduler& scheduler,
                                     ApgreStats& stats) {
-  std::optional<WorkStealingScheduler> private_sched;
-  WorkStealingScheduler& scheduler = select_scheduler(sched, private_sched);
   const int workers = scheduler.num_workers();
   const int slots = scheduler.num_slots();
   const EdgeId fine_cutoff = fine_grain_cutoff(opts, g.num_arcs());
@@ -972,18 +557,16 @@ std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
 
 }  // namespace
 
-std::vector<double> apgre_subgraph_bc(const Subgraph& sg, bool parallel_inner,
-                                      bool hybrid_inner) {
-  return parallel_inner ? subgraph_bc_parallel(sg, hybrid_inner)
-                        : subgraph_bc_serial(sg);
+std::vector<double> apgre_subgraph_bc(const Subgraph& sg) {
+  return subgraph_bc_serial(sg);
 }
 
 std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
                                                 bool hybrid_inner,
                                                 const SchedulerOptions& sched) {
   std::optional<WorkStealingScheduler> private_sched;
-  WorkStealingScheduler& scheduler = select_scheduler(sched, private_sched);
-  return subgraph_bc_scheduled(sg, hybrid_inner, scheduler);
+  return subgraph_bc_scheduled(sg, hybrid_inner,
+                               select_scheduler(sched, private_sched));
 }
 
 std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
@@ -991,6 +574,17 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
                                                 const ApgreOptions& opts,
                                                 ApgreStats* stats,
                                                 const SchedulerOptions& sched) {
+  std::optional<WorkStealingScheduler> private_sched;
+  return apgre_bc_with_decomposition(g, dec, opts, stats, sched,
+                                     select_scheduler(sched, private_sched));
+}
+
+std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
+                                                const Decomposition& dec,
+                                                const ApgreOptions& opts,
+                                                ApgreStats* stats,
+                                                const SchedulerOptions& sched,
+                                                WorkStealingScheduler& scheduler) {
   APGRE_TRACE_SPAN("apgre/score");
   ApgreStats local;
   if (stats != nullptr) {
@@ -1004,9 +598,8 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
   }
 
   Timer score_timer;
-  std::vector<double> bc = sched.enabled
-                               ? score_scheduled(g, dec, opts, sched, local)
-                               : score_flat(g, dec, opts, local);
+  std::vector<double> bc =
+      score_scheduled(g, dec, opts, sched, scheduler, local);
   local.total_seconds = local.peel_seconds + local.partition_seconds +
                         local.reach_seconds + score_timer.seconds();
 
@@ -1046,6 +639,13 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
 
 std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
                              ApgreStats* stats, const SchedulerOptions& sched) {
+  std::optional<WorkStealingScheduler> private_sched;
+  return apgre_bc(g, opts, stats, sched, select_scheduler(sched, private_sched));
+}
+
+std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
+                             ApgreStats* stats, const SchedulerOptions& sched,
+                             WorkStealingScheduler& scheduler) {
   APGRE_TRACE_SPAN("apgre/total");
   ApgreStats local;
 
@@ -1076,22 +676,22 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
       {
         APGRE_TRACE_SPAN("apgre/decompose");
         ScopedTimer t(local.partition_seconds);
-        dec = decompose(core, popts);
+        dec = decompose(core, popts, scheduler);
         inject_pendant_weights(dec, peel.anchor_weight);
       }
       {
         APGRE_TRACE_SPAN("apgre/reach");
         ScopedTimer t(local.reach_seconds);
         compute_reach_counts(core, dec, opts.partition.reach,
-                             &peel.anchor_weight);
+                             &peel.anchor_weight, scheduler);
       }
       ApgreOptions inner = opts;
       inner.partition = popts;
       local.peel_seconds = peel_seconds;
       local.peeled_vertices = peel.num_peeled;
       local.core_fraction = peel.core_fraction();
-      std::vector<double> bc =
-          apgre_bc_with_decomposition(core, dec, inner, &local, sched);
+      std::vector<double> bc = apgre_bc_with_decomposition(
+          core, dec, inner, &local, sched, scheduler);
       expand_peeled_scores(peel, bc);
       metrics().gauge("graph.peel.seconds").set(peel_seconds);
       if (stats != nullptr) *stats = local;
@@ -1107,16 +707,17 @@ std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
   {
     APGRE_TRACE_SPAN("apgre/decompose");
     ScopedTimer t(local.partition_seconds);
-    dec = decompose(g, popts);
+    dec = decompose(g, popts, scheduler);
   }
   // Step 2: alpha/beta counting.
   {
     APGRE_TRACE_SPAN("apgre/reach");
     ScopedTimer t(local.reach_seconds);
-    compute_reach_counts(g, dec, opts.partition.reach);
+    compute_reach_counts(g, dec, opts.partition.reach, nullptr, scheduler);
   }
-  // Step 3: scoring (flat or scheduled) + stats/metrics.
-  std::vector<double> bc = apgre_bc_with_decomposition(g, dec, opts, &local, sched);
+  // Step 3: scoring + stats/metrics.
+  std::vector<double> bc =
+      apgre_bc_with_decomposition(g, dec, opts, &local, sched, scheduler);
   if (stats != nullptr) *stats = local;
   return bc;
 }

@@ -29,9 +29,10 @@ namespace apgre {
 
 struct ApgreOptions {
   PartitionOptions partition;
-  /// Sub-graphs holding at least this fraction of all arcs are processed
-  /// one at a time with fine-grained (level-synchronous) inner parallelism;
-  /// the rest are distributed across threads and processed serially inside.
+  /// Sub-graphs holding at least this fraction of all arcs are "large":
+  /// they split into root batches, or, with too few roots to split, run the
+  /// fine-grained (level-synchronous) kernel. The rest are one serial task
+  /// each.
   double fine_grain_fraction = 0.125;
   /// Sub-graphs with fewer arcs than this never use inner parallelism.
   EdgeId fine_grain_min_arcs = 1u << 14;
@@ -52,12 +53,11 @@ struct ApgreStats {
   double peel_seconds = 0.0;
   Vertex peeled_vertices = 0;
   double core_fraction = 1.0;
-  /// BC of the sub-graphs processed with the fine-grained level-synchronous
-  /// kernel (flat mode: the large "top" tier; scheduler mode: the dedicated
-  /// sub-graphs too large to root-split).
+  /// BC of the dedicated sub-graphs, too large to root-split, that ran the
+  /// fine-grained level-synchronous kernel (summed task time).
   double top_bc_seconds = 0.0;
-  /// BC of everything else (flat mode: the coarse OpenMP loop; scheduler
-  /// mode: the work-stealing run over (sub-graph, root-batch) tasks).
+  /// Wall time of the work-stealing run over every scoring task (the
+  /// dedicated sub-graphs run inside it too).
   double rest_bc_seconds = 0.0;
   double total_seconds = 0.0;
 
@@ -70,10 +70,10 @@ struct ApgreStats {
   double partial_redundancy = 0.0;
   double total_redundancy = 0.0;
 
-  /// Two-level scheduler breakdown (zero when the flat loop ran). The
-  /// adaptive kernel choice (SchedulerOptions::adaptive_kernel) is recorded
-  /// here: `num_fine_subgraphs` ran whole as dedicated tasks with the
-  /// scheduler-native level-synchronous kernel (nested parallel_for),
+  /// Two-level scheduler breakdown. The adaptive kernel choice
+  /// (SchedulerOptions::adaptive_kernel) is recorded here:
+  /// `num_fine_subgraphs` ran whole as dedicated tasks with the
+  /// fine-grained level-synchronous kernel (nested parallel_for),
   /// `num_batch_tasks` + `num_subgraph_tasks` ran the serial kernel on
   /// scheduler workers.
   std::size_t num_fine_subgraphs = 0;  ///< dedicated level-synchronous runs
@@ -84,10 +84,17 @@ struct ApgreStats {
   double sched_idle_seconds = 0.0;     ///< summed worker idle time
 };
 
-/// Full APGRE run: decomposition + reach counting + scoring.
+/// Full APGRE run: decomposition + reach counting + scoring, on the
+/// scheduler select_scheduler(sched) picks.
 std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts = {},
                              ApgreStats* stats = nullptr,
                              const SchedulerOptions& sched = {});
+
+/// The same on a scheduler the caller already resolved; `sched` still
+/// supplies the grain and adaptive-kernel knobs.
+std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
+                             ApgreStats* stats, const SchedulerOptions& sched,
+                             WorkStealingScheduler& scheduler);
 
 /// Scoring only, on a caller-supplied decomposition whose alpha/beta reach
 /// counts are already filled in (compute_reach_counts). This is the Solver
@@ -99,20 +106,25 @@ std::vector<double> apgre_bc_with_decomposition(
     const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts = {},
     ApgreStats* stats = nullptr, const SchedulerOptions& sched = {});
 
-/// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG).
-/// Exposed for tests and the breakdown benchmark. `parallel_inner` selects
-/// the level-synchronous parallel kernel; the serial kernel otherwise.
-/// `hybrid_inner` additionally enables the direction-optimising forward
-/// phase (only meaningful with parallel_inner).
-std::vector<double> apgre_subgraph_bc(const Subgraph& sg, bool parallel_inner,
-                                      bool hybrid_inner = false);
+/// Scoring on a scheduler the caller already resolved (select_scheduler):
+/// the Solver picks one per solve and hands it to the reach pass and here.
+std::vector<double> apgre_bc_with_decomposition(
+    const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts,
+    ApgreStats* stats, const SchedulerOptions& sched,
+    WorkStealingScheduler& scheduler);
 
-/// Sub-graph BC with the scheduler-native level-synchronous kernel: the
-/// per-level loops run as WorkStealingScheduler::parallel_for calls instead
-/// of OpenMP regions, so concurrent invocations from different threads are
-/// safe (no process-wide kernel lock). Default pool options use the shared
-/// process-wide scheduler; explicit thread counts get a private one.
-/// Exposed for the differential tests against the serial oracle.
+/// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG),
+/// with the serial kernel. The contribution store re-scores blocks with it
+/// (deterministic accumulation order); tests use it as the oracle for the
+/// fine-grained kernel below.
+std::vector<double> apgre_subgraph_bc(const Subgraph& sg);
+
+/// Sub-graph BC with the fine-grained level-synchronous kernel: the
+/// per-level loops run as WorkStealingScheduler::parallel_for calls, so
+/// concurrent invocations from different threads are safe. `hybrid_inner`
+/// enables the direction-optimising forward phase. The scheduler comes
+/// from select_scheduler(sched). Exposed for the differential tests
+/// against the serial kernel.
 std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
                                                 bool hybrid_inner = false,
                                                 const SchedulerOptions& sched = {});

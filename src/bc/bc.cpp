@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "bc/algebraic.hpp"
 #include "bc/brandes.hpp"
@@ -16,7 +17,6 @@
 #include "graph/mutate.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -28,36 +28,44 @@ namespace {
 // (Solver::solve) owns timing, halving, and mteps; kernels only produce
 // scores and, where applicable, extra result fields.
 
-std::vector<double> run_naive(const CsrGraph& g, const BcOptions&, BcResult&) {
+std::vector<double> run_naive(const CsrGraph& g, const BcOptions&,
+                              WorkStealingScheduler&, BcResult&) {
   return naive_bc(g);
 }
-std::vector<double> run_serial(const CsrGraph& g, const BcOptions&, BcResult&) {
+std::vector<double> run_serial(const CsrGraph& g, const BcOptions&,
+                               WorkStealingScheduler&, BcResult&) {
   return brandes_bc(g);
 }
-std::vector<double> run_preds(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return parallel_preds_bc(g);
+std::vector<double> run_preds(const CsrGraph& g, const BcOptions&,
+                              WorkStealingScheduler& sched, BcResult&) {
+  return parallel_preds_bc(g, sched);
 }
-std::vector<double> run_succs(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return parallel_succs_bc(g);
+std::vector<double> run_succs(const CsrGraph& g, const BcOptions&,
+                              WorkStealingScheduler& sched, BcResult&) {
+  return parallel_succs_bc(g, sched);
 }
-std::vector<double> run_lockfree(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return lockfree_bc(g);
+std::vector<double> run_lockfree(const CsrGraph& g, const BcOptions&,
+                                 WorkStealingScheduler& sched, BcResult&) {
+  return lockfree_bc(g, sched);
 }
-std::vector<double> run_coarse(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return coarse_bc(g);
+std::vector<double> run_coarse(const CsrGraph& g, const BcOptions&,
+                               WorkStealingScheduler& sched, BcResult&) {
+  return coarse_bc(g, sched);
 }
-std::vector<double> run_hybrid(const CsrGraph& g, const BcOptions&, BcResult&) {
-  return hybrid_bc(g);
+std::vector<double> run_hybrid(const CsrGraph& g, const BcOptions&,
+                               WorkStealingScheduler& sched, BcResult&) {
+  return hybrid_bc(g, sched);
 }
 std::vector<double> run_apgre(const CsrGraph& g, const BcOptions& opts,
-                              BcResult& result) {
-  return apgre_bc(g, opts.apgre, &result.apgre_stats, opts.scheduler);
+                              WorkStealingScheduler& sched, BcResult& result) {
+  return apgre_bc(g, opts.apgre, &result.apgre_stats, opts.scheduler, sched);
 }
-std::vector<double> run_algebraic(const CsrGraph& g, const BcOptions&, BcResult&) {
+std::vector<double> run_algebraic(const CsrGraph& g, const BcOptions&,
+                                  WorkStealingScheduler&, BcResult&) {
   return algebraic_bc(g);
 }
 std::vector<double> run_sampling(const CsrGraph& g, const BcOptions& opts,
-                                 BcResult&) {
+                                 WorkStealingScheduler&, BcResult&) {
   return sampled_bc(g, opts.num_samples, opts.seed);
 }
 
@@ -86,7 +94,7 @@ const std::array<AlgorithmInfo, kNumAlgorithms> kRegistry = {{
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kCoarse, "coarse", "async",
-     "source-parallel with per-thread buffers", &run_coarse,
+     "source-parallel with per-slot buffers", &run_coarse,
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kHybrid, "hybrid", nullptr,
@@ -180,7 +188,10 @@ BcResult Solver::solve(const BcOptions& opts) {
   if (!result.status.ok()) return result;
 
   const CsrGraph& g = *g_;
-  ThreadBudget budget(opts.threads > 0 ? opts.threads : num_threads());
+  // The one scheduler of this solve: every parallel loop below runs on it.
+  std::optional<WorkStealingScheduler> private_sched;
+  WorkStealingScheduler& scheduler =
+      select_scheduler(opts.scheduler, private_sched, opts.threads);
   const AlgorithmInfo& info = algorithm_info(opts.algorithm);
   TraceSpan span(std::string("bc/") + info.name);
 
@@ -210,7 +221,7 @@ BcResult Solver::solve(const BcOptions& opts) {
       {
         APGRE_TRACE_SPAN("apgre/decompose");
         ScopedTimer t(stats.partition_seconds);
-        *dec_ = decompose(base, key);
+        *dec_ = decompose(base, key, scheduler);
         // Weighted core solve: anchors absorb their peeled subtrees as
         // derived pendant multiplicities (gamma + weighted reach), so the
         // kernels never traverse the fringe.
@@ -223,7 +234,8 @@ BcResult Solver::solve(const BcOptions& opts) {
         ScopedTimer t(stats.reach_seconds);
         compute_reach_counts(base, *dec_, key.reach,
                              reduced_ != nullptr ? &peel_->anchor_weight
-                                                 : nullptr);
+                                                 : nullptr,
+                             scheduler);
       }
       dec_key_ = key;
     }
@@ -243,13 +255,13 @@ BcResult Solver::solve(const BcOptions& opts) {
       stats.num_subgraphs = dec_->subgraphs.size();
     } else {
       const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      result.scores = apgre_bc_with_decomposition(base, *dec_, opts.apgre,
-                                                  &stats, opts.scheduler);
+      result.scores = apgre_bc_with_decomposition(
+          base, *dec_, opts.apgre, &stats, opts.scheduler, scheduler);
       if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
     }
     result.apgre_stats = stats;
   } else {
-    result.scores = info.kernel(g, opts, result);
+    result.scores = info.kernel(g, opts, scheduler, result);
   }
   result.seconds = timer.seconds();
 
@@ -299,7 +311,7 @@ void Solver::build_store() {
   tracked_scores_.assign(g_->num_vertices(), 0.0);
   for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
     const Subgraph& sg = dec.subgraphs[sgi];
-    contrib_[sgi] = apgre_subgraph_bc(sg, /*parallel_inner=*/false);
+    contrib_[sgi] = apgre_subgraph_bc(sg);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       tracked_scores_[sg.to_global[local]] += contrib_[sgi][local];
     }
@@ -410,7 +422,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     }
     sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs),
                                     /*directed=*/false);
-    contrib_[sgi] = apgre_subgraph_bc(sg, /*parallel_inner=*/false);
+    contrib_[sgi] = apgre_subgraph_bc(sg);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       double& score = tracked_scores_[sg.to_global[local]];
       score += contrib_[sgi][local];

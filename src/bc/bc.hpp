@@ -47,7 +47,7 @@ enum class Algorithm {
   kParallelPreds, ///< level-synchronous, predecessor lists (Bader-Madduri)
   kParallelSuccs, ///< level-synchronous, successor scans (Madduri et al.)
   kLockFree,      ///< pull-based level-synchronous, no atomics (Tan et al.)
-  kCoarse,        ///< source-parallel, per-thread buffers (`async` stand-in)
+  kCoarse,        ///< source-parallel, per-slot buffers (`async` stand-in)
   kHybrid,        ///< direction-optimising BFS (Beamer; Ligra's hybrid)
   kApgre,         ///< the paper's contribution
   kAlgebraic,     ///< 64-wide batched Brandes (Buluc-Gilbert style)
@@ -69,10 +69,13 @@ struct AlgorithmInfo {
   const char* summary = nullptr;  ///< one-line description for --help output
   /// Kernel entry point. May fill result fields beyond scores (kApgre
   /// writes apgre_stats); the dispatcher owns timing / halving / mteps.
+  /// `sched` is the solve's scheduler (select_scheduler); parallel kernels
+  /// run every loop on it.
   std::vector<double> (*kernel)(const CsrGraph& g, const BcOptions& opts,
+                                WorkStealingScheduler& sched,
                                 BcResult& result) = nullptr;
   bool exact = true;       ///< scores match Brandes exactly (oracle set)
-  bool parallel = false;   ///< uses the thread budget
+  bool parallel = false;   ///< runs its loops on the solve's scheduler
   bool comparison = false; ///< member of the paper's Tables 2/3 set
   bool test_only = false;  ///< reference oracle, excluded from benches
 };
@@ -93,14 +96,17 @@ std::string algorithm_name(Algorithm algorithm);
 
 struct BcOptions {
   Algorithm algorithm = Algorithm::kApgre;
-  /// Thread budget; 0 keeps the runtime default.
+  /// Worker count for every parallel kernel, APGRE included (unless
+  /// scheduler.threads overrides it); 0 uses the shared pool sized to the
+  /// hardware.
   int threads = 0;
   /// Halve the scores of symmetric graphs (conventional undirected BC).
   bool undirected_halving = false;
   /// APGRE tuning (ignored by other algorithms).
   ApgreOptions apgre;
-  /// Work-stealing scheduler knobs for APGRE's scoring phase
-  /// (support/sched/scheduler.hpp; ignored by other algorithms).
+  /// Work-stealing scheduler knobs (support/sched/scheduler.hpp). The
+  /// worker count applies to every parallel kernel; grain, steal policy
+  /// and the adaptive kernel choice tune APGRE's scoring phase.
   SchedulerOptions scheduler;
   /// kSampling: number of sampled sources (0 = sqrt(|V|)) and seed.
   Vertex num_samples = 0;

@@ -4,66 +4,48 @@
 
 #include "bc/brandes_kernel.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 
 namespace apgre {
 
 namespace {
 
-/// Published through `region_ctx` so the parallel region captures no
-/// enclosing locals (region-context idiom, support/parallel.hpp).
-struct RegionCtx {
-  const CsrGraph* g = nullptr;
-  double* bc = nullptr;
-  std::uint64_t* traversed_arcs = nullptr;
-  double* forward_cpu_seconds = nullptr;
-  double* backward_cpu_seconds = nullptr;
+/// One slot's private state, allocated on the slot's first chunk.
+struct SlotState {
+  std::unique_ptr<detail::BrandesScratch> scratch;
+  std::vector<double> bc;
 };
-
-RegionCtx* region_ctx = nullptr;
 
 }  // namespace
 
-std::vector<double> coarse_bc(const CsrGraph& g) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
+std::vector<double> coarse_bc(const CsrGraph& g, WorkStealingScheduler& sched) {
   const Vertex n = g.num_vertices();
+  std::vector<SlotState> slots(static_cast<std::size_t>(sched.num_slots()));
+  sched.parallel_for(0, static_cast<std::int64_t>(n), 16,
+                     [&](std::int64_t lo, std::int64_t hi, int slot) {
+                       SlotState& st = slots[static_cast<std::size_t>(slot)];
+                       if (st.scratch == nullptr) {
+                         st.scratch = std::make_unique<detail::BrandesScratch>(n);
+                         st.bc.assign(n, 0.0);
+                       }
+                       for (std::int64_t s = lo; s < hi; ++s) {
+                         detail::brandes_iteration(g, static_cast<Vertex>(s), 1.0,
+                                                   *st.scratch, st.bc);
+                       }
+                     });
+
+  // Merge after the loop has returned (the per-slot REDUCTION).
   std::vector<double> bc(n, 0.0);
   std::uint64_t traversed_arcs = 0;
-  // Summed across threads, so these are CPU seconds, not wall time.
+  // Summed across slots, so these are CPU seconds, not wall time.
   double forward_cpu_seconds = 0.0;
   double backward_cpu_seconds = 0.0;
-
-  RegionCtx ctx{&g, bc.data(), &traversed_arcs, &forward_cpu_seconds,
-                &backward_cpu_seconds};
-  region_ctx = &ctx;
-  omp_fork_fence();
-#pragma omp parallel
-  {
-    omp_worker_entry_fence();
-    const RegionCtx& C = *region_ctx;
-    const Vertex num = C.g->num_vertices();
-    detail::BrandesScratch scratch(num);
-    std::vector<double> local_bc(num, 0.0);
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(num); ++s) {
-      detail::brandes_iteration(*C.g, static_cast<Vertex>(s), 1.0, scratch,
-                                local_bc);
-    }
-#pragma omp critical(apgre_coarse_merge)
-    {
-      omp_critical_entry_fence();
-      for (Vertex v = 0; v < num; ++v) C.bc[v] += local_bc[v];
-      *C.traversed_arcs += scratch.traversed_arcs;
-      *C.forward_cpu_seconds += scratch.forward_seconds;
-      *C.backward_cpu_seconds += scratch.backward_seconds;
-      omp_critical_exit_fence();
-    }
-    omp_worker_exit_fence();
+  for (const SlotState& st : slots) {
+    if (st.scratch == nullptr) continue;
+    for (Vertex v = 0; v < n; ++v) bc[v] += st.bc[v];
+    traversed_arcs += st.scratch->traversed_arcs;
+    forward_cpu_seconds += st.scratch->forward_seconds;
+    backward_cpu_seconds += st.scratch->backward_seconds;
   }
-  omp_join_fence();
-  region_ctx = nullptr;
 
   MetricsRegistry& m = metrics();
   m.counter("bc.coarse.sources").add(n);

@@ -1,6 +1,6 @@
-// Coarse-grained source-parallel BC: sources are distributed over threads
-// with dynamic scheduling; every thread runs the serial Brandes kernel into
-// a private score buffer, merged at the end. No barriers between sources —
+// Coarse-grained source-parallel BC: sources are distributed over the
+// scheduler's workers in chunks; every slot runs the serial Brandes kernel
+// into a private score buffer, merged at the end. No barriers between sources —
 // this is the shared-memory stand-in for the Galois-based asynchronous
 // algorithm of Prountzos & Pingali, PPoPP 2013 (the paper's `async`
 // column), whose defining property is the absence of level synchronisation
@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
-std::vector<double> coarse_bc(const CsrGraph& g);
+/// Runs every parallel loop on `sched` (the caller's resolved scheduler).
+std::vector<double> coarse_bc(const CsrGraph& g,
+                              WorkStealingScheduler& sched);
 
 }  // namespace apgre

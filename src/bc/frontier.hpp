@@ -2,17 +2,20 @@
 //
 // LevelBuckets records the vertices of every BFS level contiguously so the
 // backward dependency sweep can walk levels in reverse (paper Algorithm 2,
-// `Levels[]`). ThreadLocalFrontier is the OpenMP stand-in for the paper's
-// CilkPlus reducer bag: threads append to private buffers which are
-// concatenated into the next level at the barrier.
+// `Levels[]`). SlotLocalFrontier stands in for the paper's CilkPlus reducer
+// bag: parallel_for chunks append to per-slot buffers which are
+// concatenated into the next level once the loop returns.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/edge_list.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace apgre {
 
@@ -72,11 +75,18 @@ class LevelBuckets {
   std::vector<std::size_t> offsets_{0};
 };
 
-/// Per-slot append buffers for the scheduler-native kernels: like
-/// ThreadLocalFrontier, but indexed by the scheduler slot id a
-/// parallel_for body receives instead of the OpenMP thread id, and sized
-/// by WorkStealingScheduler::num_slots(). Buffers start empty and grow
-/// only on slots that actually execute chunks, so oversizing is free.
+/// parallel_for chunk size for a BFS level of `n` vertices: big enough to
+/// amortize the chunk claim, small enough to split a fat frontier across
+/// `workers`.
+inline std::int64_t level_grain(std::size_t n, int workers) {
+  return std::max<std::int64_t>(
+      64, static_cast<std::int64_t>(n) / (8 * static_cast<std::int64_t>(workers)));
+}
+
+/// Per-slot append buffers for the level-synchronous kernels, indexed by
+/// the scheduler slot id a parallel_for body receives and sized by
+/// WorkStealingScheduler::num_slots(). Buffers start empty and grow only on
+/// slots that actually execute chunks, so oversizing is free.
 class SlotLocalFrontier {
  public:
   explicit SlotLocalFrontier(int slots)
@@ -95,27 +105,10 @@ class SlotLocalFrontier {
     }
   }
 
- private:
-  struct alignas(64) Buffer {
-    std::vector<Vertex> items;
-  };
-  std::vector<Buffer> buffers_;
-};
-
-/// Per-thread append buffers merged into a LevelBuckets level at the end of
-/// a parallel region (reduction-bag substitute, see paper §5.1).
-class ThreadLocalFrontier {
- public:
-  ThreadLocalFrontier() : buffers_(static_cast<std::size_t>(num_threads())) {}
-
-  std::vector<Vertex>& local() {
-    return buffers_[static_cast<std::size_t>(thread_id())].items;
-  }
-
-  /// Single-threaded merge; call outside the parallel region.
-  void drain_into(LevelBuckets& levels) {
+  /// Same, appending to a plain vertex list.
+  void drain_into(std::vector<Vertex>& out) {
     for (auto& buffer : buffers_) {
-      levels.push_batch(buffer.items);
+      out.insert(out.end(), buffer.items.begin(), buffer.items.end());
       buffer.items.clear();
     }
   }

@@ -2,12 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
-#include <span>
 
 #include "bc/frontier.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace apgre {
@@ -16,37 +13,21 @@ namespace {
 
 constexpr std::int32_t kUnvisited = -1;
 
+/// One slot's share of a level: vertices it discovered, candidates it
+/// left unvisited, and the discovered vertices' out-edge volume (the
+/// Beamer switch input).
 struct alignas(64) LocalLists {
   std::vector<Vertex> discovered;
   std::vector<Vertex> remaining;
   std::uint64_t out_edges = 0;
 };
 
-/// Published through `region_ctx` so the parallel regions capture no
-/// enclosing locals (region-context idiom, support/parallel.hpp).
-struct RegionCtx {
-  const CsrGraph* g = nullptr;
-  std::atomic<std::int32_t>* dist = nullptr;
-  std::atomic<double>* sigma = nullptr;
-  double* delta = nullptr;
-  double* bc = nullptr;
-  LocalLists* locals = nullptr;
-  std::atomic<std::uint64_t>* cas_retries = nullptr;
-  std::span<const Vertex> candidates;
-  std::span<const Vertex> level;
-  std::int32_t depth = 0;
-  Vertex source = 0;
-};
-
-RegionCtx* region_ctx = nullptr;
-
 }  // namespace
 
-std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
+std::vector<double> hybrid_bc(const CsrGraph& g, WorkStealingScheduler& sched,
+                              const HybridOptions& opts) {
   const Vertex n = g.num_vertices();
+  const int workers = sched.num_workers();
   std::vector<double> bc(n, 0.0);
 
   std::vector<std::atomic<std::int32_t>> dist(n);
@@ -57,7 +38,7 @@ std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
     sigma[v].store(0.0, std::memory_order_relaxed);
   }
   LevelBuckets levels;
-  std::vector<LocalLists> locals(static_cast<std::size_t>(num_threads()));
+  std::vector<LocalLists> locals(static_cast<std::size_t>(sched.num_slots()));
   std::vector<Vertex> candidates;  // unvisited vertices (bottom-up scan list)
   bool candidates_valid = false;
 
@@ -70,22 +51,11 @@ std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
   double backward_seconds = 0.0;
   Timer phase_timer;
 
-  RegionCtx ctx;
-  ctx.g = &g;
-  ctx.dist = dist.data();
-  ctx.sigma = sigma.data();
-  ctx.delta = delta.data();
-  ctx.bc = bc.data();
-  ctx.locals = locals.data();
-  ctx.cas_retries = &cas_retries;
-  region_ctx = &ctx;
-
   for (Vertex s = 0; s < n; ++s) {
     dist[s].store(0, std::memory_order_relaxed);
     sigma[s].store(1.0, std::memory_order_relaxed);
     levels.push(s);
     levels.finish_level();
-    ctx.source = s;
     candidates_valid = false;
     std::uint64_t frontier_out_edges = g.out_degree(s);
     double explored_arcs = 0.0;
@@ -113,90 +83,72 @@ std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
           }
           candidates_valid = true;
         }
-        ctx.candidates = candidates;
-        ctx.depth = depth;
-        omp_fork_fence();
-#pragma omp parallel
-        {
-          omp_worker_entry_fence();
-          const RegionCtx& C = *region_ctx;
-#pragma omp for schedule(static) nowait
-          for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.candidates.size()); ++i) {
-            const Vertex v = C.candidates[static_cast<std::size_t>(i)];
-            double paths = 0.0;
-            for (Vertex u : C.g->in_neighbors(v)) {
-              if (C.dist[u].load(std::memory_order_relaxed) == C.depth) {
-                paths += C.sigma[u].load(std::memory_order_relaxed);
+        sched.parallel_for(
+            0, static_cast<std::int64_t>(candidates.size()),
+            level_grain(candidates.size(), workers),
+            [&](std::int64_t lo, std::int64_t hi, int slot) {
+              LocalLists& local = locals[static_cast<std::size_t>(slot)];
+              for (std::int64_t i = lo; i < hi; ++i) {
+                const Vertex v = candidates[static_cast<std::size_t>(i)];
+                double paths = 0.0;
+                for (Vertex u : g.in_neighbors(v)) {
+                  if (dist[u].load(std::memory_order_relaxed) == depth) {
+                    paths += sigma[u].load(std::memory_order_relaxed);
+                  }
+                }
+                if (paths > 0.0) {
+                  dist[v].store(depth + 1, std::memory_order_relaxed);
+                  sigma[v].store(paths, std::memory_order_relaxed);
+                  local.discovered.push_back(v);
+                  local.out_edges += g.out_degree(v);
+                } else {
+                  local.remaining.push_back(v);
+                }
               }
-            }
-            auto& local = C.locals[static_cast<std::size_t>(thread_id())];
-            if (paths > 0.0) {
-              C.dist[v].store(C.depth + 1, std::memory_order_relaxed);
-              C.sigma[v].store(paths, std::memory_order_relaxed);
-              local.discovered.push_back(v);
-              local.out_edges += C.g->out_degree(v);
-            } else {
-              local.remaining.push_back(v);
-            }
-          }
-          omp_worker_exit_fence();
-        }
-        omp_join_fence();
+            });
         candidates.clear();
-        frontier_out_edges = 0;
-        for (auto& local : locals) {
-          levels.push_batch(local.discovered);
-          candidates.insert(candidates.end(), local.remaining.begin(),
-                            local.remaining.end());
-          frontier_out_edges += local.out_edges;
-          local.discovered.clear();
-          local.remaining.clear();
-          local.out_edges = 0;
-        }
       } else {
         // Top-down push with CAS claims and atomic sigma, as in `preds`.
-        ctx.level = frontier;
-        ctx.depth = depth;
-        omp_fork_fence();
-#pragma omp parallel
-        {
-          omp_worker_entry_fence();
-          const RegionCtx& C = *region_ctx;
-          std::uint64_t lost_claims = 0;
-#pragma omp for schedule(dynamic, 64) nowait
-          for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-            const Vertex v = C.level[static_cast<std::size_t>(i)];
-            auto& local = C.locals[static_cast<std::size_t>(thread_id())];
-            for (Vertex w : C.g->out_neighbors(v)) {
-              std::int32_t expected = kUnvisited;
-              if (C.dist[w].compare_exchange_strong(expected, C.depth + 1,
-                                                    std::memory_order_relaxed)) {
-                local.discovered.push_back(w);
-                local.out_edges += C.g->out_degree(w);
-                expected = C.depth + 1;
-              } else if (expected == C.depth + 1) {
-                ++lost_claims;
+        sched.parallel_for(
+            0, static_cast<std::int64_t>(frontier.size()),
+            level_grain(frontier.size(), workers),
+            [&](std::int64_t lo, std::int64_t hi, int slot) {
+              LocalLists& local = locals[static_cast<std::size_t>(slot)];
+              std::uint64_t lost_claims = 0;
+              for (std::int64_t i = lo; i < hi; ++i) {
+                const Vertex v = frontier[static_cast<std::size_t>(i)];
+                for (Vertex w : g.out_neighbors(v)) {
+                  std::int32_t expected = kUnvisited;
+                  if (dist[w].compare_exchange_strong(
+                          expected, depth + 1, std::memory_order_relaxed)) {
+                    local.discovered.push_back(w);
+                    local.out_edges += g.out_degree(w);
+                    expected = depth + 1;
+                  } else if (expected == depth + 1) {
+                    ++lost_claims;
+                  }
+                  if (expected == depth + 1) {
+                    sigma[w].fetch_add(sigma[v].load(std::memory_order_relaxed),
+                                       std::memory_order_relaxed);
+                  }
+                }
               }
-              if (expected == C.depth + 1) {
-                C.sigma[w].fetch_add(C.sigma[v].load(std::memory_order_relaxed),
-                                     std::memory_order_relaxed);
+              if (lost_claims != 0) {
+                cas_retries.fetch_add(lost_claims, std::memory_order_relaxed);
               }
-            }
-          }
-          if (lost_claims != 0) {
-            C.cas_retries->fetch_add(lost_claims, std::memory_order_relaxed);
-          }
-          omp_worker_exit_fence();
-        }
-        omp_join_fence();
-        frontier_out_edges = 0;
-        for (auto& local : locals) {
-          levels.push_batch(local.discovered);
-          frontier_out_edges += local.out_edges;
-          local.discovered.clear();
-          local.out_edges = 0;
-        }
+            });
         candidates_valid = false;  // the unvisited list is now stale
+      }
+      // Merge the slots' lists once the level's loop has returned.
+      frontier_out_edges = 0;
+      for (LocalLists& local : locals) {
+        levels.push_batch(local.discovered);
+        candidates.insert(candidates.end(), local.remaining.begin(),
+                          local.remaining.end());
+        frontier_out_edges += local.out_edges;
+        local.discovered.clear();
+        local.remaining.clear();
+        local.out_edges = 0;
       }
       levels.finish_level();
       if (levels.level(static_cast<std::size_t>(depth) + 1).empty()) break;
@@ -206,30 +158,26 @@ std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
     // Backward successor pull.
     phase_timer.reset();
     for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
-      ctx.level = levels.level(lvl);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          const auto dv = C.dist[v].load(std::memory_order_relaxed);
-          const double sv = C.sigma[v].load(std::memory_order_relaxed);
-          double acc = 0.0;
-          for (Vertex w : C.g->out_neighbors(v)) {
-            if (C.dist[w].load(std::memory_order_relaxed) == dv + 1) {
-              acc += sv / C.sigma[w].load(std::memory_order_relaxed) *
-                     (1.0 + C.delta[w]);
+      const auto level = levels.level(lvl);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = level[static_cast<std::size_t>(i)];
+              const auto dv = dist[v].load(std::memory_order_relaxed);
+              const double sv = sigma[v].load(std::memory_order_relaxed);
+              double acc = 0.0;
+              for (Vertex w : g.out_neighbors(v)) {
+                if (dist[w].load(std::memory_order_relaxed) == dv + 1) {
+                  acc += sv / sigma[w].load(std::memory_order_relaxed) *
+                         (1.0 + delta[w]);
+                }
+              }
+              delta[v] = acc;
+              if (v != s) bc[v] += acc;
             }
-          }
-          C.delta[v] = acc;
-          if (v != C.source) C.bc[v] += acc;
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
     }
     backward_seconds += phase_timer.seconds();
 
@@ -241,7 +189,6 @@ std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts) {
     }
     levels.clear();
   }
-  region_ctx = nullptr;
 
   MetricsRegistry& m = metrics();
   m.counter("bc.hybrid.sources").add(n);

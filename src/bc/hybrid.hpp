@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
@@ -20,6 +21,8 @@ struct HybridOptions {
   double beta = 20.0;
 };
 
-std::vector<double> hybrid_bc(const CsrGraph& g, const HybridOptions& opts = {});
+/// Runs every parallel loop on `sched` (the caller's resolved scheduler).
+std::vector<double> hybrid_bc(const CsrGraph& g, WorkStealingScheduler& sched,
+                              const HybridOptions& opts = {});
 
 }  // namespace apgre

@@ -3,11 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <span>
 
 #include "bc/frontier.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace apgre {
@@ -16,49 +14,15 @@ namespace {
 
 constexpr std::int32_t kUnvisited = -1;
 
-/// Per-thread split of the candidate list: vertices discovered this level
-/// and vertices still unvisited, merged serially at the level barrier.
-struct CandidateSplit {
-  struct alignas(64) Local {
-    std::vector<Vertex> discovered;
-    std::vector<Vertex> remaining;
-  };
-  std::vector<Local> per_thread;
-
-  CandidateSplit() : per_thread(static_cast<std::size_t>(num_threads())) {}
-
-  Local& local() { return per_thread[static_cast<std::size_t>(thread_id())]; }
-};
-
-/// Everything the parallel regions touch, published through `region_ctx`
-/// (region-context idiom, support/parallel.hpp) so the region bodies
-/// capture no enclosing locals.
-struct RegionCtx {
-  const CsrGraph* g = nullptr;
-  std::atomic<std::int32_t>* dist = nullptr;
-  double* sigma = nullptr;
-  double* delta = nullptr;
-  double* bc = nullptr;
-  CandidateSplit* split = nullptr;
-  std::span<const Vertex> candidates;
-  std::span<const Vertex> level;
-  std::int32_t depth = 0;
-  Vertex source = 0;
-};
-
-RegionCtx* region_ctx = nullptr;
-
 }  // namespace
 
-std::vector<double> lockfree_bc(const CsrGraph& g) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
+std::vector<double> lockfree_bc(const CsrGraph& g, WorkStealingScheduler& sched) {
   const Vertex n = g.num_vertices();
+  const int workers = sched.num_workers();
   std::vector<double> bc(n, 0.0);
 
   // dist needs relaxed atomics: a pull scan reads dist of in-neighbours
-  // that other threads may be discovering (writing depth+1) in the same
+  // that other slots may be discovering (writing depth+1) in the same
   // level. The read can only observe kUnvisited or depth+1 there — never
   // the depth it compares against — so any outcome is correct, but the
   // access itself must not be a plain-int race.
@@ -69,7 +33,10 @@ std::vector<double> lockfree_bc(const CsrGraph& g) {
   std::vector<double> sigma(n, 0.0);
   std::vector<double> delta(n, 0.0);
   LevelBuckets levels;
-  CandidateSplit split;
+  // Per-slot split of the candidate list: vertices discovered this level
+  // and vertices still unvisited, merged serially after the level's loop.
+  SlotLocalFrontier discovered(sched.num_slots());
+  SlotLocalFrontier remaining(sched.num_slots());
   // Vertices not yet visited this source; shrinks after every level so the
   // pull scan narrows as the BFS progresses.
   std::vector<Vertex> candidates;
@@ -79,21 +46,11 @@ std::vector<double> lockfree_bc(const CsrGraph& g) {
   double backward_seconds = 0.0;
   Timer phase_timer;
 
-  RegionCtx ctx;
-  ctx.g = &g;
-  ctx.dist = dist.data();
-  ctx.sigma = sigma.data();
-  ctx.delta = delta.data();
-  ctx.bc = bc.data();
-  ctx.split = &split;
-  region_ctx = &ctx;
-
   for (Vertex s = 0; s < n; ++s) {
     dist[s].store(0, std::memory_order_relaxed);
     sigma[s] = 1.0;
     levels.push(s);
     levels.finish_level();
-    ctx.source = s;
 
     candidates.resize(n);
     std::iota(candidates.begin(), candidates.end(), 0);
@@ -105,41 +62,32 @@ std::vector<double> lockfree_bc(const CsrGraph& g) {
       // Pull phase: every candidate checks whether a level-`depth`
       // in-neighbour reaches it; each dist/sigma cell has a single writer,
       // so no locks or heavier-than-relaxed atomics are required.
-      ctx.candidates = candidates;
-      ctx.depth = depth;
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-#pragma omp for schedule(static) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.candidates.size()); ++i) {
-          const Vertex v = C.candidates[static_cast<std::size_t>(i)];
-          double paths = 0.0;
-          for (Vertex u : C.g->in_neighbors(v)) {
-            if (C.dist[u].load(std::memory_order_relaxed) == C.depth) {
-              paths += C.sigma[u];
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(candidates.size()),
+          level_grain(candidates.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int slot) {
+            auto& found = discovered.local(slot);
+            auto& rest = remaining.local(slot);
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = candidates[static_cast<std::size_t>(i)];
+              double paths = 0.0;
+              for (Vertex u : g.in_neighbors(v)) {
+                if (dist[u].load(std::memory_order_relaxed) == depth) {
+                  paths += sigma[u];
+                }
+              }
+              if (paths > 0.0) {
+                dist[v].store(depth + 1, std::memory_order_relaxed);
+                sigma[v] = paths;
+                found.push_back(v);
+              } else {
+                rest.push_back(v);
+              }
             }
-          }
-          if (paths > 0.0) {
-            C.dist[v].store(C.depth + 1, std::memory_order_relaxed);
-            C.sigma[v] = paths;
-            C.split->local().discovered.push_back(v);
-          } else {
-            C.split->local().remaining.push_back(v);
-          }
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
       candidates.clear();
-      for (auto& local : split.per_thread) {
-        levels.push_batch(local.discovered);
-        candidates.insert(candidates.end(), local.remaining.begin(),
-                          local.remaining.end());
-        local.discovered.clear();
-        local.remaining.clear();
-      }
+      discovered.drain_into(levels);
+      remaining.drain_into(candidates);
       levels.finish_level();
       if (levels.level(static_cast<std::size_t>(depth) + 1).empty()) break;
     }
@@ -149,28 +97,24 @@ std::vector<double> lockfree_bc(const CsrGraph& g) {
     // synchronisation).
     phase_timer.reset();
     for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
-      ctx.level = levels.level(lvl);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          const auto dv = C.dist[v].load(std::memory_order_relaxed);
-          double acc = 0.0;
-          for (Vertex w : C.g->out_neighbors(v)) {
-            if (C.dist[w].load(std::memory_order_relaxed) == dv + 1) {
-              acc += C.sigma[v] / C.sigma[w] * (1.0 + C.delta[w]);
+      const auto level = levels.level(lvl);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = level[static_cast<std::size_t>(i)];
+              const auto dv = dist[v].load(std::memory_order_relaxed);
+              double acc = 0.0;
+              for (Vertex w : g.out_neighbors(v)) {
+                if (dist[w].load(std::memory_order_relaxed) == dv + 1) {
+                  acc += sigma[v] / sigma[w] * (1.0 + delta[w]);
+                }
+              }
+              delta[v] = acc;
+              if (v != s) bc[v] += acc;
             }
-          }
-          C.delta[v] = acc;
-          if (v != C.source) C.bc[v] += acc;
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
     }
     backward_seconds += phase_timer.seconds();
 
@@ -182,7 +126,6 @@ std::vector<double> lockfree_bc(const CsrGraph& g) {
     }
     levels.clear();
   }
-  region_ctx = nullptr;
 
   MetricsRegistry& m = metrics();
   m.counter("bc.lockfree.sources").add(n);

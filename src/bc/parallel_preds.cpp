@@ -2,12 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 
 #include "bc/frontier.hpp"
-#include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace apgre {
@@ -26,14 +23,15 @@ struct PredsState {
   std::vector<Vertex> pred_slots;                  // |arcs| entries
   std::vector<std::atomic<std::uint32_t>> pred_count;  // per vertex
   LevelBuckets levels;
-  ThreadLocalFrontier next;
+  SlotLocalFrontier next;
 
-  explicit PredsState(const CsrGraph& g)
+  PredsState(const CsrGraph& g, int slots)
       : dist(g.num_vertices()),
         sigma(g.num_vertices()),
         delta(g.num_vertices()),
         pred_slots(g.num_arcs()),
-        pred_count(g.num_vertices()) {
+        pred_count(g.num_vertices()),
+        next(slots) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       dist[v].store(kUnvisited, std::memory_order_relaxed);
       sigma[v].store(0.0, std::memory_order_relaxed);
@@ -53,41 +51,20 @@ struct PredsState {
   }
 };
 
-/// Published through `region_ctx` so the parallel regions capture no
-/// enclosing locals (region-context idiom, support/parallel.hpp).
-struct RegionCtx {
-  const CsrGraph* g = nullptr;
-  PredsState* st = nullptr;
-  double* bc = nullptr;
-  std::atomic<std::uint64_t>* cas_retries = nullptr;
-  std::span<const Vertex> level;
-  std::int32_t depth = 0;
-};
-
-RegionCtx* region_ctx = nullptr;
-
 }  // namespace
 
-std::vector<double> parallel_preds_bc(const CsrGraph& g) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
+std::vector<double> parallel_preds_bc(const CsrGraph& g,
+                                      WorkStealingScheduler& sched) {
   const Vertex n = g.num_vertices();
+  const int workers = sched.num_workers();
   std::vector<double> bc(n, 0.0);
-  PredsState st(g);
+  PredsState st(g, sched.num_slots());
 
   std::uint64_t traversed_arcs = 0;
   std::atomic<std::uint64_t> cas_retries{0};
   double forward_seconds = 0.0;
   double backward_seconds = 0.0;
   Timer phase_timer;
-
-  RegionCtx ctx;
-  ctx.g = &g;
-  ctx.st = &st;
-  ctx.bc = bc.data();
-  ctx.cas_retries = &cas_retries;
-  region_ctx = &ctx;
 
   for (Vertex s = 0; s < n; ++s) {
     st.dist[s].store(0, std::memory_order_relaxed);
@@ -99,42 +76,39 @@ std::vector<double> parallel_preds_bc(const CsrGraph& g) {
     // dist, accumulate sigma atomically, record predecessors.
     phase_timer.reset();
     for (std::size_t current = 0; !st.levels.level(current).empty(); ++current) {
-      ctx.level = st.levels.level(current);
-      ctx.depth = static_cast<std::int32_t>(current);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-        PredsState& ps = *C.st;
-        std::uint64_t lost_claims = 0;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          for (Vertex w : C.g->out_neighbors(v)) {
-            std::int32_t expected = kUnvisited;
-            if (ps.dist[w].compare_exchange_strong(expected, C.depth + 1,
-                                                   std::memory_order_relaxed)) {
-              ps.next.local().push_back(w);
-              expected = C.depth + 1;
-            } else if (expected == C.depth + 1) {
-              ++lost_claims;
+      const auto level = st.levels.level(current);
+      const auto depth = static_cast<std::int32_t>(current);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int slot) {
+            auto& next = st.next.local(slot);
+            std::uint64_t lost_claims = 0;
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = level[static_cast<std::size_t>(i)];
+              for (Vertex w : g.out_neighbors(v)) {
+                std::int32_t expected = kUnvisited;
+                if (st.dist[w].compare_exchange_strong(
+                        expected, depth + 1, std::memory_order_relaxed)) {
+                  next.push_back(w);
+                  expected = depth + 1;
+                } else if (expected == depth + 1) {
+                  ++lost_claims;
+                }
+                if (expected == depth + 1) {
+                  st.sigma[w].fetch_add(
+                      st.sigma[v].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+                  const std::uint32_t pos =
+                      st.pred_count[w].fetch_add(1, std::memory_order_relaxed);
+                  st.pred_slots[g.in_offset(w) + pos] = v;
+                }
+              }
             }
-            if (expected == C.depth + 1) {
-              ps.sigma[w].fetch_add(ps.sigma[v].load(std::memory_order_relaxed),
-                                    std::memory_order_relaxed);
-              const std::uint32_t slot =
-                  ps.pred_count[w].fetch_add(1, std::memory_order_relaxed);
-              ps.pred_slots[C.g->in_offset(w) + slot] = v;
+            if (lost_claims != 0) {
+              cas_retries.fetch_add(lost_claims, std::memory_order_relaxed);
             }
-          }
-        }
-        if (lost_claims != 0) {
-          C.cas_retries->fetch_add(lost_claims, std::memory_order_relaxed);
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
       st.next.drain_into(st.levels);
       st.levels.finish_level();
       if (st.levels.level(current + 1).empty()) break;
@@ -146,37 +120,33 @@ std::vector<double> parallel_preds_bc(const CsrGraph& g) {
     // (this contention is exactly what `succs` eliminates).
     phase_timer.reset();
     for (std::size_t lvl = st.levels.num_levels(); lvl-- > 1;) {
-      ctx.level = st.levels.level(lvl);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-        PredsState& ps = *C.st;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex w = C.level[static_cast<std::size_t>(i)];
-          const double coef =
-              (1.0 + ps.delta[w].load(std::memory_order_relaxed)) /
-              ps.sigma[w].load(std::memory_order_relaxed);
-          const std::uint32_t count = ps.pred_count[w].load(std::memory_order_relaxed);
-          for (std::uint32_t p = 0; p < count; ++p) {
-            const Vertex v = ps.pred_slots[C.g->in_offset(w) + p];
-            ps.delta[v].fetch_add(ps.sigma[v].load(std::memory_order_relaxed) * coef,
-                                  std::memory_order_relaxed);
-          }
-          C.bc[w] += ps.delta[w].load(std::memory_order_relaxed);
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+      const auto level = st.levels.level(lvl);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex w = level[static_cast<std::size_t>(i)];
+              const double coef =
+                  (1.0 + st.delta[w].load(std::memory_order_relaxed)) /
+                  st.sigma[w].load(std::memory_order_relaxed);
+              const std::uint32_t count =
+                  st.pred_count[w].load(std::memory_order_relaxed);
+              for (std::uint32_t p = 0; p < count; ++p) {
+                const Vertex v = st.pred_slots[g.in_offset(w) + p];
+                st.delta[v].fetch_add(
+                    st.sigma[v].load(std::memory_order_relaxed) * coef,
+                    std::memory_order_relaxed);
+              }
+              bc[w] += st.delta[w].load(std::memory_order_relaxed);
+            }
+          });
     }
     backward_seconds += phase_timer.seconds();
 
     for (Vertex v : st.levels.touched()) traversed_arcs += g.out_degree(v);
     st.reset_touched();
   }
-  region_ctx = nullptr;
 
   MetricsRegistry& m = metrics();
   m.counter("bc.preds.sources").add(n);

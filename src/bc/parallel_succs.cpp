@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 
 #include "bc/frontier.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace apgre {
@@ -15,30 +13,12 @@ namespace {
 
 constexpr std::int32_t kUnvisited = -1;
 
-/// Published through `region_ctx` so the parallel regions capture no
-/// enclosing locals (region-context idiom, support/parallel.hpp).
-struct RegionCtx {
-  const CsrGraph* g = nullptr;
-  std::atomic<std::int32_t>* dist = nullptr;
-  std::atomic<double>* sigma = nullptr;
-  double* delta = nullptr;
-  double* bc = nullptr;
-  ThreadLocalFrontier* next = nullptr;
-  std::atomic<std::uint64_t>* cas_retries = nullptr;
-  std::span<const Vertex> level;
-  std::int32_t depth = 0;
-  Vertex source = 0;
-};
-
-RegionCtx* region_ctx = nullptr;
-
 }  // namespace
 
-std::vector<double> parallel_succs_bc(const CsrGraph& g) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
+std::vector<double> parallel_succs_bc(const CsrGraph& g,
+                                      WorkStealingScheduler& sched) {
   const Vertex n = g.num_vertices();
+  const int workers = sched.num_workers();
   std::vector<double> bc(n, 0.0);
 
   std::vector<std::atomic<std::int32_t>> dist(n);
@@ -49,7 +29,7 @@ std::vector<double> parallel_succs_bc(const CsrGraph& g) {
     sigma[v].store(0.0, std::memory_order_relaxed);
   }
   LevelBuckets levels;
-  ThreadLocalFrontier next;
+  SlotLocalFrontier next(sched.num_slots());
 
   std::uint64_t traversed_arcs = 0;
   std::atomic<std::uint64_t> cas_retries{0};
@@ -57,59 +37,45 @@ std::vector<double> parallel_succs_bc(const CsrGraph& g) {
   double backward_seconds = 0.0;
   Timer phase_timer;
 
-  RegionCtx ctx;
-  ctx.g = &g;
-  ctx.dist = dist.data();
-  ctx.sigma = sigma.data();
-  ctx.delta = delta.data();
-  ctx.bc = bc.data();
-  ctx.next = &next;
-  ctx.cas_retries = &cas_retries;
-  region_ctx = &ctx;
-
   for (Vertex s = 0; s < n; ++s) {
     dist[s].store(0, std::memory_order_relaxed);
     sigma[s].store(1.0, std::memory_order_relaxed);
     levels.push(s);
     levels.finish_level();
-    ctx.source = s;
 
     // Forward: identical claim-and-count expansion to `preds`, but no
     // predecessor recording.
     phase_timer.reset();
     for (std::size_t current = 0; !levels.level(current).empty(); ++current) {
-      ctx.level = levels.level(current);
-      ctx.depth = static_cast<std::int32_t>(current);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-        std::uint64_t lost_claims = 0;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          for (Vertex w : C.g->out_neighbors(v)) {
-            std::int32_t expected = kUnvisited;
-            if (C.dist[w].compare_exchange_strong(expected, C.depth + 1,
-                                                  std::memory_order_relaxed)) {
-              C.next->local().push_back(w);
-              expected = C.depth + 1;
-            } else if (expected == C.depth + 1) {
-              ++lost_claims;
+      const auto level = levels.level(current);
+      const auto depth = static_cast<std::int32_t>(current);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int slot) {
+            auto& local = next.local(slot);
+            std::uint64_t lost_claims = 0;
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = level[static_cast<std::size_t>(i)];
+              for (Vertex w : g.out_neighbors(v)) {
+                std::int32_t expected = kUnvisited;
+                if (dist[w].compare_exchange_strong(expected, depth + 1,
+                                                    std::memory_order_relaxed)) {
+                  local.push_back(w);
+                  expected = depth + 1;
+                } else if (expected == depth + 1) {
+                  ++lost_claims;
+                }
+                if (expected == depth + 1) {
+                  sigma[w].fetch_add(sigma[v].load(std::memory_order_relaxed),
+                                     std::memory_order_relaxed);
+                }
+              }
             }
-            if (expected == C.depth + 1) {
-              C.sigma[w].fetch_add(C.sigma[v].load(std::memory_order_relaxed),
-                                   std::memory_order_relaxed);
+            if (lost_claims != 0) {
+              cas_retries.fetch_add(lost_claims, std::memory_order_relaxed);
             }
-          }
-        }
-        if (lost_claims != 0) {
-          C.cas_retries->fetch_add(lost_claims, std::memory_order_relaxed);
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
       next.drain_into(levels);
       levels.finish_level();
       if (levels.level(current + 1).empty()) break;
@@ -120,30 +86,26 @@ std::vector<double> parallel_succs_bc(const CsrGraph& g) {
     // single writer, no synchronisation needed.
     phase_timer.reset();
     for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
-      ctx.level = levels.level(lvl);
-      omp_fork_fence();
-#pragma omp parallel
-      {
-        omp_worker_entry_fence();
-        const RegionCtx& C = *region_ctx;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(C.level.size()); ++i) {
-          const Vertex v = C.level[static_cast<std::size_t>(i)];
-          const auto dv = C.dist[v].load(std::memory_order_relaxed);
-          const double sv = C.sigma[v].load(std::memory_order_relaxed);
-          double acc = 0.0;
-          for (Vertex w : C.g->out_neighbors(v)) {
-            if (C.dist[w].load(std::memory_order_relaxed) == dv + 1) {
-              acc += sv / C.sigma[w].load(std::memory_order_relaxed) *
-                     (1.0 + C.delta[w]);
+      const auto level = levels.level(lvl);
+      sched.parallel_for(
+          0, static_cast<std::int64_t>(level.size()),
+          level_grain(level.size(), workers),
+          [&](std::int64_t lo, std::int64_t hi, int) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const Vertex v = level[static_cast<std::size_t>(i)];
+              const auto dv = dist[v].load(std::memory_order_relaxed);
+              const double sv = sigma[v].load(std::memory_order_relaxed);
+              double acc = 0.0;
+              for (Vertex w : g.out_neighbors(v)) {
+                if (dist[w].load(std::memory_order_relaxed) == dv + 1) {
+                  acc += sv / sigma[w].load(std::memory_order_relaxed) *
+                         (1.0 + delta[w]);
+                }
+              }
+              delta[v] = acc;
+              if (v != s) bc[v] += acc;
             }
-          }
-          C.delta[v] = acc;
-          if (v != C.source) C.bc[v] += acc;
-        }
-        omp_worker_exit_fence();
-      }
-      omp_join_fence();
+          });
     }
     backward_seconds += phase_timer.seconds();
 
@@ -155,7 +117,6 @@ std::vector<double> parallel_succs_bc(const CsrGraph& g) {
     }
     levels.clear();
   }
-  region_ctx = nullptr;
 
   MetricsRegistry& m = metrics();
   m.counter("bc.succs.sources").add(n);

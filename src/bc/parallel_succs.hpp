@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
-std::vector<double> parallel_succs_bc(const CsrGraph& g);
+/// Runs every parallel loop on `sched` (the caller's resolved scheduler).
+std::vector<double> parallel_succs_bc(const CsrGraph& g,
+                                      WorkStealingScheduler& sched);
 
 }  // namespace apgre

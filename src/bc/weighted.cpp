@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "bcc/partition.hpp"
 #include "bcc/reach.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace apgre {
@@ -169,16 +169,6 @@ WeightedCsrGraph weighted_subgraph(const WeightedCsrGraph& g, const Subgraph& sg
                                       g.directed());
 }
 
-/// Published through `weighted_region_ctx` so the parallel region captures
-/// no enclosing locals (region-context idiom, support/parallel.hpp).
-struct WeightedRegionCtx {
-  const WeightedCsrGraph* g = nullptr;
-  const Decomposition* dec = nullptr;
-  double* bc = nullptr;
-};
-
-WeightedRegionCtx* weighted_region_ctx = nullptr;
-
 }  // namespace
 
 std::vector<double> weighted_naive_bc(const WeightedCsrGraph& g) {
@@ -242,67 +232,60 @@ std::vector<double> weighted_brandes_bc(const WeightedCsrGraph& g) {
 }
 
 std::vector<double> weighted_apgre_bc(const WeightedCsrGraph& g,
-                                      const ApgreOptions& opts, ApgreStats* stats) {
+                                      const ApgreOptions& opts, ApgreStats* stats,
+                                      const SchedulerOptions& sched) {
   require_positive_weights(g);
   Timer total_timer;
   ApgreStats local_stats;
+  std::optional<WorkStealingScheduler> private_sched;
+  WorkStealingScheduler& scheduler = select_scheduler(sched, private_sched);
 
   PartitionOptions popts = opts.partition;
   popts.compute_reach = false;
   Decomposition dec;
   {
     ScopedTimer t(local_stats.partition_seconds);
-    dec = decompose(g.structure(), popts);
+    dec = decompose(g.structure(), popts, scheduler);
   }
   {
     ScopedTimer t(local_stats.reach_seconds);
-    compute_reach_counts(g.structure(), dec, opts.partition.reach);
+    compute_reach_counts(g.structure(), dec, opts.partition.reach, nullptr,
+                         scheduler);
   }
 
   std::vector<double> bc(g.num_vertices(), 0.0);
   {
     ScopedTimer t(local_stats.rest_bc_seconds);
-    // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-    // serialize whole invocations against concurrent caller threads.
-    std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
-    WeightedRegionCtx ctx;
-    ctx.g = &g;
-    ctx.dec = &dec;
-    ctx.bc = bc.data();
-    weighted_region_ctx = &ctx;
-    omp_fork_fence();
-#pragma omp parallel
-    {
-      omp_worker_entry_fence();
-      const WeightedRegionCtx& C = *weighted_region_ctx;
-      const Vertex num_global = C.g->num_vertices();
-      std::vector<double> thread_bc(num_global, 0.0);
+    // Per-slot global accumulation buffers, allocated on a slot's first
+    // chunk and merged once the loop returns.
+    struct SlotState {
+      std::vector<double> bc;
       DijkstraScratch scratch;
       std::vector<double> local;
-#pragma omp for schedule(dynamic, 8) nowait
-      for (std::int64_t i = 0;
-           i < static_cast<std::int64_t>(C.dec->subgraphs.size()); ++i) {
-        const Subgraph& sg = C.dec->subgraphs[static_cast<std::size_t>(i)];
-        const WeightedCsrGraph wsg = weighted_subgraph(*C.g, sg);
-        scratch.ensure(sg.num_vertices());
-        local.assign(sg.num_vertices(), 0.0);
-        for (Vertex s : sg.roots) {
-          weighted_subgraph_source(wsg, sg, s, scratch, local);
-        }
-        for (Vertex v = 0; v < sg.num_vertices(); ++v) {
-          thread_bc[sg.to_global[v]] += local[v];
-        }
-      }
-#pragma omp critical(apgre_weighted_merge)
-      {
-        omp_critical_entry_fence();
-        for (Vertex v = 0; v < num_global; ++v) C.bc[v] += thread_bc[v];
-        omp_critical_exit_fence();
-      }
-      omp_worker_exit_fence();
+    };
+    std::vector<SlotState> slots(static_cast<std::size_t>(scheduler.num_slots()));
+    scheduler.parallel_for(
+        0, static_cast<std::int64_t>(dec.subgraphs.size()), 8,
+        [&](std::int64_t lo, std::int64_t hi, int slot) {
+          SlotState& st = slots[static_cast<std::size_t>(slot)];
+          if (st.bc.empty()) st.bc.assign(g.num_vertices(), 0.0);
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const Subgraph& sg = dec.subgraphs[static_cast<std::size_t>(i)];
+            const WeightedCsrGraph wsg = weighted_subgraph(g, sg);
+            st.scratch.ensure(sg.num_vertices());
+            st.local.assign(sg.num_vertices(), 0.0);
+            for (Vertex s : sg.roots) {
+              weighted_subgraph_source(wsg, sg, s, st.scratch, st.local);
+            }
+            for (Vertex v = 0; v < sg.num_vertices(); ++v) {
+              st.bc[sg.to_global[v]] += st.local[v];
+            }
+          }
+        });
+    for (const SlotState& st : slots) {
+      if (st.bc.empty()) continue;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) bc[v] += st.bc[v];
     }
-    omp_join_fence();
-    weighted_region_ctx = nullptr;
   }
 
   local_stats.total_seconds = total_timer.seconds();

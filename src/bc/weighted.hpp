@@ -26,8 +26,10 @@ std::vector<double> weighted_naive_bc(const WeightedCsrGraph& g);
 
 std::vector<double> weighted_brandes_bc(const WeightedCsrGraph& g);
 
+/// Sub-graphs spread over the scheduler select_scheduler(sched) picks.
 std::vector<double> weighted_apgre_bc(const WeightedCsrGraph& g,
                                       const ApgreOptions& opts = {},
-                                      ApgreStats* stats = nullptr);
+                                      ApgreStats* stats = nullptr,
+                                      const SchedulerOptions& sched = {});
 
 }  // namespace apgre

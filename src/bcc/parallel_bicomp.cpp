@@ -96,7 +96,8 @@ void canonicalize_blocks(BiconnectedComponents& bcc) {
   }
 }
 
-BiconnectedComponents parallel_biconnected_components(const CsrGraph& g) {
+BiconnectedComponents parallel_biconnected_components(const CsrGraph& g,
+                                                      WorkStealingScheduler& sched) {
   if (g.directed()) {
     // The skeleton rules assume the BFS-forest cross-edge property of an
     // undirected simple graph; directed inputs decompose their projection
@@ -111,7 +112,6 @@ BiconnectedComponents parallel_biconnected_components(const CsrGraph& g) {
   metrics().counter("bcc.parallel.decompositions").add();
 
   const Vertex n = g.num_vertices();
-  WorkStealingScheduler& sched = WorkStealingScheduler::shared();
   const int slots = sched.num_slots();
 
   BiconnectedComponents out;

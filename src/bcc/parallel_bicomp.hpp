@@ -38,6 +38,7 @@
 
 #include "bcc/bicomp.hpp"
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
@@ -69,7 +70,9 @@ void canonicalize_blocks(BiconnectedComponents& bcc);
 /// applied to the serial biconnected_components(g): same blocks (vertex
 /// and edge sets), same articulation flags, same any_component. Directed
 /// inputs take the serial path on the projection (canonicalized), counted
-/// by bcc.parallel.fallbacks.
-BiconnectedComponents parallel_biconnected_components(const CsrGraph& g);
+/// by bcc.parallel.fallbacks. Every loop runs on `sched`.
+BiconnectedComponents parallel_biconnected_components(
+    const CsrGraph& g,
+    WorkStealingScheduler& sched = WorkStealingScheduler::shared());
 
 }  // namespace apgre

@@ -148,7 +148,8 @@ Decomposition::WorkModel Decomposition::work_model(EdgeId total_arcs) const {
   return model;
 }
 
-Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts) {
+Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
+                        WorkStealingScheduler& sched) {
   // Lets callers (and the Solver-reuse tests) observe how often the
   // expensive decomposition actually runs.
   metrics().counter("bcc.decompositions").add(1);
@@ -156,7 +157,7 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts) {
   {
     APGRE_TRACE_SPAN("bcc/decompose");
     bcc = use_parallel_decomposition(opts.parallel_decomposition, g)
-              ? parallel_biconnected_components(g)
+              ? parallel_biconnected_components(g, sched)
               : biconnected_components(g);
   }
   const BlockCutTree tree = block_cut_tree(bcc, g.num_vertices());
@@ -318,7 +319,9 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts) {
     }
   }
 
-  if (opts.compute_reach) compute_reach_counts(g, dec, opts.reach);
+  if (opts.compute_reach) {
+    compute_reach_counts(g, dec, opts.reach, nullptr, sched);
+  }
 
   APGRE_LOG(kDebug) << "decompose: " << dec.subgraphs.size() << " subgraphs, "
                     << dec.num_articulation_points << " APs, "

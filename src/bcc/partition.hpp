@@ -117,8 +117,11 @@ struct Decomposition {
 
 /// Decompose `g` and (unless opts.reach == kAuto semantics dictate
 /// otherwise) fill in alpha/beta. Runs per connected component of the
-/// undirected projection; vertices with no arcs are skipped.
-Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts = {});
+/// undirected projection; vertices with no arcs are skipped. The parallel
+/// biconnectivity pass and BFS reach counting run on `sched`.
+Decomposition decompose(
+    const CsrGraph& g, const PartitionOptions& opts = {},
+    WorkStealingScheduler& sched = WorkStealingScheduler::shared());
 
 /// Fold per-vertex phantom-pendant multiplicities into an existing
 /// decomposition (the 2-core peel's anchor weights: each anchor stands in

@@ -1,34 +1,23 @@
 #include "bcc/reach.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace apgre {
 
 namespace {
 
-/// Per-thread scratch for the restricted BFS: an epoch-stamped mark array
-/// avoids clearing O(|V|) state between the many small searches.
+/// Per-slot scratch for the restricted BFS: an epoch-stamped mark array
+/// avoids clearing O(|V|) state between the many small searches. Allocated
+/// on a slot's first sub-graph, so slots that run nothing cost nothing.
 struct BfsScratch {
   std::vector<std::uint64_t> mark;
   std::uint64_t epoch = 0;
   std::vector<Vertex> queue;
-
-  explicit BfsScratch(Vertex n) : mark(n, 0) {}
 };
-
-/// Published through `reach_region_ctx` so the parallel region captures no
-/// enclosing locals (region-context idiom, support/parallel.hpp).
-struct ReachRegionCtx {
-  const CsrGraph* g = nullptr;
-  Decomposition* dec = nullptr;
-  const std::vector<Vertex>* mult = nullptr;
-};
-
-ReachRegionCtx* reach_region_ctx = nullptr;
 
 /// Count vertices reachable from `start` (itself excluded), following
 /// out-arcs (forward) or in-arcs (reverse), never entering a vertex whose
@@ -57,53 +46,45 @@ std::uint64_t restricted_reach(const CsrGraph& g, Vertex start, bool forward,
 }
 
 void reach_by_bfs(const CsrGraph& g, Decomposition& dec,
-                  const std::vector<Vertex>* mult) {
-  // Region-context OpenMP kernel (support/parallel.hpp): not reentrant,
-  // serialize whole invocations against concurrent caller threads.
-  std::lock_guard<std::recursive_mutex> lock(legacy_omp_kernel_mutex());
-  ReachRegionCtx ctx{&g, &dec, mult};
-  reach_region_ctx = &ctx;
-  omp_fork_fence();
-#pragma omp parallel
-  {
-    omp_worker_entry_fence();
-    const ReachRegionCtx& C = *reach_region_ctx;
-    const CsrGraph& cg = *C.g;
-    BfsScratch scratch(cg.num_vertices());
-#pragma omp for schedule(dynamic, 1) nowait
-    for (std::int64_t i = 0;
-         i < static_cast<std::int64_t>(C.dec->subgraphs.size()); ++i) {
-      Subgraph& sg = C.dec->subgraphs[static_cast<std::size_t>(i)];
-      if (sg.boundary_aps.empty()) continue;
-      const std::uint64_t blocked_tag = ++scratch.epoch;
-      for (Vertex v : sg.to_global) scratch.mark[v] = blocked_tag;
-      for (Vertex local : sg.boundary_aps) {
-        const Vertex global = sg.to_global[local];
-        // Phantom pendants hang directly off `global`. They are "outside"
-        // every sub-graph except the one that homed them (pendant_weight
-        // non-zero there), so from any other sub-graph they join alpha/beta
-        // even though the BFS never leaves through them.
-        std::uint64_t own = 0;
-        if (C.mult != nullptr && (*C.mult)[global] > 0 &&
-            (sg.pendant_weight.empty() || sg.pendant_weight[local] == 0.0)) {
-          own = (*C.mult)[global];
+                  const std::vector<Vertex>* mult, WorkStealingScheduler& sched) {
+  std::vector<BfsScratch> scratches(static_cast<std::size_t>(sched.num_slots()));
+  // Sub-graphs write only their own alpha/beta, so chunks need no merge.
+  sched.parallel_for(
+      0, static_cast<std::int64_t>(dec.subgraphs.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi, int slot) {
+        BfsScratch& scratch = scratches[static_cast<std::size_t>(slot)];
+        if (scratch.mark.empty()) scratch.mark.assign(g.num_vertices(), 0);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          Subgraph& sg = dec.subgraphs[static_cast<std::size_t>(i)];
+          if (sg.boundary_aps.empty()) continue;
+          const std::uint64_t blocked_tag = ++scratch.epoch;
+          for (Vertex v : sg.to_global) scratch.mark[v] = blocked_tag;
+          for (Vertex local : sg.boundary_aps) {
+            const Vertex global = sg.to_global[local];
+            // Phantom pendants hang directly off `global`. They are
+            // "outside" every sub-graph except the one that homed them
+            // (pendant_weight non-zero there), so from any other sub-graph
+            // they join alpha/beta even though the BFS never leaves
+            // through them.
+            std::uint64_t own = 0;
+            if (mult != nullptr && (*mult)[global] > 0 &&
+                (sg.pendant_weight.empty() || sg.pendant_weight[local] == 0.0)) {
+              own = (*mult)[global];
+            }
+            sg.alpha[local] =
+                own + restricted_reach(g, global, /*forward=*/true, blocked_tag,
+                                       ++scratch.epoch, scratch, mult);
+            if (g.directed()) {
+              sg.beta[local] =
+                  own + restricted_reach(g, global, /*forward=*/false,
+                                         blocked_tag, ++scratch.epoch, scratch,
+                                         mult);
+            } else {
+              sg.beta[local] = sg.alpha[local];
+            }
+          }
         }
-        sg.alpha[local] = own + restricted_reach(cg, global, /*forward=*/true,
-                                                 blocked_tag, ++scratch.epoch,
-                                                 scratch, C.mult);
-        if (cg.directed()) {
-          sg.beta[local] =
-              own + restricted_reach(cg, global, /*forward=*/false, blocked_tag,
-                                     ++scratch.epoch, scratch, C.mult);
-        } else {
-          sg.beta[local] = sg.alpha[local];
-        }
-      }
-    }
-    omp_worker_exit_fence();
-  }
-  omp_join_fence();
-  reach_region_ctx = nullptr;
+      });
 }
 
 // ---- Tree-DP strategy (undirected) --------------------------------------
@@ -219,7 +200,8 @@ void reach_by_tree_dp(const CsrGraph& g, Decomposition& dec) {
 
 void compute_reach_counts(const CsrGraph& g, Decomposition& dec,
                           ReachMethod method,
-                          const std::vector<Vertex>* multiplicity) {
+                          const std::vector<Vertex>* multiplicity,
+                          WorkStealingScheduler& sched) {
   if (multiplicity != nullptr) {
     APGRE_ASSERT_MSG(multiplicity->size() == g.num_vertices(),
                      "multiplicity size mismatch");
@@ -235,7 +217,7 @@ void compute_reach_counts(const CsrGraph& g, Decomposition& dec,
     // strategy, which walks the graph directly.
     reach_by_tree_dp(g, dec);
   } else {
-    reach_by_bfs(g, dec, multiplicity);
+    reach_by_bfs(g, dec, multiplicity, sched);
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "bcc/partition.hpp"
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
@@ -29,8 +30,12 @@ namespace apgre {
 /// peel anchors). Reach counts then include the peeled tree vertices each
 /// anchor stands in for, except in the one sub-graph that homed them
 /// (Subgraph::pendant_weight non-zero there), where they count as inside.
-void compute_reach_counts(const CsrGraph& g, Decomposition& dec,
-                          ReachMethod method,
-                          const std::vector<Vertex>* multiplicity = nullptr);
+///
+/// kBfs spreads its sub-graphs over `sched` (the caller's resolved
+/// scheduler).
+void compute_reach_counts(
+    const CsrGraph& g, Decomposition& dec, ReachMethod method,
+    const std::vector<Vertex>* multiplicity = nullptr,
+    WorkStealingScheduler& sched = WorkStealingScheduler::shared());
 
 }  // namespace apgre

@@ -19,11 +19,9 @@
 
 namespace apgre {
 
-// Parallel solves need no serialization here: the scheduler-native APGRE
-// path is reentrant (support/sched/scheduler.hpp), and the remaining
-// region-context OpenMP kernels serialize themselves behind
-// legacy_omp_kernel_mutex() (support/parallel.hpp). The service submits
-// every request directly.
+// Parallel solves need no serialization here: every parallel kernel runs
+// on the reentrant work-stealing scheduler (support/sched/scheduler.hpp).
+// The service submits every request directly.
 
 struct Service::Impl {
   /// Per-graph registry entry. `mu` serializes updates and snapshot swaps;

@@ -28,13 +28,10 @@
 // throws on bad requests (docs/API.md "Error handling").
 //
 // Thread-safety: every public member is safe to call from any thread, and
-// the service itself imposes no cross-request serialization. The APGRE
-// scheduler path is reentrant (support/sched/scheduler.hpp) — N workers can
-// drive N parallel solves concurrently, sharing the process-wide work-
-// stealing pool. Kernels still built on the OpenMP region-context idiom
-// serialize *themselves* behind legacy_omp_kernel_mutex()
-// (support/parallel.hpp), so they stay safe without the service knowing
-// which algorithms those are.
+// the service itself imposes no cross-request serialization. Every
+// parallel kernel runs on the reentrant scheduler
+// (support/sched/scheduler.hpp) — N workers can drive N parallel solves
+// concurrently, sharing the process-wide work-stealing pool.
 //
 // Observability: service.* metrics (requests, session_hits/misses/
 // evictions, updates_local/structural, queue_depth gauge) plus per-Service

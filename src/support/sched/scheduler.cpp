@@ -10,7 +10,6 @@
 
 #include "support/error.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/sched/chase_lev.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
@@ -142,7 +141,9 @@ struct WorkStealingScheduler::State {
 
 WorkStealingScheduler::WorkStealingScheduler(const SchedulerOptions& opts)
     : opts_(opts) {
-  workers_ = opts.threads > 0 ? opts.threads : num_threads();
+  workers_ = opts.threads > 0
+                 ? opts.threads
+                 : static_cast<int>(std::thread::hardware_concurrency());
   if (workers_ < 1) workers_ = 1;
   // Participant slots beyond the pool: enough for the service's worker
   // pool plus benchmark client threads to all be inside a solve at once;
@@ -178,13 +179,23 @@ WorkStealingScheduler::~WorkStealingScheduler() {
 }
 
 WorkStealingScheduler& WorkStealingScheduler::shared() {
-  static WorkStealingScheduler instance([] {
-    SchedulerOptions opts;
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    opts.threads = std::max({1, hw, num_threads()});
-    return opts;
-  }());
+  static WorkStealingScheduler instance;
   return instance;
+}
+
+WorkStealingScheduler& select_scheduler(
+    const SchedulerOptions& opts, std::optional<WorkStealingScheduler>& storage,
+    int fallback_threads) {
+  WorkStealingScheduler& shared = WorkStealingScheduler::shared();
+  SchedulerOptions resolved;
+  resolved.threads = opts.threads > 0 ? opts.threads : fallback_threads;
+  resolved.steal_policy = opts.steal_policy;
+  if ((resolved.threads <= 0 || resolved.threads == shared.num_workers()) &&
+      resolved.steal_policy == StealPolicy::kRandom) {
+    return shared;
+  }
+  storage.emplace(resolved);
+  return *storage;
 }
 
 void WorkStealingScheduler::ensure_pool() {

@@ -2,7 +2,7 @@
 //
 // The paper's headline speedup needs *two-level* parallelism: coarse tasks
 // per (sub-graph, root-batch) pair plus fine parallelism inside the largest
-// sub-graphs. A flat `#pragma omp for` over sub-graphs serializes on skewed
+// sub-graphs. A flat parallel loop over sub-graphs serializes on skewed
 // decompositions (one giant biconnected component plus thousands of tiny
 // ones — the norm, per the paper's Figure 2). This scheduler fixes the skew:
 // every worker owns a Chase-Lev deque (sched/chase_lev.hpp); an idle worker
@@ -20,7 +20,7 @@
 // sleep on a condition variable when the system drains.
 //
 // Worker ids vs slots. num_workers() is the parallelism degree (`threads`,
-// or the OpenMP budget when 0). Task bodies receive a *slot* id in
+// or the hardware thread count when 0). Task bodies receive a *slot* id in
 // [0, num_slots()); slots extend the pool with entries for external caller
 // threads that participate while their group runs, so num_slots() — not
 // num_workers() — is the dimension for per-slot buffers. At most one
@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,11 +65,8 @@ StealPolicy steal_policy_from_name(const std::string& name);
 std::string steal_policy_name(StealPolicy policy);
 
 struct SchedulerOptions {
-  /// Route APGRE's per-sub-graph work through the scheduler (the flat
-  /// OpenMP loop remains available with enabled = false).
-  bool enabled = true;
-  /// Worker count; 0 uses the OpenMP thread budget (support/parallel.hpp),
-  /// so BcOptions::threads caps the scheduler too.
+  /// Worker count; 0 defers to BcOptions::threads, and when that is 0 too
+  /// to the shared pool sized to the hardware (select_scheduler).
   int threads = 0;
   /// Roots per fine-grained (sub-graph, root-batch) task when a large
   /// sub-graph is split; 0 picks roots / (4 * workers), at least 1.
@@ -163,5 +161,16 @@ class WorkStealingScheduler {
   int num_slots_ = 1;
   std::unique_ptr<State> state_;
 };
+
+/// The one place a scheduler is chosen for a solve. The worker count is
+/// `opts.threads` if positive, else `fallback_threads` if positive (the
+/// caller's BcOptions::threads). With no count pinned, or the shared()
+/// pool's own count, and random stealing, the shared pool serves, so
+/// concurrent solves arbitrate the same cores instead of oversubscribing
+/// with private pools. Anything else gets a private scheduler built in
+/// `storage`, which must outlive the returned reference.
+WorkStealingScheduler& select_scheduler(
+    const SchedulerOptions& opts, std::optional<WorkStealingScheduler>& storage,
+    int fallback_threads = 0);
 
 }  // namespace apgre

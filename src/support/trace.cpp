@@ -39,7 +39,7 @@ struct BufferRegistry {
 };
 
 BufferRegistry& registry() {
-  // Leaked on purpose: worker threads (e.g. the OpenMP pool) may still close
+  // Leaked on purpose: worker threads (e.g. the scheduler pool) may still close
   // spans during static destruction, after a function-local static registry
   // would have been torn down.
   static BufferRegistry* r = new BufferRegistry;

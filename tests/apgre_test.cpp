@@ -8,14 +8,21 @@
 #include "bc/naive.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
-#include "support/parallel.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
 namespace {
 
-void expect_apgre_matches_brandes(const CsrGraph& g, const ApgreOptions& opts = {}) {
-  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, opts));
+void expect_apgre_matches_brandes(const CsrGraph& g, const ApgreOptions& opts = {},
+                                  const SchedulerOptions& sched = {}) {
+  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, opts, nullptr, sched));
+}
+
+/// A private multi-worker pool, even on 1-core machines.
+SchedulerOptions workers(int threads) {
+  SchedulerOptions sched;
+  sched.threads = threads;
+  return sched;
 }
 
 TEST(ApgreBc, Shapes) {
@@ -86,8 +93,9 @@ TEST(ApgreBc, SubgraphKernelMatchesWholeGraphOnBiconnected) {
   const CsrGraph g = cycle(12);
   const Decomposition dec = decompose(g);
   ASSERT_EQ(dec.subgraphs.size(), 1u);
-  const auto serial = apgre_subgraph_bc(dec.subgraphs[0], /*parallel_inner=*/false);
-  const auto parallel = apgre_subgraph_bc(dec.subgraphs[0], /*parallel_inner=*/true);
+  const auto serial = apgre_subgraph_bc(dec.subgraphs[0]);
+  const auto parallel = apgre_subgraph_bc_scheduled(
+      dec.subgraphs[0], /*hybrid_inner=*/false, workers(4));
   testing::expect_scores_near(brandes_bc(g), serial);
   testing::expect_scores_near(serial, parallel);
 }
@@ -96,8 +104,9 @@ TEST(ApgreBc, SerialAndParallelKernelsAgree) {
   const CsrGraph g = attach_pendants(barabasi_albert(150, 2, 4), 50, 5);
   const Decomposition dec = decompose(g);
   for (const Subgraph& sg : dec.subgraphs) {
-    testing::expect_scores_near(apgre_subgraph_bc(sg, false),
-                                apgre_subgraph_bc(sg, true));
+    testing::expect_scores_near(
+        apgre_subgraph_bc(sg),
+        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/false, workers(2)));
   }
 }
 
@@ -108,15 +117,13 @@ TEST(ApgreBc, SerialAndParallelKernelsAgree) {
 TEST(ApgreBc, ScheduledKernelMatchesSerialOracle) {
   const CsrGraph g = attach_pendants(barabasi_albert(200, 3, 11), 50, 12);
   const Decomposition dec = decompose(g);
-  SchedulerOptions sched;
-  sched.threads = 4;  // private multi-worker pool even on 1-core machines
   for (const Subgraph& sg : dec.subgraphs) {
     testing::expect_scores_near(
-        apgre_subgraph_bc(sg, /*parallel_inner=*/false),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/false, sched));
+        apgre_subgraph_bc(sg),
+        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/false, workers(4)));
     testing::expect_scores_near(
-        apgre_subgraph_bc(sg, /*parallel_inner=*/false),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/true, sched));
+        apgre_subgraph_bc(sg),
+        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/true, workers(4)));
   }
 }
 
@@ -126,12 +133,8 @@ TEST(ApgreBc, ForcedScheduledKernelPathStillExact) {
   ApgreOptions opts;
   opts.fine_grain_min_arcs = 0;
   opts.fine_grain_fraction = 0.0;
-  SchedulerOptions sched;
-  sched.threads = 4;
   const CsrGraph g = attach_pendants(caveman(5, 6, 9), 15, 2);
-  const std::vector<double> expected = brandes_bc(g);
-  const std::vector<double> actual = apgre_bc(g, opts, nullptr, sched);
-  testing::expect_scores_near(expected, actual);
+  expect_apgre_matches_brandes(g, opts, workers(4));
 }
 
 TEST(ApgreBc, StatsAreFilled) {
@@ -158,14 +161,14 @@ TEST(ApgreBc, ForcedFineGrainedPathStillExact) {
 
 TEST(ApgreBc, HybridInnerKernelStillExact) {
   // Direction-optimising forward phase inside the fine-grained kernel.
-  ThreadBudget budget(2);  // engage the parallel path
   ApgreOptions opts;
   opts.fine_grain_min_arcs = 0;
   opts.fine_grain_fraction = 0.0;
   opts.hybrid_inner = true;
   for (const auto& gc : testing::graph_family(63, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
-    expect_apgre_matches_brandes(gc.graph, opts);
+    // Two workers engage the fine-grained kernel.
+    expect_apgre_matches_brandes(gc.graph, opts, workers(2));
   }
 }
 
@@ -175,8 +178,8 @@ TEST(ApgreBc, HybridSubgraphKernelMatchesSerial) {
   const Decomposition dec = decompose(g);
   for (const Subgraph& sg : dec.subgraphs) {
     testing::expect_scores_near(
-        apgre_subgraph_bc(sg, /*parallel_inner=*/false),
-        apgre_subgraph_bc(sg, /*parallel_inner=*/true, /*hybrid_inner=*/true));
+        apgre_subgraph_bc(sg),
+        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/true, workers(2)));
   }
 }
 
@@ -188,12 +191,11 @@ TEST(ApgreBc, GammaDisabledStillExact) {
 }
 
 TEST(ApgreBc, OversubscribedThreadsStillExact) {
-  ThreadBudget budget(4);
   ApgreOptions opts;
   opts.fine_grain_min_arcs = 0;
   opts.fine_grain_fraction = 0.0;
   const CsrGraph g = testing::graph_family(31, /*tiny=*/false)[5].graph;
-  expect_apgre_matches_brandes(g, opts);
+  expect_apgre_matches_brandes(g, opts, workers(4));
 }
 
 // ---- Property sweeps ------------------------------------------------------

@@ -162,10 +162,6 @@ TEST_F(CliTest, SchedulerFlagsRoundTrip) {
       "--grain 2 --steal-policy sequential --top 1 " + snap_path_);
   EXPECT_EQ(on.exit_code, 0);
   EXPECT_NE(on.output.find("scheduler:"), std::string::npos);
-
-  const CommandResult off = run_cli("--scheduler=false --top 1 " + snap_path_);
-  EXPECT_EQ(off.exit_code, 0);
-  EXPECT_EQ(off.output.find("scheduler:"), std::string::npos);
 }
 
 TEST_F(CliTest, SamplingMode) {

@@ -7,15 +7,27 @@
 #include "bc/parallel_preds.hpp"
 #include "bc/parallel_succs.hpp"
 #include "graph/generators.hpp"
-#include "support/parallel.hpp"
+#include "support/sched/scheduler.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
 namespace {
 
-using BcFn = std::vector<double> (*)(const CsrGraph&);
+using BcFn = std::vector<double> (*)(const CsrGraph&, WorkStealingScheduler&);
 
-std::vector<double> hybrid_default(const CsrGraph& g) { return hybrid_bc(g); }
+std::vector<double> hybrid_default(const CsrGraph& g,
+                                   WorkStealingScheduler& sched) {
+  return hybrid_bc(g, sched);
+}
+
+WorkStealingScheduler& shared_pool() { return WorkStealingScheduler::shared(); }
+
+/// A private pool of exactly `threads` workers.
+WorkStealingScheduler pool(int threads) {
+  SchedulerOptions opts;
+  opts.threads = threads;
+  return WorkStealingScheduler(opts);
+}
 
 struct NamedAlgorithm {
   const char* name;
@@ -35,7 +47,7 @@ TEST(ParallelBc, AllAgreeOnShapes) {
     const auto expected = brandes_bc(g);
     for (const auto& alg : kAlgorithms) {
       SCOPED_TRACE(alg.name);
-      testing::expect_scores_near(expected, alg.fn(g));
+      testing::expect_scores_near(expected, alg.fn(g, shared_pool()));
     }
   }
 }
@@ -46,14 +58,14 @@ TEST(ParallelBc, AllHandleDisconnectedGraphs) {
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, shared_pool()));
   }
 }
 
 TEST(ParallelBc, AllHandleEmptyGraph) {
   const CsrGraph g = CsrGraph::from_edges(0, {}, false);
   for (const auto& alg : kAlgorithms) {
-    EXPECT_TRUE(alg.fn(g).empty()) << alg.name;
+    EXPECT_TRUE(alg.fn(g, shared_pool()).empty()) << alg.name;
   }
 }
 
@@ -62,7 +74,7 @@ TEST(ParallelBc, DirectedPaperFigure3) {
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, shared_pool()));
   }
 }
 
@@ -72,25 +84,27 @@ TEST(HybridBc, ForcedBottomUpStillCorrect) {
   opts.alpha = 1e-9;
   opts.beta = 1e9;
   const CsrGraph g = barabasi_albert(200, 3, 7);
-  testing::expect_scores_near(brandes_bc(g), hybrid_bc(g, opts));
+  testing::expect_scores_near(
+      brandes_bc(g), hybrid_bc(g, shared_pool(), opts));
 }
 
 TEST(HybridBc, ForcedTopDownStillCorrect) {
   HybridOptions opts;
   opts.alpha = 1e9;  // never switch
   const CsrGraph g = barabasi_albert(200, 3, 8);
-  testing::expect_scores_near(brandes_bc(g), hybrid_bc(g, opts));
+  testing::expect_scores_near(
+      brandes_bc(g), hybrid_bc(g, shared_pool(), opts));
 }
 
 TEST(ParallelBc, MultithreadedRunsMatchSerial) {
-  // Even on a single hardware core, oversubscribed threads must not change
+  // Even on a single hardware core, oversubscribed workers must not change
   // results (races would).
-  ThreadBudget budget(4);
+  WorkStealingScheduler sched = pool(4);
   const CsrGraph g = testing::graph_family(9, /*tiny=*/false)[4].graph;  // BA
   const auto expected = brandes_bc(g);
   for (const auto& alg : kAlgorithms) {
     SCOPED_TRACE(alg.name);
-    testing::expect_scores_near(expected, alg.fn(g));
+    testing::expect_scores_near(expected, alg.fn(g, sched));
   }
 }
 
@@ -99,13 +113,13 @@ class ParallelSweep
 
 TEST_P(ParallelSweep, AgreesWithBrandesOnRandomGraphs) {
   const auto [seed, threads] = GetParam();
-  ThreadBudget budget(threads);
+  WorkStealingScheduler sched = pool(threads);
   for (const auto& gc : testing::graph_family(seed, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
     const auto expected = brandes_bc(gc.graph);
     for (const auto& alg : kAlgorithms) {
       SCOPED_TRACE(alg.name);
-      testing::expect_scores_near(expected, alg.fn(gc.graph));
+      testing::expect_scores_near(expected, alg.fn(gc.graph, sched));
     }
   }
 }

@@ -13,6 +13,7 @@
 // task took.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -215,9 +216,10 @@ TEST(WorkStealingScheduler, FirstTaskExceptionIsRethrownAfterDraining) {
   EXPECT_EQ(executed.load(), 16);
 }
 
-TEST(WorkStealingScheduler, DefaultsFollowThreadBudget) {
+TEST(WorkStealingScheduler, DefaultsToHardwareThreadCount) {
   WorkStealingScheduler sched;  // threads = 0
-  EXPECT_GE(sched.num_workers(), 1);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(sched.num_workers(), std::max(1, hw));
   const SchedulerStats stats = sched.run({});
   EXPECT_EQ(stats.tasks, 0u);
 }

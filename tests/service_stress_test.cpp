@@ -46,15 +46,6 @@ std::string private_name(int client) {
   return "private_" + std::to_string(client);
 }
 
-/// CI matrix knob: APGRE_STRESS_SCHEDULER=off routes every APGRE request
-/// through the flat OpenMP path (SchedulerOptions::enabled = false), so the
-/// TSan tier exercises both the reentrant scheduler kernels and the
-/// legacy_omp_kernel_mutex self-serialization under the same 8-client load.
-bool scheduler_enabled_for_stress() {
-  const char* env = std::getenv("APGRE_STRESS_SCHEDULER");
-  return env == nullptr || std::strcmp(env, "off") != 0;
-}
-
 /// CI matrix knob: APGRE_STRESS_PARALLEL_BCC=on forces the parallel
 /// biconnectivity pass (bcc/parallel_bicomp.hpp) for every decomposition in
 /// this suite — snapshot locality rebuilds and APGRE solves alike — so the
@@ -72,9 +63,8 @@ ParallelDecomposition parallel_bcc_for_stress() {
 /// mutation from the graph's current state, which only this client
 /// mutates, so the stream is reproducible in the replay. The solve mix
 /// deliberately includes the parallel kernels (hybrid, lock-free, APGRE's
-/// fine-grained paths) — before the scheduler went reentrant these were
-/// serialized behind a process-wide service mutex, and this sweep is what
-/// demonstrates they no longer need it.
+/// fine-grained paths), all on the shared reentrant scheduler: this sweep
+/// is what demonstrates they need no cross-request serialization.
 Request next_request(Service& service, std::mt19937_64& rng, int client) {
   Request request;
   const std::uint64_t roll = rng() % 10;
@@ -83,7 +73,6 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
     request.graph = private_name(client);
     request.options.algorithm =
         (roll == 0) ? Algorithm::kBrandesSerial : Algorithm::kApgre;
-    request.options.scheduler.enabled = scheduler_enabled_for_stress();
     request.options.apgre.partition.parallel_decomposition =
         parallel_bcc_for_stress();
   } else if (roll < 5) {
@@ -119,8 +108,7 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
       case 2: request.options.algorithm = Algorithm::kLockFree; break;
       default:
         request.options.algorithm = Algorithm::kApgre;
-        request.options.scheduler.enabled = scheduler_enabled_for_stress();
-        request.options.apgre.partition.parallel_decomposition =
+            request.options.apgre.partition.parallel_decomposition =
             parallel_bcc_for_stress();
         break;
     }

@@ -27,16 +27,13 @@ std::uint64_t decompositions() {
   return metrics().counter("bcc.decompositions").value();
 }
 
-/// Options pinned to one OpenMP thread and one scheduler worker. The
-/// bitwise-equality tests below need a machine-independent accumulation
-/// order: with several workers, which tasks land on which worker (and so
-/// the FP merge order) depends on steal timing, and the flat path's
-/// per-thread buffers merge in omp-critical arrival order — either can
-/// differ between two runs under load.
+/// Options pinned to one scheduler worker. The bitwise-equality tests
+/// below need a machine-independent accumulation order: with several
+/// workers, which tasks land on which worker (and so the FP merge order)
+/// depends on steal timing, which can differ between two runs under load.
 BcOptions pinned_options() {
   BcOptions opts;
   opts.threads = 1;
-  opts.scheduler.threads = 1;
   return opts;
 }
 
@@ -122,21 +119,21 @@ TEST(Solver, NonApgreAlgorithmsPassThrough) {
   EXPECT_EQ(r.scores, betweenness(g, serial).scores);
 }
 
-TEST(Solver, SchedulerAndFlatPathsAgree) {
-  for (const CorpusCase& c : graph_corpus(/*seed=*/3, /*tiny=*/true)) {
-    Solver solver(c.graph);
-    BcOptions scheduled;  // default: scheduler enabled
-    BcOptions flat;
-    flat.scheduler.enabled = false;
-    const BcResult a = solver.solve(scheduled);
-    const BcResult b = solver.solve(flat);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    const ScoreComparison cmp = compare_scores(b.scores, a.scores);
-    EXPECT_TRUE(cmp.ok) << c.name << ": worst vertex " << cmp.worst_vertex
-                        << " flat " << cmp.expected_score << " scheduled "
-                        << cmp.actual_score;
-  }
+// BcOptions::threads alone sizes the solve's scheduler: one worker means
+// APGRE runs inline on the caller, not on the machine-sized shared pool.
+TEST(Solver, ThreadsAloneCapsTheApgreScheduler) {
+  const CsrGraph g = skewed_graph();
+  BcOptions opts;
+  opts.threads = 1;
+  Gauge& workers = metrics().gauge("sched.workers");
+  workers.set(0.0);
+  const BcResult r = Solver(g).solve(opts);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(workers.value(), 1.0);
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  EXPECT_TRUE(compare_scores(betweenness(g, serial).scores, r.scores).ok);
 }
 
 TEST(Solver, TrackedSolveMatchesUntrackedScores) {

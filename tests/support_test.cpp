@@ -5,7 +5,6 @@
 
 #include "support/bitset.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -247,22 +246,6 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, CellBeforeRowIsAnError) {
   Table t({"a"});
   EXPECT_THROW(t.cell("x"), std::logic_error);
-}
-
-TEST(Parallel, ThreadBudgetRestores) {
-  const int original = num_threads();
-  {
-    ThreadBudget budget(2);
-    EXPECT_EQ(num_threads(), 2);
-  }
-  EXPECT_EQ(num_threads(), original);
-}
-
-TEST(Parallel, PerThreadHasOneSlotPerThread) {
-  PerThread<int> counters(0);
-  EXPECT_EQ(counters.size(), static_cast<std::size_t>(num_threads()));
-  counters.local() = 5;
-  EXPECT_EQ(counters[static_cast<std::size_t>(thread_id())], 5);
 }
 
 }  // namespace

@@ -82,15 +82,12 @@ int main(int argc, char** argv) {
       .add_bool("directed", false, "treat the input as directed")
       .add_bool("weighted", false,
                 "use arc weights (dimacs format only; Dijkstra-based)")
-      .add_int("threads", 0, "thread budget (0 = runtime default)")
+      .add_int("threads", 0, "scheduler workers (0 = one per hardware thread)")
       .add_int("top", 10, "print the k highest-ranked vertices/edges")
       .add_int("samples", 0, "sampling: number of sources (0 = sqrt(n))")
       .add_int("seed", 1, "sampling seed")
       .add_bool("halve-undirected", false,
                 "report conventional undirected scores (each pair once)")
-      .add_bool("scheduler", true,
-                "apgre: score on the work-stealing scheduler "
-                "(--scheduler=false restores the flat loop)")
       .add_int("grain", 0,
                "apgre scheduler: roots per task when splitting a large "
                "sub-graph (0 = auto)")
@@ -182,7 +179,6 @@ int main(int argc, char** argv) {
     opts.undirected_halving = flags.get_bool("halve-undirected");
     opts.num_samples = static_cast<Vertex>(flags.get_int("samples"));
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    opts.scheduler.enabled = flags.get_bool("scheduler");
     opts.scheduler.grain = static_cast<int>(flags.get_int("grain"));
     opts.scheduler.steal_policy =
         steal_policy_from_name(flags.get_string("steal-policy"));
@@ -210,16 +206,14 @@ int main(int argc, char** argv) {
                     100.0 * result.apgre_stats.core_fraction,
                     result.apgre_stats.peel_seconds);
       }
-      if (opts.scheduler.enabled) {
-        std::printf("scheduler: %llu tasks (%zu fine / %zu batch / %zu whole), "
-                    "%llu steals, %.3f s idle\n",
-                    static_cast<unsigned long long>(result.apgre_stats.sched_tasks),
-                    result.apgre_stats.num_fine_subgraphs,
-                    result.apgre_stats.num_batch_tasks,
-                    result.apgre_stats.num_subgraph_tasks,
-                    static_cast<unsigned long long>(result.apgre_stats.sched_steals),
-                    result.apgre_stats.sched_idle_seconds);
-      }
+      std::printf("scheduler: %llu tasks (%zu fine / %zu batch / %zu whole), "
+                  "%llu steals, %.3f s idle\n",
+                  static_cast<unsigned long long>(result.apgre_stats.sched_tasks),
+                  result.apgre_stats.num_fine_subgraphs,
+                  result.apgre_stats.num_batch_tasks,
+                  result.apgre_stats.num_subgraph_tasks,
+                  static_cast<unsigned long long>(result.apgre_stats.sched_steals),
+                  result.apgre_stats.sched_idle_seconds);
     }
     std::printf("\n");
     print_top(result.scores, flags.get_int("top"));

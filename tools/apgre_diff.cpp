@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       .add_double("rel", 1e-7, "relative score tolerance")
       .add_double("abs", 1e-6, "absolute score tolerance")
       .add_int("max-naive", 256, "largest |V| the O(V^3) naive oracle runs on")
-      .add_int("threads", 0, "thread budget (0 = runtime default)")
+      .add_int("threads", 0, "scheduler workers (0 = one per hardware thread)")
       .add_bool("verbose", false, "print every case, not only failures");
 
   std::pair<std::uint64_t, std::uint64_t> seeds;

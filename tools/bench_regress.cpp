@@ -43,7 +43,6 @@
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
@@ -55,10 +54,8 @@ using namespace apgre;
 
 constexpr std::int64_t kSchemaVersion = 1;
 
-/// One measured column of the report: a label plus the options that
-/// produce it. Labels are registry names, except `apgre_flat` — APGRE
-/// with the work-stealing scheduler disabled, kept in the default set so
-/// every report records the flat-vs-scheduled comparison.
+/// One measured column of the report: a registry name plus the options
+/// that produce it.
 struct MeasureSpec {
   std::string label;
   BcOptions opts;
@@ -69,12 +66,7 @@ std::vector<MeasureSpec> parse_algo_set(const std::string& spec) {
   auto add = [&set](const std::string& name) {
     MeasureSpec m;
     m.label = name;
-    if (name == "apgre_flat") {
-      m.opts.algorithm = Algorithm::kApgre;
-      m.opts.scheduler.enabled = false;
-    } else {
-      m.opts.algorithm = algorithm_from_name(name);
-    }
+    m.opts.algorithm = algorithm_from_name(name);
     set.push_back(std::move(m));
   };
   std::stringstream ss(spec);
@@ -82,12 +74,10 @@ std::vector<MeasureSpec> parse_algo_set(const std::string& spec) {
   while (std::getline(ss, name, ',')) {
     if (name.empty()) continue;
     if (name == "exact") {
-      // Registry-derived default: every exact non-oracle algorithm, plus
-      // the flat-loop APGRE variant.
+      // Registry-derived default: every exact non-oracle algorithm.
       for (const AlgorithmInfo& info : algorithm_registry()) {
         if (info.exact && !info.test_only) add(info.name);
       }
-      add("apgre_flat");
     } else {
       add(name);
     }
@@ -117,7 +107,7 @@ std::vector<BenchGraph> build_graph_list(const std::string& graphs,
     }
   }
   // The scheduler's skewed-decomposition stress graph rides along in every
-  // set, so the flat-vs-scheduled comparison is recorded per report.
+  // set, so every report records APGRE on the scheduler's worst case.
   const bench::Workload skew = bench::skewed_workload(scale);
   list.push_back({"workload/" + skew.id, skew.build()});
   return list;
@@ -267,11 +257,12 @@ JsonValue run_service_workload(std::uint64_t seed, int clients,
 }
 
 /// --workload service_parallel: the reentrancy benchmark. Every request is
-/// a full solve with a *parallel* kernel (scheduled APGRE, flat APGRE,
-/// hybrid, lock-free), issued synchronously by `clients` concurrent
-/// threads. Before the scheduler went reentrant these solves serialized
-/// behind one process-wide mutex, so aggregate requests/sec stayed flat as
-/// clients grew; now they overlap, and this workload records the scaling
+/// a full solve with a *parallel* kernel (APGRE, hybrid, lock-free), issued
+/// synchronously by `clients` concurrent threads. Before the scheduler went
+/// reentrant these solves serialized behind one process-wide mutex, so
+/// aggregate requests/sec stayed flat as clients grew; now they overlap,
+/// and every kernel shares the one scheduler. This workload records the
+/// scaling
 /// (aggregate requests/sec + per-solve latency percentiles, per algorithm
 /// and overall) in the same schema-v1 report.
 JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
@@ -291,13 +282,11 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
   struct AlgoSpec {
     const char* label;
     Algorithm algorithm;
-    bool scheduler_enabled;
   };
   const AlgoSpec algos[] = {
-      {"apgre", Algorithm::kApgre, true},
-      {"apgre_flat", Algorithm::kApgre, false},
-      {"hybrid", Algorithm::kHybrid, true},
-      {"lockfree", Algorithm::kLockFree, true},
+      {"apgre", Algorithm::kApgre},
+      {"hybrid", Algorithm::kHybrid},
+      {"lockfree", Algorithm::kLockFree},
   };
   constexpr std::size_t kAlgos = sizeof(algos) / sizeof(algos[0]);
 
@@ -321,7 +310,6 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
         request.kind = RequestKind::kSolve;
         request.graph = names[rng() % names.size()];
         request.options.algorithm = algos[a].algorithm;
-        request.options.scheduler.enabled = algos[a].scheduler_enabled;
         Timer solve_timer;
         const Response r = service.submit(std::move(request)).get();
         if (!r.ok) {
@@ -923,13 +911,13 @@ int main(int argc, char** argv) {
   flags.add_int("repeat", 5, "timed repetitions per (graph, algorithm)")
       .add_int("warmup", 1, "untimed warmup runs per (graph, algorithm)")
       .add_string("algo-set", "exact",
-                  "comma list of algorithm names, `exact` (every exact "
-                  "non-oracle registry entry + apgre_flat), or `apgre_flat` "
-                  "(apgre with the scheduler disabled)")
+                  "comma list of algorithm names, or `exact` (every exact "
+                  "non-oracle registry entry)")
       .add_string("graphs", "corpus", "graph set: corpus, workloads or both")
       .add_double("scale", 0.25, "workload linear-scale factor")
       .add_int("seed", 1, "corpus seed")
-      .add_int("threads", 0, "thread budget (0 = runtime default)")
+      .add_int("threads", 0,
+               "workers: per-solve scheduler, or service pool (0 = default)")
       .add_string("out", "", "write the JSON report to this path")
       .add_string("baseline", "", "compare against this prior report")
       .add_double("threshold", 0.50,
@@ -1133,7 +1121,8 @@ int main(int argc, char** argv) {
   report["revision"] = JsonValue(flags.get_string("revision"));
   {
     JsonValue::Object host;
-    host["omp_max_threads"] = JsonValue(static_cast<std::int64_t>(num_threads()));
+    host["hardware_threads"] = JsonValue(
+        static_cast<std::int64_t>(std::thread::hardware_concurrency()));
     host["trace_enabled"] = JsonValue(trace_enabled());
     report["host"] = JsonValue(std::move(host));
   }
