@@ -318,7 +318,7 @@ void Solver::build_store() {
   }
   // Peeled sessions keep the store expanded (see the tracked_scores_
   // invariant in the header): the expansion commutes with the per-block
-  // subtract/re-add arithmetic of apply_local_update.
+  // subtract/re-add arithmetic of apply_local_batch.
   if (reduced_ != nullptr) expand_peeled_scores(*peel_, tracked_scores_);
   store_valid_ = true;
 }
@@ -339,13 +339,6 @@ void Solver::refresh_top_subgraph() {
   dec_->top_subgraph = best;
 }
 
-bool Solver::apply_local_update(const CsrGraph& g, Vertex u, Vertex v,
-                                bool inserting) {
-  // A single update is a batch of one: exactly one sub-graph re-scores on
-  // the localized path, so the boolean maps onto the resolved count.
-  return apply_local_batch(g, {EdgeOp{u, v, inserting}}) > 0;
-}
-
 std::size_t Solver::apply_local_batch(const CsrGraph& g,
                                       const std::vector<EdgeOp>& ops) {
   if (dec_ == nullptr || !track_ || !store_valid_ || ops.empty()) {
@@ -357,7 +350,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     for (const EdgeOp& op : ops) {
       if (!peel_->in_core[op.u] || !peel_->in_core[op.v]) {
         // An update incident to the peeled forest invalidates the peel
-        // analysis (classify_update routes these kStructural; this is
+        // analysis (classify_batch grades these structural; this is
         // defence in depth).
         rebind(g);
         return 0;
@@ -443,60 +436,6 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
   refresh_top_subgraph();
   g_ = &g;
   return resolved;
-}
-
-void Solver::rebind_local_insert(const CsrGraph& g, Vertex u, Vertex v) {
-  if (track_ && store_valid_) {
-    // A plain patch would leave the contribution store stale; route through
-    // the store-maintaining path instead.
-    apply_local_update(g, u, v, /*inserting=*/true);
-    return;
-  }
-  if (dec_ == nullptr) {
-    rebind(g);
-    return;
-  }
-  APGRE_ASSERT(!g.directed() && g.num_vertices() == dec_->num_vertices);
-  if (reduced_ != nullptr &&
-      (!peel_->in_core[u] || !peel_->in_core[v])) {
-    rebind(g);
-    return;
-  }
-  g_ = &g;
-
-  // A non-articulation vertex lives in exactly one sub-graph; find u's and
-  // patch only that sub-graph's induced arc set. The decomposition counters
-  // and every reach count survive (see the header contract).
-  for (std::size_t sgi = 0; sgi < dec_->subgraphs.size(); ++sgi) {
-    Subgraph& sg = dec_->subgraphs[sgi];
-    Vertex lu = kInvalidVertex;
-    Vertex lv = kInvalidVertex;
-    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      if (sg.to_global[local] == u) lu = local;
-      if (sg.to_global[local] == v) lv = local;
-    }
-    if (lu == kInvalidVertex) continue;
-    APGRE_ASSERT(lv != kInvalidVertex);
-    EdgeList arcs(sg.graph.arcs());
-    arcs.push_back(Edge{lu, lv});
-    arcs.push_back(Edge{lv, lu});
-    sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs),
-                                    /*directed=*/false);
-    // The chord may promote this sub-graph to top (same tie-break as
-    // decompose(): arcs, then vertices).
-    const Subgraph& best = dec_->subgraphs[dec_->top_subgraph];
-    if (sg.num_arcs() > best.num_arcs() ||
-        (sg.num_arcs() == best.num_arcs() &&
-         sg.num_vertices() > best.num_vertices())) {
-      dec_->top_subgraph = sgi;
-    }
-    if (reduced_ != nullptr) *reduced_ = with_edge_inserted(*reduced_, u, v);
-    metrics().counter("bc.solver.local_rebinds").add();
-    return;
-  }
-  // u in no sub-graph (isolated before the insert) contradicts the kLocal
-  // precondition; re-decompose rather than score a stale cache.
-  rebind(g);
 }
 
 BcResult betweenness(const CsrGraph& g, const BcOptions& opts) {

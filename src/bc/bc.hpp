@@ -175,27 +175,14 @@ class Solver {
   /// the Solver, like the constructor argument.
   void rebind(const CsrGraph& g);
 
-  /// Rebind to `g`, which must equal the previous graph plus exactly one
-  /// undirected edge {u, v} (global ids) classified kLocalInsert by
-  /// BlockCutQueries::classify_update on the previous graph — an insert
-  /// strictly inside one biconnected component between two
-  /// non-articulation vertices, symmetric graphs only. Such a chord leaves
-  /// the block-cut tree, every other sub-graph, and all alpha/beta/gamma
-  /// reach counts unchanged, so the cached decomposition is patched in
-  /// place (only the affected sub-graph's induced arcs are rebuilt) and
-  /// the next solve skips re-decomposition. Falls back to rebind() when
-  /// nothing is cached. Violating the precondition silently corrupts
-  /// later APGRE scores — callers must classify first.
-  void rebind_local_insert(const CsrGraph& g, Vertex u, Vertex v);
-
   /// Opt in to the per-sub-graph contribution store. The next APGRE solve
   /// additionally records each sub-graph's local score vector (serial
   /// kernel, so contributions are deterministic) and their scatter-sum over
   /// `to_global` — which equals the APGRE scores, since sub-graphs compose
   /// additively. While the store is valid, repeat APGRE solves with the
   /// same partition options serve the cached scores without re-scoring
-  /// (counter "bc.solver.score_reuses"), and apply_local_update() can
-  /// re-score a single block in place. Tracked scores match the untracked
+  /// (counter "bc.solver.score_reuses"), and apply_local_batch() can
+  /// re-score the blocks a local batch touched in place. Tracked scores match the untracked
   /// scoring phase up to floating-point accumulation order.
   void enable_contribution_tracking();
 
@@ -209,38 +196,22 @@ class Solver {
     return store_valid_ ? &tracked_scores_ : nullptr;
   }
 
-  /// Localized dynamic update (iCentral-style): `g` must equal the previous
-  /// graph with exactly the undirected edge {u, v} inserted (inserting) or
-  /// removed, and the update must have been classified kLocalInsert /
-  /// kLocalDelete against the previous graph — so the block-cut tree, the
-  /// grouping, and every reach count survive by construction. Subtracts the
-  /// affected sub-graph's old contribution from the tracked scores, rebuilds
-  /// only that sub-graph's induced arcs, re-scores it with the serial
-  /// kernel, and adds the new contribution back (counter
-  /// "bc.solver.local_recomputes"). Returns true on the localized path;
-  /// falls back to a plain rebind() — full re-decomposition on the next
-  /// solve — and returns false when no valid store exists, or when a
-  /// peeled session sees an update incident to a peeled-forest vertex
-  /// (the peel analysis is invalidated; classify_update routes such
-  /// updates kStructural anyway, so this guard is defence in depth).
-  /// Violating the locality precondition silently corrupts later scores —
-  /// classify first.
-  bool apply_local_update(const CsrGraph& g, Vertex u, Vertex v,
-                          bool inserting);
-
-  /// Batched localized update: `g` must equal the previous graph with every
-  /// op in `ops` applied (coalesced — at most one op per edge) and the
-  /// batch must have been classified local as a whole
-  /// (BlockCutQueries::classify_batch) against the previous graph. Groups
-  /// the ops by cached sub-graph and re-scores each affected sub-graph
-  /// exactly once, however many ops landed in it — the contribution
-  /// subtract / splice-all / re-score / add-back cycle runs per *block*,
-  /// not per edge, which is the batch ingest win. Returns the number of
-  /// sub-graphs re-scored (>= 1 on the localized path; "blocks_resolved" in
-  /// the service's batch stats, one "bc.solver.local_recomputes" tick
-  /// each). Returns 0 after falling back to a plain rebind() under the same
-  /// conditions as apply_local_update — no valid store, peeled-forest
-  /// endpoints, or endpoints outside every cached sub-graph. Violating the
+  /// Localized dynamic update (iCentral-style), the session's one update
+  /// method: `g` must equal the previous graph with every op in `ops`
+  /// applied (coalesced — at most one op per edge; a single edit is a batch
+  /// of one), and the batch must have been classified local as a whole
+  /// (BlockCutQueries::classify_batch) against the previous graph, so the
+  /// block-cut tree, the grouping and every reach count survive by
+  /// construction. Groups the ops by cached sub-graph and re-scores each
+  /// affected sub-graph exactly once, however many ops landed in it: the
+  /// contribution subtract / splice-all / re-score (serial kernel) /
+  /// add-back cycle runs per *block*, not per edge. Returns the number of
+  /// sub-graphs re-scored (>= 1 on the localized path, one
+  /// "bc.solver.local_recomputes" tick each). Returns 0 after falling back
+  /// to a plain rebind() — full re-decomposition on the next solve — when
+  /// no valid store exists, when a peeled session sees an op incident to a
+  /// peeled-forest vertex (the peel analysis is invalidated), or when an
+  /// op's endpoints lie outside every cached sub-graph. Violating the
   /// locality precondition silently corrupts later scores — classify first.
   std::size_t apply_local_batch(const CsrGraph& g,
                                 const std::vector<EdgeOp>& ops);

@@ -23,7 +23,10 @@ void clamp_zeros(std::vector<double>& scores) {
 }  // namespace
 
 IncrementalBc::IncrementalBc(CsrGraph graph, BcOptions opts)
-    : graph_(std::move(graph)), opts_(std::move(opts)), solver_(graph_) {
+    : graph_(std::make_shared<const CsrGraph>(std::move(graph)),
+             opts.apgre.partition.parallel_decomposition),
+      opts_(std::move(opts)),
+      solver_(graph_.graph()) {
   opts_.algorithm = Algorithm::kApgre;
   opts_.undirected_halving = false;
   solver_.enable_contribution_tracking();
@@ -32,90 +35,34 @@ IncrementalBc::IncrementalBc(CsrGraph graph, BcOptions opts)
   scores_ = std::move(result.scores);
 }
 
-void IncrementalBc::ensure_queries() {
-  if (queries_ == nullptr) {
-    queries_ = std::make_unique<BlockCutQueries>(
-        graph_, opts_.apgre.partition.parallel_decomposition);
-  }
-}
-
 void IncrementalBc::resolve_full() {
-  solver_.rebind(graph_);
-  queries_.reset();
+  solver_.rebind(graph());
   BcResult result = solver_.solve(opts_);
   APGRE_ASSERT(result.status.ok());
   scores_ = std::move(result.scores);
   ++stats_.structural_resolves;
 }
 
-UpdateLocality IncrementalBc::apply_edge(CsrGraph next, Vertex u, Vertex v,
-                                         bool inserting) {
-  ensure_queries();
-  const UpdateLocality grade = queries_->classify_update(u, v, inserting);
-  graph_ = std::move(next);
-  if (grade == UpdateLocality::kStructural) {
-    resolve_full();
-    return grade;
-  }
-  // The block-cut tree survives; keep the classifier exact by patching the
-  // affected block's edge multiset instead of rebuilding.
-  queries_->apply_local_update(u, v, inserting);
-  if (solver_.apply_local_update(graph_, u, v, inserting)) {
-    scores_ = *solver_.tracked_scores();
-    (inserting ? stats_.local_inserts : stats_.local_deletes) += 1;
-  } else {
-    // No valid contribution store to patch — cannot happen after the
-    // constructor's tracked solve, but re-solve rather than trust it.
-    resolve_full();
-  }
-  return grade;
-}
-
 BatchStats IncrementalBc::apply_batch(const UpdateRequest& batch) {
-  BatchStats out;
-  out.batch_edges = batch.ops.size();
-  // Coalesce + validate against the current graph; a rejected batch throws
-  // here, before any member changes (atomicity matches the per-edge path).
-  CoalesceResult coalesced = coalesce_batch(graph_, batch.ops);
-  APGRE_REQUIRE(coalesced.status.ok(), coalesced.status.message);
-  out.coalesced_away = coalesced.coalesced_away;
-  if (coalesced.survivors.empty()) {
-    // The batch cancelled itself out — a legal no-op.
-    stats_.batches += 1;
-    stats_.batch_edges += out.batch_edges;
-    stats_.coalesced_away += out.coalesced_away;
-    return out;
-  }
-
-  ensure_queries();
-  const BatchClassification verdict =
-      queries_->classify_batch(coalesced.survivors);
-  // Survivors are legal by construction, so this cannot throw mid-chain.
-  graph_ = apply_edge_ops(graph_, coalesced.survivors);
-
-  if (verdict.structural) {
+  // A rejected batch throws here, before any member changes.
+  const IngestResult ingested = graph_.ingest(batch);
+  APGRE_REQUIRE(ingested.ok(), ingested.status.message);
+  BatchStats out = ingested.stats;
+  if (ingested.structural()) {
     // One re-decomposition for the whole batch, however many ops survived.
-    out.batch_downgrades = 1;
     resolve_full();
-  } else {
-    // The tree survives the whole batch: patch the classifier's edge
-    // multisets per op, then re-score each affected block exactly once.
-    for (const EdgeOp& op : coalesced.survivors) {
-      queries_->apply_local_update(op.u, op.v, op.insert);
-    }
-    const std::size_t resolved =
-        solver_.apply_local_batch(graph_, coalesced.survivors);
-    if (resolved == 0) {
-      // No valid contribution store to patch — cannot happen after the
-      // constructor's tracked solve, but re-solve rather than trust it.
-      out.batch_downgrades = 1;
-      resolve_full();
-    } else {
+  } else if (ingested.applied()) {
+    if (solver_.apply_local_batch(graph(), ingested.survivors) > 0) {
       scores_ = *solver_.tracked_scores();
-      out.blocks_resolved = resolved;
-      for (const EdgeOp& op : coalesced.survivors) {
+      for (const EdgeOp& op : ingested.survivors) {
         (op.insert ? stats_.local_inserts : stats_.local_deletes) += 1;
       }
+    } else {
+      // No valid contribution store to patch — cannot happen after the
+      // constructor's tracked solve, but re-solve rather than trust it.
+      out.blocks_resolved = 0;
+      out.batch_downgrades = 1;
+      resolve_full();
     }
   }
 
@@ -127,71 +74,58 @@ BatchStats IncrementalBc::apply_batch(const UpdateRequest& batch) {
   return out;
 }
 
-UpdateLocality IncrementalBc::insert_edge(Vertex u, Vertex v) {
-  // Validates (and throws) before any member changes.
-  return apply_edge(with_edge_inserted(graph_, u, v), u, v,
-                    /*inserting=*/true);
-}
-
-UpdateLocality IncrementalBc::remove_edge(Vertex u, Vertex v) {
-  return apply_edge(with_edge_removed(graph_, u, v), u, v,
-                    /*inserting=*/false);
-}
-
 Vertex IncrementalBc::attach_pendant(Vertex host) {
-  APGRE_ASSERT(host < graph_.num_vertices());
-  const Vertex pendant = graph_.num_vertices();
+  APGRE_ASSERT(host < graph().num_vertices());
+  const Vertex pendant = graph().num_vertices();
   // Closed form (the static pendant metamorphic rule as a delta, evaluated
   // on the pre-attach graph): every vertex gains sides * delta_host(v), the
   // host additionally gains sides * reach(host), the pendant scores 0 —
   // `sides` counting source- and target-side ordered pairs for undirected
   // graphs, source-side only for directed (the arc is pendant -> host).
-  const double sides = graph_.directed() ? 1.0 : 2.0;
+  const double sides = graph().directed() ? 1.0 : 2.0;
   const std::vector<double> dependency =
-      brandes_bc_from_sources(graph_, {host}, sides);
-  const auto host_reach = static_cast<double>(reachable_count(graph_, host));
-  for (Vertex v = 0; v < graph_.num_vertices(); ++v) {
+      brandes_bc_from_sources(graph(), {host}, sides);
+  const auto host_reach = static_cast<double>(reachable_count(graph(), host));
+  for (Vertex v = 0; v < graph().num_vertices(); ++v) {
     scores_[v] += dependency[v];
   }
   scores_[host] += sides * host_reach;
   scores_.push_back(0.0);
-  graph_ = with_pendant_attached(graph_, host);
   // The tree gained a vertex and a bridge block — caches are stale even
   // though the scores are already exact.
-  solver_.rebind(graph_);
-  queries_.reset();
+  graph_.replace(with_pendant_attached(graph(), host));
+  solver_.rebind(graph());
   ++stats_.pendant_attaches;
   return pendant;
 }
 
 void IncrementalBc::detach_vertex(Vertex v) {
-  APGRE_ASSERT(v < graph_.num_vertices());
-  const auto out = graph_.out_neighbors(v);
+  APGRE_ASSERT(v < graph().num_vertices());
+  const auto out = graph().out_neighbors(v);
   const bool isolated =
-      out.empty() && (!graph_.directed() || graph_.in_neighbors(v).empty());
+      out.empty() && (!graph().directed() || graph().in_neighbors(v).empty());
   if (isolated) return;
-  if (!graph_.directed() && out.size() == 1) {
+  if (!graph().directed() && out.size() == 1) {
     // Undirected pendant: the exact inverse of attach_pendant, evaluated on
     // the post-detach graph (the isolated id contributes nothing there).
     const Vertex host = out[0];
-    graph_ = with_vertex_isolated(graph_, v);
+    graph_.replace(with_vertex_isolated(graph(), v));
     const std::vector<double> dependency =
-        brandes_bc_from_sources(graph_, {host}, -2.0);
-    const auto host_reach = static_cast<double>(reachable_count(graph_, host));
-    for (Vertex w = 0; w < graph_.num_vertices(); ++w) {
+        brandes_bc_from_sources(graph(), {host}, -2.0);
+    const auto host_reach = static_cast<double>(reachable_count(graph(), host));
+    for (Vertex w = 0; w < graph().num_vertices(); ++w) {
       scores_[w] += dependency[w];
     }
     scores_[host] -= 2.0 * host_reach;
     scores_[v] = 0.0;
     clamp_zeros(scores_);
-    solver_.rebind(graph_);
-    queries_.reset();
+    solver_.rebind(graph());
     ++stats_.pendant_detaches;
     return;
   }
   // Interior (or directed) vertex: removing its arcs can reshape shortest
   // paths arbitrarily far away — full re-solve.
-  graph_ = with_vertex_isolated(graph_, v);
+  graph_.replace(with_vertex_isolated(graph(), v));
   resolve_full();
 }
 

@@ -1,17 +1,21 @@
 // iCentral-style incremental betweenness over one evolving graph.
 //
-// IncrementalBc owns a graph and keeps exact BC scores current across edge
-// inserts/deletes and pendant vertex attach/detach. Each edge update is
-// graded against the cached block-cut tree (BlockCutQueries):
+// IncrementalBc owns a MutableGraph (bcc/mutable_graph.hpp) and a tracked
+// Solver, and keeps exact BC scores current across edge batches and
+// pendant vertex attach/detach. apply_batch() is the one edge-update
+// method; a single edit is a batch of one. Each batch runs the shared
+// ingest step (coalesce, classify against the cached block-cut tree, apply,
+// patch or drop the classifier), then:
 //
-//   kLocalInsert / kLocalDelete — the update is provably confined to one
-//     biconnected component; the Solver's contribution store subtracts that
-//     block's old scores, re-runs Brandes inside the block only (with the
-//     cached alpha/beta peripheral weights), and adds the new scores back.
-//     No re-decomposition happens ("bcc.decompositions" does not move).
-//   kStructural — the block-cut tree changes shape (or the graph is
-//     directed, where classification is conservative); fall back to a full
-//     re-decomposition + solve.
+//   local      — the batch is provably confined to its blocks; the Solver's
+//                contribution store subtracts each affected block's old
+//                scores, re-runs Brandes inside the block only (with the
+//                cached alpha/beta peripheral weights), and adds the new
+//                scores back, once per block. No re-decomposition happens
+//                ("bcc.decompositions" does not move).
+//   structural — the block-cut tree may change shape (or the graph is
+//                directed, where classification is conservative); one full
+//                re-decomposition + solve for the whole batch.
 //
 // Pendant attach/detach use the closed-form score delta of the static
 // pendant metamorphic rule (src/check/metamorphic.cpp): one Brandes
@@ -19,9 +23,9 @@
 //
 // Scores follow the ordered-pair convention (no undirected halving), the
 // same as brandes_bc() — callers wanting conventional undirected BC halve
-// them. Failed updates (duplicate insert, absent delete, self-loop) throw
-// apgre::Error *before* any state changes. Not thread-safe; wrap in a
-// mutex (the service layer does) to share across threads.
+// them. A rejected batch (duplicate insert, absent delete, self-loop)
+// throws apgre::Error *before* any state changes. Not thread-safe; wrap in
+// a mutex to share across threads.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +33,17 @@
 #include <vector>
 
 #include "bc/bc.hpp"
+#include "bcc/mutable_graph.hpp"
 #include "bcc/queries.hpp"
 #include "graph/csr.hpp"
+#include "graph/update.hpp"
 
 namespace apgre {
 
 /// How each update was routed; the localized-path counters are the whole
 /// point, so tests pin them.
 struct IncrementalStats {
+  /// Surviving ops of local batches, by direction.
   std::uint64_t local_inserts = 0;
   std::uint64_t local_deletes = 0;
   std::uint64_t pendant_attaches = 0;
@@ -61,29 +68,20 @@ class IncrementalBc {
   /// invalid options.
   explicit IncrementalBc(CsrGraph graph, BcOptions opts = {});
 
-  const CsrGraph& graph() const { return graph_; }
+  const CsrGraph& graph() const { return graph_.graph(); }
   /// Current exact scores, ordered-pair convention, length num_vertices().
   const std::vector<double>& scores() const { return scores_; }
   const IncrementalStats& stats() const { return stats_; }
 
-  /// Insert / remove the edge (u, v) (both arcs for undirected graphs) and
-  /// bring scores current; returns how the update was routed. Throws Error
-  /// ("arc already present", "arc not present", ...) before any state
-  /// change on an illegal update.
-  UpdateLocality insert_edge(Vertex u, Vertex v);
-  UpdateLocality remove_edge(Vertex u, Vertex v);
-
-  /// Apply a whole timestamped batch with the same locality-routing
-  /// invariants as the per-edge path, amortised batch-wide: coalesce
-  /// (cancel insert/delete pairs, dedupe repeats — an illegal op rejects
-  /// the batch with apgre::Error before any state change), classify the
-  /// survivors as a whole (BlockCutQueries::classify_batch, one survival
-  /// check per affected block), then either re-score each affected block
-  /// exactly once (all-local batch; blocks_resolved counts them) or fall
-  /// back to a single re-decomposition + solve for the entire batch
-  /// (batch_downgrades = 1 — never one per op). A batch that coalesces to
-  /// nothing is a legal no-op. Returns the per-batch stats; stats() keeps
-  /// running totals.
+  /// Apply a timestamped batch of edge inserts/deletes and bring scores
+  /// current: the shared ingest step, then either re-score each affected
+  /// block exactly once (all-local batch; blocks_resolved counts them) or
+  /// fall back to a single re-decomposition + solve for the entire batch
+  /// (batch_downgrades = 1 — never one per op). An illegal op rejects the
+  /// batch with apgre::Error ("arc already present", "arc not present",
+  /// ...) before any state change. A batch that coalesces to nothing is a
+  /// legal no-op. Returns the per-batch stats; stats() keeps running
+  /// totals.
   BatchStats apply_batch(const UpdateRequest& batch);
 
   /// Attach a fresh degree-1 vertex to `host` (arc pendant -> host for
@@ -98,14 +96,13 @@ class IncrementalBc {
   void detach_vertex(Vertex v);
 
  private:
-  UpdateLocality apply_edge(CsrGraph next, Vertex u, Vertex v, bool inserting);
   void resolve_full();
-  void ensure_queries();
 
-  CsrGraph graph_;  // member, so the Solver's pointer survives reassignment
+  MutableGraph graph_;
   BcOptions opts_;
+  // Bound to graph_'s current snapshot; re-pointed (apply_local_batch or
+  // rebind) right after every snapshot swap, before it is read again.
   Solver solver_;
-  std::unique_ptr<BlockCutQueries> queries_;
   std::vector<double> scores_;
   IncrementalStats stats_;
 };

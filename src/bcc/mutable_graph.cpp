@@ -1,0 +1,64 @@
+#include "bcc/mutable_graph.hpp"
+
+#include <utility>
+
+#include "support/trace.hpp"
+
+namespace apgre {
+
+MutableGraph::MutableGraph(std::shared_ptr<const CsrGraph> snapshot,
+                           ParallelDecomposition decomposition)
+    : snapshot_(std::move(snapshot)), decomposition_(decomposition) {
+  APGRE_ASSERT(snapshot_ != nullptr);
+}
+
+IngestResult MutableGraph::ingest(const UpdateRequest& request) {
+  APGRE_TRACE_SPAN("bcc/ingest");
+  IngestResult out;
+  out.stats.batch_edges = request.ops.size();
+  CoalesceResult coalesced = coalesce_batch(*snapshot_, request.ops);
+  out.stats.coalesced_away = coalesced.coalesced_away;
+  out.status = std::move(coalesced.status);
+  if (!out.ok() || coalesced.survivors.empty()) return out;
+  out.survivors = std::move(coalesced.survivors);
+
+  BatchClassification verdict;
+  if (snapshot_->directed()) {
+    // Conservative: directed reachability can change while the undirected
+    // projection's block structure survives.
+    verdict.structural = true;
+  } else {
+    if (queries_ == nullptr) {
+      queries_ = std::make_unique<BlockCutQueries>(*snapshot_, decomposition_);
+    }
+    verdict = queries_->classify_batch(out.survivors);
+  }
+
+  // Survivors are legal by construction, so this cannot throw.
+  snapshot_ = std::make_shared<const CsrGraph>(
+      apply_edge_ops(*snapshot_, out.survivors));
+
+  if (verdict.structural) {
+    out.stats.batch_downgrades = 1;
+    queries_.reset();
+    return out;
+  }
+  // The tree survives the whole batch; only the affected blocks' edge
+  // multisets moved.
+  out.stats.blocks_resolved = verdict.groups.size();
+  for (const BatchGroup& group : verdict.groups) {
+    out.affected_sources += static_cast<Vertex>(
+        queries_->bcc().component_vertices[group.block].size());
+  }
+  for (const EdgeOp& op : out.survivors) {
+    queries_->apply_local_update(op.u, op.v, op.insert);
+  }
+  return out;
+}
+
+void MutableGraph::replace(CsrGraph next) {
+  snapshot_ = std::make_shared<const CsrGraph>(std::move(next));
+  queries_.reset();
+}
+
+}  // namespace apgre

@@ -121,12 +121,6 @@ Vertex BlockCutQueries::common_block(Vertex u, Vertex v) const {
              : kInvalidVertex;
 }
 
-bool BlockCutQueries::block_survives_deletion(Vertex b, Vertex u,
-                                              Vertex v) const {
-  return block_survives_ops(
-      b, EdgeList{Edge{std::min(u, v), std::max(u, v)}}, EdgeList{});
-}
-
 bool BlockCutQueries::block_survives_ops(Vertex b, const EdgeList& removed,
                                          const EdgeList& added) const {
   const auto& members = bcc_.component_vertices[b];
@@ -161,36 +155,6 @@ bool BlockCutQueries::block_survives_ops(Vertex b, const EdgeList& removed,
          after.component_vertices[0].size() == members.size();
 }
 
-UpdateLocality BlockCutQueries::classify_update(Vertex u, Vertex v,
-                                               bool inserting) const {
-  APGRE_ASSERT(u < tree_.ap_index.size() && v < tree_.ap_index.size());
-  // Directed graphs: conservative. The undirected projection's block
-  // structure can survive an update whose directed reachability (and thus
-  // the alpha/beta reach counts the localized path reuses) changes.
-  if (directed_) return UpdateLocality::kStructural;
-  if (u == v) return UpdateLocality::kStructural;
-  if (inserting) {
-    // An endpoint that is an articulation point may stop being one once
-    // the new edge adds a bypass, which merges blocks.
-    if (tree_.ap_index[u] != kInvalidVertex ||
-        tree_.ap_index[v] != kInvalidVertex) {
-      return UpdateLocality::kStructural;
-    }
-    // Two non-AP vertices inside one biconnected component: the inserted
-    // edge is a chord, every block and every articulation point survives.
-    return same_block(u, v) ? UpdateLocality::kLocalInsert
-                            : UpdateLocality::kStructural;
-  }
-  // Deletion. Articulation endpoints are fine here: as long as the block
-  // minus the edge stays biconnected, the edge partition — and with it the
-  // whole block-cut tree — is unchanged, so no vertex gains or loses
-  // articulation status.
-  const Vertex block = common_block(u, v);
-  if (block == kInvalidVertex) return UpdateLocality::kStructural;
-  return block_survives_deletion(block, u, v) ? UpdateLocality::kLocalDelete
-                                              : UpdateLocality::kStructural;
-}
-
 BatchClassification BlockCutQueries::classify_batch(
     const std::vector<EdgeOp>& ops) const {
   BatchClassification out;
@@ -200,13 +164,17 @@ BatchClassification BlockCutQueries::classify_batch(
     return out;
   };
   if (ops.empty()) return out;
-  // Directed graphs: conservative, same as classify_update.
+  // Directed graphs: conservative. The undirected projection's block
+  // structure can survive an update whose directed reachability (and thus
+  // the alpha/beta reach counts the localized path reuses) changes.
   if (directed_) return downgrade();
 
-  // Route every op to its common block. Insert conservatism matches the
-  // per-edge path (AP endpoints may merge blocks); deletes only need a
-  // shared block here — survival is judged per *group* below, against the
-  // block's net post-batch edge set.
+  // Route every op to its common block. An insert with an articulation
+  // endpoint may add a bypass that merges blocks, so it downgrades; a
+  // chord between two non-articulation vertices of one block cannot
+  // create, destroy or merge blocks. Deletes only need a shared block here
+  // (articulation endpoints are fine) — survival is judged per *group*
+  // below, against the block's net post-batch edge set.
   std::vector<std::size_t> group_of_block(bcc_.num_components, ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const EdgeOp& op = ops[i];

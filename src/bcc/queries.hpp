@@ -15,8 +15,9 @@
 
 namespace apgre {
 
-/// How a single edge update relates to the block-cut tree (the service
-/// layer's invalidation decision, docs/API.md "Update lifecycle").
+/// How an edge update relates to the block-cut tree (the service layer's
+/// invalidation decision, docs/API.md "Update lifecycle"; a batch reports
+/// one grade for all its ops, Response::locality).
 enum class UpdateLocality {
   /// The block-cut tree provably survives the insertion: the endpoints
   /// already share a biconnected component and neither is an articulation
@@ -67,27 +68,21 @@ class BlockCutQueries {
       const CsrGraph& g,
       ParallelDecomposition decomposition = ParallelDecomposition::kAuto);
 
-  /// Classify the update "insert (inserting = true) or remove the edge
-  /// (u, v)" against the tree this structure was built from. Directed
-  /// graphs always classify kStructural (conservative: the block structure
-  /// of the projection can survive while directed reachability changes).
-  /// For undirected graphs the verdict is exact: kLocalInsert for a chord
-  /// between two non-articulation vertices of one block, kLocalDelete for
-  /// an edge whose block stays biconnected without it.
-  UpdateLocality classify_update(Vertex u, Vertex v, bool inserting) const;
-
-  /// Classify a coalesced batch (at most one op per edge) as a whole: group
-  /// the ops by their common block, then run ONE biconnectivity-survival
-  /// check per block containing deletions — the post-batch block (all group
-  /// deletes removed, all group inserts added) must still be one biconnected
-  /// component spanning every member. That amortisation over co-located
-  /// edges is the batch win: per-edge classification would rebuild and
-  /// re-check the block once per delete. It is also strictly more precise
-  /// than per-edge grading — a delete that per-edge splits the block can be
-  /// repaired by a same-batch insert and still classify local. Any op that
-  /// cannot be confined (directed graphs, AP-endpoint or cross-block
+  /// Classify a coalesced batch (at most one op per edge) against the tree
+  /// this structure was built from — the only classifier; a single edit is
+  /// a batch of one. Groups the ops by their common block, then runs ONE
+  /// biconnectivity-survival check per block containing deletions: the
+  /// post-batch block (all group deletes removed, all group inserts added)
+  /// must still be one biconnected component spanning every member. That
+  /// amortises the check over co-located edges, and it is more precise
+  /// than grading each op alone — a delete that would split the block can
+  /// be repaired by a same-batch insert and still classify local. Any op
+  /// that cannot be confined (directed graphs, AP-endpoint or cross-block
   /// inserts, cross-block deletes, a block that does not survive its net
-  /// edit) downgrades the whole batch to structural.
+  /// edit) downgrades the whole batch to structural. For undirected graphs
+  /// a batch of one is exact: local means a chord between two
+  /// non-articulation vertices of one block (kLocalInsert) or a delete
+  /// whose block stays biconnected (kLocalDelete).
   BatchClassification classify_batch(const std::vector<EdgeOp>& ops) const;
 
   /// True iff u and v share a biconnected component (equivalently: at
@@ -100,12 +95,12 @@ class BlockCutQueries {
   /// can share at most one block. Requires u != v.
   Vertex common_block(Vertex u, Vertex v) const;
 
-  /// Patch the stored block edge multiset after the caller applied an edge
-  /// update previously classified kLocalInsert / kLocalDelete to the graph.
-  /// The block-cut tree survives such updates by construction, so only the
-  /// affected block's edge list changes; patching it keeps later
-  /// classify_update verdicts exact without a rebuild. Calling this for a
-  /// structural update is a contract violation (assert).
+  /// Patch the stored block edge multiset after the caller applied one op
+  /// of a batch classify_batch graded local. The block-cut tree survives
+  /// such batches by construction, so only the affected block's edge list
+  /// changes; patching it keeps later classify_batch verdicts exact without
+  /// a rebuild. Calling this for a structural op is a contract violation
+  /// (assert).
   void apply_local_update(Vertex u, Vertex v, bool inserting);
 
   /// True iff removing `a` disconnects u from v. False whenever u and v
@@ -126,8 +121,6 @@ class BlockCutQueries {
   /// Walk-up LCA on the rooted bipartite tree.
   Vertex lca(Vertex x, Vertex y) const;
   bool on_path(Vertex node, Vertex x, Vertex y) const;
-  /// Is block `b` minus the edge {u, v} still biconnected?
-  bool block_survives_deletion(Vertex b, Vertex u, Vertex v) const;
   /// Is block `b` with `removed` edges taken out and `added` chords put in
   /// still one biconnected component spanning all members? (Edges in
   /// canonical src < dst order.)

@@ -44,6 +44,12 @@ void fail(MetamorphicResult& result, const std::string& why) {
   result.detail = why;
 }
 
+/// Apply one edge edit as a batch of one; true when it stayed local.
+bool apply_edit(IncrementalBc& engine, Vertex u, Vertex v, bool insert) {
+  return engine.apply_batch(UpdateRequest{{EdgeOp{u, v, insert}}})
+             .batch_downgrades == 0;
+}
+
 }  // namespace
 
 MetamorphicResult check_dynamic_pendant_attach(const CsrGraph& g,
@@ -116,7 +122,7 @@ MetamorphicResult check_dynamic_bridge_delete(const CsrGraph& g,
   predicted[b] = engine.scores()[b] - 2.0 * (side_b - 1.0) * side_a;
   const std::vector<double> before = engine.scores();
 
-  engine.remove_edge(a, b);
+  apply_edit(engine, a, b, /*insert=*/false);
 
   MetamorphicResult result{"dynamic_bridge_delete"};
   fold(result, "closed form", predicted, engine.scores(), rel, abs);
@@ -124,7 +130,7 @@ MetamorphicResult check_dynamic_bridge_delete(const CsrGraph& g,
        rel, abs);
 
   // Re-inserting the bridge is the inverse rule: the originals come back.
-  engine.insert_edge(a, b);
+  apply_edit(engine, a, b, /*insert=*/true);
   fold(result, "re-insert restoration", before, engine.scores(), rel, abs);
   return result;
 }
@@ -149,8 +155,7 @@ MetamorphicResult check_dynamic_chord_roundtrip(const CsrGraph& g,
     const Vertex cu = static_cast<Vertex>(rng.bounded(n));
     const Vertex cv = static_cast<Vertex>(rng.bounded(n));
     if (cu == cv || has_arc(g, cu, cv)) continue;
-    if (queries.classify_update(cu, cv, /*inserting=*/true) ==
-        UpdateLocality::kLocalInsert) {
+    if (!queries.classify_batch({EdgeOp{cu, cv, /*insert=*/true}}).structural) {
       u = cu;
       v = cv;
     }
@@ -163,7 +168,7 @@ MetamorphicResult check_dynamic_chord_roundtrip(const CsrGraph& g,
   const std::vector<double> before = engine.scores();
 
   MetamorphicResult result{"dynamic_chord_roundtrip"};
-  if (engine.insert_edge(u, v) != UpdateLocality::kLocalInsert) {
+  if (!apply_edit(engine, u, v, /*insert=*/true)) {
     fail(result, "chord insert did not classify kLocalInsert");
   }
   fold(result, "static oracle after insert", brandes_bc(engine.graph()),
@@ -171,7 +176,7 @@ MetamorphicResult check_dynamic_chord_roundtrip(const CsrGraph& g,
 
   // The chord's block minus the chord is the original block, which was
   // biconnected — so the deletion must take the localized path too.
-  if (engine.remove_edge(u, v) != UpdateLocality::kLocalDelete) {
+  if (!apply_edit(engine, u, v, /*insert=*/false)) {
     fail(result, "chord delete did not classify kLocalDelete");
   }
   fold(result, "roundtrip restoration", before, engine.scores(), rel, abs);

@@ -170,8 +170,8 @@ OracleReport incremental_differential_check(const CsrGraph& g,
   run.threads = opts.threads;
   run.algorithm = opts.reference;
   for (const DynamicStep& step : steps) {
-    step.inserting ? engine.insert_edge(step.u, step.v)
-                   : engine.remove_edge(step.u, step.v);
+    engine.apply_batch(
+        UpdateRequest{{EdgeOp{step.u, step.v, step.inserting}}});
     const std::vector<double> expected =
         betweenness(engine.graph(), run).scores;
     AlgorithmDivergence d{Algorithm::kApgre,

@@ -11,8 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "graph/mutate.hpp"
-#include "service/ingest.hpp"
+#include "bcc/mutable_graph.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -29,13 +28,14 @@ struct Service::Impl {
   /// snapshot outside. Lock ordering: entry->mu before cache_mu, never the
   /// reverse.
   struct GraphEntry {
+    GraphEntry(CsrGraph g, ParallelDecomposition decomposition)
+        : graph(std::make_shared<const CsrGraph>(std::move(g)),
+                decomposition) {}
+
     std::mutex mu;
-    std::shared_ptr<const CsrGraph> graph;
-    /// Block-cut classification cache; a local update provably leaves the
-    /// tree unchanged (only one block's edge multiset moves, which
-    /// apply_local_update patches), so it survives kLocalInsert /
-    /// kLocalDelete and is only rebuilt after structural ones.
-    std::unique_ptr<BlockCutQueries> locality;
+    /// The current snapshot and its block-cut classifier; every update
+    /// runs its ingest step (bcc/mutable_graph.hpp).
+    MutableGraph graph;
     /// Snapshot-wide 2-core peel, computed lazily for peel-enabled solves
     /// and handed to every warm session (Solver::adopt_peel) so they skip
     /// re-peeling. Local updates provably leave the peel intact (both
@@ -130,7 +130,6 @@ struct Service::Impl {
         Response response;
         response.kind = kind;
         response.status = Status::failed("Service is shutting down");
-        response.error = response.status.message;
         broken.set_value(std::move(response));
         return broken.get_future();
       }
@@ -196,7 +195,7 @@ struct Service::Impl {
     const bool mutation = request.kind == RequestKind::kUpdate ||
                           request.kind == RequestKind::kUpdateBatch;
     Response response = mutation ? update(request) : solve(request);
-    if (!response.ok) {
+    if (!response.status.ok()) {
       stats.errors.fetch_add(1, std::memory_order_relaxed);
       metrics().counter("service.errors").add();
     }
@@ -205,20 +204,11 @@ struct Service::Impl {
 
   static Response fail(Response response, Status status) {
     response.status = std::move(status);
-    response.ok = false;
-    response.error = response.status.message;
     return response;
   }
 
   static Response fail(Response response, std::string why) {
     return fail(std::move(response), Status::failed(std::move(why)));
-  }
-
-  static Response& succeed(Response& response) {
-    response.status = Status::Ok();
-    response.ok = true;
-    response.error.clear();
-    return response;
   }
 
   Response solve(const Request& request) {
@@ -244,7 +234,7 @@ struct Service::Impl {
         request.options.apgre.partition.peel_two_core;
     {
       std::lock_guard<std::mutex> lk(entry->mu);
-      snap = entry->graph;
+      snap = entry->graph.snapshot();
       if (wants_peel && !snap->directed()) {
         // One peel per snapshot, shared by every warm session.
         if (entry->peel == nullptr ||
@@ -278,7 +268,7 @@ struct Service::Impl {
     if (!result.status.ok()) {
       return fail(std::move(response), result.status);
     }
-    succeed(response);
+    response.status = Status::Ok();
     response.session_hit = hit;
     response.seconds = result.seconds;
     if (request.kind == RequestKind::kSolve) {
@@ -307,11 +297,10 @@ struct Service::Impl {
     return response;
   }
 
-  /// The unified mutation path: kUpdate and kUpdateBatch both run the
-  /// ingest pipeline (service/ingest.hpp) — a single update is a batch of
-  /// size 1, so the per-edge counters and response fields keep their exact
-  /// pre-batch meaning while the batch path amortises classification and
-  /// re-solves across co-located edges.
+  /// The one mutation path: kUpdate (exactly one op) and kUpdateBatch both
+  /// run the entry's ingest step (bcc/mutable_graph.hpp), then invalidate
+  /// or patch what this service caches on top of the snapshot — the peel
+  /// and the warm session.
   Response update(const Request& request) {
     APGRE_TRACE_SPAN("service/update");
     const bool batched = request.kind == RequestKind::kUpdateBatch;
@@ -321,17 +310,12 @@ struct Service::Impl {
         .fetch_add(1, std::memory_order_relaxed);
     if (batched) metrics().counter("service.batch.requests").add();
 
-    // Fold the deprecated per-edge fields into the unified payload.
-    UpdateRequest ops = request.update;
-    if (!batched && ops.ops.empty()) {
-      ops.ops.push_back(EdgeOp{request.u, request.v, request.inserting});
-    }
-    if (!batched && ops.ops.size() != 1) {
+    if (!batched && request.update.ops.size() != 1) {
       return fail(std::move(response),
                   Status::invalid_option(
                       "update expects exactly one op (use update_batch)"));
     }
-    response.batch.batch_edges = ops.ops.size();
+    response.batch.batch_edges = request.update.ops.size();
 
     const std::shared_ptr<GraphEntry> entry = find_entry(request.graph);
     if (entry == nullptr) {
@@ -339,61 +323,37 @@ struct Service::Impl {
     }
 
     std::lock_guard<std::mutex> lk(entry->mu);
-    const std::shared_ptr<const CsrGraph> prev = entry->graph;
-
-    // The classifier survives local batches (only edge multisets move,
-    // patched below); directed graphs never build one — plan_ingest grades
-    // them structural itself.
-    if (!prev->directed() && entry->locality == nullptr) {
-      entry->locality = std::make_unique<BlockCutQueries>(
-          *prev, options.parallel_decomposition);
-    }
-    const IngestPlan plan = plan_ingest(*prev, entry->locality.get(), ops);
-    response.batch.coalesced_away = plan.coalesced.coalesced_away;
-    if (!plan.ok()) {
+    // Warm sessions are matched against the snapshot the batch applies to.
+    const std::shared_ptr<const CsrGraph> prev = entry->graph.snapshot();
+    const IngestResult ingested = entry->graph.ingest(request.update);
+    response.batch = ingested.stats;
+    if (!ingested.ok()) {
       // Coalescing rejected the batch (out-of-range endpoint, self-loop,
       // op redundant against the snapshot, ...) — nothing changed.
-      return fail(std::move(response), plan.coalesced.status);
+      return fail(std::move(response), ingested.status);
     }
-    const std::vector<EdgeOp>& survivors = plan.coalesced.survivors;
-    if (survivors.empty()) {
+    if (!ingested.applied()) {
       // The batch cancelled itself out: a legal no-op, no snapshot swap.
       finalize_batch(response, batched);
       return response;
     }
-    const bool local = plan.local();
-
-    std::shared_ptr<const CsrGraph> snap;
-    try {
-      // Survivors are pre-validated, so this cannot throw; keep the
-      // commit-point shape anyway — a throw here means nothing changed.
-      snap = std::make_shared<const CsrGraph>(apply_edge_ops(*prev, survivors));
-    } catch (const Error& e) {
-      return fail(std::move(response), e.what());
-    }
-    entry->graph = snap;
+    const std::vector<EdgeOp>& survivors = ingested.survivors;
+    const bool local = !ingested.structural();
+    const std::shared_ptr<const CsrGraph>& snap = entry->graph.snapshot();
 
     if (local) {
       // Blast radius: the biconnected components the batch is confined to.
       // Deterministic from graph state (unlike any recompute count, which
       // would depend on what happened to be cached).
-      response.affected_sources = plan.affected_sources;
-      response.batch.blocks_resolved = plan.classification.groups.size();
+      response.affected_sources = ingested.affected_sources;
       bool any_delete = false;
       for (const EdgeOp& op : survivors) any_delete |= !op.insert;
       response.locality = any_delete ? UpdateLocality::kLocalDelete
                                      : UpdateLocality::kLocalInsert;
-      // Keep later classifications exact: the tree survives, but the
-      // affected blocks' edge multisets changed.
-      for (const EdgeOp& op : survivors) {
-        entry->locality->apply_local_update(op.u, op.v, op.insert);
-      }
     } else {
       response.locality = UpdateLocality::kStructural;
-      response.batch.batch_downgrades = 1;
       // ONE reset per downgraded batch — an entirely forest-incident batch
       // re-peels the snapshot once on the next solve, not once per edge.
-      entry->locality.reset();
       entry->peel.reset();
     }
     (local ? stats.updates_local : stats.updates_structural)
@@ -435,19 +395,28 @@ struct Service::Impl {
     return response;
   }
 
-  /// Success bookkeeping shared by the no-op and executed batch paths.
+  /// Success bookkeeping shared by the no-op and executed batch paths:
+  /// ServiceStats plus the service.batch.* metrics (docs/OBSERVABILITY.md).
   void finalize_batch(Response& response, bool batched) {
-    succeed(response);
+    response.status = Status::Ok();
     if (!batched) return;
-    stats.batch_edges.fetch_add(response.batch.batch_edges,
-                                std::memory_order_relaxed);
-    stats.coalesced_away.fetch_add(response.batch.coalesced_away,
+    const BatchStats& batch = response.batch;
+    stats.batch_edges.fetch_add(batch.batch_edges, std::memory_order_relaxed);
+    stats.coalesced_away.fetch_add(batch.coalesced_away,
                                    std::memory_order_relaxed);
-    stats.blocks_resolved.fetch_add(response.batch.blocks_resolved,
+    stats.blocks_resolved.fetch_add(batch.blocks_resolved,
                                     std::memory_order_relaxed);
-    stats.batch_downgrades.fetch_add(response.batch.batch_downgrades,
+    stats.batch_downgrades.fetch_add(batch.batch_downgrades,
                                      std::memory_order_relaxed);
-    record_batch_metrics(response.batch);
+    record_batch_metrics(batch);
+  }
+
+  /// Emit the service.batch.* counters for one executed batch.
+  static void record_batch_metrics(const BatchStats& batch) {
+    metrics().counter("service.batch.edges").add(batch.batch_edges);
+    metrics().counter("service.batch.coalesced_away").add(batch.coalesced_away);
+    metrics().counter("service.batch.blocks_resolved").add(batch.blocks_resolved);
+    metrics().counter("service.batch.downgrades").add(batch.batch_downgrades);
   }
 
   ServiceOptions options;
@@ -480,8 +449,8 @@ Status Service::register_graph(const std::string& name, CsrGraph graph) {
   if (name.empty()) {
     return Status::invalid_option("graph name must be non-empty");
   }
-  auto entry = std::make_shared<Impl::GraphEntry>();
-  entry->graph = std::make_shared<const CsrGraph>(std::move(graph));
+  auto entry = std::make_shared<Impl::GraphEntry>(
+      std::move(graph), impl_->options.parallel_decomposition);
   {
     std::lock_guard<std::mutex> lk(impl_->registry_mu);
     impl_->graphs[name] = std::move(entry);
@@ -516,7 +485,7 @@ std::shared_ptr<const CsrGraph> Service::snapshot(
   const auto entry = impl_->find_entry(name);
   if (entry == nullptr) return nullptr;
   std::lock_guard<std::mutex> lk(entry->mu);
-  return entry->graph;
+  return entry->graph.snapshot();
 }
 
 std::future<Response> Service::submit(Request request) {

@@ -10,18 +10,19 @@
 // Four request kinds: `solve` (full score vector, any registered
 // algorithm), `top_k` (partial-sort over the scores), `update` (one edge
 // insert/remove), and `update_batch` (a timestamped batch of edge ops).
-// The mutation surface is unified around one UpdateRequest value type —
-// internally a single `update` IS a batch of size 1, flowing through the
-// same ingest pipeline (service/ingest.hpp): coalesce, classify the batch
-// against the block-cut tree as a whole, then either patch the warm
+// Every mutation is one UpdateRequest — a single `update` is a batch of
+// size 1 — and runs the per-graph MutableGraph's ingest step
+// (bcc/mutable_graph.hpp), the same one IncrementalBc runs: coalesce,
+// classify the batch against the block-cut tree as a whole, apply, patch
+// or drop the classifier. The service then either patches the warm
 // session's contribution store with ONE block re-solve per affected block
-// (Solver::apply_local_batch) or — when any op is structural — drop the
-// cached decomposition and snapshot peel ONCE for the whole batch so the
-// next solve re-decomposes. The split is observable as local_recomputes vs
-// full_invalidations plus the batch_* counters.
+// (Solver::apply_local_batch) or — when the batch is structural — drops
+// the cached decomposition and snapshot peel ONCE for the whole batch so
+// the next solve re-decomposes with that request's options. The split is
+// observable as local_recomputes vs full_invalidations plus the batch_*
+// counters.
 //
-// Error channel: every Response carries a Status (Response::status);
-// Response::ok / Response::error mirror it for older call sites. The
+// Error channel: every Response carries a Status (Response::status). The
 // public API itself is Status-based — register_graph reports an invalid
 // name instead of throwing, submit resolves the future with a failed
 // Response when the service is shutting down — so no service entry point
@@ -76,17 +77,9 @@ struct Request {
   BcOptions options;
   /// top_k: ranking size (clamped to |V|; must be >= 1).
   Vertex k = 10;
-  /// kUpdate / kUpdateBatch: the unified mutation payload. kUpdateBatch
-  /// applies all ops as one coalesced batch; kUpdate expects exactly one op
-  /// (when `update.ops` is empty the deprecated fields below are folded in
-  /// as a batch of size 1).
+  /// kUpdate / kUpdateBatch: the mutation payload. kUpdateBatch applies
+  /// all ops as one coalesced batch; kUpdate expects exactly one op.
   UpdateRequest update;
-  /// Deprecated pre-batch shim: single-edge endpoints and direction, read
-  /// only by kUpdate and only when update.ops is empty. Prefer filling
-  /// `update` directly.
-  Vertex u = kInvalidVertex;
-  Vertex v = kInvalidVertex;
-  bool inserting = true;
 };
 
 struct TopEntry {
@@ -100,9 +93,6 @@ struct Response {
   /// otherwise (unknown graph, invalid options, duplicate insert, ...).
   /// Failed requests never mutate service state.
   Status status = Status::failed("request not processed");
-  /// Mirrors status.ok() / status.message for pre-Status call sites.
-  bool ok = false;
-  std::string error;
   /// kSolve: full score vector.
   std::vector<double> scores;
   /// kTopK: the k highest-scoring vertices, score descending, vertex id

@@ -115,6 +115,23 @@ TEST_F(CliTest, WeightedDimacsMode) {
   EXPECT_NE(r.output.find("weighted arcs"), std::string::npos);
 }
 
+// --threads reaches weighted APGRE's scheduler: one worker and two must
+// rank the same vertices with the same scores.
+TEST_F(CliTest, WeightedThreadsKeepRanking) {
+  const auto ranking = [](const std::string& output) {
+    const auto table = output.find("rank\tvertex\tscore");
+    return table == std::string::npos ? std::string() : output.substr(table);
+  };
+  const CommandResult one = run_cli(
+      "--format dimacs --weighted --threads 1 --top 10 " + dimacs_path_);
+  const CommandResult two = run_cli(
+      "--format dimacs --weighted --threads 2 --top 10 " + dimacs_path_);
+  ASSERT_EQ(one.exit_code, 0) << one.output;
+  ASSERT_EQ(two.exit_code, 0) << two.output;
+  ASSERT_FALSE(ranking(one.output).empty()) << one.output;
+  EXPECT_EQ(ranking(one.output), ranking(two.output));
+}
+
 TEST_F(CliTest, WeightedRequiresDimacs) {
   const CommandResult r = run_cli("--weighted " + snap_path_);
   EXPECT_EQ(r.exit_code, 1);

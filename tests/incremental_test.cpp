@@ -34,6 +34,18 @@ CsrGraph k5_plus_triangle() {
           {2, 3}, {2, 4}, {3, 4}, {0, 5}, {5, 6}, {6, 0}});
 }
 
+/// Apply one edit as a batch of one (apply_batch is the only edge-update
+/// method) and report how it was routed: a local batch grades by the edit's
+/// direction, a downgraded one kStructural.
+UpdateLocality apply_one(IncrementalBc& engine, Vertex u, Vertex v,
+                         bool inserting) {
+  const BatchStats stats =
+      engine.apply_batch(UpdateRequest{{EdgeOp{u, v, inserting}}});
+  if (stats.batch_downgrades != 0) return UpdateLocality::kStructural;
+  return inserting ? UpdateLocality::kLocalInsert
+                   : UpdateLocality::kLocalDelete;
+}
+
 /// One sub-graph per block, so "localized" demonstrably means one block.
 BcOptions per_block_options() {
   BcOptions opts;
@@ -49,13 +61,13 @@ TEST(IncrementalBc, LocalDeleteAvoidsRedecomposition) {
   const std::uint64_t after_init = decompositions();
 
   // K5 minus {1,2} is still one biconnected component.
-  EXPECT_EQ(engine.remove_edge(1, 2), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(apply_one(engine, 1, 2, false), UpdateLocality::kLocalDelete);
   EXPECT_EQ(decompositions(), after_init)
       << "a biconnectivity-preserving delete must not re-decompose";
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 
   // Restoring the edge is a chord insert — also local.
-  EXPECT_EQ(engine.insert_edge(1, 2), UpdateLocality::kLocalInsert);
+  EXPECT_EQ(apply_one(engine, 1, 2, true), UpdateLocality::kLocalInsert);
   EXPECT_EQ(decompositions(), after_init);
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 
@@ -69,14 +81,14 @@ TEST(IncrementalBc, StructuralUpdatesFallBackToFullSolve) {
   const std::uint64_t after_init = decompositions();
 
   // Deleting a triangle edge dissolves the {0,5,6} block into bridges.
-  EXPECT_EQ(engine.remove_edge(5, 6), UpdateLocality::kStructural);
+  EXPECT_EQ(apply_one(engine, 5, 6, false), UpdateLocality::kStructural);
   EXPECT_EQ(engine.stats().structural_resolves, 1u);
   EXPECT_EQ(decompositions(), after_init + 1);
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 
   // Re-inserting it has an articulation-point endpoint on each side of the
   // now-split tree — structural again.
-  EXPECT_EQ(engine.insert_edge(5, 6), UpdateLocality::kStructural);
+  EXPECT_EQ(apply_one(engine, 5, 6, true), UpdateLocality::kStructural);
   EXPECT_EQ(engine.stats().structural_resolves, 2u);
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 }
@@ -120,8 +132,8 @@ TEST(IncrementalBc, DirectedUpdatesAreConservativelyStructural) {
   const CsrGraph g =
       CsrGraph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}, true);
   IncrementalBc engine(g);
-  EXPECT_EQ(engine.insert_edge(0, 2), UpdateLocality::kStructural);
-  EXPECT_EQ(engine.remove_edge(0, 2), UpdateLocality::kStructural);
+  EXPECT_EQ(apply_one(engine, 0, 2, true), UpdateLocality::kStructural);
+  EXPECT_EQ(apply_one(engine, 0, 2, false), UpdateLocality::kStructural);
   EXPECT_EQ(engine.stats().structural_resolves, 2u);
   EXPECT_EQ(engine.stats().local_inserts, 0u);
   EXPECT_EQ(engine.stats().local_deletes, 0u);
@@ -133,9 +145,9 @@ TEST(IncrementalBc, IllegalUpdatesThrowBeforeAnyStateChange) {
   const std::vector<double> before = engine.scores();
   const CsrGraph graph_before = engine.graph();
 
-  EXPECT_THROW(engine.insert_edge(0, 1), Error) << "edge already present";
-  EXPECT_THROW(engine.remove_edge(1, 5), Error) << "edge not present";
-  EXPECT_THROW(engine.insert_edge(2, 2), Error) << "self-loop";
+  EXPECT_THROW(apply_one(engine, 0, 1, true), Error) << "edge already present";
+  EXPECT_THROW(apply_one(engine, 1, 5, false), Error) << "edge not present";
+  EXPECT_THROW(apply_one(engine, 2, 2, true), Error) << "self-loop";
 
   EXPECT_EQ(engine.graph(), graph_before);
   EXPECT_EQ(engine.scores(), before);
@@ -177,11 +189,7 @@ TEST_P(IncrementalTrajectory, MatchesStaticOracleAfterEveryStep) {
           const std::vector<DynamicStep> steps =
               random_dynamic_steps(engine.graph(), 1, rng());
           if (steps.empty()) continue;
-          if (steps[0].inserting) {
-            engine.insert_edge(steps[0].u, steps[0].v);
-          } else {
-            engine.remove_edge(steps[0].u, steps[0].v);
-          }
+          apply_one(engine, steps[0].u, steps[0].v, steps[0].inserting);
           break;
         }
       }

@@ -1,13 +1,14 @@
 // Batched streaming ingest (graph/update.hpp + BlockCutQueries::
-// classify_batch + IncrementalBc::apply_batch + the service's kUpdateBatch
-// pipeline). The tests pin the coalescing algebra (cancel, dedupe, stable
+// classify_batch + the MutableGraph ingest step that IncrementalBc::
+// apply_batch and the service's update path share). The tests pin the coalescing algebra (cancel, dedupe, stable
 // timestamp order, reject-before-mutate), the whole-batch classification
 // (one survival check per block, strictly more precise than per-edge), the
 // acceptance criterion that an all-local batch of k edges in one block
 // re-solves exactly 1 block with 0 re-decompositions, the binary
 // edge-batch frame format, and the service-level batch counters. The
-// randomized trajectories diff the batched engine against a per-edge
-// replay AND a fresh static Brandes solve after every batch; the
+// randomized trajectories drive IncrementalBc and a Service through the
+// same batches (equal counters and scores), diff against a replay of
+// one-op batches AND a fresh static Brandes solve after every batch; the
 // concurrent test interleaves batches with solves across the worker pool
 // (run under TSan in CI).
 #include <gtest/gtest.h>
@@ -198,8 +199,7 @@ TEST(ClassifyBatch, SameBatchRepairIsMorePreciseThanPerEdge) {
   // just cheaper, it is strictly more precise.
   const CsrGraph g = cycle(4);
   const BlockCutQueries queries(g);
-  EXPECT_EQ(queries.classify_update(0, 1, /*inserting=*/false),
-            UpdateLocality::kStructural);
+  EXPECT_TRUE(queries.classify_batch({op(0, 1, false, 0)}).structural);
   const BatchClassification c = queries.classify_batch(
       {op(0, 1, false, 0), op(0, 2, true, 1), op(1, 3, true, 2)});
   EXPECT_FALSE(c.structural);
@@ -309,13 +309,46 @@ TEST(ApplyBatch, RejectedBatchChangesNoState) {
   EXPECT_EQ(engine.stats().batches, 0u);
 }
 
-/// Randomized batch trajectories: every batch is applied to a batched
-/// engine and replayed op-by-op through a per-edge engine; after every
-/// batch both must match each other AND a fresh static Brandes solve.
+Request batch_request(const std::string& graph, std::vector<EdgeOp> ops) {
+  Request request;
+  request.kind = RequestKind::kUpdateBatch;
+  request.graph = graph;
+  request.update.ops = std::move(ops);
+  return request;
+}
+
+Request solve_request(const std::string& graph) {
+  Request request;
+  request.kind = RequestKind::kSolve;
+  request.graph = graph;
+  request.options.algorithm = Algorithm::kBrandesSerial;
+  return request;
+}
+
+ServiceOptions unit_options() {
+  ServiceOptions options;
+  options.workers = 1;
+  options.session_capacity = 2;
+  return options;
+}
+
+/// Randomized batch trajectories: both owners of an evolving graph run the
+/// one ingest step, so every batch is applied to a batched engine AND
+/// submitted as a kUpdateBatch to a Service holding the same graph; their
+/// per-batch counters must agree exactly. The ops are also replayed one at
+/// a time through a second engine as one-op batches. After every batch all
+/// three must match each other and a fresh static Brandes solve.
 void random_batch_trajectory(std::uint64_t seed) {
   const CsrGraph start = caveman(3, 5, seed);
   IncrementalBc batched(start, per_block_options());
   IncrementalBc per_edge(start, per_block_options());
+  Service service(unit_options());
+  ASSERT_TRUE(service.register_graph("g", start).ok());
+  // A warm APGRE session with the engines' grouping, so local batches patch
+  // its contribution store in place rather than re-solving cold.
+  Request solve = solve_request("g");
+  solve.options = per_block_options();
+  ASSERT_TRUE(service.handle(solve).status.ok());
 
   std::set<std::pair<Vertex, Vertex>> edges;
   for (Vertex u = 0; u < start.num_vertices(); ++u) {
@@ -345,17 +378,21 @@ void random_batch_trajectory(std::uint64_t seed) {
       }
     }
     ASSERT_FALSE(batch.ops.empty());
-    batched.apply_batch(batch);
-    for (const EdgeOp& o : batch.ops) {
-      if (o.insert) {
-        per_edge.insert_edge(o.u, o.v);
-      } else {
-        per_edge.remove_edge(o.u, o.v);
-      }
-    }
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const BatchStats engine_stats = batched.apply_batch(batch);
+    const Response served = service.handle(batch_request("g", batch.ops));
+    ASSERT_TRUE(served.status.ok()) << served.status.message;
+    EXPECT_EQ(served.batch.coalesced_away, engine_stats.coalesced_away);
+    EXPECT_EQ(served.batch.blocks_resolved, engine_stats.blocks_resolved);
+    EXPECT_EQ(served.batch.batch_downgrades, engine_stats.batch_downgrades);
+    for (const EdgeOp& o : batch.ops) per_edge.apply_batch(UpdateRequest{{o}});
+
     const std::vector<double> oracle = brandes_bc(batched.graph());
     expect_scores_near(oracle, batched.scores());
     expect_scores_near(oracle, per_edge.scores());
+    const Response solved = service.handle(solve);
+    ASSERT_TRUE(solved.status.ok()) << solved.status.message;
+    expect_scores_near(batched.scores(), solved.scores);
   }
 }
 
@@ -416,37 +453,13 @@ TEST(EdgeBatchIo, BadMagicThrows) {
 // ---------------------------------------------------------------------------
 // Service-level batching.
 
-Request batch_request(const std::string& graph, std::vector<EdgeOp> ops) {
-  Request request;
-  request.kind = RequestKind::kUpdateBatch;
-  request.graph = graph;
-  request.update.ops = std::move(ops);
-  return request;
-}
-
-Request solve_request(const std::string& graph) {
-  Request request;
-  request.kind = RequestKind::kSolve;
-  request.graph = graph;
-  request.options.algorithm = Algorithm::kBrandesSerial;
-  return request;
-}
-
-ServiceOptions unit_options() {
-  ServiceOptions options;
-  options.workers = 1;
-  options.session_capacity = 2;
-  return options;
-}
-
 TEST(ServiceBatch, LocalBatchCountersAndExactness) {
   Service service(unit_options());
   ASSERT_TRUE(service.register_graph("g", two_k6()).ok());
 
   const Response r = service.handle(
       batch_request("g", {op(0, 1, false, 0), op(6, 7, false, 1)}));
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.status.ok());
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
   EXPECT_EQ(r.locality, UpdateLocality::kLocalDelete);
   EXPECT_EQ(r.affected_sources, 12u) << "both K6 blocks are affected";
   EXPECT_EQ(r.batch.batch_edges, 2u);
@@ -463,7 +476,7 @@ TEST(ServiceBatch, LocalBatchCountersAndExactness) {
   EXPECT_EQ(stats.updates_local, 2u) << "one per surviving op";
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok);
+  ASSERT_TRUE(solved.status.ok());
   expect_scores_near(brandes_bc(*service.snapshot("g")), solved.scores);
 }
 
@@ -472,7 +485,7 @@ TEST(ServiceBatch, AllInsertBatchGradesLocalInsert) {
   ASSERT_TRUE(service.register_graph("g", cycle(5)).ok());
   const Response r = service.handle(
       batch_request("g", {op(0, 2, true, 0), op(1, 3, true, 1)}));
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
   EXPECT_EQ(r.locality, UpdateLocality::kLocalInsert);
   EXPECT_EQ(r.batch.blocks_resolved, 1u);
 }
@@ -482,14 +495,14 @@ TEST(ServiceBatch, StructuralBatchDowngradesOnce) {
   ASSERT_TRUE(service.register_graph("g", two_k6()).ok());
   const Response r = service.handle(
       batch_request("g", {op(0, 1, false, 0), op(0, 6, true, 1)}));
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
   EXPECT_EQ(r.locality, UpdateLocality::kStructural);
   EXPECT_EQ(r.batch.batch_downgrades, 1u);
   EXPECT_EQ(r.batch.blocks_resolved, 0u);
   EXPECT_EQ(service.stats().batch_downgrades, 1u);
   EXPECT_EQ(service.stats().updates_structural, 2u);
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok);
+  ASSERT_TRUE(solved.status.ok());
   expect_scores_near(brandes_bc(*service.snapshot("g")), solved.scores);
 }
 
@@ -499,12 +512,12 @@ TEST(ServiceBatch, EmptyAndFullyCoalescedBatchesAreLegalNoOps) {
   const auto before = service.snapshot("g");
 
   const Response empty = service.handle(batch_request("g", {}));
-  ASSERT_TRUE(empty.ok) << empty.error;
+  ASSERT_TRUE(empty.status.ok()) << empty.status.message;
   EXPECT_EQ(empty.batch.batch_edges, 0u);
 
   const Response cancelled = service.handle(
       batch_request("g", {op(0, 2, true, 0), op(0, 2, false, 1)}));
-  ASSERT_TRUE(cancelled.ok) << cancelled.error;
+  ASSERT_TRUE(cancelled.status.ok()) << cancelled.status.message;
   EXPECT_EQ(cancelled.batch.coalesced_away, 2u);
   EXPECT_EQ(cancelled.batch.blocks_resolved, 0u);
   EXPECT_EQ(service.snapshot("g"), before)
@@ -519,28 +532,25 @@ TEST(ServiceBatch, RejectedBatchKeepsStateAndCountsError) {
 
   const Response r = service.handle(
       batch_request("g", {op(0, 2, true, 0), op(0, 1, true, 1)}));
-  EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.status.ok());
-  EXPECT_NE(r.error.find("arc already present"), std::string::npos);
+  EXPECT_NE(r.status.message.find("arc already present"), std::string::npos);
   EXPECT_EQ(service.stats().errors, 1u);
 
   const Response after = service.handle(solve_request("g"));
-  ASSERT_TRUE(after.ok);
+  ASSERT_TRUE(after.status.ok());
   expect_scores_near(before, after.scores);
 }
 
 TEST(ServiceBatch, LegacyUpdateIsABatchOfOne) {
   Service service(unit_options());
   ASSERT_TRUE(service.register_graph("g", cycle(5)).ok());
-  // Deprecated shim fields only; update.ops stays empty.
+  // The single-edit kind carries a one-op payload.
   Request legacy;
   legacy.kind = RequestKind::kUpdate;
   legacy.graph = "g";
-  legacy.u = 0;
-  legacy.v = 2;
-  legacy.inserting = true;
+  legacy.update.ops = {op(0, 2, true)};
   const Response r = service.handle(legacy);
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
   EXPECT_EQ(r.locality, UpdateLocality::kLocalInsert);
   EXPECT_EQ(r.batch.batch_edges, 1u);
   EXPECT_EQ(service.stats().updates, 1u);
@@ -556,8 +566,8 @@ TEST(ServiceBatch, UpdateRejectsMultiOpPayload) {
   request.graph = "g";
   request.update.ops = {op(0, 2, true, 0), op(1, 3, true, 1)};
   const Response r = service.handle(request);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("update_batch"), std::string::npos);
+  EXPECT_FALSE(r.status.ok());
+  EXPECT_NE(r.status.message.find("update_batch"), std::string::npos);
 }
 
 TEST(ServiceBatch, RegisterRejectsEmptyName) {
@@ -583,18 +593,18 @@ TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   peeled.options.algorithm = Algorithm::kApgre;
   peeled.options.apgre.partition.peel_two_core = true;
 
-  ASSERT_TRUE(service.handle(peeled).ok);
+  ASSERT_TRUE(service.handle(peeled).status.ok());
   const std::uint64_t base = peel_runs();
-  ASSERT_TRUE(service.handle(peeled).ok);
+  ASSERT_TRUE(service.handle(peeled).status.ok());
   EXPECT_EQ(peel_runs(), base) << "warm snapshot peel must be reused";
 
   const Response batch = service.handle(
       batch_request("g", {op(4, 5, false, 0), op(2, 6, false, 1)}));
-  ASSERT_TRUE(batch.ok) << batch.error;
+  ASSERT_TRUE(batch.status.ok()) << batch.status.message;
   EXPECT_EQ(batch.locality, UpdateLocality::kStructural);
 
   const Response after = service.handle(peeled);
-  ASSERT_TRUE(after.ok);
+  ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(peel_runs(), base + 1)
       << "one structural batch = one peel reset = one re-peel at next solve";
   expect_scores_near(brandes_bc(*service.snapshot("g")), after.scores);
@@ -624,7 +634,7 @@ TEST(ServiceBatch, ConcurrentBatchesAndSolves) {
     readers.emplace_back([&service] {
       for (int i = 0; i < 8; ++i) {
         const Response r = service.submit(solve_request("g")).get();
-        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_TRUE(r.status.ok()) << r.status.message;
       }
     });
   }
@@ -632,7 +642,7 @@ TEST(ServiceBatch, ConcurrentBatchesAndSolves) {
   for (std::thread& t : readers) t.join();
 
   const Response final_solve = service.handle(solve_request("g"));
-  ASSERT_TRUE(final_solve.ok);
+  ASSERT_TRUE(final_solve.status.ok());
   expect_scores_near(brandes_bc(*service.snapshot("g")), final_solve.scores);
   EXPECT_EQ(service.stats().batch_updates, 16u);
   EXPECT_EQ(service.stats().batch_downgrades, 0u);

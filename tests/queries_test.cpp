@@ -25,6 +25,17 @@ bool separates_bruteforce(const CsrGraph& g, Vertex a, Vertex u, Vertex v) {
   return after.component[u] != after.component[v];
 }
 
+/// Grade one edit as a batch of one: classify_batch is the only
+/// classifier, and a one-op batch gets the exact single-edge grade.
+UpdateLocality classify_one(const BlockCutQueries& q, Vertex u, Vertex v,
+                            bool inserting) {
+  if (q.classify_batch({EdgeOp{u, v, inserting}}).structural) {
+    return UpdateLocality::kStructural;
+  }
+  return inserting ? UpdateLocality::kLocalInsert
+                   : UpdateLocality::kLocalDelete;
+}
+
 TEST(BlockCutQueries, PathSeparation) {
   const BlockCutQueries q(path(5));
   EXPECT_TRUE(q.separates(2, 0, 4));
@@ -75,12 +86,12 @@ TEST(ClassifyUpdate, ChordInsertBetweenNonApVerticesIsLocal) {
       9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0},
           {0, 6}, {6, 7}, {7, 8}, {8, 0}});
   const BlockCutQueries q(g);
-  EXPECT_EQ(q.classify_update(1, 3, true), UpdateLocality::kLocalInsert);
-  EXPECT_EQ(q.classify_update(6, 8, true), UpdateLocality::kLocalInsert);
+  EXPECT_EQ(classify_one(q, 1, 3, true), UpdateLocality::kLocalInsert);
+  EXPECT_EQ(classify_one(q, 6, 8, true), UpdateLocality::kLocalInsert);
   // AP endpoint: the insert may merge blocks -> structural.
-  EXPECT_EQ(q.classify_update(0, 2, true), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 0, 2, true), UpdateLocality::kStructural);
   // Endpoints in different blocks -> structural.
-  EXPECT_EQ(q.classify_update(1, 7, true), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 1, 7, true), UpdateLocality::kStructural);
 }
 
 TEST(ClassifyUpdate, DenseBlockDeleteIsLocalCycleDeleteIsNot) {
@@ -91,15 +102,15 @@ TEST(ClassifyUpdate, DenseBlockDeleteIsLocalCycleDeleteIsNot) {
   const BlockCutQueries q(g);
   // K5 minus any edge stays one biconnected component — AP endpoints are
   // fine for deletes (the edge partition is unchanged).
-  EXPECT_EQ(q.classify_update(1, 2, false), UpdateLocality::kLocalDelete);
-  EXPECT_EQ(q.classify_update(0, 3, false), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(classify_one(q, 1, 2, false), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(classify_one(q, 0, 3, false), UpdateLocality::kLocalDelete);
   // The triangle {0,5,6} minus an edge is a path: block dissolves.
-  EXPECT_EQ(q.classify_update(5, 6, false), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 5, 6, false), UpdateLocality::kStructural);
 }
 
 TEST(ClassifyUpdate, BridgeDeleteIsStructural) {
   const BlockCutQueries q(path(4));
-  EXPECT_EQ(q.classify_update(1, 2, false), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 1, 2, false), UpdateLocality::kStructural);
 }
 
 // Satellite regression: the block-cut machinery reasons about undirected
@@ -109,9 +120,9 @@ TEST(ClassifyUpdate, DirectedGraphsAreAlwaysStructural) {
   const CsrGraph g =
       CsrGraph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, true);
   const BlockCutQueries q(g);
-  EXPECT_EQ(q.classify_update(0, 2, true), UpdateLocality::kStructural);
-  EXPECT_EQ(q.classify_update(0, 1, false), UpdateLocality::kStructural);
-  EXPECT_EQ(q.classify_update(1, 3, true), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 0, 2, true), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 0, 1, false), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 1, 3, true), UpdateLocality::kStructural);
 }
 
 // Without patching the block's edge multiset after a local delete, a later
@@ -122,14 +133,14 @@ TEST(ClassifyUpdate, ApplyLocalUpdateKeepsLaterClassificationsExact) {
   const CsrGraph g = CsrGraph::undirected_from_edges(
       4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
   BlockCutQueries q(g);
-  ASSERT_EQ(q.classify_update(0, 1, false), UpdateLocality::kLocalDelete);
+  ASSERT_EQ(classify_one(q, 0, 1, false), UpdateLocality::kLocalDelete);
   q.apply_local_update(0, 1, /*inserting=*/false);
   // Stale edges would still say K4 minus {0,2} is biconnected.
-  EXPECT_EQ(q.classify_update(0, 2, false), UpdateLocality::kStructural);
-  EXPECT_EQ(q.classify_update(2, 3, false), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(classify_one(q, 0, 2, false), UpdateLocality::kStructural);
+  EXPECT_EQ(classify_one(q, 2, 3, false), UpdateLocality::kLocalDelete);
   // Re-inserting {0,1} restores the original multiset and verdicts.
   q.apply_local_update(0, 1, /*inserting=*/true);
-  EXPECT_EQ(q.classify_update(0, 2, false), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(classify_one(q, 0, 2, false), UpdateLocality::kLocalDelete);
 }
 
 // The peeled Solver (bc/bc.hpp) caches a 2-core reduction and only splices
@@ -147,21 +158,21 @@ TEST(ClassifyUpdate, ForestIncidentUpdatesAreStructuralOnPeeledGraphs) {
   const BlockCutQueries q(g);
   for (const PeeledVertex& p : peel.forest) {
     // Deleting the edge to the parent severs the subtree: structural.
-    EXPECT_EQ(q.classify_update(p.vertex, p.parent, false),
+    EXPECT_EQ(classify_one(q, p.vertex, p.parent, false),
               UpdateLocality::kStructural)
         << "delete at peeled vertex " << p.vertex;
     // Inserting a chord from a peeled vertex into the core crosses blocks
     // (and would pull the vertex into the 2-core): structural.
     for (Vertex core_v = 0; core_v < 4; ++core_v) {
       if (has_arc(g, p.vertex, core_v)) continue;
-      EXPECT_EQ(q.classify_update(p.vertex, core_v, true),
+      EXPECT_EQ(classify_one(q, p.vertex, core_v, true),
                 UpdateLocality::kStructural)
           << "insert " << p.vertex << "-" << core_v;
     }
   }
   // Core-side chord stays local — peeling must not widen the fast path's
   // blast radius.
-  EXPECT_EQ(q.classify_update(2, 3, false), UpdateLocality::kLocalDelete);
+  EXPECT_EQ(classify_one(q, 2, 3, false), UpdateLocality::kLocalDelete);
 }
 
 TEST(ClassifyUpdate, CommonBlockOnBarbell) {

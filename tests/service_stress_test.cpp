@@ -91,9 +91,8 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
       request.kind = RequestKind::kSolve;  // degenerate graph: just solve
       request.options.algorithm = Algorithm::kBrandesSerial;
     } else {
-      request.u = steps[0].u;
-      request.v = steps[0].v;
-      request.inserting = steps[0].inserting;
+      request.update.ops.push_back(
+          EdgeOp{steps[0].u, steps[0].v, steps[0].inserting});
     }
   } else {
     // Shared read-only graph: contends on the session LRU across clients,
@@ -118,10 +117,10 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
 
 void expect_responses_match(const Response& live, const Response& replayed,
                             int client, int step) {
-  ASSERT_EQ(live.ok, replayed.ok)
-      << "client " << client << " step " << step << ": " << live.error
-      << " vs " << replayed.error;
-  if (!live.ok) return;
+  ASSERT_EQ(live.status.ok(), replayed.status.ok())
+      << "client " << client << " step " << step << ": " << live.status.message
+      << " vs " << replayed.status.message;
+  if (!live.status.ok()) return;
   ASSERT_EQ(live.kind, replayed.kind);
   switch (live.kind) {
     case RequestKind::kSolve:
@@ -211,7 +210,7 @@ TEST(ServiceStress, ConcurrentClientsMatchSingleThreadedReplay) {
 // present"); those error responses are expected and tolerated. What must
 // hold under TSan and after the dust settles:
 //   * no data race, crash, or deadlock while sessions are patched
-//     (Solver::apply_local_update) and invalidated concurrently,
+//     (Solver::apply_local_batch) and invalidated concurrently,
 //   * every response is either ok or a clean validation error,
 //   * the service's final served scores match a fresh static solve of the
 //     final snapshot — whatever interleaving of local patches and full
@@ -247,15 +246,15 @@ TEST(ServiceStress, AdversarialUpdatesOnSharedGraphStayConsistent) {
         } else {
           request.kind = RequestKind::kUpdate;
           request.graph = "shared";
-          request.u = static_cast<Vertex>(rng() % n);
-          request.v = static_cast<Vertex>(rng() % n);
-          request.inserting = rng() % 2 == 0;
+          const auto u = static_cast<Vertex>(rng() % n);
+          const auto v = static_cast<Vertex>(rng() % n);
+          request.update.ops.push_back(EdgeOp{u, v, rng() % 2 == 0});
         }
         const Response r = service.handle(request);
-        if (!r.ok) {
+        if (!r.status.ok()) {
           // Racing updates legitimately fail validation; anything else
           // (scores for a missing graph, internal errors) is a bug.
-          EXPECT_EQ(r.kind, RequestKind::kUpdate) << r.error;
+          EXPECT_EQ(r.kind, RequestKind::kUpdate) << r.status.message;
           validation_errors.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -274,7 +273,7 @@ TEST(ServiceStress, AdversarialUpdatesOnSharedGraphStayConsistent) {
   solve.graph = "shared";
   solve.options.algorithm = Algorithm::kApgre;
   const Response served = service.handle(solve);
-  ASSERT_TRUE(served.ok) << served.error;
+  ASSERT_TRUE(served.status.ok()) << served.status.message;
   const auto snap = service.snapshot("shared");
   ASSERT_NE(snap, nullptr);
   BcOptions serial;
@@ -323,13 +322,13 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
               ParallelDecomposition::kOn;
         } else {
           request.kind = RequestKind::kUpdate;
-          request.u = static_cast<Vertex>(rng() % n);
-          request.v = static_cast<Vertex>(rng() % n);
-          request.inserting = rng() % 2 == 0;
+          const auto u = static_cast<Vertex>(rng() % n);
+          const auto v = static_cast<Vertex>(rng() % n);
+          request.update.ops.push_back(EdgeOp{u, v, rng() % 2 == 0});
         }
         const Response r = service.handle(request);
-        if (!r.ok) {
-          EXPECT_EQ(r.kind, RequestKind::kUpdate) << r.error;
+        if (!r.status.ok()) {
+          EXPECT_EQ(r.kind, RequestKind::kUpdate) << r.status.message;
         }
       }
     });
@@ -343,7 +342,7 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
   solve.options.apgre.partition.parallel_decomposition =
       ParallelDecomposition::kOn;
   const Response served = service.handle(solve);
-  ASSERT_TRUE(served.ok) << served.error;
+  ASSERT_TRUE(served.status.ok()) << served.status.message;
   const auto snap = service.snapshot("shared");
   ASSERT_NE(snap, nullptr);
   BcOptions serial;
@@ -371,7 +370,7 @@ TEST(ServiceStress, DestructorDrainsQueuedRequests) {
   }  // ~Service joins here
   for (std::future<Response>& f : futures) {
     const Response r = f.get();  // must not throw broken_promise
-    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.status.ok()) << r.status.message;
   }
 }
 

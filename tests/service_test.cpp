@@ -52,9 +52,7 @@ Request update_request(const std::string& graph, Vertex u, Vertex v,
   Request request;
   request.kind = RequestKind::kUpdate;
   request.graph = graph;
-  request.u = u;
-  request.v = v;
-  request.inserting = inserting;
+  request.update.ops.push_back(EdgeOp{u, v, inserting});
   return request;
 }
 
@@ -75,7 +73,7 @@ TEST(Service, SolveMatchesFreshBetweenness) {
 
   for (Algorithm a : {Algorithm::kBrandesSerial, Algorithm::kApgre}) {
     const Response r = service.handle(solve_request("g", a));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
     expect_scores_near(oracle_scores(service, "g"), r.scores);
   }
   const ServiceStats stats = service.stats();
@@ -88,14 +86,14 @@ TEST(Service, TopKIsSortedPrefixOfScores) {
   service.register_graph("g", caveman(4, 5, 33));
 
   const Response full = service.handle(solve_request("g"));
-  ASSERT_TRUE(full.ok);
+  ASSERT_TRUE(full.status.ok());
 
   Request top;
   top.kind = RequestKind::kTopK;
   top.graph = "g";
   top.k = 5;
   const Response r = service.handle(top);
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
   ASSERT_EQ(r.top.size(), 5u);
 
   // Expected ranking: score descending, vertex id ascending on ties.
@@ -142,17 +140,17 @@ TEST(Service, LocalUpdateKeepsCachedDecomposition) {
                  {0, 6}, {6, 7}, {7, 8}, {8, 0}};
   service.register_graph("g", CsrGraph::undirected_from_edges(9, edges));
 
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
   const std::uint64_t after_first = decompositions();
 
   // Chord 1-3 inside the C6 block: both endpoints non-AP, same block.
   const Response update = service.handle(update_request("g", 1, 3, true));
-  ASSERT_TRUE(update.ok) << update.error;
+  ASSERT_TRUE(update.status.ok()) << update.status.message;
   EXPECT_EQ(update.locality, UpdateLocality::kLocalInsert);
   EXPECT_EQ(update.affected_sources, 6u) << "the C6 block has six vertices";
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok) << solved.error;
+  ASSERT_TRUE(solved.status.ok()) << solved.status.message;
   EXPECT_TRUE(solved.session_hit);
   EXPECT_EQ(decompositions(), after_first)
       << "local update must not re-decompose";
@@ -174,17 +172,17 @@ TEST(Service, LocalDeletePatchesSessionWithoutRedecomposition) {
                  {2, 3}, {2, 4}, {3, 4}, {0, 5}, {5, 6}, {6, 0}};
   service.register_graph("g", CsrGraph::undirected_from_edges(7, edges));
 
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
   const std::uint64_t after_first = decompositions();
 
   // K5 minus the edge 1-2 is still one biconnected component.
   const Response update = service.handle(update_request("g", 1, 2, false));
-  ASSERT_TRUE(update.ok) << update.error;
+  ASSERT_TRUE(update.status.ok()) << update.status.message;
   EXPECT_EQ(update.locality, UpdateLocality::kLocalDelete);
   EXPECT_EQ(update.affected_sources, 5u) << "the K5 block has five vertices";
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok) << solved.error;
+  ASSERT_TRUE(solved.status.ok()) << solved.status.message;
   EXPECT_TRUE(solved.session_hit);
   EXPECT_EQ(decompositions(), after_first)
       << "a biconnectivity-preserving delete must not re-decompose";
@@ -198,16 +196,16 @@ TEST(Service, StructuralUpdateRedecomposes) {
   EdgeList edges{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0},
                  {0, 6}, {6, 7}, {7, 8}, {8, 0}};
   service.register_graph("g", CsrGraph::undirected_from_edges(9, edges));
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
   const std::uint64_t after_first = decompositions();
 
   // 1-7 bridges the two blocks (through vertices on either side of AP 0).
   const Response update = service.handle(update_request("g", 1, 7, true));
-  ASSERT_TRUE(update.ok) << update.error;
+  ASSERT_TRUE(update.status.ok()) << update.status.message;
   EXPECT_EQ(update.locality, UpdateLocality::kStructural);
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok);
+  ASSERT_TRUE(solved.status.ok());
   EXPECT_EQ(decompositions(), after_first + 1)
       << "structural update must re-decompose";
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
@@ -219,10 +217,10 @@ TEST(Service, StructuralUpdateRedecomposes) {
 TEST(Service, BlockDissolvingRemovalIsStructural) {
   Service service(unit_options());
   service.register_graph("g", cycle(6));
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
 
   const Response update = service.handle(update_request("g", 2, 3, false));
-  ASSERT_TRUE(update.ok) << update.error;
+  ASSERT_TRUE(update.status.ok()) << update.status.message;
   EXPECT_EQ(update.locality, UpdateLocality::kStructural);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.updates_structural, 1u);
@@ -230,7 +228,7 @@ TEST(Service, BlockDissolvingRemovalIsStructural) {
   EXPECT_EQ(stats.full_invalidations, 1u);
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok);
+  ASSERT_TRUE(solved.status.ok());
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
 }
 
@@ -242,19 +240,19 @@ TEST(Service, DirectedUpdatesAreConservativelyStructural) {
   // A directed 4-cycle: 0 -> 1 -> 2 -> 3 -> 0.
   EdgeList arcs{{0, 1}, {1, 2}, {2, 3}, {3, 0}};
   service.register_graph("g", CsrGraph::from_edges(4, arcs, /*directed=*/true));
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
 
   const Response insert = service.handle(update_request("g", 0, 2, true));
-  ASSERT_TRUE(insert.ok) << insert.error;
+  ASSERT_TRUE(insert.status.ok()) << insert.status.message;
   EXPECT_EQ(insert.locality, UpdateLocality::kStructural);
   const Response remove = service.handle(update_request("g", 0, 2, false));
-  ASSERT_TRUE(remove.ok) << remove.error;
+  ASSERT_TRUE(remove.status.ok()) << remove.status.message;
   EXPECT_EQ(remove.locality, UpdateLocality::kStructural);
   EXPECT_EQ(service.stats().updates_structural, 2u);
   EXPECT_EQ(service.stats().updates_local, 0u);
 
   const Response solved = service.handle(solve_request("g"));
-  ASSERT_TRUE(solved.ok);
+  ASSERT_TRUE(solved.status.ok());
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
 }
 
@@ -275,7 +273,7 @@ TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
   const std::uint64_t runs_before =
       metrics().counter("graph.peel.runs").value();
   const Response first = service.handle(peeled_solve_request("g"));
-  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(first.status.ok()) << first.status.message;
   expect_scores_near(oracle_scores(service, "g"), first.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1);
 
@@ -283,7 +281,7 @@ TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
   // the peeled decomposition cache survives.
   const std::uint64_t dec_after = decompositions();
   const Response second = service.handle(peeled_solve_request("g"));
-  ASSERT_TRUE(second.ok);
+  ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.session_hit);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)
       << "one peel per snapshot, shared by warm sessions";
@@ -297,16 +295,16 @@ TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
   const CsrGraph g = CsrGraph::undirected_from_edges(
       8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 6}, {6, 7}});
   service.register_graph("g", g);
-  ASSERT_TRUE(service.handle(peeled_solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(peeled_solve_request("g")).status.ok());
 
   // Deleting the forest edge 6-7 is structural and reshapes the peel
   // (vertex count unchanged, so only an explicit reset catches it).
   const std::uint64_t runs_before =
       metrics().counter("graph.peel.runs").value();
   const Response update = service.handle(update_request("g", 6, 7, false));
-  ASSERT_TRUE(update.ok) << update.error;
+  ASSERT_TRUE(update.status.ok()) << update.status.message;
   const Response after = service.handle(peeled_solve_request("g"));
-  ASSERT_TRUE(after.ok) << after.error;
+  ASSERT_TRUE(after.status.ok()) << after.status.message;
   expect_scores_near(oracle_scores(service, "g"), after.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)
       << "a structural update must drop the snapshot peel and re-peel";
@@ -318,9 +316,9 @@ TEST(Service, LruEvictsLeastRecentlyUsedSession) {
   service.register_graph("b", cycle(6));
   service.register_graph("c", cycle(7));
 
-  ASSERT_TRUE(service.handle(solve_request("a")).ok);
-  ASSERT_TRUE(service.handle(solve_request("b")).ok);
-  ASSERT_TRUE(service.handle(solve_request("c")).ok);  // evicts "a"
+  ASSERT_TRUE(service.handle(solve_request("a")).status.ok());
+  ASSERT_TRUE(service.handle(solve_request("b")).status.ok());
+  ASSERT_TRUE(service.handle(solve_request("c")).status.ok());  // evicts "a"
   EXPECT_EQ(service.session_count(), 2u);
   EXPECT_EQ(service.stats().session_evictions, 1u);
 
@@ -332,7 +330,7 @@ TEST(Service, LruEvictsLeastRecentlyUsedSession) {
 TEST(Service, EvictSessionsForcesColdSolves) {
   Service service(unit_options());
   service.register_graph("g", cycle(8));
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
   EXPECT_EQ(service.evict_sessions(), 1u);
   EXPECT_EQ(service.session_count(), 0u);
   EXPECT_FALSE(service.handle(solve_request("g")).session_hit);
@@ -341,11 +339,11 @@ TEST(Service, EvictSessionsForcesColdSolves) {
 TEST(Service, RegisterReplacesGraphAndDropsSession) {
   Service service(unit_options());
   service.register_graph("g", cycle(5));
-  ASSERT_TRUE(service.handle(solve_request("g")).ok);
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
 
   service.register_graph("g", cycle(9));
   const Response r = service.handle(solve_request("g"));
-  ASSERT_TRUE(r.ok);
+  ASSERT_TRUE(r.status.ok());
   EXPECT_FALSE(r.session_hit) << "replacement must invalidate the session";
   EXPECT_EQ(r.scores.size(), 9u);
 }
@@ -356,8 +354,8 @@ TEST(Service, UnregisterRemovesGraph) {
   EXPECT_TRUE(service.unregister_graph("g"));
   EXPECT_FALSE(service.unregister_graph("g"));
   const Response r = service.handle(solve_request("g"));
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("unknown graph"), std::string::npos);
+  EXPECT_FALSE(r.status.ok());
+  EXPECT_NE(r.status.message.find("unknown graph"), std::string::npos);
 }
 
 TEST(Service, ErrorResponsesDoNotMutateState) {
@@ -367,26 +365,26 @@ TEST(Service, ErrorResponsesDoNotMutateState) {
 
   // Unknown graph, bad k, out-of-range endpoint, duplicate insert, absent
   // removal, invalid options: all answered, none fatal, none mutating.
-  EXPECT_FALSE(service.handle(solve_request("missing")).ok);
+  EXPECT_FALSE(service.handle(solve_request("missing")).status.ok());
   Request bad_k;
   bad_k.kind = RequestKind::kTopK;
   bad_k.graph = "g";
   bad_k.k = 0;
-  EXPECT_FALSE(service.handle(bad_k).ok);
-  EXPECT_FALSE(service.handle(update_request("g", 0, 99, true)).ok);
-  EXPECT_FALSE(service.handle(update_request("g", 0, 1, true)).ok)
+  EXPECT_FALSE(service.handle(bad_k).status.ok());
+  EXPECT_FALSE(service.handle(update_request("g", 0, 99, true)).status.ok());
+  EXPECT_FALSE(service.handle(update_request("g", 0, 1, true)).status.ok())
       << "edge 0-1 already exists";
-  EXPECT_FALSE(service.handle(update_request("g", 0, 3, false)).ok)
+  EXPECT_FALSE(service.handle(update_request("g", 0, 3, false)).status.ok())
       << "edge 0-3 does not exist";
   Request bad_options = solve_request("g");
   bad_options.options.apgre.fine_grain_fraction = 2.0;
   const Response invalid = service.handle(bad_options);
-  EXPECT_FALSE(invalid.ok);
-  EXPECT_NE(invalid.error.find("fine_grain_fraction"), std::string::npos);
+  EXPECT_FALSE(invalid.status.ok());
+  EXPECT_NE(invalid.status.message.find("fine_grain_fraction"), std::string::npos);
 
   EXPECT_EQ(service.stats().errors, 6u);
   const Response good = service.handle(solve_request("g"));
-  ASSERT_TRUE(good.ok);
+  ASSERT_TRUE(good.status.ok());
   expect_scores_near(before, good.scores);
 }
 
@@ -410,7 +408,7 @@ TEST(Service, BatchPreservesRequestOrder) {
   EXPECT_EQ(responses[1].kind, RequestKind::kTopK);
   EXPECT_EQ(responses[2].kind, RequestKind::kUpdate);
   EXPECT_EQ(responses[3].kind, RequestKind::kSolve);
-  for (const Response& r : responses) EXPECT_TRUE(r.ok) << r.error;
+  for (const Response& r : responses) EXPECT_TRUE(r.status.ok()) << r.status.message;
   expect_scores_near(oracle_scores(service, "g"), responses[3].scores);
 }
 
@@ -444,7 +442,7 @@ TEST(Service, RandomSequencesMatchFreshSolveOracle) {
           if (steps.empty()) break;
           const Response r = service.handle(update_request(
               name, steps[0].u, steps[0].v, steps[0].inserting));
-          EXPECT_TRUE(r.ok) << name << ": " << r.error;
+          EXPECT_TRUE(r.status.ok()) << name << ": " << r.status.message;
           break;
         }
         case 1:
@@ -454,7 +452,7 @@ TEST(Service, RandomSequencesMatchFreshSolveOracle) {
           break;  // plain solve below is the step
       }
       const Response solved = service.handle(solve_request(name));
-      ASSERT_TRUE(solved.ok) << name << ": " << solved.error;
+      ASSERT_TRUE(solved.status.ok()) << name << ": " << solved.status.message;
       expect_scores_near(oracle_scores(service, name), solved.scores);
     }
   }

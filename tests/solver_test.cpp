@@ -191,7 +191,9 @@ TEST(Solver, ApplyLocalUpdateMatchesFreshSolve) {
   BcOptions oracle = opts;
   oracle.algorithm = Algorithm::kBrandesSerial;
   const CsrGraph with_chord = with_edge_inserted(g, 1, 3);
-  ASSERT_TRUE(solver.apply_local_update(with_chord, 1, 3, /*inserting=*/true));
+  ASSERT_EQ(
+      solver.apply_local_batch(with_chord, {EdgeOp{1, 3, /*insert=*/true}}),
+      1u);
   const BcResult after_insert = solver.solve(opts);
   ASSERT_TRUE(after_insert.status.ok());
   ScoreComparison cmp = compare_scores(betweenness(with_chord, oracle).scores,
@@ -199,7 +201,9 @@ TEST(Solver, ApplyLocalUpdateMatchesFreshSolve) {
   EXPECT_TRUE(cmp.ok) << "insert: worst vertex " << cmp.worst_vertex;
 
   const CsrGraph restored = with_edge_removed(with_chord, 1, 3);
-  ASSERT_TRUE(solver.apply_local_update(restored, 1, 3, /*inserting=*/false));
+  ASSERT_EQ(
+      solver.apply_local_batch(restored, {EdgeOp{1, 3, /*insert=*/false}}),
+      1u);
   const BcResult after_delete = solver.solve(opts);
   ASSERT_TRUE(after_delete.status.ok());
   cmp = compare_scores(betweenness(restored, oracle).scores,
@@ -217,7 +221,9 @@ TEST(Solver, ApplyLocalUpdateWithoutStoreFallsBackToRebind) {
   Solver solver(g);  // tracking never enabled
   ASSERT_TRUE(solver.solve().status.ok());
   const CsrGraph with_chord = with_edge_inserted(g, 0, 2);
-  EXPECT_FALSE(solver.apply_local_update(with_chord, 0, 2, /*inserting=*/true));
+  EXPECT_EQ(
+      solver.apply_local_batch(with_chord, {EdgeOp{0, 2, /*insert=*/true}}),
+      0u);
   // The fallback rebinds, so the next solve is correct on the new graph.
   const BcResult r = solver.solve();
   ASSERT_TRUE(r.status.ok());
@@ -298,7 +304,9 @@ TEST(Solver, ForestIncidentLocalUpdateFallsBackToRebind) {
 
   // The chord 6-2 pulls the chain into the 2-core: defensive guard path.
   const CsrGraph with_chord = with_edge_inserted(g, 6, 2);
-  EXPECT_FALSE(solver.apply_local_update(with_chord, 6, 2, /*inserting=*/true));
+  EXPECT_EQ(
+      solver.apply_local_batch(with_chord, {EdgeOp{6, 2, /*insert=*/true}}),
+      0u);
   const BcResult r = solver.solve(peeled);
   ASSERT_TRUE(r.status.ok());
   BcOptions serial;
@@ -325,7 +333,9 @@ TEST(Solver, TrackedPeeledStoreStaysExactThroughCoreLocalUpdates) {
   BcOptions serial;
   serial.algorithm = Algorithm::kBrandesSerial;
   const CsrGraph with_chord = with_edge_inserted(g, 1, 3);
-  ASSERT_TRUE(solver.apply_local_update(with_chord, 1, 3, /*inserting=*/true));
+  ASSERT_EQ(
+      solver.apply_local_batch(with_chord, {EdgeOp{1, 3, /*insert=*/true}}),
+      1u);
   ScoreComparison cmp = compare_scores(betweenness(with_chord, serial).scores,
                                        solver.solve(peeled).scores);
   EXPECT_TRUE(cmp.ok) << "insert: worst vertex " << cmp.worst_vertex
@@ -333,7 +343,9 @@ TEST(Solver, TrackedPeeledStoreStaysExactThroughCoreLocalUpdates) {
                       << cmp.actual_score;
 
   const CsrGraph restored = with_edge_removed(with_chord, 1, 3);
-  ASSERT_TRUE(solver.apply_local_update(restored, 1, 3, /*inserting=*/false));
+  ASSERT_EQ(
+      solver.apply_local_batch(restored, {EdgeOp{1, 3, /*insert=*/false}}),
+      1u);
   cmp = compare_scores(betweenness(restored, serial).scores,
                        solver.solve(peeled).scores);
   EXPECT_TRUE(cmp.ok) << "delete: worst vertex " << cmp.worst_vertex;

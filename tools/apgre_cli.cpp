@@ -130,7 +130,9 @@ int main(int argc, char** argv) {
       Timer timer;
       std::vector<double> scores;
       if (algorithm == "apgre") {
-        scores = weighted_apgre_bc(g);
+        const int threads = static_cast<int>(flags.get_int("threads"));
+        scores = weighted_apgre_bc(g, {}, nullptr,
+                                   SchedulerOptions{.threads = threads});
       } else if (algorithm == "serial") {
         scores = weighted_brandes_bc(g);
       } else {

@@ -89,10 +89,13 @@ Request parse_request(const JsonValue& obj, const std::string& op) {
   Request request;
   request.graph = obj.at("graph").as_string();
   if (op == "update") {
+    // The single-edge verb is a batch of one.
     request.kind = RequestKind::kUpdate;
-    request.u = as_vertex(obj.at("u"));
-    request.v = as_vertex(obj.at("v"));
-    if (obj.contains("insert")) request.inserting = obj.at("insert").as_bool();
+    EdgeOp edge;
+    edge.u = as_vertex(obj.at("u"));
+    edge.v = as_vertex(obj.at("v"));
+    if (obj.contains("insert")) edge.insert = obj.at("insert").as_bool();
+    request.update.ops.push_back(edge);
     return request;
   }
   if (op == "batch_update") {
@@ -124,10 +127,10 @@ Request parse_request(const JsonValue& obj, const std::string& op) {
 JsonValue render_response(const Request& request, const Response& response,
                           bool timing) {
   JsonValue out;
-  out["ok"] = JsonValue(response.ok);
+  out["ok"] = JsonValue(response.status.ok());
   out["graph"] = JsonValue(request.graph);
-  if (!response.ok) {
-    out["error"] = JsonValue(response.error);
+  if (!response.status.ok()) {
+    out["error"] = JsonValue(response.status.message);
     return out;
   }
   switch (response.kind) {
@@ -231,7 +234,7 @@ JsonValue handle_batch_file(Service& service, const JsonValue& obj) {
   for (const UpdateRequest& frame : frames) {
     request.update = frame;
     const Response response = service.handle(request);
-    if (!response.ok) return error_line(response.error);
+    if (!response.status.ok()) return error_line(response.status.message);
     total.batch_edges += response.batch.batch_edges;
     total.coalesced_away += response.batch.coalesced_away;
     total.blocks_resolved += response.batch.blocks_resolved;

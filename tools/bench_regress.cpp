@@ -219,8 +219,9 @@ JsonValue run_service_workload(std::uint64_t seed, int clients,
           const auto snap = service.snapshot(request.graph);
           const Vertex n = snap == nullptr ? 0 : snap->num_vertices();
           if (n < 2) continue;
-          request.u = static_cast<Vertex>(rng() % n);
-          request.v = static_cast<Vertex>(rng() % n);
+          const auto u = static_cast<Vertex>(rng() % n);
+          const auto v = static_cast<Vertex>(rng() % n);
+          request.update.ops.push_back(EdgeOp{u, v});
           // Duplicate inserts / self-loops come back as error responses;
           // they still exercise the queue and are counted as requests.
         }
@@ -312,7 +313,7 @@ JsonValue run_service_parallel_workload(std::uint64_t seed, int clients,
         request.options.algorithm = algos[a].algorithm;
         Timer solve_timer;
         const Response r = service.submit(std::move(request)).get();
-        if (!r.ok) {
+        if (!r.status.ok()) {
           failed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -392,8 +393,8 @@ JsonValue run_updates_workload(std::uint64_t seed, int updates, double scale) {
       if (u >= v) continue;
       // Non-AP endpoints guarantee the re-insert also classifies
       // kLocalInsert, so the alternating trajectory never goes structural.
-      if (queries.classify_update(u, v, /*inserting=*/false) ==
-              UpdateLocality::kLocalDelete &&
+      if (!queries.classify_batch({EdgeOp{u, v, /*insert=*/false}})
+               .structural &&
           !queries.bcc().is_articulation[u] &&
           !queries.bcc().is_articulation[v]) {
         candidates.push_back(Edge{u, v});
@@ -419,11 +420,7 @@ JsonValue run_updates_workload(std::uint64_t seed, int updates, double scale) {
   for (int i = 0; i < updates; ++i) {
     const Edge e =
         candidates[static_cast<std::size_t>(i / 2) % candidates.size()];
-    if (i % 2 == 0) {
-      engine.remove_edge(e.src, e.dst);
-    } else {
-      engine.insert_edge(e.src, e.dst);
-    }
+    engine.apply_batch(UpdateRequest{{EdgeOp{e.src, e.dst, i % 2 != 0}}});
   }
   const double local_elapsed = local_timer.seconds();
   const std::uint64_t decompositions =
@@ -495,7 +492,7 @@ JsonValue run_updates_workload(std::uint64_t seed, int updates, double scale) {
 
 /// --workload stream: sustained batched-ingest throughput of
 /// IncrementalBc::apply_batch vs replaying the same ops one edge at a time
-/// through the per-edge localized path. The trajectory alternates a batch
+/// as one-op batches. The trajectory alternates a batch
 /// of `batch_size` vertex-disjoint non-AP chord deletions inside ONE
 /// clique of a caveman graph with the batch re-inserting them, round-robin
 /// over the cliques, so every batch classifies local and lands in a single
@@ -537,8 +534,8 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
             queries.bcc().is_articulation[v]) {
           continue;
         }
-        if (queries.classify_update(u, v, /*inserting=*/false) !=
-            UpdateLocality::kLocalDelete) {
+        if (queries.classify_batch({EdgeOp{u, v, /*insert=*/false}})
+                .structural) {
           continue;
         }
         const Vertex block = queries.common_block(u, v);
@@ -641,9 +638,9 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
     }
   }
 
-  // Per-edge replay baseline: the same trajectory prefix through the
-  // per-edge localized path, one remove_edge/insert_edge per op (capped —
-  // it is the slow side by design).
+  // Per-edge replay baseline: the same trajectory prefix with every op
+  // applied as its own one-op batch (capped — it is the slow side by
+  // design).
   const std::size_t replay_batches =
       std::min<std::size_t>(trajectory.size(), 24);
   IncrementalBc per_edge(graph, opts);
@@ -651,11 +648,7 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
   Timer replay_timer;
   for (std::size_t b = 0; b < replay_batches; ++b) {
     for (const EdgeOp& op : trajectory[b].ops) {
-      if (op.insert) {
-        per_edge.insert_edge(op.u, op.v);
-      } else {
-        per_edge.remove_edge(op.u, op.v);
-      }
+      per_edge.apply_batch(UpdateRequest{{op}});
       ++replay_ops;
     }
   }
