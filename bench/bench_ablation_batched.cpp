@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bc/algebraic.hpp"
-#include "bc/apgre.hpp"
+#include "bc/bc.hpp"
 #include "bc/brandes.hpp"
 #include "bench_util.hpp"
 
@@ -27,7 +27,7 @@ int main() {
     const double batched_s = batched_timer.seconds();
 
     Timer apgre_timer;
-    const auto fast = apgre_bc(g);
+    const auto fast = betweenness(g).scores;
     const double apgre_s = apgre_timer.seconds();
     (void)serial;
     (void)batched;

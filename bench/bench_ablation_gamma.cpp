@@ -3,7 +3,7 @@
 // large share of their speedup without it; road graphs barely change.
 #include <cstdio>
 
-#include "bc/apgre.hpp"
+#include "bc/bc.hpp"
 #include "bench_util.hpp"
 
 int main() {
@@ -15,14 +15,11 @@ int main() {
   for (const Workload& w : selected_workloads()) {
     const CsrGraph g = w.build();
 
-    ApgreOptions on;
-    ApgreStats stats_on;
-    apgre_bc(g, on, &stats_on);
+    const ApgreStats stats_on = betweenness(g).apgre_stats;
 
-    ApgreOptions off;
-    off.partition.total_redundancy = false;
-    ApgreStats stats_off;
-    apgre_bc(g, off, &stats_off);
+    BcOptions off;
+    off.apgre.partition.total_redundancy = false;
+    const ApgreStats stats_off = betweenness(g, off).apgre_stats;
 
     table.row()
         .cell(static_cast<std::string>(w.id))

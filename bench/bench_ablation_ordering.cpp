@@ -4,7 +4,7 @@
 // Measures serial Brandes and APGRE under each layout.
 #include <cstdio>
 
-#include "bc/apgre.hpp"
+#include "bc/bc.hpp"
 #include "bc/brandes.hpp"
 #include "bench_util.hpp"
 #include "graph/ordering.hpp"
@@ -37,7 +37,7 @@ int main() {
       const auto serial = brandes_bc(ordered.graph);
       const double serial_s = serial_timer.seconds();
       Timer apgre_timer;
-      const auto fast = apgre_bc(ordered.graph);
+      const auto fast = betweenness(ordered.graph).scores;
       const double apgre_s = apgre_timer.seconds();
       (void)serial;
       (void)fast;

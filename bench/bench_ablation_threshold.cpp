@@ -5,7 +5,7 @@
 // runtime on three structurally distinct analogues.
 #include <cstdio>
 
-#include "bc/apgre.hpp"
+#include "bc/bc.hpp"
 #include "bench_util.hpp"
 
 int main() {
@@ -23,10 +23,9 @@ int main() {
     const Workload& w = workloads[pick];
     const CsrGraph g = w.build();
     for (Vertex threshold : thresholds) {
-      ApgreOptions opts;
-      opts.partition.merge_threshold = threshold;
-      ApgreStats stats;
-      apgre_bc(g, opts, &stats);
+      BcOptions opts;
+      opts.apgre.partition.merge_threshold = threshold;
+      const ApgreStats stats = betweenness(g, opts).apgre_stats;
       table.row()
           .cell(w.id)
           .cell(static_cast<std::uint64_t>(threshold))

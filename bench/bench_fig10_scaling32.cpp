@@ -39,9 +39,9 @@ int main() {
     }
   }
   print_table("Figure 10: APGRE self-relative speedup vs worker count", table);
-  std::printf("(%u hardware threads: wider columns oversubscribe; on the"
-              " paper's 32-core machine the top sub-graph's fine-grained level"
-              " parallelism carries the scaling)\n",
+  std::printf("(%u hardware threads: wider columns oversubscribe; the top"
+              " sub-graph's root batches carry the scaling, where the paper's"
+              " 32-core runs used level parallelism inside it)\n",
               std::thread::hardware_concurrency());
   return 0;
 }

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bc/dynamic.hpp"
+#include "check/dynamic.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
 #include "support/prng.hpp"

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   Solver solver(graph);
   solver.solve();  // decomposes once
   BcOptions tuned;
-  tuned.scheduler.grain = 8;  // work-stealing scheduler knob sweep
+  tuned.threads = 2;  // a scoring-only change keeps the cache
   const BcResult resolved = solver.solve(tuned);
   std::printf("\nre-solve via Solver: %.3f s scoring "
               "(decomposition cached: %.3f s partitioning)\n",

@@ -6,10 +6,14 @@
 //   2. count alpha/beta for every boundary articulation point (bcc/reach.hpp),
 //   3. run a per-sub-graph Brandes variant that accumulates the four
 //      dependency types (in2in, in2out, out2in, out2out) in one backward
-//      sweep and merges them into global BC scores, with
-//        * coarse-grained parallelism across sub-graphs and
-//        * fine-grained level-synchronous parallelism inside large ones
-//      (the paper's two-level parallelism).
+//      sweep and merges them into global BC scores. Every scoring task runs
+//      that serial kernel on the work-stealing scheduler: one task per
+//      small sub-graph, and root batches of each large one — the batches
+//      stand in for the paper's inner level-synchronous parallelism
+//      (DESIGN.md, substitutions).
+//
+// Solver::solve (bc/bc.hpp) owns the whole pipeline; this header exposes
+// the scoring step and the per-sub-graph kernel.
 //
 // Two deliberate corrections to the paper's pseudocode (validated against
 // Brandes and the naive oracle; see DESIGN.md §2):
@@ -29,18 +33,6 @@ namespace apgre {
 
 struct ApgreOptions {
   PartitionOptions partition;
-  /// Sub-graphs holding at least this fraction of all arcs are "large":
-  /// they split into root batches, or, with too few roots to split, run the
-  /// fine-grained (level-synchronous) kernel. The rest are one serial task
-  /// each.
-  double fine_grain_fraction = 0.125;
-  /// Sub-graphs with fewer arcs than this never use inner parallelism.
-  EdgeId fine_grain_min_arcs = 1u << 14;
-  /// Use a direction-optimising (Beamer-style top-down/bottom-up) forward
-  /// phase inside the fine-grained kernel — the composition of the paper's
-  /// decomposition with the `hybrid` baseline's BFS. Exactness is
-  /// unaffected; pays off on low-diameter sub-graphs with fat frontiers.
-  bool hybrid_inner = false;
 };
 
 /// Phase breakdown and decomposition summary (paper Figure 8 / Table 4).
@@ -53,11 +45,10 @@ struct ApgreStats {
   double peel_seconds = 0.0;
   Vertex peeled_vertices = 0;
   double core_fraction = 1.0;
-  /// BC of the dedicated sub-graphs, too large to root-split, that ran the
-  /// fine-grained level-synchronous kernel (summed task time).
+  /// Always 0: it timed the level-synchronous kernel, which root-batch
+  /// tasks replaced. Kept because the benchmark ledger still reads it.
   double top_bc_seconds = 0.0;
-  /// Wall time of the work-stealing run over every scoring task (the
-  /// dedicated sub-graphs run inside it too).
+  /// Wall time of the work-stealing run over every scoring task.
   double rest_bc_seconds = 0.0;
   double total_seconds = 0.0;
 
@@ -70,13 +61,10 @@ struct ApgreStats {
   double partial_redundancy = 0.0;
   double total_redundancy = 0.0;
 
-  /// Two-level scheduler breakdown. The adaptive kernel choice
-  /// (SchedulerOptions::adaptive_kernel) is recorded here:
-  /// `num_fine_subgraphs` ran whole as dedicated tasks with the
-  /// fine-grained level-synchronous kernel (nested parallel_for),
-  /// `num_batch_tasks` + `num_subgraph_tasks` ran the serial kernel on
-  /// scheduler workers.
-  std::size_t num_fine_subgraphs = 0;  ///< dedicated level-synchronous runs
+  /// Scoring-task breakdown: every task runs the serial kernel on a
+  /// scheduler worker. `num_fine_subgraphs` is always 0, for the same
+  /// reason as top_bc_seconds.
+  std::size_t num_fine_subgraphs = 0;
   std::size_t num_batch_tasks = 0;     ///< root-batch tasks of split sub-graphs
   std::size_t num_subgraph_tasks = 0;  ///< whole-sub-graph serial tasks
   std::uint64_t sched_tasks = 0;       ///< tasks executed by the scheduler
@@ -84,49 +72,29 @@ struct ApgreStats {
   double sched_idle_seconds = 0.0;     ///< summed worker idle time
 };
 
-/// Full APGRE run: decomposition + reach counting + scoring, on the
-/// scheduler select_scheduler(sched) picks.
-std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts = {},
-                             ApgreStats* stats = nullptr,
-                             const SchedulerOptions& sched = {});
-
-/// The same on a scheduler the caller already resolved; `sched` still
-/// supplies the grain and adaptive-kernel knobs.
-std::vector<double> apgre_bc(const CsrGraph& g, const ApgreOptions& opts,
-                             ApgreStats* stats, const SchedulerOptions& sched,
-                             WorkStealingScheduler& scheduler);
-
 /// Scoring only, on a caller-supplied decomposition whose alpha/beta reach
 /// counts are already filled in (compute_reach_counts). This is the Solver
-/// fast path (bc/bc.hpp): decompose once, score many times. When `stats` is
-/// non-null its partition_seconds / reach_seconds are kept as-is (the
-/// caller reports what *it* spent — zero on a cache hit) and every other
-/// field is overwritten; total_seconds covers partition + reach + scoring.
+/// fast path (bc/bc.hpp): decompose once, score many times; the full
+/// pipeline is betweenness(g, {.apgre = opts}), whose
+/// BcResult::apgre_stats carries the phase breakdown. Scoring reads no
+/// field of `opts`. When `stats` is non-null its partition_seconds /
+/// reach_seconds are kept as-is (the caller reports what *it* spent — zero
+/// on a cache hit) and every other field is overwritten; total_seconds
+/// covers partition + reach + scoring.
 std::vector<double> apgre_bc_with_decomposition(
     const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts = {},
     ApgreStats* stats = nullptr, const SchedulerOptions& sched = {});
 
 /// Scoring on a scheduler the caller already resolved (select_scheduler):
 /// the Solver picks one per solve and hands it to the reach pass and here.
-std::vector<double> apgre_bc_with_decomposition(
-    const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts,
-    ApgreStats* stats, const SchedulerOptions& sched,
-    WorkStealingScheduler& scheduler);
+std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
+                                                const Decomposition& dec,
+                                                ApgreStats* stats,
+                                                WorkStealingScheduler& scheduler);
 
 /// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG),
-/// with the serial kernel. The contribution store re-scores blocks with it
-/// (deterministic accumulation order); tests use it as the oracle for the
-/// fine-grained kernel below.
+/// with the serial kernel every scoring task runs. The contribution store
+/// re-scores blocks with it (deterministic accumulation order).
 std::vector<double> apgre_subgraph_bc(const Subgraph& sg);
-
-/// Sub-graph BC with the fine-grained level-synchronous kernel: the
-/// per-level loops run as WorkStealingScheduler::parallel_for calls, so
-/// concurrent invocations from different threads are safe. `hybrid_inner`
-/// enables the direction-optimising forward phase. The scheduler comes
-/// from select_scheduler(sched). Exposed for the differential tests
-/// against the serial kernel.
-std::vector<double> apgre_subgraph_bc_scheduled(const Subgraph& sg,
-                                                bool hybrid_inner = false,
-                                                const SchedulerOptions& sched = {});
 
 }  // namespace apgre

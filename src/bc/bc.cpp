@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "bc/algebraic.hpp"
 #include "bc/brandes.hpp"
@@ -56,9 +57,13 @@ std::vector<double> run_hybrid(const CsrGraph& g, const BcOptions&,
                                WorkStealingScheduler& sched, BcResult&) {
   return hybrid_bc(g, sched);
 }
+// Solver::solve runs kApgre itself, on its cached decomposition, and never
+// reaches this row's kernel; it delegates there for any direct caller.
 std::vector<double> run_apgre(const CsrGraph& g, const BcOptions& opts,
-                              WorkStealingScheduler& sched, BcResult& result) {
-  return apgre_bc(g, opts.apgre, &result.apgre_stats, opts.scheduler, sched);
+                              WorkStealingScheduler&, BcResult& result) {
+  BcResult solved = Solver(g).solve(opts);
+  result.apgre_stats = solved.apgre_stats;
+  return std::move(solved.scores);
 }
 std::vector<double> run_algebraic(const CsrGraph& g, const BcOptions&,
                                   WorkStealingScheduler&, BcResult&) {
@@ -160,24 +165,9 @@ Status validate_options(const BcOptions& opts) {
     return Status::invalid_option("threads must be >= 0, got " +
                                   std::to_string(opts.threads));
   }
-  const ApgreOptions& a = opts.apgre;
-  if (!(a.fine_grain_fraction >= 0.0 && a.fine_grain_fraction <= 1.0)) {
-    return Status::invalid_option(
-        "apgre.fine_grain_fraction must be in [0, 1], got " +
-        std::to_string(a.fine_grain_fraction));
-  }
-  const SchedulerOptions& s = opts.scheduler;
-  if (s.threads < 0) {
+  if (opts.scheduler.threads < 0) {
     return Status::invalid_option("scheduler.threads must be >= 0, got " +
-                                  std::to_string(s.threads));
-  }
-  if (s.grain < 0) {
-    return Status::invalid_option("scheduler.grain must be >= 0, got " +
-                                  std::to_string(s.grain));
-  }
-  if (s.steal_policy != StealPolicy::kRandom &&
-      s.steal_policy != StealPolicy::kSequential) {
-    return Status::invalid_option("scheduler.steal_policy is not a known policy");
+                                  std::to_string(opts.scheduler.threads));
   }
   return Status::Ok();
 }
@@ -255,8 +245,8 @@ BcResult Solver::solve(const BcOptions& opts) {
       stats.num_subgraphs = dec_->subgraphs.size();
     } else {
       const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      result.scores = apgre_bc_with_decomposition(
-          base, *dec_, opts.apgre, &stats, opts.scheduler, scheduler);
+      result.scores =
+          apgre_bc_with_decomposition(base, *dec_, &stats, scheduler);
       if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
     }
     result.apgre_stats = stats;

@@ -102,11 +102,10 @@ struct BcOptions {
   int threads = 0;
   /// Halve the scores of symmetric graphs (conventional undirected BC).
   bool undirected_halving = false;
-  /// APGRE tuning (ignored by other algorithms).
+  /// APGRE decomposition options (ignored by other algorithms).
   ApgreOptions apgre;
-  /// Work-stealing scheduler knobs (support/sched/scheduler.hpp). The
-  /// worker count applies to every parallel kernel; grain, steal policy
-  /// and the adaptive kernel choice tune APGRE's scoring phase.
+  /// The solve's scheduler (support/sched/scheduler.hpp); its worker count
+  /// applies to every parallel kernel.
   SchedulerOptions scheduler;
   /// kSampling: number of sampled sources (0 = sqrt(|V|)) and seed.
   Vertex num_samples = 0;

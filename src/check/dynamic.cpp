@@ -1,4 +1,4 @@
-#include "bc/dynamic.hpp"
+#include "check/dynamic.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -11,8 +11,10 @@
 // Cost per update: 2 BFS + O(|affected| * |E|), against O(|V||E|) from
 // scratch — on real graphs most sources are unaffected.
 //
-// This addresses the dynamic-graph setting the paper leaves open (its
-// evaluation is static); it reuses the same Brandes kernel, so scores stay
+// It does not go through the block-local update path (bc/incremental.hpp,
+// Solver::apply_local_batch), which is why it lives here: the dynamic
+// oracle (check/oracle.hpp) replays update trajectories through it as an
+// independent reference. It reuses the Brandes kernel, so scores stay
 // bit-consistent with the static algorithms up to FP accumulation order.
 #pragma once
 

@@ -385,7 +385,7 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
   }
 
   const double phases[] = {stats.partition_seconds, stats.reach_seconds,
-                           stats.top_bc_seconds, stats.rest_bc_seconds};
+                           stats.rest_bc_seconds};
   double phase_sum = 0.0;
   for (double phase : phases) {
     if (phase < 0.0) violation(violations, "negative phase time ", phase);

@@ -6,9 +6,9 @@
 #include <unordered_set>
 #include <utility>
 
-#include "bc/dynamic.hpp"
 #include "bc/incremental.hpp"
 #include "bc/weighted.hpp"
+#include "check/dynamic.hpp"
 #include "support/error.hpp"
 
 namespace apgre {

@@ -16,21 +16,6 @@
 
 namespace apgre {
 
-StealPolicy steal_policy_from_name(const std::string& name) {
-  if (name == "random") return StealPolicy::kRandom;
-  if (name == "sequential") return StealPolicy::kSequential;
-  throw OptionError("unknown steal policy: " + name +
-                    " (expected random | sequential)");
-}
-
-std::string steal_policy_name(StealPolicy policy) {
-  switch (policy) {
-    case StealPolicy::kRandom: return "random";
-    case StealPolicy::kSequential: return "sequential";
-  }
-  return "?";
-}
-
 namespace sched_detail {
 
 /// Join counter for one run() or parallel_for(): `pending` counts published
@@ -139,8 +124,7 @@ struct WorkStealingScheduler::State {
   Counter* failed_steals = nullptr;
 };
 
-WorkStealingScheduler::WorkStealingScheduler(const SchedulerOptions& opts)
-    : opts_(opts) {
+WorkStealingScheduler::WorkStealingScheduler(const SchedulerOptions& opts) {
   workers_ = opts.threads > 0
                  ? opts.threads
                  : static_cast<int>(std::thread::hardware_concurrency());
@@ -187,14 +171,9 @@ WorkStealingScheduler& select_scheduler(
     const SchedulerOptions& opts, std::optional<WorkStealingScheduler>& storage,
     int fallback_threads) {
   WorkStealingScheduler& shared = WorkStealingScheduler::shared();
-  SchedulerOptions resolved;
-  resolved.threads = opts.threads > 0 ? opts.threads : fallback_threads;
-  resolved.steal_policy = opts.steal_policy;
-  if ((resolved.threads <= 0 || resolved.threads == shared.num_workers()) &&
-      resolved.steal_policy == StealPolicy::kRandom) {
-    return shared;
-  }
-  storage.emplace(resolved);
+  const int threads = opts.threads > 0 ? opts.threads : fallback_threads;
+  if (threads <= 0 || threads == shared.num_workers()) return shared;
+  storage.emplace(SchedulerOptions{.threads = threads});
   return *storage;
 }
 
@@ -250,13 +229,8 @@ bool WorkStealingScheduler::try_steal(int thief_slot, std::uint64_t& rng,
   State& st = *state_;
   const int n = num_slots_;
   for (int attempt = 0; attempt < n; ++attempt) {
-    int victim;
-    if (opts_.steal_policy == StealPolicy::kRandom) {
-      victim = static_cast<int>(sched_detail::xorshift(rng) %
-                                static_cast<std::uint64_t>(n));
-    } else {
-      victim = (thief_slot + 1 + attempt) % n;
-    }
+    const int victim = static_cast<int>(sched_detail::xorshift(rng) %
+                                        static_cast<std::uint64_t>(n));
     if (victim == thief_slot) continue;
     if (st.slots[static_cast<std::size_t>(victim)]->deque.steal(out)) {
       return true;

@@ -1,13 +1,14 @@
 // Reentrant two-level work-stealing task scheduler.
 //
 // The paper's headline speedup needs *two-level* parallelism: coarse tasks
-// per (sub-graph, root-batch) pair plus fine parallelism inside the largest
-// sub-graphs. A flat parallel loop over sub-graphs serializes on skewed
-// decompositions (one giant biconnected component plus thousands of tiny
-// ones — the norm, per the paper's Figure 2). This scheduler fixes the skew:
-// every worker owns a Chase-Lev deque (sched/chase_lev.hpp); an idle worker
-// steals the oldest task from a victim chosen by `steal_policy`. Tasks may
-// spawn subtasks onto their own deque, which thieves then relieve.
+// per sub-graph plus parallelism inside the largest sub-graphs, which APGRE
+// gets by splitting them into root batches. A flat parallel loop over
+// sub-graphs serializes on skewed decompositions (one giant biconnected
+// component plus thousands of tiny ones — the norm, per the paper's
+// Figure 2). This scheduler fixes the skew: every worker owns a Chase-Lev
+// deque (sched/chase_lev.hpp); an idle worker steals the oldest task from a
+// uniformly random victim (classic Cilk). Tasks may spawn subtasks onto
+// their own deque, which thieves then relieve.
 //
 // Reentrancy. run() and parallel_for() are join-counted: each call owns a
 // private completion group, so any number of caller threads can drive the
@@ -43,7 +44,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace apgre {
@@ -54,30 +54,10 @@ struct TaskNode;   // heap task: body + owning group (+ loop keepalive)
 struct TlsContext; // per-thread {scheduler, slot, group, nesting} record
 }  // namespace sched_detail
 
-/// Victim selection for idle workers.
-enum class StealPolicy {
-  kRandom,      ///< uniformly random victim per attempt (classic Cilk)
-  kSequential,  ///< round-robin sweep starting after the thief's own id
-};
-
-/// Parse / print steal-policy names ("random", "sequential").
-StealPolicy steal_policy_from_name(const std::string& name);
-std::string steal_policy_name(StealPolicy policy);
-
 struct SchedulerOptions {
   /// Worker count; 0 defers to BcOptions::threads, and when that is 0 too
   /// to the shared pool sized to the hardware (select_scheduler).
   int threads = 0;
-  /// Roots per fine-grained (sub-graph, root-batch) task when a large
-  /// sub-graph is split; 0 picks roots / (4 * workers), at least 1.
-  int grain = 0;
-  StealPolicy steal_policy = StealPolicy::kRandom;
-  /// Choose the per-sub-graph kernel adaptively (bc/apgre.cpp): large
-  /// sub-graphs with too few roots to split become dedicated tasks running
-  /// the scheduler-native level-synchronous kernel (nested parallel_for);
-  /// everything else becomes root-batch tasks running the serial kernel.
-  /// When false, every sub-graph is root-batch-scheduled.
-  bool adaptive_kernel = true;
 };
 
 /// One run()'s outcome (also mirrored into the metrics registry). Steals
@@ -112,7 +92,6 @@ class WorkStealingScheduler {
   /// pool workers plus external participant slots. Size per-slot buffers
   /// with this, never with num_workers().
   int num_slots() const { return num_slots_; }
-  const SchedulerOptions& options() const { return opts_; }
 
   /// Execute every task (and everything they spawn) to completion and
   /// return the group's stats. The calling thread participates. Reentrant:
@@ -137,9 +116,9 @@ class WorkStealingScheduler {
                     const LoopBody& body);
 
   /// Process-wide scheduler sized to the machine, shared by every caller
-  /// with default pool options (threads == 0, random stealing); reentrancy
-  /// makes the sharing safe, and a shared pool keeps N concurrent solves
-  /// from oversubscribing the cores with N private pools.
+  /// that pins no other worker count; reentrancy makes the sharing safe,
+  /// and a shared pool keeps N concurrent solves from oversubscribing the
+  /// cores with N private pools.
   static WorkStealingScheduler& shared();
 
  private:
@@ -156,7 +135,6 @@ class WorkStealingScheduler {
   void release_participant_slot(int slot);
   SchedulerStats run_inline(std::vector<Task> tasks);
 
-  SchedulerOptions opts_;
   int workers_ = 1;
   int num_slots_ = 1;
   std::unique_ptr<State> state_;
@@ -165,10 +143,10 @@ class WorkStealingScheduler {
 /// The one place a scheduler is chosen for a solve. The worker count is
 /// `opts.threads` if positive, else `fallback_threads` if positive (the
 /// caller's BcOptions::threads). With no count pinned, or the shared()
-/// pool's own count, and random stealing, the shared pool serves, so
-/// concurrent solves arbitrate the same cores instead of oversubscribing
-/// with private pools. Anything else gets a private scheduler built in
-/// `storage`, which must outlive the returned reference.
+/// pool's own count, the shared pool serves, so concurrent solves
+/// arbitrate the same cores instead of oversubscribing with private pools.
+/// Anything else gets a private scheduler built in `storage`, which must
+/// outlive the returned reference.
 WorkStealingScheduler& select_scheduler(
     const SchedulerOptions& opts, std::optional<WorkStealingScheduler>& storage,
     int fallback_threads = 0);

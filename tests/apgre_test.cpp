@@ -3,7 +3,7 @@
 // 1-3 claim, and the property these sweeps exercise.
 #include <gtest/gtest.h>
 
-#include "bc/apgre.hpp"
+#include "bc/bc.hpp"
 #include "bc/brandes.hpp"
 #include "bc/naive.hpp"
 #include "graph/generators.hpp"
@@ -13,16 +13,24 @@
 namespace apgre {
 namespace {
 
-void expect_apgre_matches_brandes(const CsrGraph& g, const ApgreOptions& opts = {},
-                                  const SchedulerOptions& sched = {}) {
-  testing::expect_scores_near(brandes_bc(g), apgre_bc(g, opts, nullptr, sched));
-}
-
 /// A private multi-worker pool, even on 1-core machines.
 SchedulerOptions workers(int threads) {
   SchedulerOptions sched;
   sched.threads = threads;
   return sched;
+}
+
+BcResult solve(const CsrGraph& g, const ApgreOptions& opts = {},
+               const SchedulerOptions& sched = {}) {
+  return betweenness(g, {.apgre = opts, .scheduler = sched});
+}
+
+std::vector<double> apgre_scores(const CsrGraph& g, const ApgreOptions& opts = {}) {
+  return solve(g, opts).scores;
+}
+
+void expect_apgre_matches_brandes(const CsrGraph& g, const ApgreOptions& opts = {}) {
+  testing::expect_scores_near(brandes_bc(g), apgre_scores(g, opts));
 }
 
 TEST(ApgreBc, Shapes) {
@@ -35,8 +43,8 @@ TEST(ApgreBc, Shapes) {
 }
 
 TEST(ApgreBc, TrivialGraphs) {
-  EXPECT_TRUE(apgre_bc(CsrGraph::from_edges(0, {}, false)).empty());
-  const auto single = apgre_bc(CsrGraph::from_edges(1, {}, false));
+  EXPECT_TRUE(apgre_scores(CsrGraph::from_edges(0, {}, false)).empty());
+  const auto single = apgre_scores(CsrGraph::from_edges(1, {}, false));
   ASSERT_EQ(single.size(), 1u);
   EXPECT_DOUBLE_EQ(single[0], 0.0);
   expect_apgre_matches_brandes(path(2));  // K2: one pendant, one root
@@ -45,11 +53,11 @@ TEST(ApgreBc, TrivialGraphs) {
 
 TEST(ApgreBc, PaperFigure3ExactScores) {
   const CsrGraph g = paper_figure3();
-  testing::expect_scores_near(naive_bc(g), apgre_bc(g));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g));
   // Decomposition-sensitive: also check with the three blocks kept apart.
   ApgreOptions opts;
   opts.partition.merge_threshold = 3;
-  testing::expect_scores_near(naive_bc(g), apgre_bc(g, opts));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
 }
 
 TEST(ApgreBc, DisconnectedComponents) {
@@ -73,7 +81,7 @@ TEST(ApgreBc, PendantOnBoundaryArticulationPoint) {
       8, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}, {2, 7}});
   ApgreOptions opts;
   opts.partition.merge_threshold = 2;  // keep the triangles in separate sub-graphs
-  testing::expect_scores_near(naive_bc(g), apgre_bc(g, opts));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
 }
 
 TEST(ApgreBc, DirectedPendantsIntoArticulationPoint) {
@@ -84,7 +92,7 @@ TEST(ApgreBc, DirectedPendantsIntoArticulationPoint) {
   const CsrGraph g = CsrGraph::from_edges(7, edges, true);
   ApgreOptions opts;
   opts.partition.merge_threshold = 2;
-  testing::expect_scores_near(naive_bc(g), apgre_bc(g, opts));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
 }
 
 TEST(ApgreBc, SubgraphKernelMatchesWholeGraphOnBiconnected) {
@@ -93,54 +101,24 @@ TEST(ApgreBc, SubgraphKernelMatchesWholeGraphOnBiconnected) {
   const CsrGraph g = cycle(12);
   const Decomposition dec = decompose(g);
   ASSERT_EQ(dec.subgraphs.size(), 1u);
-  const auto serial = apgre_subgraph_bc(dec.subgraphs[0]);
-  const auto parallel = apgre_subgraph_bc_scheduled(
-      dec.subgraphs[0], /*hybrid_inner=*/false, workers(4));
-  testing::expect_scores_near(brandes_bc(g), serial);
-  testing::expect_scores_near(serial, parallel);
+  testing::expect_scores_near(brandes_bc(g), apgre_subgraph_bc(dec.subgraphs[0]));
 }
 
-TEST(ApgreBc, SerialAndParallelKernelsAgree) {
-  const CsrGraph g = attach_pendants(barabasi_albert(150, 2, 4), 50, 5);
-  const Decomposition dec = decompose(g);
-  for (const Subgraph& sg : dec.subgraphs) {
-    testing::expect_scores_near(
-        apgre_subgraph_bc(sg),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/false, workers(2)));
-  }
-}
-
-// Differential check for the scheduler-native level-synchronous kernel
-// (the one the dedicated large-sub-graph tasks dispatch): it must match the
-// serial oracle kernel on every sub-graph, with and without the
-// direction-optimising forward phase, on a real multi-worker scheduler.
-TEST(ApgreBc, ScheduledKernelMatchesSerialOracle) {
-  const CsrGraph g = attach_pendants(barabasi_albert(200, 3, 11), 50, 12);
-  const Decomposition dec = decompose(g);
-  for (const Subgraph& sg : dec.subgraphs) {
-    testing::expect_scores_near(
-        apgre_subgraph_bc(sg),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/false, workers(4)));
-    testing::expect_scores_near(
-        apgre_subgraph_bc(sg),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/true, workers(4)));
-  }
-}
-
-// Full APGRE with every sub-graph forced onto the dedicated scheduler-native
-// path (cutoffs zeroed, multi-worker pool) stays exact against Brandes.
-TEST(ApgreBc, ForcedScheduledKernelPathStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  const CsrGraph g = attach_pendants(caveman(5, 6, 9), 15, 2);
-  expect_apgre_matches_brandes(g, opts, workers(4));
+// The top block clears the default large-sub-graph cutoff, so on a
+// multi-worker pool it splits into root-batch tasks and stays exact.
+TEST(ApgreBc, LargeBlockSplitsIntoRootBatches) {
+  const CsrGraph g = testing::large_block_graph();
+  const BcResult r = solve(g, {}, workers(4));
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_GT(r.apgre_stats.num_batch_tasks, 0u);
+  EXPECT_GT(r.apgre_stats.num_subgraph_tasks, 0u);
+  EXPECT_EQ(r.apgre_stats.num_fine_subgraphs, 0u);
+  testing::expect_scores_near(brandes_bc(g), r.scores);
 }
 
 TEST(ApgreBc, StatsAreFilled) {
   const CsrGraph g = attach_pendants(caveman(6, 8, 3), 20, 4);
-  ApgreStats stats;
-  apgre_bc(g, {}, &stats);
+  const ApgreStats stats = betweenness(g).apgre_stats;
   EXPECT_GT(stats.num_subgraphs, 0u);
   EXPECT_GT(stats.num_articulation_points, 0u);
   EXPECT_EQ(stats.num_pendants_removed, 20u);
@@ -151,36 +129,13 @@ TEST(ApgreBc, StatsAreFilled) {
   EXPECT_GT(stats.total_redundancy, 0.0);
 }
 
+// One worker still splits the top block, into about four root batches
+// run inline in order.
 TEST(ApgreBc, ForcedFineGrainedPathStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;  // every sub-graph takes the parallel kernel
-  const CsrGraph g = attach_pendants(caveman(5, 6, 9), 15, 2);
-  expect_apgre_matches_brandes(g, opts);
-}
-
-TEST(ApgreBc, HybridInnerKernelStillExact) {
-  // Direction-optimising forward phase inside the fine-grained kernel.
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  opts.hybrid_inner = true;
-  for (const auto& gc : testing::graph_family(63, /*tiny=*/true)) {
-    SCOPED_TRACE(gc.name);
-    // Two workers engage the fine-grained kernel.
-    expect_apgre_matches_brandes(gc.graph, opts, workers(2));
-  }
-}
-
-TEST(ApgreBc, HybridSubgraphKernelMatchesSerial) {
-  // Dense sub-graphs trip the bottom-up thresholds; both kernels agree.
-  const CsrGraph g = attach_pendants(barabasi_albert(300, 6, 5), 60, 6);
-  const Decomposition dec = decompose(g);
-  for (const Subgraph& sg : dec.subgraphs) {
-    testing::expect_scores_near(
-        apgre_subgraph_bc(sg),
-        apgre_subgraph_bc_scheduled(sg, /*hybrid_inner=*/true, workers(2)));
-  }
+  const CsrGraph g = testing::large_block_graph();
+  const BcResult r = solve(g, {}, workers(1));
+  EXPECT_GE(r.apgre_stats.num_batch_tasks, 4u);
+  testing::expect_scores_near(brandes_bc(g), r.scores);
 }
 
 TEST(ApgreBc, GammaDisabledStillExact) {
@@ -190,12 +145,13 @@ TEST(ApgreBc, GammaDisabledStillExact) {
   expect_apgre_matches_brandes(g, opts);
 }
 
+// More workers than cores: small root batches of the top block interleave
+// with the small-block tasks.
 TEST(ApgreBc, OversubscribedThreadsStillExact) {
-  ApgreOptions opts;
-  opts.fine_grain_min_arcs = 0;
-  opts.fine_grain_fraction = 0.0;
-  const CsrGraph g = testing::graph_family(31, /*tiny=*/false)[5].graph;
-  expect_apgre_matches_brandes(g, opts, workers(4));
+  const CsrGraph g = testing::large_block_graph();
+  const BcResult r = solve(g, {}, workers(16));
+  EXPECT_GT(r.apgre_stats.num_batch_tasks, 0u);
+  testing::expect_scores_near(brandes_bc(g), r.scores);
 }
 
 // ---- Property sweeps ------------------------------------------------------

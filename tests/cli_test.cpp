@@ -163,20 +163,13 @@ TEST_F(CliTest, MissingInputFileFails) {
 TEST_F(CliTest, InvalidOptionsExitThree) {
   // Parses fine, rejected by validate_options: the Status exit code (3),
   // distinct from usage errors (2) and runtime failures (1).
-  const CommandResult r = run_cli("--grain -1 " + snap_path_);
+  const CommandResult r = run_cli("--threads -1 " + snap_path_);
   EXPECT_EQ(r.exit_code, 3);
   EXPECT_NE(r.output.find("invalid options"), std::string::npos);
 }
 
-TEST_F(CliTest, BadStealPolicyFails) {
-  const CommandResult r = run_cli("--steal-policy bogus " + snap_path_);
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("steal policy"), std::string::npos);
-}
-
 TEST_F(CliTest, SchedulerFlagsRoundTrip) {
-  const CommandResult on = run_cli(
-      "--grain 2 --steal-policy sequential --top 1 " + snap_path_);
+  const CommandResult on = run_cli("--threads 2 --top 1 " + snap_path_);
   EXPECT_EQ(on.exit_code, 0);
   EXPECT_NE(on.output.find("scheduler:"), std::string::npos);
 }

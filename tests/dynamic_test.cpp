@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bc/brandes.hpp"
-#include "bc/dynamic.hpp"
+#include "check/dynamic.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"

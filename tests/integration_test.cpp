@@ -63,8 +63,7 @@ TEST(Integration, LargestComponentThenBc) {
 TEST(Integration, DecompositionStatsMatchStructureAnalysis) {
   const CsrGraph g = attach_pendants(caveman(8, 10, 26), 60, 27);
   const DegreeStats degrees = degree_stats(g);
-  ApgreStats stats;
-  apgre_bc(g, {}, &stats);
+  const ApgreStats stats = betweenness(g).apgre_stats;
   // Every degree-1 vertex is a removable pendant here (no K2 components).
   EXPECT_EQ(stats.num_pendants_removed, degrees.pendant_count);
   EXPECT_GT(stats.num_articulation_points, 0u);

@@ -17,6 +17,7 @@
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
+#include "test_util.hpp"
 
 namespace apgre {
 namespace {
@@ -97,8 +98,8 @@ TEST(ParallelStressTest, BackendsMatchSerialOnCheckCorpus) {
   }
 }
 
-// APGRE's two-level parallelism (coarse outer tasks + fine-grained inner
-// kernel) rides along under the same worker counts.
+// APGRE's two-level parallelism (one task per small sub-graph, root batches
+// of large ones) rides along under the same worker counts.
 TEST(ParallelStressTest, ApgreMatchesSerialUnderForcedConcurrency) {
   for (const AdversarialGraph& ag : adversarial_graphs()) {
     BcOptions serial;
@@ -111,47 +112,32 @@ TEST(ParallelStressTest, ApgreMatchesSerialUnderForcedConcurrency) {
   }
 }
 
-// Work-stealing scheduler stress: a skewed decomposition (one dominant
-// biconnected core plus many tiny satellite blocks, chains and pendants)
-// scored through the two-level scheduler under every combination of
-// worker count, grain and steal policy. TSan sees the Chase-Lev deque,
-// the per-worker buffer merge and the spawn path under real contention.
+// Work-stealing scheduler stress: a skewed decomposition (one block large
+// enough to split into root batches plus many tiny satellite blocks, chains
+// and pendants) scored through the scheduler at every worker count. TSan
+// sees the Chase-Lev deque, the per-slot buffer merge and the batch tasks
+// of the large block under real contention.
 TEST(ParallelStressTest, SchedulerMatchesSerialOnSkewedDecomposition) {
-  CsrGraph g = barabasi_albert(300, 4, 41);
-  g = attach_communities(g, 60, 6, 42);
-  g = attach_chains(g, 30, 3, 43);
-  g = attach_pendants(g, 200, 44);
+  const CsrGraph g = testing::large_block_graph();
 
   BcOptions serial;
   serial.algorithm = Algorithm::kBrandesSerial;
   const std::vector<double> expected = betweenness(g, serial).scores;
 
   for (int threads : thread_counts()) {
-    for (int grain : {0, 1, 8}) {
-      for (StealPolicy policy :
-           {StealPolicy::kRandom, StealPolicy::kSequential}) {
-        BcOptions opts;
-        opts.algorithm = Algorithm::kApgre;
-        opts.threads = threads;
-        opts.scheduler.threads = threads;
-        opts.scheduler.grain = grain;
-        opts.scheduler.steal_policy = policy;
-        // Force everything through the task path so the deques see the
-        // giant core too, not just the satellite tail.
-        opts.scheduler.adaptive_kernel = (grain != 1);
-        const std::string tag = "skewed grain " + std::to_string(grain) +
-                                " policy " + steal_policy_name(policy);
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-          const BcResult r = betweenness(g, opts);
-          ASSERT_TRUE(r.status.ok()) << tag;
-          const ScoreComparison cmp = compare_scores(expected, r.scores);
-          EXPECT_TRUE(cmp.ok)
-              << tag << " threads " << threads << " rep " << rep
-              << ": worst vertex " << cmp.worst_vertex << " expected "
-              << cmp.expected_score << " got " << cmp.actual_score;
-          if (!cmp.ok) return;
-        }
-      }
+    BcOptions opts;
+    opts.algorithm = Algorithm::kApgre;
+    opts.threads = threads;
+    const std::string tag = "skewed threads " + std::to_string(threads);
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      const BcResult r = betweenness(g, opts);
+      ASSERT_TRUE(r.status.ok()) << tag;
+      EXPECT_GT(r.apgre_stats.num_batch_tasks, 0u) << tag;
+      const ScoreComparison cmp = compare_scores(expected, r.scores);
+      EXPECT_TRUE(cmp.ok)
+          << tag << " rep " << rep << ": worst vertex " << cmp.worst_vertex
+          << " expected " << cmp.expected_score << " got " << cmp.actual_score;
+      if (!cmp.ok) return;
     }
   }
 }

@@ -123,14 +123,6 @@ TEST(ChaseLevDeque, ConcurrentStealsConsumeEachElementOnce) {
   EXPECT_TRUE(d.empty());
 }
 
-TEST(StealPolicy, NamesRoundTrip) {
-  EXPECT_EQ(steal_policy_from_name("random"), StealPolicy::kRandom);
-  EXPECT_EQ(steal_policy_from_name("sequential"), StealPolicy::kSequential);
-  EXPECT_EQ(steal_policy_name(StealPolicy::kRandom), "random");
-  EXPECT_EQ(steal_policy_name(StealPolicy::kSequential), "sequential");
-  EXPECT_THROW(steal_policy_from_name("bogus"), OptionError);
-}
-
 TEST(WorkStealingScheduler, RunsEveryTaskExactlyOnce) {
   for (int workers : {1, 2, 4}) {
     SchedulerOptions opts;
@@ -176,27 +168,24 @@ TEST(WorkStealingScheduler, SpawnedSubtasksComplete) {
   EXPECT_EQ(stats.tasks, 4u + 4u * 8u);
 }
 
-TEST(WorkStealingScheduler, BothStealPoliciesDrainSkewedLoad) {
-  for (StealPolicy policy : {StealPolicy::kRandom, StealPolicy::kSequential}) {
-    SchedulerOptions opts;
-    opts.threads = 4;
-    opts.steal_policy = policy;
-    WorkStealingScheduler sched(opts);
-    std::atomic<long long> sum{0};
-    std::vector<WorkStealingScheduler::Task> tasks;
-    // Skew: one heavy task plus many light ones, so idle workers must steal.
-    for (int i = 1; i <= 200; ++i) {
-      tasks.push_back([&sum, i](int) {
-        long long local = 0;
-        const int spins = (i == 1) ? 200000 : 100;
-        for (int j = 0; j < spins; ++j) local += j % 7;
-        sum.fetch_add(i + local * 0, std::memory_order_relaxed);
-      });
-    }
-    const SchedulerStats stats = sched.run(std::move(tasks));
-    EXPECT_EQ(sum.load(), 200LL * 201 / 2) << steal_policy_name(policy);
-    EXPECT_EQ(stats.tasks, 200u);
+TEST(WorkStealingScheduler, StealingDrainsSkewedLoad) {
+  SchedulerOptions opts;
+  opts.threads = 4;
+  WorkStealingScheduler sched(opts);
+  std::atomic<long long> sum{0};
+  std::vector<WorkStealingScheduler::Task> tasks;
+  // Skew: one heavy task plus many light ones, so idle workers must steal.
+  for (int i = 1; i <= 200; ++i) {
+    tasks.push_back([&sum, i](int) {
+      long long local = 0;
+      const int spins = (i == 1) ? 200000 : 100;
+      for (int j = 0; j < spins; ++j) local += j % 7;
+      sum.fetch_add(i + local * 0, std::memory_order_relaxed);
+    });
   }
+  const SchedulerStats stats = sched.run(std::move(tasks));
+  EXPECT_EQ(sum.load(), 200LL * 201 / 2);
+  EXPECT_EQ(stats.tasks, 200u);
 }
 
 TEST(WorkStealingScheduler, FirstTaskExceptionIsRethrownAfterDraining) {
@@ -303,9 +292,9 @@ TEST(WorkStealingScheduler, ConcurrentParallelForsCoverTheirRanges) {
   }
 }
 
-// A task body opens a nested parallel_for (the shape of APGRE's dedicated
-// sub-graph tasks): the loop completes from inside the task, slot ids stay
-// in [0, num_slots()), and every element is visited exactly once.
+// A task body opens a nested parallel_for (a level-synchronous kernel run
+// from inside a task): the loop completes there, slot ids stay in
+// [0, num_slots()), and every element is visited exactly once.
 TEST(WorkStealingScheduler, NestedParallelForInsideTasksCompletes) {
   SchedulerOptions opts;
   opts.threads = 2;

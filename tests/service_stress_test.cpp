@@ -63,7 +63,7 @@ ParallelDecomposition parallel_bcc_for_stress() {
 /// mutation from the graph's current state, which only this client
 /// mutates, so the stream is reproducible in the replay. The solve mix
 /// deliberately includes the parallel kernels (hybrid, lock-free, APGRE's
-/// fine-grained paths), all on the shared reentrant scheduler: this sweep
+/// scoring tasks), all on the shared reentrant scheduler: this sweep
 /// is what demonstrates they need no cross-request serialization.
 Request next_request(Service& service, std::mt19937_64& rng, int client) {
   Request request;

@@ -377,10 +377,10 @@ TEST(Service, ErrorResponsesDoNotMutateState) {
   EXPECT_FALSE(service.handle(update_request("g", 0, 3, false)).status.ok())
       << "edge 0-3 does not exist";
   Request bad_options = solve_request("g");
-  bad_options.options.apgre.fine_grain_fraction = 2.0;
+  bad_options.options.threads = -1;
   const Response invalid = service.handle(bad_options);
   EXPECT_FALSE(invalid.status.ok());
-  EXPECT_NE(invalid.status.message.find("fine_grain_fraction"), std::string::npos);
+  EXPECT_NE(invalid.status.message.find("threads"), std::string::npos);
 
   EXPECT_EQ(service.stats().errors, 6u);
   const Response good = service.handle(solve_request("g"));

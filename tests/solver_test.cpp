@@ -79,9 +79,7 @@ TEST(Solver, ScoringOnlyKnobsKeepTheCache) {
   const std::uint64_t after_first = decompositions();
 
   BcOptions tuned;
-  tuned.scheduler.grain = 4;
-  tuned.scheduler.steal_policy = StealPolicy::kSequential;
-  tuned.apgre.hybrid_inner = true;
+  tuned.scheduler.threads = 2;
   const BcResult r = solver.solve(tuned);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(decompositions(), after_first);
@@ -397,14 +395,6 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   bad_threads.threads = -2;
   EXPECT_EQ(validate_options(bad_threads).code, StatusCode::kInvalidOption);
 
-  BcOptions bad_fraction;
-  bad_fraction.apgre.fine_grain_fraction = 1.5;
-  EXPECT_EQ(validate_options(bad_fraction).code, StatusCode::kInvalidOption);
-
-  BcOptions bad_grain;
-  bad_grain.scheduler.grain = -1;
-  EXPECT_EQ(validate_options(bad_grain).code, StatusCode::kInvalidOption);
-
   BcOptions bad_sched_threads;
   bad_sched_threads.scheduler.threads = -4;
   EXPECT_EQ(validate_options(bad_sched_threads).code,
@@ -415,7 +405,7 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   EXPECT_EQ(validate_options(bad_algorithm).code, StatusCode::kInvalidOption);
 
   // betweenness / Solver::solve report the same Status instead of throwing.
-  const BcResult direct = betweenness(g, bad_grain);
+  const BcResult direct = betweenness(g, bad_sched_threads);
   EXPECT_EQ(direct.status.code, StatusCode::kInvalidOption);
   EXPECT_FALSE(direct.status.message.empty());
   EXPECT_TRUE(direct.scores.empty());

@@ -3,7 +3,7 @@
 //   apgre_cli --format snap --algorithm apgre --top 20 graph.txt
 //   apgre_cli --format dimacs --weighted --top 10 usa-road.gr
 //   apgre_cli --format snap --directed --algorithm succs --output scores.csv g.txt
-//   apgre_cli --grain 8 --steal-policy sequential graph.txt
+//   apgre_cli --threads 4 graph.txt
 //
 // Formats: snap (edge list), dimacs (.gr), metis. Algorithms: every member
 // of the registry (bc/bc.hpp; the --algorithm help text is generated from
@@ -88,14 +88,6 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "sampling seed")
       .add_bool("halve-undirected", false,
                 "report conventional undirected scores (each pair once)")
-      .add_int("grain", 0,
-               "apgre scheduler: roots per task when splitting a large "
-               "sub-graph (0 = auto)")
-      .add_string("steal-policy", "random",
-                  "apgre scheduler victim selection: random | sequential")
-      .add_bool("adaptive-kernel", true,
-                "apgre scheduler: pick the per-sub-graph kernel from "
-                "size/root heuristics")
       .add_bool("peel", false,
                 "apgre: peel degree-<=1 vertices to the 2-core before "
                 "decomposition (exact; undirected only)")
@@ -181,10 +173,6 @@ int main(int argc, char** argv) {
     opts.undirected_halving = flags.get_bool("halve-undirected");
     opts.num_samples = static_cast<Vertex>(flags.get_int("samples"));
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    opts.scheduler.grain = static_cast<int>(flags.get_int("grain"));
-    opts.scheduler.steal_policy =
-        steal_policy_from_name(flags.get_string("steal-policy"));
-    opts.scheduler.adaptive_kernel = flags.get_bool("adaptive-kernel");
     opts.apgre.partition.peel_two_core = flags.get_bool("peel");
 
     const BcResult result = betweenness(g, opts);
@@ -208,10 +196,9 @@ int main(int argc, char** argv) {
                     100.0 * result.apgre_stats.core_fraction,
                     result.apgre_stats.peel_seconds);
       }
-      std::printf("scheduler: %llu tasks (%zu fine / %zu batch / %zu whole), "
+      std::printf("scheduler: %llu tasks (%zu batch / %zu whole), "
                   "%llu steals, %.3f s idle\n",
                   static_cast<unsigned long long>(result.apgre_stats.sched_tasks),
-                  result.apgre_stats.num_fine_subgraphs,
                   result.apgre_stats.num_batch_tasks,
                   result.apgre_stats.num_subgraph_tasks,
                   static_cast<unsigned long long>(result.apgre_stats.sched_steals),
