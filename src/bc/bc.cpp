@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -276,6 +277,8 @@ void Solver::rebind(const CsrGraph& g) {
   store_valid_ = false;
   contrib_.clear();
   tracked_scores_.clear();
+  member_offsets_.clear();
+  members_.clear();
 }
 
 void Solver::adopt_peel(std::shared_ptr<const PeelResult> peel) {
@@ -310,6 +313,24 @@ void Solver::build_store() {
   // invariant in the header): the expansion commutes with the per-block
   // subtract/re-add arithmetic of apply_local_batch.
   if (reduced_ != nullptr) expand_peeled_scores(*peel_, tracked_scores_);
+
+  // Routing index: a counting sort of every (sub-graph, local id) pair by
+  // global id, filled in sub-graph order so each vertex's run is sorted.
+  member_offsets_.assign(static_cast<std::size_t>(dec.num_vertices) + 1, 0);
+  for (const Subgraph& sg : dec.subgraphs) {
+    for (const Vertex w : sg.to_global) ++member_offsets_[w + 1];
+  }
+  std::partial_sum(member_offsets_.begin(), member_offsets_.end(),
+                   member_offsets_.begin());
+  members_.resize(member_offsets_.back());
+  std::vector<std::size_t> cursor(member_offsets_.begin(),
+                                  member_offsets_.end() - 1);
+  for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
+    const Subgraph& sg = dec.subgraphs[sgi];
+    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
+      members_[cursor[sg.to_global[local]]++] = Membership{sgi, local};
+    }
+  }
   store_valid_ = true;
 }
 
@@ -348,63 +369,70 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     }
   }
 
-  // Route every op to the sub-graph storing its edge *before* mutating
+  // Route every op through the membership index *before* mutating
   // anything, so a routing miss falls back with the store still intact.
-  std::vector<std::vector<std::size_t>> per_sg(dec_->subgraphs.size());
-  std::vector<std::pair<Vertex, Vertex>> local_ids(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const EdgeOp& op = ops[i];
-    bool routed = false;
-    for (std::size_t sgi = 0; sgi < dec_->subgraphs.size() && !routed; ++sgi) {
-      const Subgraph& sg = dec_->subgraphs[sgi];
-      Vertex lu = kInvalidVertex;
-      Vertex lv = kInvalidVertex;
-      for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-        if (sg.to_global[local] == op.u) lu = local;
-        if (sg.to_global[local] == op.v) lv = local;
+  struct Route {
+    std::size_t subgraph = 0;
+    EdgeOp local;  ///< the op in the sub-graph's local ids
+  };
+  std::vector<Route> routes;
+  routes.reserve(ops.size());
+  for (const EdgeOp& op : ops) {
+    const Membership* a = members_.data() + member_offsets_[op.u];
+    const Membership* const a_end = members_.data() + member_offsets_[op.u + 1];
+    const Membership* b = members_.data() + member_offsets_[op.v];
+    const Membership* const b_end = members_.data() + member_offsets_[op.v + 1];
+    const std::size_t before = routes.size();
+    // Both runs are in sub-graph order: walk them to the common sub-graphs.
+    while (a != a_end && b != b_end && routes.size() == before) {
+      if (a->subgraph < b->subgraph) {
+        ++a;
+        continue;
       }
-      if (lu == kInvalidVertex || lv == kInvalidVertex) continue;
-      // Articulation endpoints belong to several sub-graph groups, but every
-      // block's edges materialise in exactly one of them — a deletion must
-      // patch the group that actually stores the arc. (Insert endpoints are
-      // non-APs by the classify contract, so the first group wins.)
-      if (!op.insert && !has_arc(sg.graph, lu, lv)) continue;
-      per_sg[sgi].push_back(i);
-      local_ids[i] = {lu, lv};
-      routed = true;
+      if (b->subgraph < a->subgraph) {
+        ++b;
+        continue;
+      }
+      // Articulation endpoints belong to several sub-graph groups, but
+      // every block's edges materialise in exactly one of them — a deletion
+      // must patch the group that actually stores the arc. (Insert
+      // endpoints are non-APs by the classify contract, so the first group
+      // wins.)
+      if (op.insert ||
+          has_arc(dec_->subgraphs[a->subgraph].graph, a->local, b->local)) {
+        routes.push_back({a->subgraph, EdgeOp{a->local, b->local, op.insert}});
+      }
+      ++a;
+      ++b;
     }
-    if (!routed) {
+    if (routes.size() == before) {
       // Endpoints outside every cached sub-graph contradict the locality
       // precondition; re-decompose rather than score a stale cache.
       rebind(g);
       return 0;
     }
   }
+  std::stable_sort(routes.begin(), routes.end(),
+                   [](const Route& x, const Route& y) {
+                     return x.subgraph < y.subgraph;
+                   });
 
-  // One contribution subtract / splice-all / re-score / add-back cycle per
+  // One contribution subtract / merge-all / re-score / add-back cycle per
   // affected sub-graph — the per-block cost is paid once for the whole
   // batch, not once per edge.
   std::size_t resolved = 0;
-  for (std::size_t sgi = 0; sgi < dec_->subgraphs.size(); ++sgi) {
-    if (per_sg[sgi].empty()) continue;
+  std::vector<EdgeOp> local_ops;
+  for (std::size_t r = 0; r < routes.size();) {
+    const std::size_t sgi = routes[r].subgraph;
+    local_ops.clear();
+    for (; r < routes.size() && routes[r].subgraph == sgi; ++r) {
+      local_ops.push_back(routes[r].local);
+    }
     Subgraph& sg = dec_->subgraphs[sgi];
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       tracked_scores_[sg.to_global[local]] -= contrib_[sgi][local];
     }
-    EdgeList arcs = sg.graph.arcs();
-    for (const std::size_t i : per_sg[sgi]) {
-      const auto [lu, lv] = local_ids[i];
-      if (ops[i].insert) {
-        arcs.push_back(Edge{lu, lv});
-        arcs.push_back(Edge{lv, lu});
-      } else {
-        std::erase_if(arcs, [lu, lv](const Edge& e) {
-          return (e.src == lu && e.dst == lv) || (e.src == lv && e.dst == lu);
-        });
-      }
-    }
-    sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs),
-                                    /*directed=*/false);
+    sg.graph = apply_edge_ops(sg.graph, local_ops);
     contrib_[sgi] = apgre_subgraph_bc(sg);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       double& score = tracked_scores_[sg.to_global[local]];
@@ -417,11 +445,8 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
   }
   if (reduced_ != nullptr) {
     // Every endpoint is 2-core (guard above) and local batches leave the
-    // peel cascade untouched, so the reduction tracks g by the same splices.
-    for (const EdgeOp& op : ops) {
-      *reduced_ = op.insert ? with_edge_inserted(*reduced_, op.u, op.v)
-                            : with_edge_removed(*reduced_, op.u, op.v);
-    }
+    // peel cascade untouched, so the reduction tracks g by the same ops.
+    *reduced_ = apply_edge_ops(*reduced_, ops);
   }
   refresh_top_subgraph();
   g_ = &g;

@@ -201,17 +201,20 @@ class Solver {
   /// of one), and the batch must have been classified local as a whole
   /// (BlockCutQueries::classify_batch) against the previous graph, so the
   /// block-cut tree, the grouping and every reach count survive by
-  /// construction. Groups the ops by cached sub-graph and re-scores each
-  /// affected sub-graph exactly once, however many ops landed in it: the
-  /// contribution subtract / splice-all / re-score (serial kernel) /
-  /// add-back cycle runs per *block*, not per edge. Returns the number of
-  /// sub-graphs re-scored (>= 1 on the localized path, one
-  /// "bc.solver.local_recomputes" tick each). Returns 0 after falling back
-  /// to a plain rebind() — full re-decomposition on the next solve — when
-  /// no valid store exists, when a peeled session sees an op incident to a
-  /// peeled-forest vertex (the peel analysis is invalidated), or when an
-  /// op's endpoints lie outside every cached sub-graph. Violating the
-  /// locality precondition silently corrupts later scores — classify first.
+  /// construction. Routes each op through a global vertex -> (sub-graph,
+  /// local id) index built with the store (O(memberships of its endpoints),
+  /// not O(|V|)), groups the ops by sub-graph and re-scores each affected
+  /// sub-graph exactly once, however many ops landed in it: the
+  /// contribution subtract / merge-all (one apply_edge_ops) / re-score
+  /// (serial kernel) / add-back cycle runs per *block*, not per edge.
+  /// Returns the number of sub-graphs re-scored (>= 1 on the localized
+  /// path, one "bc.solver.local_recomputes" tick each). Returns 0 after
+  /// falling back to a plain rebind() — full re-decomposition on the next
+  /// solve — when no valid store exists, when a peeled session sees an op
+  /// incident to a peeled-forest vertex (the peel analysis is
+  /// invalidated), or when an op's endpoints lie outside every cached
+  /// sub-graph. Violating the locality precondition silently corrupts
+  /// later scores — classify first.
   std::size_t apply_local_batch(const CsrGraph& g,
                                 const std::vector<EdgeOp>& ops);
 
@@ -239,6 +242,16 @@ class Solver {
   bool store_valid_ = false;
   std::vector<std::vector<double>> contrib_;
   std::vector<double> tracked_scores_;
+  // Routing index, built by build_store and valid with the store: global
+  // vertex w's sub-graph memberships are members_[member_offsets_[w] ..
+  // member_offsets_[w + 1]), in sub-graph order. Local batches never change
+  // which sub-graphs hold a vertex, so the index outlives them.
+  struct Membership {
+    std::size_t subgraph = 0;
+    Vertex local = 0;
+  };
+  std::vector<std::size_t> member_offsets_;
+  std::vector<Membership> members_;
 };
 
 /// One-shot betweenness centrality: a thin wrapper constructing a Solver

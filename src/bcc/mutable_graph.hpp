@@ -15,9 +15,10 @@
 //                 (BlockCutQueries::classify_batch). The classifier is
 //                 built on first use; directed graphs never build one and
 //                 always grade structural.
-//   3. apply    — build the successor snapshot while the previous one is
-//                 still alive, then swap it in (the previous snapshot is
-//                 released here unless a caller still holds it).
+//   3. apply    — build the successor snapshot in one merge pass while
+//                 the previous one is still alive (graph/update.hpp
+//                 apply_edge_ops), then swap it in (the previous snapshot
+//                 is released here unless a caller still holds it).
 //   4. patch or drop — a local batch leaves the tree intact, so the
 //                 classifier's block edge multisets are patched per op; a
 //                 structural batch drops the classifier, rebuilt on the

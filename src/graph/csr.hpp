@@ -20,6 +20,8 @@ namespace apgre {
 /// Number of stored arcs. An undirected edge contributes two arcs.
 using EdgeId = std::uint64_t;
 
+struct EdgeOp;  // graph/update.hpp
+
 class CsrGraph {
  public:
   CsrGraph() = default;
@@ -90,11 +92,11 @@ class CsrGraph {
 
   friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
 
-  // CSR-splicing mutators (graph/mutate.hpp): clone the adjacency arrays
-  // and splice one edge in or out in place — no EdgeList round-trip, no
-  // re-sort. They need the private arrays, hence friendship.
-  friend CsrGraph with_edge_inserted(const CsrGraph& g, Vertex u, Vertex v);
-  friend CsrGraph with_edge_removed(const CsrGraph& g, Vertex u, Vertex v);
+  // The batch merge (graph/update.hpp) builds a successor's arrays in one
+  // pass from this graph's — no EdgeList round-trip, no re-sort. It needs
+  // the private arrays, hence friendship.
+  friend CsrGraph apply_edge_ops(const CsrGraph& g,
+                                 const std::vector<EdgeOp>& ops);
 
  private:
   Vertex num_vertices_ = 0;

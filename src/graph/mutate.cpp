@@ -3,33 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/update.hpp"
 #include "support/error.hpp"
 
 namespace apgre {
-
-namespace {
-
-/// Splice `dst` into (or out of) `src`'s sorted neighbour block, shifting
-/// the suffix of the arc array and bumping every later offset. O(n + m)
-/// element moves — the fast path that makes sustained edge updates cheap
-/// compared to an EdgeList materialise / re-sort / rebuild round-trip.
-void splice_arc(std::vector<EdgeId>& offsets, std::vector<Vertex>& targets,
-                Vertex src, Vertex dst, bool insert) {
-  const auto begin = targets.begin() + static_cast<std::ptrdiff_t>(offsets[src]);
-  const auto end = targets.begin() + static_cast<std::ptrdiff_t>(offsets[src + 1]);
-  const auto pos = std::lower_bound(begin, end, dst);
-  if (insert) {
-    APGRE_ASSERT(pos == end || *pos != dst);
-    targets.insert(pos, dst);
-  } else {
-    APGRE_ASSERT(pos != end && *pos == dst);
-    targets.erase(pos);
-  }
-  const EdgeId delta = insert ? 1 : static_cast<EdgeId>(-1);
-  for (std::size_t w = src + 1; w < offsets.size(); ++w) offsets[w] += delta;
-}
-
-}  // namespace
 
 bool has_arc(const CsrGraph& g, Vertex u, Vertex v) {
   const auto neighbors = g.out_neighbors(u);
@@ -37,34 +14,11 @@ bool has_arc(const CsrGraph& g, Vertex u, Vertex v) {
 }
 
 CsrGraph with_edge_inserted(const CsrGraph& g, Vertex u, Vertex v) {
-  APGRE_ASSERT(u < g.num_vertices() && v < g.num_vertices());
-  APGRE_REQUIRE(u != v, "self-loops do not affect betweenness");
-  APGRE_REQUIRE(!has_arc(g, u, v), "arc already present");
-  CsrGraph next = g;
-  splice_arc(next.out_offsets_, next.out_targets_, u, v, /*insert=*/true);
-  if (g.directed()) {
-    splice_arc(next.in_offsets_, next.in_targets_, v, u, /*insert=*/true);
-  } else {
-    splice_arc(next.out_offsets_, next.out_targets_, v, u, /*insert=*/true);
-  }
-  return next;
+  return apply_edge_ops(g, {EdgeOp{u, v, /*insert=*/true}});
 }
 
 CsrGraph with_edge_removed(const CsrGraph& g, Vertex u, Vertex v) {
-  APGRE_ASSERT(u < g.num_vertices() && v < g.num_vertices());
-  APGRE_REQUIRE(u != v, "self-loops do not affect betweenness");
-  APGRE_REQUIRE(has_arc(g, u, v), "arc not present");
-  if (!g.directed()) {
-    APGRE_REQUIRE(has_arc(g, v, u), "symmetric arc missing");
-  }
-  CsrGraph next = g;
-  splice_arc(next.out_offsets_, next.out_targets_, u, v, /*insert=*/false);
-  if (g.directed()) {
-    splice_arc(next.in_offsets_, next.in_targets_, v, u, /*insert=*/false);
-  } else {
-    splice_arc(next.out_offsets_, next.out_targets_, v, u, /*insert=*/false);
-  }
-  return next;
+  return apply_edge_ops(g, {EdgeOp{u, v, /*insert=*/false}});
 }
 
 CsrGraph with_pendant_attached(const CsrGraph& g, Vertex host) {

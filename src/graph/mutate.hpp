@@ -14,17 +14,16 @@ namespace apgre {
 bool has_arc(const CsrGraph& g, Vertex u, Vertex v);
 
 /// Graph with the edge (u, v) added — both arcs for undirected graphs.
-/// Splices the clone's CSR arrays directly (O(n + m) element moves, no
-/// EdgeList round-trip), which is what keeps sustained incremental updates
-/// cheap relative to a full rebuild.
-/// Throws: "self-loops do not affect betweenness" (u == v),
-/// "arc already present".
+/// A batch of one through apply_edge_ops (graph/update.hpp): one O(n + m)
+/// merge pass, no EdgeList round-trip or re-sort.
+/// Throws: "update endpoint out of range", "self-loops do not affect
+/// betweenness" (u == v), "arc already present".
 CsrGraph with_edge_inserted(const CsrGraph& g, Vertex u, Vertex v);
 
 /// Graph with the edge (u, v) removed — both arcs for undirected graphs.
-/// Same CSR-splice fast path as with_edge_inserted.
-/// Throws: "self-loops do not affect betweenness" (u == v),
-/// "arc not present", "symmetric arc missing".
+/// The same one-op apply_edge_ops merge as with_edge_inserted.
+/// Throws: "update endpoint out of range", "self-loops do not affect
+/// betweenness" (u == v), "arc not present", "symmetric arc missing".
 CsrGraph with_edge_removed(const CsrGraph& g, Vertex u, Vertex v);
 
 /// Graph with one fresh vertex (id = old num_vertices()) attached to

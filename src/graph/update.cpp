@@ -98,13 +98,124 @@ CoalesceResult coalesce_batch(const CsrGraph& g,
   return out;
 }
 
+namespace {
+
+/// One arc of a batch: insert or remove src -> dst.
+struct ArcEdit {
+  Vertex src = 0;
+  Vertex dst = 0;
+  bool insert = true;
+};
+
+bool arc_less(const ArcEdit& a, const ArcEdit& b) {
+  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+}
+
+bool same_arc(const ArcEdit& a, const ArcEdit& b) {
+  return a.src == b.src && a.dst == b.dst;
+}
+
+/// Merge `edits` (sorted by arc_less, legal against the input) into one
+/// adjacency in a single pass: the neighbour blocks of untouched vertex
+/// ranges are copied whole, an edited vertex's sorted block is merged with
+/// its edits, and every offset moves by the running arc delta.
+void merge_arcs(const std::vector<EdgeId>& offsets,
+                const std::vector<Vertex>& targets,
+                const std::vector<ArcEdit>& edits,
+                std::vector<EdgeId>& out_offsets,
+                std::vector<Vertex>& out_targets) {
+  const std::size_t n = offsets.size() - 1;
+  const std::size_t inserts = static_cast<std::size_t>(std::count_if(
+      edits.begin(), edits.end(), [](const ArcEdit& e) { return e.insert; }));
+  out_offsets.resize(n + 1);
+  out_targets.reserve(targets.size() + inserts - (edits.size() - inserts));
+  const Vertex* arcs = targets.data();
+  // Arcs added so far, modulo 2^64: a net removal wraps, and offsets[w] +
+  // delta wraps back to the right value.
+  EdgeId delta = 0;
+  std::size_t next = 0;  // first vertex whose block is not emitted yet
+  // Emit the untouched vertices [next, end) as one block.
+  const auto copy_through = [&](std::size_t end) {
+    out_targets.insert(out_targets.end(), arcs + offsets[next],
+                       arcs + offsets[end]);
+    for (std::size_t w = next + 1; w <= end; ++w) {
+      out_offsets[w] = offsets[w] + delta;
+    }
+  };
+  out_offsets[0] = 0;
+  for (std::size_t e = 0; e < edits.size();) {
+    const Vertex src = edits[e].src;
+    copy_through(src);
+    const Vertex* it = arcs + offsets[src];
+    const Vertex* const end = arcs + offsets[src + 1];
+    for (; e < edits.size() && edits[e].src == src; ++e) {
+      const ArcEdit& edit = edits[e];
+      const Vertex* pos = std::lower_bound(it, end, edit.dst);
+      out_targets.insert(out_targets.end(), it, pos);
+      const bool present = pos != end && *pos == edit.dst;
+      APGRE_ASSERT(present != edit.insert);
+      if (edit.insert) {
+        out_targets.push_back(edit.dst);
+        ++delta;
+      } else {
+        --delta;
+        ++pos;
+      }
+      it = pos;
+    }
+    out_targets.insert(out_targets.end(), it, end);
+    out_offsets[src + 1] = offsets[src + 1] + delta;
+    next = src + 1;
+  }
+  copy_through(n);
+  APGRE_ASSERT(out_offsets[n] == out_targets.size());
+}
+
+}  // namespace
+
 CsrGraph apply_edge_ops(const CsrGraph& g, const std::vector<EdgeOp>& ops) {
   APGRE_REQUIRE(!ops.empty(), "apply_edge_ops on an empty batch");
-  CsrGraph next = ops[0].insert ? with_edge_inserted(g, ops[0].u, ops[0].v)
-                                : with_edge_removed(g, ops[0].u, ops[0].v);
-  for (std::size_t i = 1; i < ops.size(); ++i) {
-    next = ops[i].insert ? with_edge_inserted(next, ops[i].u, ops[i].v)
-                         : with_edge_removed(next, ops[i].u, ops[i].v);
+  // Validate the whole batch against the input before the successor is
+  // allocated: a throw leaves nothing half built, whatever the caller
+  // passed.
+  const Vertex n = g.num_vertices();
+  for (const EdgeOp& op : ops) {
+    APGRE_REQUIRE(op.u < n && op.v < n, "update endpoint out of range");
+    APGRE_REQUIRE(op.u != op.v, "self-loops do not affect betweenness");
+    if (op.insert) {
+      APGRE_REQUIRE(!has_arc(g, op.u, op.v), "arc already present");
+    } else {
+      APGRE_REQUIRE(has_arc(g, op.u, op.v), "arc not present");
+      APGRE_REQUIRE(g.directed() || has_arc(g, op.v, op.u),
+                    "symmetric arc missing");
+    }
+  }
+  // Undirected: both arcs of an edge edit the one adjacency. Directed: the
+  // out-arc edits the out-adjacency, its transpose the in-adjacency.
+  std::vector<ArcEdit> out_edits;
+  std::vector<ArcEdit> in_edits;
+  out_edits.reserve(g.directed() ? ops.size() : 2 * ops.size());
+  in_edits.reserve(g.directed() ? ops.size() : 0);
+  for (const EdgeOp& op : ops) {
+    out_edits.push_back({op.u, op.v, op.insert});
+    (g.directed() ? in_edits : out_edits).push_back({op.v, op.u, op.insert});
+  }
+  std::sort(out_edits.begin(), out_edits.end(), arc_less);
+  std::sort(in_edits.begin(), in_edits.end(), arc_less);
+  // Each op was checked against the input alone, so an arc named by two
+  // ops (an undirected edge in either orientation) is rejected here.
+  APGRE_REQUIRE(std::adjacent_find(out_edits.begin(), out_edits.end(),
+                                   same_arc) == out_edits.end(),
+                "two ops on one arc");
+
+  CsrGraph next;
+  next.num_vertices_ = n;
+  next.directed_ = g.directed();
+  merge_arcs(g.out_offsets_, g.out_targets_, out_edits, next.out_offsets_,
+             next.out_targets_);
+  if (g.directed()) {
+    merge_arcs(g.in_offsets_, g.in_targets_, in_edits, next.in_offsets_,
+               next.in_targets_);
   }
   return next;
 }

@@ -12,8 +12,8 @@
 // *snapshot* on first touch (inserting a present arc, deleting an absent
 // one, self-loops, out-of-range endpoints) rejects the whole batch with a
 // Status carrying the same message the single-edge mutate helpers throw,
-// so nothing downstream needs a second validation pass and a failed batch
-// provably changed no state.
+// so a failed batch provably changed no state. apply_edge_ops() then
+// builds the successor snapshot from the survivors in one merge pass.
 //
 // The binary edge-batch frame ("APGB") is the replay-file format: one frame
 // per batch, frames concatenated until EOF, used by apgre_serve's
@@ -80,10 +80,16 @@ struct CoalesceResult {
 /// Reduce `ops` to their net effect against `g` (see file comment).
 CoalesceResult coalesce_batch(const CsrGraph& g, const std::vector<EdgeOp>& ops);
 
-/// Successor graph after applying every op in order via the O(degree) CSR
-/// splice mutators. Callers pass coalesce_batch survivors, which are legal
-/// by construction; an illegal op throws apgre::Error mid-chain, so only
-/// pre-validated ops give the atomic commit-point guarantee.
+/// Successor graph with every op applied, built in one pass: the ops
+/// become sorted per-arc edits (both arcs of an undirected edge; the out-arc
+/// and its transpose for directed graphs) merged into the CSR arrays, with
+/// untouched vertex ranges copied as whole blocks. One O(n + m) copy per
+/// batch, not per op. Every op is checked against `g` itself before the
+/// successor is allocated, so the call is a commit point for any input: it
+/// throws apgre::Error with the single-edge mutate helpers' messages
+/// ("arc already present", "arc not present", ...), "update endpoint out
+/// of range", or "two ops on one arc" — coalesce_batch survivors never
+/// trip any of them. Throws on an empty batch.
 CsrGraph apply_edge_ops(const CsrGraph& g, const std::vector<EdgeOp>& ops);
 
 /// Serialize one batch as a binary frame (magic "APGB", version, count,

@@ -4,6 +4,7 @@
 // and the no-throw invalid-options contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bc/bc.hpp"
@@ -349,6 +350,115 @@ TEST(Solver, TrackedPeeledStoreStaysExactThroughCoreLocalUpdates) {
   EXPECT_TRUE(cmp.ok) << "delete: worst vertex " << cmp.worst_vertex;
   EXPECT_EQ(decompositions(), dec_before)
       << "core-core patches must not re-decompose a peeled session";
+}
+
+// ---- Routing through the membership index ---------------------------------
+
+/// K5 on {0..4} with a triangle at each of the articulation points 0, 1
+/// and 2 ({0,5,6}, {1,7,8}, {2,9,10}): the K5 chord 1-2 joins two APs.
+CsrGraph k5_with_triangles() {
+  return CsrGraph::undirected_from_edges(
+      11, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4},
+           {2, 3}, {2, 4}, {3, 4}, {0, 5}, {5, 6}, {6, 0}, {1, 7},
+           {7, 8}, {8, 1}, {2, 9}, {9, 10}, {10, 2}});
+}
+
+/// One sub-graph per block.
+BcOptions per_block_options() {
+  BcOptions opts = pinned_options();
+  opts.apgre.partition.merge_threshold = 2;
+  return opts;
+}
+
+/// Index of the first sub-graph holding global vertex u — or, given v, of
+/// the one storing the arc u -> v; subgraphs.size() when there is none.
+std::size_t subgraph_of(const Decomposition& dec, Vertex u,
+                        Vertex v = kInvalidVertex) {
+  for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
+    const Subgraph& sg = dec.subgraphs[sgi];
+    const auto local = [&sg](Vertex w) {
+      const auto it = std::find(sg.to_global.begin(), sg.to_global.end(), w);
+      return it == sg.to_global.end()
+                 ? kInvalidVertex
+                 : static_cast<Vertex>(it - sg.to_global.begin());
+    };
+    const Vertex lu = local(u);
+    if (lu == kInvalidVertex) continue;
+    if (v == kInvalidVertex) return sgi;
+    const Vertex lv = local(v);
+    if (lv != kInvalidVertex && has_arc(sg.graph, lu, lv)) return sgi;
+  }
+  return dec.subgraphs.size();
+}
+
+TEST(Solver, LocalBatchRoutesApChordToItsStoringSubgraph) {
+  const CsrGraph g = k5_with_triangles();
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  ASSERT_TRUE(solver.solve(per_block_options()).status.ok());
+  const Decomposition& dec = *solver.decomposition();
+  // Each endpoint also sits in a triangle's sub-graph, numbered before the
+  // K5's: routing must skip both to reach the one storing the arc.
+  const std::size_t stored = subgraph_of(dec, 1, 2);
+  ASSERT_LT(stored, dec.subgraphs.size());
+  ASSERT_LT(subgraph_of(dec, 1), stored);
+  ASSERT_LT(subgraph_of(dec, 2), stored);
+  const std::uint64_t dec_before = decompositions();
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  // Deleting the chord leaves K5 minus an edge biconnected: local. The
+  // re-insert is a chord inside one block too, so the block-cut tree and
+  // every reach count survive it (classify_batch grades an AP-endpoint
+  // insert structural only because it cannot tell in general).
+  const CsrGraph cut = with_edge_removed(g, 1, 2);
+  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{1, 2, /*insert=*/false}}),
+            1u);
+  EXPECT_EQ(subgraph_of(dec, 1, 2), dec.subgraphs.size())
+      << "the arc must leave the sub-graph that stored it";
+  ScoreComparison cmp = compare_scores(betweenness(cut, serial).scores,
+                                       *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "delete: worst vertex " << cmp.worst_vertex;
+
+  const CsrGraph restored = with_edge_inserted(cut, 2, 1);
+  ASSERT_EQ(
+      solver.apply_local_batch(restored, {EdgeOp{2, 1, /*insert=*/true}}),
+      1u);
+  EXPECT_EQ(subgraph_of(dec, 1, 2), stored);
+  cmp = compare_scores(betweenness(restored, serial).scores,
+                       *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "re-insert: worst vertex " << cmp.worst_vertex;
+  EXPECT_EQ(decompositions(), dec_before) << "both batches must stay local";
+}
+
+TEST(Solver, LocalBatchAfterRedecompositionRoutesThroughAFreshIndex) {
+  const CsrGraph g = k5_with_triangles();
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  const BcOptions opts = per_block_options();
+  ASSERT_TRUE(solver.solve(opts).status.ok());
+  const std::size_t stored_before = subgraph_of(*solver.decomposition(), 1, 2);
+
+  // Structural: deleting 9-10 turns a triangle into two bridges, which
+  // fold into the K5's sub-graph and renumber it — an index left over from
+  // the old decomposition would route the next batch to the wrong one.
+  const CsrGraph split = with_edge_removed(g, 9, 10);
+  solver.rebind(split);
+  ASSERT_TRUE(solver.solve(opts).status.ok());
+  const Decomposition& dec = *solver.decomposition();
+  ASSERT_NE(subgraph_of(dec, 1, 2), stored_before);
+  const std::uint64_t dec_before = decompositions();
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  const CsrGraph cut = with_edge_removed(split, 1, 2);
+  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{1, 2, /*insert=*/false}}),
+            1u);
+  EXPECT_EQ(decompositions(), dec_before);
+  EXPECT_EQ(subgraph_of(dec, 1, 2), dec.subgraphs.size());
+  const ScoreComparison cmp = compare_scores(betweenness(cut, serial).scores,
+                                             *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
 }
 
 TEST(Registry, RoundTripsEveryAlgorithm) {
