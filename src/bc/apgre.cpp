@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 
 #include "bc/frontier.hpp"
@@ -25,7 +26,9 @@ constexpr std::int32_t kUnvisited = -1;
 //   out2in needs no array: delta_o2i = beta(s) * d_i2i (paper eq. 5).
 // --------------------------------------------------------------------------
 
-struct SubgraphScratch {
+// Cache-line aligned: slots sit side by side in one array, and the tallies
+// below change per source.
+struct alignas(64) SubgraphScratch {
   std::vector<std::int32_t> dist;
   std::vector<double> sigma;
   std::vector<double> d_i2i;
@@ -159,133 +162,136 @@ void flush_kernel_tallies(std::uint64_t sources, std::uint64_t traversed_arcs) {
   m.counter("bc.apgre.traversed_arcs").add(traversed_arcs);
 }
 
-std::vector<double> subgraph_bc_serial(const Subgraph& sg) {
-  std::vector<double> bc(sg.num_vertices(), 0.0);
-  SubgraphScratch scratch;
-  scratch.ensure(sg.num_vertices());
-  for (Vertex s : sg.roots) subgraph_source_serial(sg, s, scratch, bc);
-  flush_kernel_tallies(scratch.sources, scratch.traversed_arcs);
-  return bc;
-}
-
-// Sub-graphs holding at least this fraction of all arcs, and at least this
-// many arcs, are "large": they split into root batches.
-constexpr double kLargeFraction = 0.125;
-constexpr EdgeId kLargeMinArcs = EdgeId{1} << 14;
-
-EdgeId large_cutoff(EdgeId total_arcs) {
-  return std::max<EdgeId>(
-      kLargeMinArcs,
-      static_cast<EdgeId>(kLargeFraction * static_cast<double>(total_arcs)));
-}
-
-// --------------------------------------------------------------------------
-// Scoring: every (sub-graph, root-batch) pair becomes a task running the
-// serial kernel on the work-stealing scheduler
-// (support/sched/scheduler.hpp). A large sub-graph splits into about
-// 4 * workers root batches, which is how the inner level of the paper's
-// two-level parallelism is supplied; every other sub-graph is one task.
-// The whole run is one scheduler invocation, so concurrent solves
-// interleave freely (no process-wide lock).
-// --------------------------------------------------------------------------
-
-std::vector<double> score_scheduled(const CsrGraph& g, const Decomposition& dec,
-                                    WorkStealingScheduler& scheduler,
-                                    ApgreStats& stats) {
-  const auto workers = static_cast<std::size_t>(scheduler.num_workers());
-  const EdgeId cutoff = large_cutoff(g.num_arcs());
-
-  struct Piece {
-    std::size_t sgi;
-    std::size_t root_begin;
-    std::size_t root_end;
-    std::uint64_t cost;  ///< ~arcs * roots, for largest-first distribution
-  };
-  std::vector<Piece> pieces;
-  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
-    const Subgraph& sg = dec.subgraphs[i];
-    const std::size_t roots = sg.roots.size();
-    if (roots == 0) continue;
-    const std::size_t grain = sg.num_arcs() >= cutoff
-                                  ? std::max<std::size_t>(1, roots / (4 * workers))
-                                  : roots;
-    const std::uint64_t arc_cost = std::max<std::uint64_t>(sg.num_arcs(), 1);
-    for (std::size_t b = 0; b < roots; b += grain) {
-      const std::size_t e = std::min(roots, b + grain);
-      pieces.push_back({i, b, e, arc_cost * static_cast<std::uint64_t>(e - b)});
-    }
-  }
-  // Largest pieces first: run() deals tasks round-robin, and thieves steal
-  // from the victim's old end, so big work spreads out before the tail.
-  std::sort(pieces.begin(), pieces.end(),
-            [](const Piece& a, const Piece& b) { return a.cost > b.cost; });
-
-  std::vector<double> bc(g.num_vertices(), 0.0);
-
-  // Per-slot accumulation state. Sub-graphs overlap only at articulation
-  // points, but giving each slot a private global-id buffer (lazily
-  // allocated on first use) makes every task body race-free without locks.
-  // Sized num_slots(): external participant threads get slots beyond the
-  // pool workers.
-  struct WorkerBuf {
-    std::vector<double> bc;
-    SubgraphScratch scratch;
-    std::vector<double> local;
-  };
-  std::vector<WorkerBuf> bufs(static_cast<std::size_t>(scheduler.num_slots()));
-  const Vertex n_global = g.num_vertices();
-
-  std::vector<WorkStealingScheduler::Task> tasks;
-  tasks.reserve(pieces.size());
-  for (const Piece& p : pieces) {
-    tasks.push_back([&dec, &bufs, n_global, p](int slot) {
-      WorkerBuf& wb = bufs[static_cast<std::size_t>(slot)];
-      if (wb.bc.empty()) wb.bc.assign(n_global, 0.0);
-      const Subgraph& sg = dec.subgraphs[p.sgi];
-      wb.scratch.ensure(sg.num_vertices());
-      wb.local.assign(sg.num_vertices(), 0.0);
-      for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
-        subgraph_source_serial(sg, sg.roots[r], wb.scratch, wb.local);
-      }
-      for (Vertex v = 0; v < sg.num_vertices(); ++v) {
-        wb.bc[sg.to_global[v]] += wb.local[v];
-      }
-    });
-  }
-
-  SchedulerStats run_stats;
-  {
-    APGRE_TRACE_SPAN("apgre/rest_bc");
-    ScopedTimer t(stats.rest_bc_seconds);
-    run_stats = scheduler.run(std::move(tasks));
-    for (WorkerBuf& wb : bufs) {
-      if (wb.bc.empty()) continue;
-      for (Vertex v = 0; v < n_global; ++v) bc[v] += wb.bc[v];
-    }
-  }
-  for (const WorkerBuf& wb : bufs) {
-    if (wb.scratch.sources != 0) {
-      flush_kernel_tallies(wb.scratch.sources, wb.scratch.traversed_arcs);
-    }
-  }
-
-  for (const Piece& p : pieces) {
-    if (p.root_end - p.root_begin != dec.subgraphs[p.sgi].roots.size()) {
-      ++stats.num_batch_tasks;
-    } else {
-      ++stats.num_subgraph_tasks;
-    }
-  }
-  stats.sched_tasks = run_stats.tasks;
-  stats.sched_steals = run_stats.steals;
-  stats.sched_idle_seconds = run_stats.idle_seconds;
-  return bc;
+// Scoring cost of a sub-graph: arcs traversed per root times its roots.
+double subgraph_cost(const Subgraph& sg) {
+  return static_cast<double>(std::max<EdgeId>(sg.num_arcs(), 1)) *
+         static_cast<double>(sg.roots.size());
 }
 
 }  // namespace
 
-std::vector<double> apgre_subgraph_bc(const Subgraph& sg) {
-  return subgraph_bc_serial(sg);
+// --------------------------------------------------------------------------
+// Scoring: every (sub-graph, root-batch) piece becomes a task running the
+// serial kernel on the work-stealing scheduler
+// (support/sched/scheduler.hpp). A sub-graph carrying at least
+// 1/(2 * workers) of the decomposition's cost (arcs * roots, summed over
+// every sub-graph) splits into about 4 * workers root batches, which is
+// how the inner level of the paper's two-level parallelism is supplied;
+// every other sub-graph is one task. Each piece accumulates into its own
+// local-id buffer, and a split sub-graph's pieces are summed in root
+// order, so contributions depend on the worker count alone, never on
+// which worker ran what. A single piece runs inline on the caller.
+// --------------------------------------------------------------------------
+
+std::vector<std::vector<double>> apgre_subgraph_scores(
+    const Decomposition& dec, std::span<const std::size_t> subgraphs,
+    WorkStealingScheduler& scheduler, ApgreStats* stats) {
+  const auto workers = static_cast<std::size_t>(scheduler.num_workers());
+  double total_cost = 0.0;
+  for (const Subgraph& sg : dec.subgraphs) total_cost += subgraph_cost(sg);
+
+  struct Piece {
+    std::size_t k;  ///< index into `subgraphs`
+    std::size_t root_begin;
+    std::size_t root_end;
+    double cost;    ///< ~arcs * roots, for largest-first distribution
+  };
+  // Pieces of one sub-graph are contiguous and in root order.
+  std::vector<Piece> pieces;
+  for (std::size_t k = 0; k < subgraphs.size(); ++k) {
+    const Subgraph& sg = dec.subgraphs[subgraphs[k]];
+    const std::size_t roots = sg.roots.size();
+    const double cost = subgraph_cost(sg);
+    const std::size_t grain =
+        cost * 2.0 * static_cast<double>(workers) >= total_cost
+            ? std::max<std::size_t>(1, roots / (4 * workers))
+            : roots;
+    for (std::size_t b = 0; b < roots; b += grain) {
+      const std::size_t e = std::min(roots, b + grain);
+      pieces.push_back({k, b, e, cost * static_cast<double>(e - b) /
+                                     static_cast<double>(roots)});
+    }
+  }
+
+  std::vector<std::vector<double>> piece_bc(pieces.size());
+  // Per-slot kernel scratch. A scheduler run needs num_slots() of them:
+  // external participant threads get slots beyond the pool workers.
+  const bool inline_run = pieces.size() <= 1;
+  std::vector<SubgraphScratch> scratch(
+      inline_run ? 1 : static_cast<std::size_t>(scheduler.num_slots()));
+  const auto score_piece = [&](std::size_t i, int slot) {
+    const Piece& p = pieces[i];
+    const Subgraph& sg = dec.subgraphs[subgraphs[p.k]];
+    SubgraphScratch& sc = scratch[static_cast<std::size_t>(slot)];
+    sc.ensure(sg.num_vertices());
+    piece_bc[i].assign(sg.num_vertices(), 0.0);
+    for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
+      subgraph_source_serial(sg, sg.roots[r], sc, piece_bc[i]);
+    }
+  };
+
+  SchedulerStats run_stats;
+  Timer run_timer;
+  if (inline_run) {
+    // No scheduler round trip (and no span: local batches into one small
+    // block run at thousands per second).
+    if (!pieces.empty()) score_piece(0, 0);
+  } else {
+    APGRE_TRACE_SPAN("apgre/rest_bc");
+    // Largest pieces first: run() deals tasks round-robin, and thieves
+    // steal from the victim's old end, so big work spreads out before the
+    // tail.
+    std::vector<std::size_t> order(pieces.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return pieces[a].cost > pieces[b].cost;
+                     });
+    std::vector<WorkStealingScheduler::Task> tasks;
+    tasks.reserve(order.size());
+    for (const std::size_t i : order) {
+      tasks.push_back([&score_piece, i](int slot) { score_piece(i, slot); });
+    }
+    run_stats = scheduler.run(std::move(tasks));
+  }
+  const double run_seconds = run_timer.seconds();
+  for (const SubgraphScratch& sc : scratch) {
+    if (sc.sources != 0) flush_kernel_tallies(sc.sources, sc.traversed_arcs);
+  }
+
+  std::vector<std::vector<double>> contrib(subgraphs.size());
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    std::vector<double>& out = contrib[pieces[i].k];
+    if (pieces[i].root_begin == 0) {
+      out = std::move(piece_bc[i]);
+      continue;
+    }
+    for (std::size_t v = 0; v < out.size(); ++v) out[v] += piece_bc[i][v];
+  }
+  // Root-less sub-graphs contribute nothing.
+  for (std::size_t k = 0; k < subgraphs.size(); ++k) {
+    if (contrib[k].empty()) {
+      contrib[k].assign(dec.subgraphs[subgraphs[k]].num_vertices(), 0.0);
+    }
+  }
+
+  if (stats != nullptr) {
+    stats->rest_bc_seconds = run_seconds;
+    stats->num_batch_tasks = 0;
+    stats->num_subgraph_tasks = 0;
+    for (const Piece& p : pieces) {
+      const std::size_t roots = dec.subgraphs[subgraphs[p.k]].roots.size();
+      if (p.root_end - p.root_begin != roots) {
+        ++stats->num_batch_tasks;
+      } else {
+        ++stats->num_subgraph_tasks;
+      }
+    }
+    stats->sched_tasks = run_stats.tasks;
+    stats->sched_steals = run_stats.steals;
+    stats->sched_idle_seconds = run_stats.idle_seconds;
+  }
+  return contrib;
 }
 
 std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
@@ -298,10 +304,10 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
                                      select_scheduler(sched, private_sched));
 }
 
-std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
-                                                const Decomposition& dec,
-                                                ApgreStats* stats,
-                                                WorkStealingScheduler& scheduler) {
+std::vector<double> apgre_bc_with_decomposition(
+    const CsrGraph& g, const Decomposition& dec, ApgreStats* stats,
+    WorkStealingScheduler& scheduler,
+    std::vector<std::vector<double>>* contributions) {
   APGRE_TRACE_SPAN("apgre/score");
   ApgreStats local;
   if (stats != nullptr) {
@@ -315,7 +321,20 @@ std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
   }
 
   Timer score_timer;
-  std::vector<double> bc = score_scheduled(g, dec, scheduler, local);
+  std::vector<std::size_t> all(dec.subgraphs.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<std::vector<double>> contrib =
+      apgre_subgraph_scores(dec, all, scheduler, &local);
+  // Sub-graphs overlap only at articulation points; scatter-summing in
+  // sub-graph order keeps the scores a function of the contributions.
+  std::vector<double> bc(g.num_vertices(), 0.0);
+  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
+    const Subgraph& sg = dec.subgraphs[i];
+    for (Vertex v = 0; v < sg.num_vertices(); ++v) {
+      bc[sg.to_global[v]] += contrib[i][v];
+    }
+  }
+  if (contributions != nullptr) *contributions = std::move(contrib);
   local.total_seconds = local.peel_seconds + local.partition_seconds +
                         local.reach_seconds + score_timer.seconds();
 

@@ -8,12 +8,12 @@
 //      dependency types (in2in, in2out, out2in, out2out) in one backward
 //      sweep and merges them into global BC scores. Every scoring task runs
 //      that serial kernel on the work-stealing scheduler: one task per
-//      small sub-graph, and root batches of each large one — the batches
-//      stand in for the paper's inner level-synchronous parallelism
-//      (DESIGN.md, substitutions).
+//      sub-graph, and root batches of each one carrying a large share of
+//      the scoring cost — the batches stand in for the paper's inner
+//      level-synchronous parallelism (DESIGN.md, substitutions).
 //
 // Solver::solve (bc/bc.hpp) owns the whole pipeline; this header exposes
-// the scoring step and the per-sub-graph kernel.
+// the scoring step and the one scorer behind it.
 //
 // Two deliberate corrections to the paper's pseudocode (validated against
 // Brandes and the naive oracle; see DESIGN.md §2):
@@ -23,6 +23,7 @@
 //     in2in reach (the pendant is itself reachable from its host).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "bcc/partition.hpp"
@@ -87,14 +88,25 @@ std::vector<double> apgre_bc_with_decomposition(
 
 /// Scoring on a scheduler the caller already resolved (select_scheduler):
 /// the Solver picks one per solve and hands it to the reach pass and here.
-std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,
-                                                const Decomposition& dec,
-                                                ApgreStats* stats,
-                                                WorkStealingScheduler& scheduler);
+/// When `contributions` is non-null it receives every sub-graph's local
+/// score vector (apgre_subgraph_scores), whose scatter-sum in sub-graph
+/// order is the returned scores.
+std::vector<double> apgre_bc_with_decomposition(
+    const CsrGraph& g, const Decomposition& dec, ApgreStats* stats,
+    WorkStealingScheduler& scheduler,
+    std::vector<std::vector<double>>* contributions = nullptr);
 
-/// BC scores of one sub-graph in local ids (paper Algorithm 2, BCinSG),
-/// with the serial kernel every scoring task runs. The contribution store
-/// re-scores blocks with it (deterministic accumulation order).
-std::vector<double> apgre_subgraph_bc(const Subgraph& sg);
+/// The one APGRE scorer (paper Algorithm 2, BCinSG, per sub-graph): the
+/// contributions of dec.subgraphs[i] for each i in `subgraphs`, in local
+/// ids and in that order, scored on `scheduler`. A sub-graph whose cost
+/// (arcs x roots) is at least 1/(2 * workers) of the whole decomposition's
+/// splits into about 4 * workers root-batch tasks; every other one is a
+/// single task, and a call with a single task runs it inline. Bitwise
+/// reproducible for a fixed worker count, whatever the steal order. When
+/// `stats` is non-null its rest_bc_seconds, task counts and sched_* fields
+/// are overwritten.
+std::vector<std::vector<double>> apgre_subgraph_scores(
+    const Decomposition& dec, std::span<const std::size_t> subgraphs,
+    WorkStealingScheduler& scheduler, ApgreStats* stats = nullptr);
 
 }  // namespace apgre

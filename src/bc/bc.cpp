@@ -234,21 +234,22 @@ BcResult Solver::solve(const BcOptions& opts) {
       stats.peeled_vertices = peel_->num_peeled;
       stats.core_fraction = peel_->core_fraction();
     }
-    if (track_) {
-      if (store_valid_) {
-        metrics().counter("bc.solver.score_reuses").add();
-      } else {
-        APGRE_TRACE_SPAN("apgre/build_store");
-        ScopedTimer t(stats.rest_bc_seconds);
-        build_store();
-      }
+    if (track_ && store_valid_) {
+      metrics().counter("bc.solver.score_reuses").add();
       result.scores = tracked_scores_;
       stats.num_subgraphs = dec_->subgraphs.size();
     } else {
+      // Tracked and untracked solves score through the same call, so their
+      // scores are bitwise equal; a tracked one also keeps the
+      // per-sub-graph contributions.
       const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      result.scores =
-          apgre_bc_with_decomposition(base, *dec_, &stats, scheduler);
+      result.scores = apgre_bc_with_decomposition(
+          base, *dec_, &stats, scheduler, track_ ? &contrib_ : nullptr);
       if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
+      if (track_) {
+        APGRE_TRACE_SPAN("apgre/build_store");
+        build_store(result.scores, scheduler.num_workers());
+      }
     }
     result.apgre_stats = stats;
   } else {
@@ -298,21 +299,13 @@ void Solver::enable_contribution_tracking() {
   store_valid_ = false;
 }
 
-void Solver::build_store() {
+void Solver::build_store(const std::vector<double>& scores, int workers) {
   const Decomposition& dec = *dec_;
-  contrib_.assign(dec.subgraphs.size(), {});
-  tracked_scores_.assign(g_->num_vertices(), 0.0);
-  for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
-    const Subgraph& sg = dec.subgraphs[sgi];
-    contrib_[sgi] = apgre_subgraph_bc(sg);
-    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      tracked_scores_[sg.to_global[local]] += contrib_[sgi][local];
-    }
-  }
-  // Peeled sessions keep the store expanded (see the tracked_scores_
-  // invariant in the header): the expansion commutes with the per-block
-  // subtract/re-add arithmetic of apply_local_batch.
-  if (reduced_ != nullptr) expand_peeled_scores(*peel_, tracked_scores_);
+  // `scores` come already expanded when the session peels (see the
+  // tracked_scores_ invariant in the header): the expansion commutes with
+  // the per-block subtract/re-add arithmetic of apply_local_batch.
+  tracked_scores_ = scores;
+  store_workers_ = workers;
 
   // Routing index: a counting sort of every (sub-graph, local id) pair by
   // global id, filled in sub-graph order so each vertex's run is sorted.
@@ -419,8 +412,8 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
 
   // One contribution subtract / merge-all / re-score / add-back cycle per
   // affected sub-graph — the per-block cost is paid once for the whole
-  // batch, not once per edge.
-  std::size_t resolved = 0;
+  // batch, not once per edge — and one scorer call for all of them.
+  std::vector<std::size_t> touched;
   std::vector<EdgeOp> local_ops;
   for (std::size_t r = 0; r < routes.size();) {
     const std::size_t sgi = routes[r].subgraph;
@@ -433,16 +426,27 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
       tracked_scores_[sg.to_global[local]] -= contrib_[sgi][local];
     }
     sg.graph = apply_edge_ops(sg.graph, local_ops);
-    contrib_[sgi] = apgre_subgraph_bc(sg);
+    touched.push_back(sgi);
+  }
+  // The worker count of the solve that built the store; a batch that
+  // touches one small block runs inline without a scheduler round trip.
+  std::optional<WorkStealingScheduler> private_sched;
+  std::vector<std::vector<double>> fresh = apgre_subgraph_scores(
+      *dec_, touched,
+      select_scheduler(SchedulerOptions{.threads = store_workers_},
+                       private_sched));
+  for (std::size_t k = 0; k < touched.size(); ++k) {
+    const std::size_t sgi = touched[k];
+    const Subgraph& sg = dec_->subgraphs[sgi];
+    contrib_[sgi] = std::move(fresh[k]);
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       double& score = tracked_scores_[sg.to_global[local]];
       score += contrib_[sgi][local];
       // Clamp subtract/re-add cancellation noise on exact zeros.
       if (std::abs(score) < 1e-9) score = std::max(score, 0.0);
     }
-    ++resolved;
-    metrics().counter("bc.solver.local_recomputes").add();
   }
+  metrics().counter("bc.solver.local_recomputes").add(touched.size());
   if (reduced_ != nullptr) {
     // Every endpoint is 2-core (guard above) and local batches leave the
     // peel cascade untouched, so the reduction tracks g by the same ops.
@@ -450,7 +454,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
   }
   refresh_top_subgraph();
   g_ = &g;
-  return resolved;
+  return touched.size();
 }
 
 BcResult betweenness(const CsrGraph& g, const BcOptions& opts) {

@@ -144,7 +144,8 @@ class Solver {
 
   /// Compute BC. Identical scores to betweenness(g, opts) — byte-for-byte,
   /// cache hit or miss (the scoring phase is deterministic given the
-  /// decomposition, and the decomposition is deterministic given options).
+  /// decomposition and the worker count, and the decomposition is
+  /// deterministic given options).
   BcResult solve(const BcOptions& opts = {});
 
   const CsrGraph& graph() const { return *g_; }
@@ -175,14 +176,15 @@ class Solver {
   void rebind(const CsrGraph& g);
 
   /// Opt in to the per-sub-graph contribution store. The next APGRE solve
-  /// additionally records each sub-graph's local score vector (serial
-  /// kernel, so contributions are deterministic) and their scatter-sum over
-  /// `to_global` — which equals the APGRE scores, since sub-graphs compose
-  /// additively. While the store is valid, repeat APGRE solves with the
-  /// same partition options serve the cached scores without re-scoring
-  /// (counter "bc.solver.score_reuses"), and apply_local_batch() can
-  /// re-score the blocks a local batch touched in place. Tracked scores match the untracked
-  /// scoring phase up to floating-point accumulation order.
+  /// additionally keeps each sub-graph's local score vector, as the one
+  /// scorer (apgre_subgraph_scores) returns it on the solve's scheduler,
+  /// and their scatter-sum over `to_global` — which equals the APGRE
+  /// scores, since sub-graphs compose additively. While the store is
+  /// valid, repeat APGRE solves with the same partition options serve the
+  /// cached scores without re-scoring (counter "bc.solver.score_reuses"),
+  /// and apply_local_batch() can re-score the blocks a local batch touched
+  /// in place. A tracked solve's scores are bitwise equal to an untracked
+  /// solve's at the same worker count.
   void enable_contribution_tracking();
 
   /// The store's unhalved full-graph APGRE scores, or nullptr while no
@@ -205,8 +207,10 @@ class Solver {
   /// local id) index built with the store (O(memberships of its endpoints),
   /// not O(|V|)), groups the ops by sub-graph and re-scores each affected
   /// sub-graph exactly once, however many ops landed in it: the
-  /// contribution subtract / merge-all (one apply_edge_ops) / re-score
-  /// (serial kernel) / add-back cycle runs per *block*, not per edge.
+  /// contribution subtract / merge-all (one apply_edge_ops) / re-score /
+  /// add-back cycle runs per *block*, not per edge. The re-scores are one
+  /// apgre_subgraph_scores call with the worker count of the solve that
+  /// built the store.
   /// Returns the number of sub-graphs re-scored (>= 1 on the localized
   /// path, one "bc.solver.local_recomputes" tick each). Returns 0 after
   /// falling back to a plain rebind() — full re-decomposition on the next
@@ -219,7 +223,7 @@ class Solver {
                                 const std::vector<EdgeOp>& ops);
 
  private:
-  void build_store();
+  void build_store(const std::vector<double>& scores, int workers);
   void refresh_top_subgraph();
 
   const CsrGraph* g_;
@@ -240,6 +244,7 @@ class Solver {
   // per-block contributions are exactly zero).
   bool track_ = false;
   bool store_valid_ = false;
+  int store_workers_ = 0;  ///< scheduler workers of the solve that built it
   std::vector<std::vector<double>> contrib_;
   std::vector<double> tracked_scores_;
   // Routing index, built by build_store and valid with the store: global

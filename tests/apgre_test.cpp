@@ -97,15 +97,23 @@ TEST(ApgreBc, DirectedPendantsIntoArticulationPoint) {
 
 TEST(ApgreBc, SubgraphKernelMatchesWholeGraphOnBiconnected) {
   // A biconnected graph decomposes into one sub-graph with no boundary APs
-  // and no pendants; the kernel must then equal plain Brandes.
+  // and no pendants; the scorer must then equal plain Brandes, whether the
+  // sub-graph runs as root batches inline (1 worker) or on the pool.
   const CsrGraph g = cycle(12);
   const Decomposition dec = decompose(g);
   ASSERT_EQ(dec.subgraphs.size(), 1u);
-  testing::expect_scores_near(brandes_bc(g), apgre_subgraph_bc(dec.subgraphs[0]));
+  const std::size_t only[] = {0};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    WorkStealingScheduler scheduler(workers(threads));
+    const auto contrib = apgre_subgraph_scores(dec, only, scheduler);
+    ASSERT_EQ(contrib.size(), 1u);
+    testing::expect_scores_near(brandes_bc(g), contrib[0]);
+  }
 }
 
-// The top block clears the default large-sub-graph cutoff, so on a
-// multi-worker pool it splits into root-batch tasks and stays exact.
+// The top block carries most of the scoring cost, so on a multi-worker
+// pool it splits into root-batch tasks and stays exact.
 TEST(ApgreBc, LargeBlockSplitsIntoRootBatches) {
   const CsrGraph g = testing::large_block_graph();
   const BcResult r = solve(g, {}, workers(4));
@@ -114,6 +122,29 @@ TEST(ApgreBc, LargeBlockSplitsIntoRootBatches) {
   EXPECT_GT(r.apgre_stats.num_subgraph_tasks, 0u);
   EXPECT_EQ(r.apgre_stats.num_fine_subgraphs, 0u);
   testing::expect_scores_near(brandes_bc(g), r.scores);
+}
+
+// The top block is under 1 << 14 arcs but carries nearly all the scoring
+// cost: its share of the cost, not its arc count, splits it into root
+// batches, for tracked and untracked solves alike.
+TEST(ApgreBc, CostShareSplitsASmallDominantBlock) {
+  const CsrGraph g = testing::dominant_block_graph();
+  const std::vector<double> expected = brandes_bc(g);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    const BcResult r = solve(g, {}, workers(threads));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_LT(r.apgre_stats.top_arcs, EdgeId{1} << 14);
+    EXPECT_GT(r.apgre_stats.num_batch_tasks, 0u);
+    testing::expect_scores_near(expected, r.scores);
+
+    Solver tracked(g);
+    tracked.enable_contribution_tracking();
+    const BcResult t = tracked.solve({.scheduler = workers(threads)});
+    ASSERT_TRUE(t.status.ok());
+    EXPECT_GT(t.apgre_stats.num_batch_tasks, 0u);
+    testing::expect_scores_near(expected, t.scores);
+  }
 }
 
 TEST(ApgreBc, StatsAreFilled) {

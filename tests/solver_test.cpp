@@ -8,12 +8,14 @@
 #include <vector>
 
 #include "bc/bc.hpp"
+#include "bc/incremental.hpp"
 #include "check/corpus.hpp"
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/mutate.hpp"
 #include "graph/transform.hpp"
 #include "support/metrics.hpp"
+#include "test_util.hpp"
 
 namespace apgre {
 namespace {
@@ -28,14 +30,26 @@ std::uint64_t decompositions() {
   return metrics().counter("bcc.decompositions").value();
 }
 
-/// Options pinned to one scheduler worker. The bitwise-equality tests
-/// below need a machine-independent accumulation order: with several
-/// workers, which tasks land on which worker (and so the FP merge order)
-/// depends on steal timing, which can differ between two runs under load.
+/// Options pinned to one scheduler worker. Scores are bitwise
+/// reproducible at a fixed worker count; one worker also keeps the
+/// comparisons below independent of the machine's core count.
 BcOptions pinned_options() {
   BcOptions opts;
   opts.threads = 1;
   return opts;
+}
+
+/// A private 4-worker pool, whatever the machine's core count.
+BcOptions four_workers() {
+  BcOptions opts;
+  opts.scheduler.threads = 4;
+  return opts;
+}
+
+std::vector<double> brandes_scores(const CsrGraph& g) {
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  return betweenness(g, serial).scores;
 }
 
 TEST(Solver, ScoresMatchOneShotBetweennessExactly) {
@@ -148,6 +162,63 @@ TEST(Solver, TrackedSolveMatchesUntrackedScores) {
       compare_scores(betweenness(g, serial).scores, r.scores);
   EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex << " expected "
                       << cmp.expected_score << " actual " << cmp.actual_score;
+}
+
+// Every root batch sums into its own buffer and the buffers merge in a
+// fixed order, so at a fixed worker count the scores do not depend on
+// which worker ran which batch — nor on whether the session tracks.
+TEST(Solver, FourWorkerScoresAreBitwiseReproducible) {
+  const CsrGraph g = testing::dominant_block_graph();
+  const BcResult first = betweenness(g, four_workers());
+  const BcResult second = betweenness(g, four_workers());
+  Solver tracked(g);
+  tracked.enable_contribution_tracking();
+  const BcResult stored = tracked.solve(four_workers());
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_TRUE(second.status.ok());
+  ASSERT_TRUE(stored.status.ok());
+  ASSERT_GT(first.apgre_stats.num_batch_tasks, 0u);
+  EXPECT_EQ(first.scores, second.scores);
+  EXPECT_EQ(first.scores, stored.scores);
+}
+
+// A local batch into the block that dominates the scoring cost re-scores
+// it as root batches on the store's 4-worker pool.
+TEST(Solver, LocalBatchIntoTheDominantBlockRunsOnThePool) {
+  const CsrGraph g = testing::dominant_block_graph();
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  ASSERT_TRUE(solver.solve(four_workers()).status.ok());
+  const std::uint64_t dec_before = decompositions();
+  Counter& tasks = metrics().counter("sched.tasks");
+  const std::uint64_t tasks_before = tasks.value();
+
+  // Vertices 0..89 form the clique; it stays biconnected without 3-7.
+  const CsrGraph cut = with_edge_removed(g, 3, 7);
+  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{3, 7, /*insert=*/false}}),
+            1u);
+  EXPECT_GT(tasks.value(), tasks_before + 1);
+  EXPECT_EQ(decompositions(), dec_before);
+  const ScoreComparison cmp =
+      compare_scores(brandes_scores(cut), *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+}
+
+// The store re-scores with the worker count of the solve that built it:
+// an engine pinned to one worker stays on one worker for local batches.
+TEST(Solver, OneWorkerEngineReScoresOnOneWorker) {
+  BcOptions opts;
+  opts.threads = 1;
+  IncrementalBc engine(testing::dominant_block_graph(), opts);
+  Gauge& workers = metrics().gauge("sched.workers");
+  workers.set(0.0);
+  const BatchStats batch =
+      engine.apply_batch(UpdateRequest{{EdgeOp{3, 7, /*insert=*/false}}});
+  EXPECT_EQ(batch.blocks_resolved, 1u);
+  EXPECT_EQ(workers.value(), 1.0);
+  const ScoreComparison cmp =
+      compare_scores(brandes_scores(engine.graph()), engine.scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
 }
 
 TEST(Solver, TrackedResolveServesStoredScores) {

@@ -44,15 +44,25 @@ inline std::vector<GraphCase> graph_family(std::uint64_t seed, bool tiny) {
   return graph_corpus(seed, tiny);
 }
 
-/// A graph whose top block clears APGRE's large-sub-graph cutoff (1 << 14
-/// arcs) at default options: a 130-clique (16,770 arcs) with caveman
-/// blocks, chains and pendants attached. Scoring splits the clique into
-/// root batches, so tests reach that path without setting any option.
+/// A graph with one large block that dominates APGRE's scoring cost: a
+/// 130-clique (16,770 arcs) with caveman blocks, chains and pendants
+/// attached. Scoring splits the clique into root batches, so tests reach
+/// that path without setting any option.
 inline CsrGraph large_block_graph() {
   CsrGraph g = complete(130);
   g = attach_communities(g, 40, 6, 42);
   g = attach_chains(g, 20, 3, 43);
   return attach_pendants(g, 120, 44);
+}
+
+/// A graph whose top block carries nearly all of the scoring cost (arcs x
+/// roots) while holding fewer than 1 << 14 arcs: a 90-clique (8,010 arcs)
+/// with caveman blocks and pendants attached. The cost-share rule splits
+/// the clique into root batches; a fixed arc cutoff at 1 << 14 would not.
+inline CsrGraph dominant_block_graph() {
+  CsrGraph g = complete(90);
+  g = attach_communities(g, 30, 6, 52);
+  return attach_pendants(g, 80, 53);
 }
 
 }  // namespace apgre::testing

@@ -698,8 +698,10 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
 /// each), self-checks the peeled scores against a fresh serial Brandes
 /// solve at the oracle tolerance, and reports the measured core fraction
 /// next to the speedup so a regressing ratio is attributable (did the peel
-/// get slower, or the fringe smaller?).
-JsonValue run_peeling_workload(std::uint64_t seed, int repeat, double scale) {
+/// get slower, or the fringe smaller?). `threads` sizes both solves'
+/// scheduler (0 = the shared pool).
+JsonValue run_peeling_workload(std::uint64_t seed, int repeat, double scale,
+                               int threads) {
   const Vertex core = std::max<Vertex>(64, static_cast<Vertex>(2000.0 * scale));
   const CsrGraph graph = attach_pendants(
       attach_chains(barabasi_albert(core, 4, seed),
@@ -708,6 +710,7 @@ JsonValue run_peeling_workload(std::uint64_t seed, int repeat, double scale) {
 
   BcOptions off;
   off.algorithm = Algorithm::kApgre;
+  off.threads = threads;
   BcOptions on = off;
   on.apgre.partition.peel_two_core = true;
 
@@ -749,6 +752,7 @@ JsonValue run_peeling_workload(std::uint64_t seed, int repeat, double scale) {
   out["core_fraction"] = JsonValue(peel_stats.core_fraction);
   out["peel_seconds"] = JsonValue(peel_stats.peel_seconds);
   out["reps"] = JsonValue(static_cast<std::int64_t>(repeat));
+  out["threads"] = JsonValue(static_cast<std::int64_t>(threads));
   out["peel_off_seconds_median"] = JsonValue(off_seconds);
   out["peel_on_seconds_median"] = JsonValue(on_seconds);
   out["speedup"] =
@@ -1080,7 +1084,7 @@ int main(int argc, char** argv) {
   if (workload == "peeling") {
     peeling_section = run_peeling_workload(
         static_cast<std::uint64_t>(flags.get_int("seed")), repeat,
-        flags.get_double("scale"));
+        flags.get_double("scale"), threads);
     std::fprintf(stderr,
                  "peeling workload: %.0f of %.0f vertices peeled (%.1f%% "
                  "core), %.4fs -> %.4fs median (%.2fx)\n",
