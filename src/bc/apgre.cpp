@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "bc/frontier.hpp"
+#include "bcc/reach.hpp"
 #include "support/metrics.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
@@ -292,6 +293,59 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
     stats->sched_idle_seconds = run_stats.idle_seconds;
   }
   return contrib;
+}
+
+std::shared_ptr<const PeelResult> apgre_peel(
+    const CsrGraph& g, const PartitionOptions& opts,
+    std::shared_ptr<const PeelResult> reuse) {
+  if (g.directed() || !opts.total_redundancy) return nullptr;
+  if (reuse != nullptr && reuse->num_vertices == g.num_vertices()) {
+    return reuse;
+  }
+  return std::make_shared<const PeelResult>(two_core_peel(g));
+}
+
+ApgrePreparation prepare_apgre(const CsrGraph& g, const PartitionOptions& opts,
+                               WorkStealingScheduler& sched,
+                               std::shared_ptr<const PeelResult> reuse,
+                               ApgreStats* stats) {
+  ApgrePreparation prep;
+  double peel_seconds = 0.0;
+  double partition_seconds = 0.0;
+  double reach_seconds = 0.0;
+  std::optional<CsrGraph> core;
+  {
+    ScopedTimer t(peel_seconds);
+    prep.peel = apgre_peel(g, opts, std::move(reuse));
+    if (prep.peel != nullptr && prep.peel->num_peeled > 0) {
+      core.emplace(peeled_core_reduction(g, *prep.peel));
+    }
+  }
+  const CsrGraph& base = core ? *core : g;
+  // Anchors stand in for their peeled subtrees as derived pendant
+  // multiplicities (gamma + weighted reach), so no kernel ever traverses
+  // the fringe.
+  const std::vector<Vertex>* weights =
+      core ? &prep.peel->anchor_weight : nullptr;
+  PartitionOptions key = opts;
+  key.compute_reach = false;
+  {
+    APGRE_TRACE_SPAN("apgre/decompose");
+    ScopedTimer t(partition_seconds);
+    prep.dec = decompose(base, key, sched);
+    if (weights != nullptr) inject_pendant_weights(prep.dec, *weights);
+  }
+  {
+    APGRE_TRACE_SPAN("apgre/reach");
+    ScopedTimer t(reach_seconds);
+    compute_reach_counts(base, prep.dec, key.reach, weights, sched);
+  }
+  if (stats != nullptr) {
+    stats->peel_seconds = peel_seconds;
+    stats->partition_seconds = partition_seconds;
+    stats->reach_seconds = reach_seconds;
+  }
+  return prep;
 }
 
 std::vector<double> apgre_bc_with_decomposition(const CsrGraph& g,

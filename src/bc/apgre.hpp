@@ -2,6 +2,9 @@
 // centrality (the paper's contribution, §3-§4).
 //
 // Pipeline (paper Figure 5):
+//   0. on undirected graphs, peel the tree fringe down to the 2-core
+//      (graph/transform.hpp two_core_peel) — gamma's pendant derivation
+//      applied to whole trees,
 //   1. decompose the graph along articulation points (bcc/partition.hpp),
 //   2. count alpha/beta for every boundary articulation point (bcc/reach.hpp),
 //   3. run a per-sub-graph Brandes variant that accumulates the four
@@ -13,7 +16,8 @@
 //      level-synchronous parallelism (DESIGN.md, substitutions).
 //
 // Solver::solve (bc/bc.hpp) owns the whole pipeline; this header exposes
-// the scoring step and the one scorer behind it.
+// the preparation step (stages 0-2), the scoring step and the one scorer
+// behind it.
 //
 // Two deliberate corrections to the paper's pseudocode (validated against
 // Brandes and the naive oracle; see DESIGN.md §2):
@@ -23,11 +27,13 @@
 //     in2in reach (the pendant is itself reachable from its host).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "bcc/partition.hpp"
 #include "graph/csr.hpp"
+#include "graph/transform.hpp"
 #include "support/sched/scheduler.hpp"
 
 namespace apgre {
@@ -40,9 +46,9 @@ struct ApgreOptions {
 struct ApgreStats {
   double partition_seconds = 0.0;  ///< biconnected decomposition + grouping
   double reach_seconds = 0.0;      ///< alpha/beta counting
-  /// 2-core peel preprocessing (PartitionOptions::peel_two_core): time
-  /// spent peeling + building the reduction, vertices removed, and the
-  /// surviving core fraction (1.0 when peeling was off or removed nothing).
+  /// 2-core peel (prepare_apgre): time spent peeling + building the core
+  /// reduction, vertices removed, and the surviving core fraction (1.0
+  /// when the peel does not apply or removed nothing).
   double peel_seconds = 0.0;
   Vertex peeled_vertices = 0;
   double core_fraction = 1.0;
@@ -53,6 +59,8 @@ struct ApgreStats {
   double rest_bc_seconds = 0.0;
   double total_seconds = 0.0;
 
+  /// Shape of the decomposition the solve scored: of the 2-core when it
+  /// peeled, whose anchors count their peeled subtrees as pendants.
   std::size_t num_subgraphs = 0;
   Vertex num_articulation_points = 0;
   Vertex num_pendants_removed = 0;
@@ -73,15 +81,48 @@ struct ApgreStats {
   double sched_idle_seconds = 0.0;     ///< summed worker idle time
 };
 
+/// The 2-core peel APGRE runs on `g`: `reuse` when it is non-null and
+/// covers g's vertex count (the service shares one peel per snapshot),
+/// otherwise a fresh two_core_peel(g). Null when the peel does not apply:
+/// directed graphs, and opts.total_redundancy off (the peel is pendant
+/// derivation, so the switch that turns gamma off turns it off too).
+std::shared_ptr<const PeelResult> apgre_peel(
+    const CsrGraph& g, const PartitionOptions& opts,
+    std::shared_ptr<const PeelResult> reuse = nullptr);
+
+/// A decomposition ready to score, and the peel it was built on.
+struct ApgrePreparation {
+  /// Covers the core-only reduction of `g` when `peel` removed vertices
+  /// (same vertex-id space; anchors carry their peeled subtrees as derived
+  /// pendant multiplicities), otherwise `g` itself. Reach counts filled.
+  Decomposition dec;
+  /// apgre_peel(g, opts, reuse); null when the peel does not apply. Scores
+  /// of `dec` become full-graph scores through expand_peeled_scores.
+  std::shared_ptr<const PeelResult> peel;
+};
+
+/// APGRE's preparation, the one path every solve takes: peel (apgre_peel)
+/// → decompose the core reduction → inject_pendant_weights → reach counts
+/// weighted by the anchors' multiplicities. opts.compute_reach is ignored
+/// (reach always runs, timed on its own). When `stats` is non-null its
+/// peel_seconds, partition_seconds and reach_seconds are overwritten.
+ApgrePreparation prepare_apgre(
+    const CsrGraph& g, const PartitionOptions& opts,
+    WorkStealingScheduler& sched = WorkStealingScheduler::shared(),
+    std::shared_ptr<const PeelResult> reuse = nullptr,
+    ApgreStats* stats = nullptr);
+
 /// Scoring only, on a caller-supplied decomposition whose alpha/beta reach
 /// counts are already filled in (compute_reach_counts). This is the Solver
 /// fast path (bc/bc.hpp): decompose once, score many times; the full
 /// pipeline is betweenness(g, {.apgre = opts}), whose
 /// BcResult::apgre_stats carries the phase breakdown. Scoring reads no
 /// field of `opts`. When `stats` is non-null its partition_seconds /
-/// reach_seconds are kept as-is (the caller reports what *it* spent — zero
-/// on a cache hit) and every other field is overwritten; total_seconds
-/// covers partition + reach + scoring.
+/// reach_seconds (and the peel fields) are kept as-is (the caller reports
+/// what *it* spent — zero on a cache hit) and every other field is
+/// overwritten; total_seconds covers peel + partition + reach + scoring.
+/// `g` is the input graph: the work model prices Brandes against its
+/// arcs, also when `dec` covers a core reduction.
 std::vector<double> apgre_bc_with_decomposition(
     const CsrGraph& g, const Decomposition& dec, const ApgreOptions& opts = {},
     ApgreStats* stats = nullptr, const SchedulerOptions& sched = {});

@@ -15,7 +15,6 @@
 #include "bc/parallel_preds.hpp"
 #include "bc/parallel_succs.hpp"
 #include "bc/sampling.hpp"
-#include "bcc/reach.hpp"
 #include "graph/mutate.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -188,49 +187,20 @@ BcResult Solver::solve(const BcOptions& opts) {
 
   Timer timer;
   if (opts.algorithm == Algorithm::kApgre) {
-    // Session fast path: decompose + count reach once, score per solve.
+    // Session fast path: peel + decompose + count reach once, score per
+    // solve.
     PartitionOptions key = opts.apgre.partition;
     key.compute_reach = false;
-    const bool want_peel = key.peel_two_core && !g.directed();
-    ApgreStats stats;  // partition/reach seconds stay zero on a cache hit
+    ApgreStats stats;  // peel/partition/reach seconds stay zero on a hit
     if (dec_ == nullptr || !(dec_key_ == key)) {
-      dec_ = std::make_unique<Decomposition>();
       store_valid_ = false;
-      reduced_.reset();
-      if (want_peel) {
-        // Peel once per snapshot; an adopted peel (service) is reused.
-        ScopedTimer t(stats.peel_seconds);
-        if (peel_ == nullptr || peel_->num_vertices != g.num_vertices()) {
-          peel_ = std::make_shared<const PeelResult>(two_core_peel(g));
-        }
-        if (peel_->num_peeled > 0) {
-          reduced_ =
-              std::make_unique<CsrGraph>(peeled_core_reduction(g, *peel_));
-        }
-      }
-      const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
-      {
-        APGRE_TRACE_SPAN("apgre/decompose");
-        ScopedTimer t(stats.partition_seconds);
-        *dec_ = decompose(base, key, scheduler);
-        // Weighted core solve: anchors absorb their peeled subtrees as
-        // derived pendant multiplicities (gamma + weighted reach), so the
-        // kernels never traverse the fringe.
-        if (reduced_ != nullptr) {
-          inject_pendant_weights(*dec_, peel_->anchor_weight);
-        }
-      }
-      {
-        APGRE_TRACE_SPAN("apgre/reach");
-        ScopedTimer t(stats.reach_seconds);
-        compute_reach_counts(base, *dec_, key.reach,
-                             reduced_ != nullptr ? &peel_->anchor_weight
-                                                 : nullptr,
-                             scheduler);
-      }
+      // An adopted peel (service) is reused.
+      ApgrePreparation prep = prepare_apgre(g, key, scheduler, peel_, &stats);
+      dec_ = std::make_unique<Decomposition>(std::move(prep.dec));
+      peel_ = std::move(prep.peel);
       dec_key_ = key;
     }
-    if (want_peel && peel_ != nullptr) {
+    if (peel_ != nullptr) {
       stats.peeled_vertices = peel_->num_peeled;
       stats.core_fraction = peel_->core_fraction();
     }
@@ -242,10 +212,9 @@ BcResult Solver::solve(const BcOptions& opts) {
       // Tracked and untracked solves score through the same call, so their
       // scores are bitwise equal; a tracked one also keeps the
       // per-sub-graph contributions.
-      const CsrGraph& base = reduced_ != nullptr ? *reduced_ : g;
       result.scores = apgre_bc_with_decomposition(
-          base, *dec_, &stats, scheduler, track_ ? &contrib_ : nullptr);
-      if (reduced_ != nullptr) expand_peeled_scores(*peel_, result.scores);
+          g, *dec_, &stats, scheduler, track_ ? &contrib_ : nullptr);
+      if (peel_ != nullptr) expand_peeled_scores(*peel_, result.scores);
       if (track_) {
         APGRE_TRACE_SPAN("apgre/build_store");
         build_store(result.scores, scheduler.num_workers());
@@ -274,7 +243,6 @@ void Solver::rebind(const CsrGraph& g) {
   dec_.reset();
   dec_key_ = PartitionOptions{};
   peel_.reset();
-  reduced_.reset();
   store_valid_ = false;
   contrib_.clear();
   tracked_scores_.clear();
@@ -288,7 +256,6 @@ void Solver::adopt_peel(std::shared_ptr<const PeelResult> peel) {
   // The cached decomposition (if any) was built on a different reduction.
   dec_.reset();
   dec_key_ = PartitionOptions{};
-  reduced_.reset();
   store_valid_ = false;
 }
 
@@ -350,7 +317,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     return 0;
   }
   APGRE_ASSERT(!g.directed() && g.num_vertices() == dec_->num_vertices);
-  if (reduced_ != nullptr) {
+  if (peel_ != nullptr && peel_->num_peeled > 0) {
     for (const EdgeOp& op : ops) {
       if (!peel_->in_core[op.u] || !peel_->in_core[op.v]) {
         // An update incident to the peeled forest invalidates the peel
@@ -447,11 +414,6 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     }
   }
   metrics().counter("bc.solver.local_recomputes").add(touched.size());
-  if (reduced_ != nullptr) {
-    // Every endpoint is 2-core (guard above) and local batches leave the
-    // peel cascade untouched, so the reduction tracks g by the same ops.
-    *reduced_ = apply_edge_ops(*reduced_, ops);
-  }
   refresh_top_subgraph();
   g_ = &g;
   return touched.size();

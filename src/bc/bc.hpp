@@ -152,15 +152,16 @@ class Solver {
 
   /// The cached decomposition, or nullptr before the first APGRE solve.
   /// The pointer is stable across cache-hit solves (tests key on this).
-  /// With PartitionOptions::peel_two_core the decomposition covers the
+  /// When the solve peeled (prepare_apgre) the decomposition covers the
   /// core-only reduction — anchors carrying their peeled subtrees as
   /// derived pendant multiplicities — not the full graph (same vertex-id
   /// space).
   const Decomposition* decomposition() const { return dec_.get(); }
 
-  /// The cached 2-core peel, or nullptr when peeling is off / not solved
-  /// yet. Shared so the service can hand one snapshot-wide peel to every
-  /// warm session (adopt_peel).
+  /// The 2-core peel the cached decomposition was built on, or nullptr
+  /// when the peel does not apply (directed graph, total_redundancy off)
+  /// or nothing is solved yet. Shared so the service can hand one
+  /// snapshot-wide peel to every warm session (adopt_peel).
   std::shared_ptr<const PeelResult> peel() const { return peel_; }
 
   /// Inject a precomputed peel of the *current* graph (the service stores
@@ -229,12 +230,9 @@ class Solver {
   const CsrGraph* g_;
   std::unique_ptr<Decomposition> dec_;
   PartitionOptions dec_key_;
-  // 2-core peel state (dec_key_.peel_two_core): the peel of the current
-  // graph and the flat reduction the decomposition was built on. reduced_
-  // is null when peeling is off, bypassed (directed), or removed nothing —
-  // scoring then runs on *g_ directly.
+  // The peel of the current graph the decomposition was built on
+  // (ApgrePreparation::peel): null when the peel does not apply.
   std::shared_ptr<const PeelResult> peel_;
-  std::unique_ptr<CsrGraph> reduced_;
   // Contribution store (enable_contribution_tracking): per-sub-graph local
   // score vectors and their scatter-sum. Invariant while store_valid_:
   // tracked_scores_[w] == sum over sub-graphs i containing w of

@@ -135,10 +135,14 @@ Decomposition::WorkModel Decomposition::work_model(EdgeId total_arcs) const {
   WorkModel model;
   model.brandes =
       static_cast<double>(num_vertices) * static_cast<double>(total_arcs);
-  double all_sources = 0.0;  // sum |V_i| * arcs_i (partial elimination only)
+  // sum (|V_i| + phantoms_i) * arcs_i (partial elimination only): each
+  // phantom pendant homed in SG_i is a source whose DAG is derived there.
+  double all_sources = 0.0;
   for (const Subgraph& sg : subgraphs) {
     const double arcs = static_cast<double>(sg.num_arcs());
-    all_sources += static_cast<double>(sg.num_vertices()) * arcs;
+    const double phantoms = std::accumulate(sg.pendant_weight.begin(),
+                                            sg.pendant_weight.end(), 0.0);
+    all_sources += (static_cast<double>(sg.num_vertices()) + phantoms) * arcs;
     model.apgre += static_cast<double>(sg.roots.size()) * arcs;
   }
   if (model.brandes > 0.0) {

@@ -29,8 +29,10 @@ struct PartitionOptions {
   /// Paper Algorithm 1 THRESHOLD: a block group smaller than this merges
   /// into its DFS parent (unless the parent is the top block).
   Vertex merge_threshold = 32;
-  /// Enable total-redundancy elimination (gamma / pendant removal).
-  /// Switchable for the ablation benchmark.
+  /// Enable total-redundancy elimination (gamma / pendant removal) and,
+  /// in APGRE solves of undirected graphs, the 2-core peel that extends it
+  /// to whole trees (bc/apgre.hpp prepare_apgre). Switchable for the
+  /// ablation benchmark.
   bool total_redundancy = true;
   /// alpha/beta computation strategy.
   ReachMethod reach = ReachMethod::kAuto;
@@ -38,13 +40,6 @@ struct PartitionOptions {
   /// compute_reach_counts() itself (the APGRE driver does this to time the
   /// two steps separately, as in the paper's Figure 8 breakdown).
   bool compute_reach = true;
-  /// Peel the tree fringe down to the 2-core before decomposing
-  /// (graph/transform.hpp two_core_peel): the apgre_bc driver and
-  /// bc::Solver solve the core-only reduction — anchors absorb their peeled
-  /// subtrees as derived pendant multiplicities (inject_pendant_weights) —
-  /// and re-expand the scores with the exact closed-form corrections.
-  /// Directed graphs bypass conservatively.
-  bool peel_two_core = false;
   /// Which biconnectivity pass labels the blocks: kAuto runs the
   /// scheduler-native parallel pass (bcc/parallel_bicomp.hpp) once the
   /// graph clears kParallelDecompositionAutoThreshold, kOn forces it (the
@@ -104,8 +99,10 @@ struct Decomposition {
   Vertex num_vertices = 0;
 
   /// Work model used for the Figure-7 redundancy breakdown, in units of
-  /// source x arc: Brandes does num_vertices * num_arcs; APGRE does
-  /// sum_i |R_i| * arcs_i.
+  /// source x arc: Brandes does num_vertices * total_arcs (pass the input
+  /// graph's arcs); APGRE does sum_i |R_i| * arcs_i. Phantom pendants
+  /// (Subgraph::pendant_weight) count as derived sources of their home
+  /// sub-graph, so a peeled fringe lands in total_redundancy.
   struct WorkModel {
     double brandes = 0.0;           ///< |V| * |arcs|
     double apgre = 0.0;             ///< sum |R_i| * arcs_i

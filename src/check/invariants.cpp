@@ -9,6 +9,7 @@
 #include "bcc/bicomp.hpp"
 #include "bcc/block_cut_tree.hpp"
 #include "bcc/parallel_bicomp.hpp"
+#include "graph/components.hpp"
 #include "graph/transform.hpp"
 
 namespace apgre {
@@ -42,6 +43,49 @@ std::uint64_t naive_restricted_reach(const CsrGraph& g, Vertex start,
     }
   }
   return count;
+}
+
+/// What the 2-core peel of an undirected graph should remove, counted
+/// without two_core_peel: strip vertices of degree < 2 until none is left.
+struct FringeCensus {
+  Vertex outside_core = 0;  ///< every stripped vertex
+  Vertex anchored = 0;      ///< stripped vertices whose component has a core
+};
+
+FringeCensus fringe_census(const CsrGraph& g) {
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> degree(n);
+  std::vector<std::uint8_t> stripped(n, 0);
+  std::vector<Vertex> stack;
+  for (Vertex v = 0; v < n; ++v) {
+    degree[v] = g.out_degree(v);
+    if (degree[v] < 2) {
+      stripped[v] = 1;
+      stack.push_back(v);
+    }
+  }
+  while (!stack.empty()) {
+    const Vertex v = stack.back();
+    stack.pop_back();
+    for (Vertex w : g.out_neighbors(v)) {
+      if (!stripped[w] && --degree[w] < 2) {
+        stripped[w] = 1;
+        stack.push_back(w);
+      }
+    }
+  }
+  const ComponentLabels labels = connected_components(g);
+  std::vector<std::uint8_t> has_core(labels.num_components, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    if (!stripped[v]) has_core[labels.component[v]] = 1;
+  }
+  FringeCensus census;
+  for (Vertex v = 0; v < n; ++v) {
+    if (!stripped[v]) continue;
+    ++census.outside_core;
+    if (has_core[labels.component[v]]) ++census.anchored;
+  }
+  return census;
 }
 
 }  // namespace
@@ -337,7 +381,15 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
                                                 const ApgreStats& stats,
                                                 const ApgreOptions& opts) {
   std::vector<std::string> violations;
-  const Decomposition dec = decompose(g, opts.partition);
+  const Decomposition dec = prepare_apgre(g, opts.partition).dec;
+
+  const bool peels = !g.directed() && opts.partition.total_redundancy;
+  const FringeCensus fringe = peels ? fringe_census(g) : FringeCensus{};
+  if (stats.peeled_vertices != fringe.outside_core) {
+    violation(violations, "stats report ", stats.peeled_vertices,
+              " peeled vertices, ", fringe.outside_core,
+              " lie outside the 2-core");
+  }
 
   if (stats.num_subgraphs != dec.subgraphs.size()) {
     violation(violations, "stats report ", stats.num_subgraphs,
@@ -352,10 +404,13 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
               " pendants removed, decomposition yields ",
               dec.num_pendants_removed);
   }
+  // Undirected solves derive every anchored fringe vertex (the core has no
+  // degree-1 vertex left); directed ones derive the degree-census pendants.
+  const Vertex census = peels ? fringe.anchored : pendant_census(g);
   if (opts.partition.total_redundancy &&
-      stats.num_pendants_removed != pendant_census(g)) {
+      stats.num_pendants_removed != census) {
     violation(violations, "stats report ", stats.num_pendants_removed,
-              " pendants removed, degree census counts ", pendant_census(g));
+              " pendants removed, census counts ", census);
   }
   if (!opts.partition.total_redundancy && stats.num_pendants_removed != 0) {
     violation(violations, "pendant derivation disabled but stats report ",
@@ -384,8 +439,8 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
               ", ", stats.total_redundancy, ") outside [0, 1]");
   }
 
-  const double phases[] = {stats.partition_seconds, stats.reach_seconds,
-                           stats.rest_bc_seconds};
+  const double phases[] = {stats.peel_seconds, stats.partition_seconds,
+                           stats.reach_seconds, stats.rest_bc_seconds};
   double phase_sum = 0.0;
   for (double phase : phases) {
     if (phase < 0.0) violation(violations, "negative phase time ", phase);

@@ -4,9 +4,9 @@
 // Unlike bcc/validate.hpp (which checks a Decomposition against the paper's
 // structural properties using the library's own reach code), this layer
 // re-derives every quantity independently — naive restricted BFS for
-// alpha/beta, a degree census for pendants, the standalone articulation
-// finder for AP counts — so a bookkeeping bug in partition.cpp or reach.cpp
-// cannot hide behind itself.
+// alpha/beta, degree and 2-core censuses for pendants and the peeled
+// fringe, the standalone articulation finder for AP counts — so a
+// bookkeeping bug in partition.cpp or reach.cpp cannot hide behind itself.
 //
 // All checkers return a human-readable list of violations; empty means
 // every invariant holds.
@@ -39,10 +39,12 @@ std::vector<std::string> check_decomposition_invariants(
     const CsrGraph& g, const Decomposition& dec,
     std::size_t max_reach_checks = static_cast<std::size_t>(-1));
 
-/// ApgreStats invariants against a fresh decompose(g, opts.partition):
-/// sub-graph / AP / pendant counters, top sub-graph size, the Figure-7
-/// redundancy fractions, and phase-timing sanity (non-negative phases that
-/// sum to at most the total).
+/// ApgreStats invariants against a fresh prepare_apgre(g, opts.partition),
+/// the preparation every APGRE solve runs: peeled-vertex count (also
+/// against an independent 2-core census), sub-graph / AP / pendant
+/// counters, top sub-graph size, the Figure-7 redundancy fractions, and
+/// phase-timing sanity (non-negative phases that sum to at most the
+/// total).
 std::vector<std::string> check_stats_invariants(const CsrGraph& g,
                                                 const ApgreStats& stats,
                                                 const ApgreOptions& opts = {});

@@ -204,16 +204,6 @@ MetamorphicResult check_peel_attachment(const CsrGraph& g, const BcOptions& opts
                  abs);
 }
 
-MetamorphicResult check_peel_solve_equivalence(const CsrGraph& g,
-                                               const BcOptions& opts,
-                                               double rel, double abs) {
-  BcOptions peeled = opts;
-  peeled.algorithm = Algorithm::kApgre;
-  peeled.apgre.partition.peel_two_core = true;
-  return verdict("peel_solve", run_algorithm(g, opts), run_algorithm(g, peeled),
-                 rel, abs);
-}
-
 std::vector<MetamorphicResult> run_metamorphic_rules(const CsrGraph& g,
                                                      const BcOptions& opts,
                                                      std::uint64_t seed,
@@ -227,7 +217,6 @@ std::vector<MetamorphicResult> run_metamorphic_rules(const CsrGraph& g,
       erdos_renyi(20, 40, g.directed(), hash_combine64(seed, 0xc0de));
   results.push_back(check_disjoint_union(g, companion, opts, rel, abs));
   results.push_back(check_peel_attachment(g, opts, seed, rel, abs));
-  results.push_back(check_peel_solve_equivalence(g, opts, rel, abs));
   return results;
 }
 

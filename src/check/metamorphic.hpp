@@ -24,10 +24,6 @@
 //                    scores (up to the closed-form anchor correction) and
 //                    every attached vertex matches its closed-form
 //                    prediction (graph/transform.hpp two_core_peel)
-//   * peel_solve     solving through PartitionOptions::peel_two_core must
-//                    equal the algorithm under test unpeeled — exactly, on
-//                    every graph including pure trees (empty core) and
-//                    directed inputs (conservative bypass)
 //
 // delta_s is the Brandes single-source dependency, so the pendant and
 // subdivision predictions cross-check the algorithm under test against an
@@ -84,15 +80,6 @@ MetamorphicResult check_isolated_vertex(const CsrGraph& g, const BcOptions& opts
 MetamorphicResult check_peel_attachment(const CsrGraph& g, const BcOptions& opts,
                                         std::uint64_t seed, double rel = 1e-7,
                                         double abs = 1e-6);
-
-/// peel_solve: betweenness with Algorithm::kApgre and
-/// PartitionOptions::peel_two_core enabled must equal the algorithm under
-/// test without peeling. Applies to every graph — directed inputs exercise
-/// the conservative bypass, pure trees the empty-core path.
-MetamorphicResult check_peel_solve_equivalence(const CsrGraph& g,
-                                               const BcOptions& opts,
-                                               double rel = 1e-7,
-                                               double abs = 1e-6);
 
 /// Run every applicable rule on `g` (union pairs it with a small seeded
 /// companion of the same directedness).

@@ -101,10 +101,10 @@ OracleReport dynamic_differential_check(const CsrGraph& g,
 
 /// Same trajectory check driven through the IncrementalBc engine (localized
 /// block re-solves, pendant closed forms, structural-conservative routing)
-/// instead of DynamicBc. `engine_options` tunes the engine's APGRE solves —
-/// pass PartitionOptions::peel_two_core to diff a *peeled* incremental
-/// solver against the static oracle after every step, including the
-/// structural fallbacks taken when an update touches the peeled forest.
+/// instead of DynamicBc. `engine_options` tunes the engine's APGRE solves;
+/// on undirected graphs at default options the engine peels, so the check
+/// also covers the structural fallbacks taken when an update touches the
+/// peeled forest.
 OracleReport incremental_differential_check(
     const CsrGraph& g, const std::vector<DynamicStep>& steps,
     const BcOptions& engine_options, const OracleOptions& opts = {});

@@ -36,12 +36,12 @@ struct Service::Impl {
     /// The current snapshot and its block-cut classifier; every update
     /// runs its ingest step (bcc/mutable_graph.hpp).
     MutableGraph graph;
-    /// Snapshot-wide 2-core peel, computed lazily for peel-enabled solves
-    /// and handed to every warm session (Solver::adopt_peel) so they skip
-    /// re-peeling. Local updates provably leave the peel intact (both
-    /// endpoints sit in a >= 3-vertex biconnected component, so no degree
-    /// drops below 2 and the peel cascade is untouched); structural ones
-    /// reset it.
+    /// Snapshot-wide 2-core peel (apgre_peel), computed lazily by the
+    /// first APGRE solve it applies to and handed to every warm session
+    /// (Solver::adopt_peel) so they skip re-peeling. Local updates
+    /// provably leave the peel intact (both endpoints sit in a >= 3-vertex
+    /// biconnected component, so no degree drops below 2 and the peel
+    /// cascade is untouched); structural ones reset it.
     std::shared_ptr<const PeelResult> peel;
   };
 
@@ -229,19 +229,13 @@ struct Service::Impl {
 
     std::shared_ptr<const CsrGraph> snap;
     std::shared_ptr<const PeelResult> peel;
-    const bool wants_peel =
-        request.options.algorithm == Algorithm::kApgre &&
-        request.options.apgre.partition.peel_two_core;
     {
       std::lock_guard<std::mutex> lk(entry->mu);
       snap = entry->graph.snapshot();
-      if (wants_peel && !snap->directed()) {
+      if (request.options.algorithm == Algorithm::kApgre) {
         // One peel per snapshot, shared by every warm session.
-        if (entry->peel == nullptr ||
-            entry->peel->num_vertices != snap->num_vertices()) {
-          entry->peel = std::make_shared<const PeelResult>(two_core_peel(*snap));
-        }
-        peel = entry->peel;
+        peel = apgre_peel(*snap, request.options.apgre.partition, entry->peel);
+        if (peel != nullptr) entry->peel = peel;
       }
     }
 

@@ -149,7 +149,13 @@ TEST(ApgreBc, CostShareSplitsASmallDominantBlock) {
 
 TEST(ApgreBc, StatsAreFilled) {
   const CsrGraph g = attach_pendants(caveman(6, 8, 3), 20, 4);
-  const ApgreStats stats = betweenness(g).apgre_stats;
+  const BcResult r = betweenness(g);
+  testing::expect_scores_near(brandes_bc(g), r.scores);
+  const ApgreStats& stats = r.apgre_stats;
+  // The default solve peels the 20 pendants; each one's derived DAG is
+  // total redundancy.
+  EXPECT_EQ(stats.peeled_vertices, 20u);
+  EXPECT_LT(stats.core_fraction, 1.0);
   EXPECT_GT(stats.num_subgraphs, 0u);
   EXPECT_GT(stats.num_articulation_points, 0u);
   EXPECT_EQ(stats.num_pendants_removed, 20u);

@@ -87,6 +87,15 @@ TEST(BcApi, ApgreOptionsPassedThrough) {
   const BcResult r = betweenness(g, opts);
   testing::expect_scores_near(brandes_bc(g), r.scores);
   EXPECT_EQ(r.apgre_stats.num_pendants_removed, 0u);
+  EXPECT_EQ(r.apgre_stats.peeled_vertices, 0u) << "no gamma, no peel";
+
+  // Directed graphs bypass the peel at default options.
+  const CsrGraph directed =
+      attach_pendants(erdos_renyi(40, 120, /*directed=*/true, 2), 6, 3);
+  const BcResult d = betweenness(directed);
+  testing::expect_scores_near(brandes_bc(directed), d.scores);
+  EXPECT_EQ(d.apgre_stats.peeled_vertices, 0u);
+  EXPECT_EQ(d.apgre_stats.core_fraction, 1.0);
 }
 
 }  // namespace

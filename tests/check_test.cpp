@@ -267,40 +267,23 @@ TEST(CheckMetamorphic, PeelAttachPredictsDecoratedScores) {
   EXPECT_FALSE(directed.applied);  // two_core_peel bypasses directed inputs
 }
 
-TEST(CheckMetamorphic, PeelSolveCoversTreesCyclesAndDirectedBypass) {
-  BcOptions opts;
-  opts.algorithm = Algorithm::kBrandesSerial;
-  // Pure tree: the core is empty and every score is closed-form.
-  const MetamorphicResult tree =
-      check_peel_solve_equivalence(random_tree(40, 3), opts);
-  EXPECT_TRUE(tree.applied);
-  EXPECT_TRUE(tree.ok) << tree.detail;
-  // 2-core fixpoint: peeling removes nothing.
-  const MetamorphicResult fixpoint =
-      check_peel_solve_equivalence(cycle(12), opts);
-  EXPECT_TRUE(fixpoint.applied);
-  EXPECT_TRUE(fixpoint.ok) << fixpoint.detail;
-  // Directed input: the knob must be a bypassed no-op, not a wrong answer.
-  const MetamorphicResult directed =
-      check_peel_solve_equivalence(erdos_renyi(10, 24, true, 5), opts);
-  EXPECT_TRUE(directed.applied);
-  EXPECT_TRUE(directed.ok) << directed.detail;
-}
-
 TEST(CheckSweep, SolverPeelMatchesUnpeeledAcrossCorpus) {
-  // The peel knob must be score-invisible on every corpus case (tree-heavy,
-  // biconnected, directed, empty) under the full Solver path — weighted
-  // core reduction, gamma/reach injection, closed-form re-expansion.
-  BcOptions off;
-  off.algorithm = Algorithm::kApgre;
-  BcOptions on = off;
-  on.apgre.partition.peel_two_core = true;
+  // The default solve peels undirected graphs; turning total_redundancy off
+  // turns the peel (and gamma) off. Both must agree on every corpus case
+  // (tree-heavy, biconnected, directed, empty) under the full Solver path —
+  // weighted core reduction, gamma/reach injection, closed-form
+  // re-expansion.
+  BcOptions on;
+  on.algorithm = Algorithm::kApgre;
+  BcOptions off = on;
+  off.apgre.partition.total_redundancy = false;
   for (std::uint64_t seed = 1; seed <= kMetamorphicSeeds; ++seed) {
     for (const CorpusCase& c : graph_corpus(seed, /*tiny=*/true)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " " + c.name);
       const BcResult a = betweenness(c.graph, off);
       const BcResult b = betweenness(c.graph, on);
       ASSERT_TRUE(a.status.ok() && b.status.ok());
+      EXPECT_EQ(a.apgre_stats.peeled_vertices, 0u);
       const ScoreComparison cmp = compare_scores(a.scores, b.scores);
       EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex << ": "
                           << cmp.expected_score << " vs " << cmp.actual_score;
@@ -309,12 +292,10 @@ TEST(CheckSweep, SolverPeelMatchesUnpeeledAcrossCorpus) {
 }
 
 TEST(CheckSweep, IncrementalTrajectoriesStayExactWithPeelEnabled) {
-  // Drive the incremental engine with peeling enabled through random
-  // insert/remove trajectories: updates that touch the peeled forest must
-  // route structural (re-peel) and still match the static oracle.
-  BcOptions peeled;
-  peeled.algorithm = Algorithm::kApgre;
-  peeled.apgre.partition.peel_two_core = true;
+  // Drive the incremental engine (which peels at default options) through
+  // random insert/remove trajectories: updates that touch the peeled forest
+  // must route structural (re-peel) and still match the static oracle.
+  const BcOptions peeled;
   constexpr std::size_t kStepsPerGraph = 4;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     for (const CorpusCase& c : graph_corpus(seed, /*tiny=*/true)) {
@@ -418,6 +399,10 @@ TEST(CheckInvariants, CorruptedStatsAreFlagged) {
   ApgreStats wrong_pendants = stats;
   wrong_pendants.num_pendants_removed += 1;
   EXPECT_FALSE(check_stats_invariants(g, wrong_pendants).empty());
+
+  ApgreStats wrong_peel = stats;
+  wrong_peel.peeled_vertices += 1;
+  EXPECT_FALSE(check_stats_invariants(g, wrong_peel).empty());
 
   ApgreStats wrong_redundancy = stats;
   wrong_redundancy.total_redundancy = 1.5;

@@ -581,7 +581,7 @@ TEST(ServiceBatch, RegisterRejectsEmptyName) {
 TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   // K4 core with a pendant chain 3-4-5 and pendant 2-6: the chain edges
   // are bridge blocks, so a batch deleting both is structural and must
-  // drop the cached snapshot peel exactly once — the next peeled solve
+  // drop the cached snapshot peel exactly once — the next solve
   // re-runs the peel once, not once per op.
   const CsrGraph g = CsrGraph::undirected_from_edges(
       7, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
@@ -590,8 +590,7 @@ TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   ASSERT_TRUE(service.register_graph("g", g).ok());
 
   Request peeled = solve_request("g");
-  peeled.options.algorithm = Algorithm::kApgre;
-  peeled.options.apgre.partition.peel_two_core = true;
+  peeled.options.algorithm = Algorithm::kApgre;  // peels by default
 
   ASSERT_TRUE(service.handle(peeled).status.ok());
   const std::uint64_t base = peel_runs();

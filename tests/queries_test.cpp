@@ -143,9 +143,9 @@ TEST(ClassifyUpdate, ApplyLocalUpdateKeepsLaterClassificationsExact) {
   EXPECT_EQ(classify_one(q, 0, 2, false), UpdateLocality::kLocalDelete);
 }
 
-// The peeled Solver (bc/bc.hpp) caches a 2-core reduction and only splices
-// core-core kLocal updates into it; any update incident to the peeled
-// forest must therefore route kStructural so the peel is recomputed. Pin
+// The Solver (bc/bc.hpp) caches a decomposition of the 2-core and only
+// patches core-core kLocal updates into it; any update incident to the
+// peeled forest must therefore route kStructural so the peel is recomputed. Pin
 // that for every peeled vertex: the fringe consists of bridges and
 // cut-vertex attachments, which the classifier already grades structural.
 TEST(ClassifyUpdate, ForestIncidentUpdatesAreStructuralOnPeeledGraphs) {

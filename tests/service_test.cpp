@@ -256,13 +256,7 @@ TEST(Service, DirectedUpdatesAreConservativelyStructural) {
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
 }
 
-// ---- 2-core peel service lifecycle --------------------------------------
-
-Request peeled_solve_request(const std::string& graph) {
-  Request request = solve_request(graph);
-  request.options.apgre.partition.peel_two_core = true;
-  return request;
-}
+// ---- 2-core peel service lifecycle (APGRE peels by default) -------------
 
 TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
   Service service(unit_options());
@@ -272,7 +266,7 @@ TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
 
   const std::uint64_t runs_before =
       metrics().counter("graph.peel.runs").value();
-  const Response first = service.handle(peeled_solve_request("g"));
+  const Response first = service.handle(solve_request("g"));
   ASSERT_TRUE(first.status.ok()) << first.status.message;
   expect_scores_near(oracle_scores(service, "g"), first.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1);
@@ -280,7 +274,7 @@ TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
   // Warm session: the snapshot-wide peel is adopted, not recomputed, and
   // the peeled decomposition cache survives.
   const std::uint64_t dec_after = decompositions();
-  const Response second = service.handle(peeled_solve_request("g"));
+  const Response second = service.handle(solve_request("g"));
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.session_hit);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)
@@ -295,7 +289,7 @@ TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
   const CsrGraph g = CsrGraph::undirected_from_edges(
       8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 6}, {6, 7}});
   service.register_graph("g", g);
-  ASSERT_TRUE(service.handle(peeled_solve_request("g")).status.ok());
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
 
   // Deleting the forest edge 6-7 is structural and reshapes the peel
   // (vertex count unchanged, so only an explicit reset catches it).
@@ -303,7 +297,7 @@ TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
       metrics().counter("graph.peel.runs").value();
   const Response update = service.handle(update_request("g", 6, 7, false));
   ASSERT_TRUE(update.status.ok()) << update.status.message;
-  const Response after = service.handle(peeled_solve_request("g"));
+  const Response after = service.handle(solve_request("g"));
   ASSERT_TRUE(after.status.ok()) << after.status.message;
   expect_scores_near(oracle_scores(service, "g"), after.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)

@@ -112,6 +112,7 @@ TEST(Solver, ChangedPartitionOptionsRedecompose) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(decompositions(), after_first + 1);
   EXPECT_EQ(r.apgre_stats.num_pendants_removed, 0u);
+  EXPECT_EQ(r.apgre_stats.peeled_vertices, 0u) << "no gamma, no peel";
 
   // Scores stay correct after the re-decomposition.
   BcOptions serial;
@@ -307,19 +308,21 @@ TEST(Solver, ApplyLocalUpdateWithoutStoreFallsBackToRebind) {
 // ---- 2-core peel sessions ------------------------------------------------
 
 TEST(Solver, PeelKnobKeysTheDecompositionCache) {
+  // total_redundancy is the peel's switch: off, the solve neither derives
+  // pendants nor peels; back on, it re-decomposes the peeled core.
   const CsrGraph g = skewed_graph();
   Solver solver(g);
-  const BcOptions opts = pinned_options();
-  ASSERT_TRUE(solver.solve(opts).status.ok());
-  EXPECT_EQ(solver.peel(), nullptr) << "no peel without the knob";
+  BcOptions off = pinned_options();
+  off.apgre.partition.total_redundancy = false;
+  ASSERT_TRUE(solver.solve(off).status.ok());
+  EXPECT_EQ(solver.peel(), nullptr) << "no peel without total_redundancy";
   const std::uint64_t after_off = decompositions();
 
-  BcOptions peeled = opts;
-  peeled.apgre.partition.peel_two_core = true;
+  const BcOptions peeled = pinned_options();
   const BcResult first_on = solver.solve(peeled);
   ASSERT_TRUE(first_on.status.ok());
   EXPECT_EQ(decompositions(), after_off + 1)
-      << "flipping the peel knob must re-decompose (different reduction)";
+      << "flipping total_redundancy must re-decompose (different reduction)";
   ASSERT_NE(solver.peel(), nullptr);
   EXPECT_GT(first_on.apgre_stats.peeled_vertices, 0u);
 
@@ -327,8 +330,12 @@ TEST(Solver, PeelKnobKeysTheDecompositionCache) {
   EXPECT_EQ(decompositions(), after_off + 1) << "peeled cache hit";
   EXPECT_EQ(first_on.scores, second_on.scores);
 
+  // Flipping back drops the peel the next decomposition no longer uses.
+  ASSERT_TRUE(solver.solve(off).status.ok());
+  EXPECT_EQ(solver.peel(), nullptr);
+
   // Peeled and unpeeled sessions agree with the serial oracle.
-  BcOptions serial = opts;
+  BcOptions serial = pinned_options();
   serial.algorithm = Algorithm::kBrandesSerial;
   const ScoreComparison cmp =
       compare_scores(betweenness(g, serial).scores, first_on.scores);
@@ -339,8 +346,7 @@ TEST(Solver, PeelKnobKeysTheDecompositionCache) {
 TEST(Solver, AdoptPeelReusesAndInvalidates) {
   const CsrGraph g = skewed_graph();
   Solver solver(g);
-  BcOptions peeled = pinned_options();
-  peeled.apgre.partition.peel_two_core = true;
+  const BcOptions peeled = pinned_options();
   ASSERT_TRUE(solver.solve(peeled).status.ok());
   const std::shared_ptr<const PeelResult> own = solver.peel();
   ASSERT_NE(own, nullptr);
@@ -361,14 +367,13 @@ TEST(Solver, AdoptPeelReusesAndInvalidates) {
 
 TEST(Solver, ForestIncidentLocalUpdateFallsBackToRebind) {
   // Cycle core with a hanging chain 0-6-7: updates touching the chain must
-  // refuse the localized patch (the cached core reduction excludes the
+  // refuse the localized patch (the cached decomposition excludes the
   // fringe) and rebind so the next solve re-peels.
   const CsrGraph g = CsrGraph::undirected_from_edges(
       8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 6}, {6, 7}});
   Solver solver(g);
   solver.enable_contribution_tracking();
-  BcOptions peeled = pinned_options();
-  peeled.apgre.partition.peel_two_core = true;
+  const BcOptions peeled = pinned_options();
   ASSERT_TRUE(solver.solve(peeled).status.ok());
   ASSERT_NE(solver.peel(), nullptr);
 
@@ -388,15 +393,14 @@ TEST(Solver, ForestIncidentLocalUpdateFallsBackToRebind) {
 
 TEST(Solver, TrackedPeeledStoreStaysExactThroughCoreLocalUpdates) {
   // Two cycles sharing AP 0 plus a peeled fringe: chain 0-9-10, pendant 11
-  // off vertex 2. Core-core chords splice the tracked store AND the cached
-  // core reduction; scores must track a fresh static solve each time.
+  // off vertex 2. Core-core chords patch the tracked store of the peeled
+  // core; scores must track a fresh static solve each time.
   const CsrGraph g = CsrGraph::undirected_from_edges(
       12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0},
            {0, 6}, {6, 7}, {7, 8}, {8, 0}, {0, 9}, {9, 10}, {2, 11}});
   Solver solver(g);
   solver.enable_contribution_tracking();
-  BcOptions peeled = pinned_options();
-  peeled.apgre.partition.peel_two_core = true;
+  const BcOptions peeled = pinned_options();
   ASSERT_TRUE(solver.solve(peeled).status.ok());
   const std::uint64_t dec_before = decompositions();
 

@@ -88,9 +88,6 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "sampling seed")
       .add_bool("halve-undirected", false,
                 "report conventional undirected scores (each pair once)")
-      .add_bool("peel", false,
-                "apgre: peel degree-<=1 vertices to the 2-core before "
-                "decomposition (exact; undirected only)")
       .add_string("output", "", "also write all scores to this CSV file");
 
   std::vector<std::string> positional;
@@ -173,7 +170,6 @@ int main(int argc, char** argv) {
     opts.undirected_halving = flags.get_bool("halve-undirected");
     opts.num_samples = static_cast<Vertex>(flags.get_int("samples"));
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    opts.apgre.partition.peel_two_core = flags.get_bool("peel");
 
     const BcResult result = betweenness(g, opts);
     if (!result.status.ok()) {
@@ -190,7 +186,7 @@ int main(int argc, char** argv) {
                   result.apgre_stats.num_pendants_removed,
                   100.0 * result.apgre_stats.partial_redundancy,
                   100.0 * result.apgre_stats.total_redundancy);
-      if (opts.apgre.partition.peel_two_core) {
+      if (result.apgre_stats.peeled_vertices > 0) {
         std::printf("peel: %u vertices peeled (%.1f%% core) in %.3f s\n",
                     result.apgre_stats.peeled_vertices,
                     100.0 * result.apgre_stats.core_fraction,

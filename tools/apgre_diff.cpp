@@ -7,13 +7,12 @@
 // For every seed in the range and every corpus case (check/corpus.hpp) the
 // tool diffs the selected algorithms against serial Brandes with per-vertex
 // blame, runs the metamorphic rules (rotating the algorithm under test
-// through the set), diffs the 2-core-peeled solve and a peeled incremental
-// trajectory against the unpeeled reference (--peel), validates the
-// decomposition + ApgreStats invariants, and sweeps the biconnectivity-pass
-// agreement check across the serial and parallel passes (--parallel-bcc).
-// Exit status 0 means zero
-// divergence above tolerance; 1 means
-// at least one check failed (details on stderr); 2 is a usage error.
+// through the set), replays a random incremental trajectory against the
+// static reference, validates the decomposition + ApgreStats invariants,
+// and sweeps the biconnectivity-pass agreement check across the serial and
+// parallel passes (--parallel-bcc). Exit status 0 means zero divergence
+// above tolerance; 1 means at least one check failed (details on stderr);
+// 2 is a usage error.
 // CI and fuzzing drive this binary; a failing (seed, case) pair is
 // reproducible by rerunning with the same flags (see docs/TESTING.md).
 #include <algorithm>
@@ -75,7 +74,6 @@ struct SweepCounters {
   std::size_t metamorphic_checks = 0;
   std::size_t invariant_graphs = 0;
   std::size_t weighted_graphs = 0;
-  std::size_t peel_graphs = 0;
   std::size_t agreement_graphs = 0;
   std::size_t trajectory_steps = 0;
   std::size_t failures = 0;
@@ -98,9 +96,6 @@ int main(int argc, char** argv) {
       .add_bool("metamorphic", true, "run the metamorphic rules")
       .add_bool("invariants", true, "check decomposition + ApgreStats invariants")
       .add_bool("weighted", true, "also diff the weighted algorithm family")
-      .add_bool("peel", true,
-                "diff the 2-core-peeled solve (and a peeled incremental "
-                "trajectory) against the unpeeled reference")
       .add_string("parallel-bcc", "both",
                   "decomposition_agreement axis: `on` (parallel pass), "
                   "`off` (serial DFS), `both`, or `none`")
@@ -191,56 +186,28 @@ int main(int argc, char** argv) {
         }
       }
 
-      // --- Peel-on vs peel-off axis -------------------------------------
-      // The metamorphic peel_solve rule rotates the reference algorithm; this
-      // axis is the fixed-reference version (serial Brandes vs peeled APGRE)
-      // plus a peeled *incremental* trajectory: after every random edge
-      // mutation the tracked solver — including its structural fallbacks when
-      // an update lands on the peeled forest — must match a from-scratch
-      // static solve on the mutated graph.
-      if (flags.get_bool("peel")) {
-        ++counters.peel_graphs;
-        BcOptions reference;
-        reference.threads = oracle.threads;
-        BcOptions peeled = reference;
-        peeled.algorithm = Algorithm::kApgre;
-        peeled.apgre.partition.peel_two_core = true;
-        const ScoreComparison cmp = compare_scores(
-            betweenness(c.graph, reference).scores,
-            betweenness(c.graph, peeled).scores, oracle.rel_tolerance,
-            oracle.abs_tolerance);
+      // --- Incremental trajectory ---------------------------------------
+      // After every random edge mutation the tracked solver — including its
+      // structural fallbacks when an update lands on the peeled forest —
+      // must match a from-scratch static solve on the mutated graph.
+      if (c.graph.num_vertices() >= 2 && c.graph.num_vertices() <= 2000) {
+        BcOptions engine;
+        engine.threads = oracle.threads;
+        const std::vector<DynamicStep> steps =
+            random_dynamic_steps(c.graph, /*count=*/4, seed);
+        const OracleReport trajectory =
+            incremental_differential_check(c.graph, steps, engine, oracle);
+        counters.trajectory_steps += trajectory.algorithms.size();
         counters.worst_divergence =
-            std::max(counters.worst_divergence, cmp.max_divergence);
-        if (!cmp.ok) {
+            std::max(counters.worst_divergence, trajectory.max_divergence);
+        if (!trajectory.ok) {
           ++counters.failures;
-          std::fprintf(stderr,
-                       "FAIL [peel] %s: %zu vertices over tolerance; worst v%u "
-                       "expected %g actual %g\n",
-                       tag.c_str(), cmp.num_violations, cmp.worst_vertex,
-                       cmp.expected_score, cmp.actual_score);
+          std::fprintf(stderr, "FAIL [trajectory] %s\n%s", tag.c_str(),
+                       trajectory.summary().c_str());
         } else if (verbose) {
-          std::printf("ok   [peel] %s: max divergence %.3g\n", tag.c_str(),
-                      cmp.max_divergence);
-        }
-
-        if (c.graph.num_vertices() >= 2 && c.graph.num_vertices() <= 2000) {
-          const std::vector<DynamicStep> steps =
-              random_dynamic_steps(c.graph, /*count=*/4, seed);
-          const OracleReport trajectory =
-              incremental_differential_check(c.graph, steps, peeled, oracle);
-          counters.trajectory_steps += trajectory.algorithms.size();
-          counters.worst_divergence =
-              std::max(counters.worst_divergence, trajectory.max_divergence);
-          if (!trajectory.ok) {
-            ++counters.failures;
-            std::fprintf(stderr, "FAIL [peel-trajectory] %s\n%s", tag.c_str(),
-                         trajectory.summary().c_str());
-          } else if (verbose) {
-            std::printf("ok   [peel-trajectory] %s: %zu steps, max divergence "
-                        "%.3g\n",
-                        tag.c_str(), trajectory.algorithms.size(),
-                        trajectory.max_divergence);
-          }
+          std::printf("ok   [trajectory] %s: %zu steps, max divergence %.3g\n",
+                      tag.c_str(), trajectory.algorithms.size(),
+                      trajectory.max_divergence);
         }
       }
 
@@ -333,13 +300,13 @@ int main(int argc, char** argv) {
   std::printf(
       "apgre_diff: seeds %llu..%llu, %zu graphs (%zu weighted), "
       "%zu differential runs, %zu metamorphic checks, %zu invariant graphs, "
-      "%zu peel graphs (%zu trajectory steps), %zu agreement graphs; "
+      "%zu trajectory steps, %zu agreement graphs; "
       "worst divergence %.3g; %zu failures in %.2f s\n",
       static_cast<unsigned long long>(seeds.first),
       static_cast<unsigned long long>(seeds.second), counters.graphs,
       counters.weighted_graphs, counters.differential_runs,
       counters.metamorphic_checks, counters.invariant_graphs,
-      counters.peel_graphs, counters.trajectory_steps,
+      counters.trajectory_steps,
       counters.agreement_graphs, counters.worst_divergence, counters.failures,
       timer.seconds());
   return counters.failures == 0 ? 0 : 1;

@@ -690,80 +690,9 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
   return JsonValue(std::move(out));
 }
 
-/// --workload peeling: end-to-end effect of the 2-core peel
-/// (graph/transform.hpp) on the geometry it targets — a scale-free core
-/// with a dominating tree fringe (preferential attachment + tendril chains
-/// + pendants, the skew real social/web graphs show). Times scheduled APGRE
-/// with PartitionOptions::peel_two_core off vs on (median of `repeat` runs
-/// each), self-checks the peeled scores against a fresh serial Brandes
-/// solve at the oracle tolerance, and reports the measured core fraction
-/// next to the speedup so a regressing ratio is attributable (did the peel
-/// get slower, or the fringe smaller?). `threads` sizes both solves'
-/// scheduler (0 = the shared pool).
-JsonValue run_peeling_workload(std::uint64_t seed, int repeat, double scale,
-                               int threads) {
-  const Vertex core = std::max<Vertex>(64, static_cast<Vertex>(2000.0 * scale));
-  const CsrGraph graph = attach_pendants(
-      attach_chains(barabasi_albert(core, 4, seed),
-                    /*count=*/core / 2, /*length=*/4, seed + 1),
-      /*count=*/2 * core, seed + 2);
-
-  BcOptions off;
-  off.algorithm = Algorithm::kApgre;
-  off.threads = threads;
-  BcOptions on = off;
-  on.apgre.partition.peel_two_core = true;
-
-  auto median_seconds = [&](const BcOptions& opts, ApgreStats* stats) {
-    std::vector<double> seconds;
-    seconds.reserve(static_cast<std::size_t>(repeat));
-    for (int i = 0; i < repeat; ++i) {
-      const BcResult r = betweenness(graph, opts);
-      APGRE_REQUIRE(r.status.ok(), "peeling workload: " + r.status.message);
-      seconds.push_back(r.seconds);
-      if (stats != nullptr) *stats = r.apgre_stats;
-    }
-    return percentile(seconds, 50.0);
-  };
-  const double off_seconds = median_seconds(off, nullptr);
-  ApgreStats peel_stats;
-  const double on_seconds = median_seconds(on, &peel_stats);
-
-  // Exactness self-check: the peeled run must reproduce serial Brandes.
-  BcOptions serial;
-  serial.algorithm = Algorithm::kBrandesSerial;
-  const std::vector<double> expected = betweenness(graph, serial).scores;
-  const std::vector<double> actual = betweenness(graph, on).scores;
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    const double a = expected[v];
-    const double b = actual[v];
-    APGRE_REQUIRE(
-        std::abs(a - b) <= 1e-6 + 1e-7 * std::max(std::abs(a), std::abs(b)),
-        "peeling workload: peeled scores diverged from serial Brandes at v" +
-            std::to_string(v));
-  }
-
-  JsonValue::Object out;
-  out["graph_vertices"] =
-      JsonValue(static_cast<std::uint64_t>(graph.num_vertices()));
-  out["graph_arcs"] = JsonValue(static_cast<std::uint64_t>(graph.num_arcs()));
-  out["peeled_vertices"] =
-      JsonValue(static_cast<std::uint64_t>(peel_stats.peeled_vertices));
-  out["core_fraction"] = JsonValue(peel_stats.core_fraction);
-  out["peel_seconds"] = JsonValue(peel_stats.peel_seconds);
-  out["reps"] = JsonValue(static_cast<std::int64_t>(repeat));
-  out["threads"] = JsonValue(static_cast<std::int64_t>(threads));
-  out["peel_off_seconds_median"] = JsonValue(off_seconds);
-  out["peel_on_seconds_median"] = JsonValue(on_seconds);
-  out["speedup"] =
-      JsonValue(on_seconds > 0.0 ? off_seconds / on_seconds : 0.0);
-  return JsonValue(std::move(out));
-}
-
 /// --workload decompose: serial Hopcroft-Tarjan DFS vs the parallel
-/// Tarjan-Vishkin-style biconnectivity pass (bcc/parallel_bicomp.hpp) on the
-/// fringe-heavy scale-free geometry the peeling workload uses — one giant
-/// core block plus tens of thousands of bridge blocks, the skew that makes
+/// Tarjan-Vishkin-style biconnectivity pass (bcc/parallel_bicomp.hpp) on a
+/// fringe-heavy scale-free geometry — one giant core block plus tens of thousands of bridge blocks, the skew that makes
 /// the decomposition a measurable fraction of an APGRE solve. Reports the
 /// median seconds and blocks/sec of each pass plus the speedup, and hard-
 /// gates exactness: the parallel output must be structure-identical to the
@@ -929,8 +858,7 @@ int main(int argc, char** argv) {
                   "parallel-kernel solves; aggregate requests/sec + "
                   "per-solve latency percentiles) or updates (sustained "
                   "localized incremental updates/sec vs full re-solve) or "
-                  "peeling (2-core peel off vs on over a tree-fringed "
-                  "scale-free graph, exactness self-checked) or stream "
+                  "stream "
                   "(batched ingest via IncrementalBc::apply_batch vs "
                   "per-edge replay, exactness self-checked) or decompose "
                   "(serial DFS vs parallel biconnectivity pass, structure "
@@ -967,10 +895,9 @@ int main(int argc, char** argv) {
     workload = flags.get_string("workload");
     APGRE_REQUIRE(workload == "kernels" || workload == "service" ||
                       workload == "service_parallel" || workload == "updates" ||
-                      workload == "peeling" || workload == "stream" ||
-                      workload == "decompose",
+                      workload == "stream" || workload == "decompose",
                   "--workload must be kernels, service, service_parallel, "
-                  "updates, peeling, stream or decompose");
+                  "updates, stream or decompose");
     APGRE_REQUIRE(flags.get_int("clients") >= 1, "--clients must be >= 1");
     APGRE_REQUIRE(flags.get_int("requests") >= 1, "--requests must be >= 1");
     APGRE_REQUIRE(flags.get_int("updates") >= 1, "--updates must be >= 1");
@@ -1080,22 +1007,6 @@ int main(int argc, char** argv) {
                  decompose_section.at("parallel_blocks_per_second").as_double());
   }
 
-  JsonValue peeling_section;
-  if (workload == "peeling") {
-    peeling_section = run_peeling_workload(
-        static_cast<std::uint64_t>(flags.get_int("seed")), repeat,
-        flags.get_double("scale"), threads);
-    std::fprintf(stderr,
-                 "peeling workload: %.0f of %.0f vertices peeled (%.1f%% "
-                 "core), %.4fs -> %.4fs median (%.2fx)\n",
-                 peeling_section.at("peeled_vertices").as_double(),
-                 peeling_section.at("graph_vertices").as_double(),
-                 100.0 * peeling_section.at("core_fraction").as_double(),
-                 peeling_section.at("peel_off_seconds_median").as_double(),
-                 peeling_section.at("peel_on_seconds_median").as_double(),
-                 peeling_section.at("speedup").as_double());
-  }
-
   JsonValue::Array results;
   for (const BenchGraph& bg : graph_list) {
     JsonValue::Object algorithms;
@@ -1140,9 +1051,6 @@ int main(int argc, char** argv) {
   }
   if (!updates_section.is_null()) {
     report["updates"] = std::move(updates_section);
-  }
-  if (!peeling_section.is_null()) {
-    report["peeling"] = std::move(peeling_section);
   }
   if (!stream_section.is_null()) {
     report["stream"] = std::move(stream_section);
