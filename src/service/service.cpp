@@ -4,9 +4,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <iterator>
 #include <list>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -23,10 +25,13 @@ namespace apgre {
 // The service submits every request directly.
 
 struct Service::Impl {
-  /// Per-graph registry entry. `mu` serializes updates and snapshot swaps;
-  /// readers copy the shared_ptr under it and work on the immutable
-  /// snapshot outside. Lock ordering: entry->mu before cache_mu, never the
-  /// reverse.
+  /// Per-graph registry entry. `mu` serializes this graph's writes: the
+  /// ingest, the snapshot swap and the patch of its warm session, which a
+  /// write checks out of the LRU and puts back before releasing `mu`.
+  /// Readers copy the snapshot (and peel) under it and solve outside it.
+  /// Lock ordering: entry->mu before cache_mu, never the reverse; cache_mu
+  /// is only ever held for O(1) LRU operations, so holding entry->mu
+  /// through a long patch delays this graph's requests and no other's.
   struct GraphEntry {
     GraphEntry(CsrGraph g, ParallelDecomposition decomposition)
         : graph(std::make_shared<const CsrGraph>(std::move(g)),
@@ -60,24 +65,43 @@ struct Service::Impl {
     }
   };
 
+  /// One of this Service's counters (ServiceStats) beside its process-wide
+  /// service.* metric, when it has one. The metric is resolved once: the
+  /// registry keeps entries across reset(), so the pointer stays valid and
+  /// a tick never takes the registry mutex.
+  struct Tally {
+    explicit Tally(std::string_view metric = {})
+        : global(metric.empty() ? nullptr : &metrics().counter(metric)) {}
+
+    void add(std::uint64_t delta = 1) {
+      own.fetch_add(delta, std::memory_order_relaxed);
+      if (global != nullptr) global->add(delta);
+    }
+    std::uint64_t value() const { return own.load(std::memory_order_relaxed); }
+
+    std::atomic<std::uint64_t> own{0};
+    Counter* global;
+  };
+
   struct Stats {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> solves{0};
-    std::atomic<std::uint64_t> top_k{0};
-    std::atomic<std::uint64_t> updates{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> session_hits{0};
-    std::atomic<std::uint64_t> session_misses{0};
-    std::atomic<std::uint64_t> session_evictions{0};
-    std::atomic<std::uint64_t> updates_local{0};
-    std::atomic<std::uint64_t> updates_structural{0};
-    std::atomic<std::uint64_t> local_recomputes{0};
-    std::atomic<std::uint64_t> full_invalidations{0};
-    std::atomic<std::uint64_t> batch_updates{0};
-    std::atomic<std::uint64_t> batch_edges{0};
-    std::atomic<std::uint64_t> coalesced_away{0};
-    std::atomic<std::uint64_t> blocks_resolved{0};
-    std::atomic<std::uint64_t> batch_downgrades{0};
+    Tally requests{"service.requests"};
+    Tally solves;
+    Tally top_k;
+    Tally updates;
+    Tally errors{"service.errors"};
+    Tally session_hits{"service.session_hits"};
+    Tally session_misses{"service.session_misses"};
+    Tally patch_missed{"service.patch_missed"};
+    Tally session_evictions{"service.session_evictions"};
+    Tally updates_local{"service.updates_local"};
+    Tally updates_structural{"service.updates_structural"};
+    Tally local_recomputes{"service.local_recomputes"};
+    Tally full_invalidations{"service.full_invalidations"};
+    Tally batch_updates{"service.batch.requests"};
+    Tally batch_edges{"service.batch.edges"};
+    Tally coalesced_away{"service.batch.coalesced_away"};
+    Tally blocks_resolved{"service.batch.blocks_resolved"};
+    Tally batch_downgrades{"service.batch.downgrades"};
   };
 
   explicit Impl(ServiceOptions opts) : options(opts) {
@@ -109,8 +133,7 @@ struct Service::Impl {
         if (queue.empty()) return;  // stopping, fully drained
         task = std::move(queue.front());
         queue.pop_front();
-        metrics().gauge("service.queue_depth").set(
-            static_cast<double>(queue.size()));
+        queue_depth.set(static_cast<double>(queue.size()));
       }
       task();
     }
@@ -134,8 +157,7 @@ struct Service::Impl {
         return broken.get_future();
       }
       queue.push_back(std::move(task));
-      metrics().gauge("service.queue_depth").set(
-          static_cast<double>(queue.size()));
+      queue_depth.set(static_cast<double>(queue.size()));
     }
     queue_cv.notify_one();
     return future;
@@ -150,6 +172,12 @@ struct Service::Impl {
   }
 
   // ---- session cache (LRU, MRU at the front) -----------------------------
+  //
+  // cache_mu guards list and index operations only. Sessions leaving the
+  // cache for good are spliced into a local list declared before the lock
+  // guard, so their solvers are destroyed after cache_mu is released.
+
+  using Lru = std::list<std::pair<std::string, std::unique_ptr<Session>>>;
 
   std::unique_ptr<Session> cache_take(const std::string& name) {
     std::lock_guard<std::mutex> lk(cache_mu);
@@ -162,43 +190,40 @@ struct Service::Impl {
   }
 
   void cache_put(const std::string& name, std::unique_ptr<Session> session) {
+    Lru evicted;
     std::lock_guard<std::mutex> lk(cache_mu);
     const auto it = lru_index.find(name);
     if (it != lru_index.end()) {
       // A concurrent solve reinserted first; most recent wins.
-      lru.erase(it->second);
+      evicted.splice(evicted.end(), lru, it->second);
       lru_index.erase(it);
     }
     lru.emplace_front(name, std::move(session));
     lru_index[name] = lru.begin();
     while (lru.size() > options.session_capacity) {
       lru_index.erase(lru.back().first);
-      lru.pop_back();
-      stats.session_evictions.fetch_add(1, std::memory_order_relaxed);
-      metrics().counter("service.session_evictions").add();
+      evicted.splice(evicted.end(), lru, std::prev(lru.end()));
+      stats.session_evictions.add();
     }
   }
 
   void cache_drop(const std::string& name) {
+    Lru dropped;
     std::lock_guard<std::mutex> lk(cache_mu);
     const auto it = lru_index.find(name);
     if (it == lru_index.end()) return;
-    lru.erase(it->second);
+    dropped.splice(dropped.end(), lru, it->second);
     lru_index.erase(it);
   }
 
   // ---- request handling --------------------------------------------------
 
   Response process(const Request& request) {
-    stats.requests.fetch_add(1, std::memory_order_relaxed);
-    metrics().counter("service.requests").add();
+    stats.requests.add();
     const bool mutation = request.kind == RequestKind::kUpdate ||
                           request.kind == RequestKind::kUpdateBatch;
     Response response = mutation ? update(request) : solve(request);
-    if (!response.status.ok()) {
-      stats.errors.fetch_add(1, std::memory_order_relaxed);
-      metrics().counter("service.errors").add();
-    }
+    if (!response.status.ok()) stats.errors.add();
     return response;
   }
 
@@ -215,8 +240,7 @@ struct Service::Impl {
     APGRE_TRACE_SPAN("service/solve");
     Response response;
     response.kind = request.kind;
-    (request.kind == RequestKind::kTopK ? stats.top_k : stats.solves)
-        .fetch_add(1, std::memory_order_relaxed);
+    (request.kind == RequestKind::kTopK ? stats.top_k : stats.solves).add();
 
     const std::shared_ptr<GraphEntry> entry = find_entry(request.graph);
     if (entry == nullptr) {
@@ -244,16 +268,15 @@ struct Service::Impl {
     if (session == nullptr) {
       session = std::make_unique<Session>(snap);
     } else if (!hit) {
-      // Cached but stale (an update or re-register raced past the patch
-      // window while this session was checked out): rebind structurally.
+      // A missed patch: the session was checked out (by a concurrent
+      // solve) while a write or re-register moved the graph to another
+      // snapshot, so it came back pinned to a different one. Rebind
+      // structurally; the next APGRE solve re-decomposes.
       session->solver.rebind(*snap);
       session->pin = snap;
+      stats.patch_missed.add();
     }
-    (hit ? stats.session_hits : stats.session_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    metrics()
-        .counter(hit ? "service.session_hits" : "service.session_misses")
-        .add();
+    (hit ? stats.session_hits : stats.session_misses).add();
 
     if (peel != nullptr) session->solver.adopt_peel(peel);
     BcResult result = session->solver.solve(request.options);
@@ -300,9 +323,7 @@ struct Service::Impl {
     const bool batched = request.kind == RequestKind::kUpdateBatch;
     Response response;
     response.kind = request.kind;
-    (batched ? stats.batch_updates : stats.updates)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (batched) metrics().counter("service.batch.requests").add();
+    (batched ? stats.batch_updates : stats.updates).add();
 
     if (!batched && request.update.ops.size() != 1) {
       return fail(std::move(response),
@@ -351,38 +372,30 @@ struct Service::Impl {
       entry->peel.reset();
     }
     (local ? stats.updates_local : stats.updates_structural)
-        .fetch_add(survivors.size(), std::memory_order_relaxed);
-    metrics()
-        .counter(local ? "service.updates_local"
-                       : "service.updates_structural")
         .add(survivors.size());
 
-    // Patch the warm session in place (entry->mu is held, so no competing
-    // update; sessions inside the cache have no other users). A checked-out
-    // session misses the patch and rebinds structurally on reinsert. One
-    // contribution-store re-solve per affected block for the whole batch.
-    {
-      std::lock_guard<std::mutex> ck(cache_mu);
-      const auto it = lru_index.find(request.graph);
-      if (it != lru_index.end()) {
-        Session& session = *it->second->second;
-        const bool fresh = session.pin == prev;
-        const bool patched =
-            local && fresh &&
-            session.solver.apply_local_batch(*snap, survivors) > 0;
-        if (!patched && !(local && fresh)) {
-          // apply_local_batch already rebound on its zero path; only the
-          // cases that never entered it still need the explicit rebind.
-          session.solver.rebind(*snap);
-        }
-        session.pin = snap;
-        (patched ? stats.local_recomputes : stats.full_invalidations)
-            .fetch_add(1, std::memory_order_relaxed);
-        metrics()
-            .counter(patched ? "service.local_recomputes"
-                             : "service.full_invalidations")
-            .add();
+    // Check the warm session out of the LRU, patch it holding only
+    // entry->mu, and put it back before entry->mu is released. cache_mu
+    // guards the LRU operations alone, so other graphs' requests never
+    // wait on the patch; a same-graph solve takes entry->mu first and so
+    // finds the session back in the cache, fresh. The put makes the write
+    // a use of its graph (most recent in the LRU). A session a concurrent
+    // solve has checked out misses the patch and is rebound on its next
+    // solve (stats.patch_missed). One contribution-store re-solve per
+    // affected block for the whole batch.
+    if (std::unique_ptr<Session> session = cache_take(request.graph)) {
+      const bool fresh = session->pin == prev;
+      const bool patched =
+          local && fresh &&
+          session->solver.apply_local_batch(*snap, survivors) > 0;
+      if (!patched && !(local && fresh)) {
+        // apply_local_batch already rebound on its zero path; only the
+        // cases that never entered it still need the explicit rebind.
+        session->solver.rebind(*snap);
       }
+      session->pin = snap;
+      (patched ? stats.local_recomputes : stats.full_invalidations).add();
+      cache_put(request.graph, std::move(session));
     }
 
     finalize_batch(response, batched);
@@ -395,22 +408,10 @@ struct Service::Impl {
     response.status = Status::Ok();
     if (!batched) return;
     const BatchStats& batch = response.batch;
-    stats.batch_edges.fetch_add(batch.batch_edges, std::memory_order_relaxed);
-    stats.coalesced_away.fetch_add(batch.coalesced_away,
-                                   std::memory_order_relaxed);
-    stats.blocks_resolved.fetch_add(batch.blocks_resolved,
-                                    std::memory_order_relaxed);
-    stats.batch_downgrades.fetch_add(batch.batch_downgrades,
-                                     std::memory_order_relaxed);
-    record_batch_metrics(batch);
-  }
-
-  /// Emit the service.batch.* counters for one executed batch.
-  static void record_batch_metrics(const BatchStats& batch) {
-    metrics().counter("service.batch.edges").add(batch.batch_edges);
-    metrics().counter("service.batch.coalesced_away").add(batch.coalesced_away);
-    metrics().counter("service.batch.blocks_resolved").add(batch.blocks_resolved);
-    metrics().counter("service.batch.downgrades").add(batch.batch_downgrades);
+    stats.batch_edges.add(batch.batch_edges);
+    stats.coalesced_away.add(batch.coalesced_away);
+    stats.blocks_resolved.add(batch.blocks_resolved);
+    stats.batch_downgrades.add(batch.batch_downgrades);
   }
 
   ServiceOptions options;
@@ -418,12 +419,11 @@ struct Service::Impl {
   mutable std::mutex registry_mu;
   std::map<std::string, std::shared_ptr<GraphEntry>> graphs;
 
+  /// Guards only `lru` and `lru_index` (O(1) list and index operations);
+  /// no session is patched, rebound or solved while it is held.
   mutable std::mutex cache_mu;
-  std::list<std::pair<std::string, std::unique_ptr<Session>>> lru;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string,
-                                         std::unique_ptr<Session>>>::iterator>
-      lru_index;
+  Lru lru;
+  std::unordered_map<std::string, Lru::iterator> lru_index;
 
   std::mutex queue_mu;
   std::condition_variable queue_cv;
@@ -432,6 +432,8 @@ struct Service::Impl {
   std::vector<std::thread> workers;
 
   Stats stats;
+  Gauge& queue_depth = metrics().gauge("service.queue_depth");
+  Gauge& graph_count = metrics().gauge("service.graphs");
 };
 
 Service::Service(ServiceOptions options)
@@ -451,8 +453,7 @@ Status Service::register_graph(const std::string& name, CsrGraph graph) {
   }
   // Any warm session belongs to the replaced graph; drop it.
   impl_->cache_drop(name);
-  metrics().gauge("service.graphs").set(
-      static_cast<double>(graph_names().size()));
+  impl_->graph_count.set(static_cast<double>(graph_names().size()));
   return Status::Ok();
 }
 
@@ -505,13 +506,12 @@ Response Service::handle(const Request& request) {
 }
 
 std::size_t Service::evict_sessions() {
+  Impl::Lru dropped;
   std::lock_guard<std::mutex> lk(impl_->cache_mu);
-  const std::size_t dropped = impl_->lru.size();
-  impl_->lru.clear();
+  dropped.swap(impl_->lru);
   impl_->lru_index.clear();
-  impl_->stats.session_evictions.fetch_add(dropped, std::memory_order_relaxed);
-  metrics().counter("service.session_evictions").add(dropped);
-  return dropped;
+  impl_->stats.session_evictions.add(dropped.size());
+  return dropped.size();
 }
 
 std::size_t Service::session_count() const {
@@ -522,24 +522,24 @@ std::size_t Service::session_count() const {
 ServiceStats Service::stats() const {
   const Impl::Stats& s = impl_->stats;
   ServiceStats out;
-  out.requests = s.requests.load(std::memory_order_relaxed);
-  out.solves = s.solves.load(std::memory_order_relaxed);
-  out.top_k = s.top_k.load(std::memory_order_relaxed);
-  out.updates = s.updates.load(std::memory_order_relaxed);
-  out.errors = s.errors.load(std::memory_order_relaxed);
-  out.session_hits = s.session_hits.load(std::memory_order_relaxed);
-  out.session_misses = s.session_misses.load(std::memory_order_relaxed);
-  out.session_evictions = s.session_evictions.load(std::memory_order_relaxed);
-  out.updates_local = s.updates_local.load(std::memory_order_relaxed);
-  out.updates_structural = s.updates_structural.load(std::memory_order_relaxed);
-  out.local_recomputes = s.local_recomputes.load(std::memory_order_relaxed);
-  out.full_invalidations =
-      s.full_invalidations.load(std::memory_order_relaxed);
-  out.batch_updates = s.batch_updates.load(std::memory_order_relaxed);
-  out.batch_edges = s.batch_edges.load(std::memory_order_relaxed);
-  out.coalesced_away = s.coalesced_away.load(std::memory_order_relaxed);
-  out.blocks_resolved = s.blocks_resolved.load(std::memory_order_relaxed);
-  out.batch_downgrades = s.batch_downgrades.load(std::memory_order_relaxed);
+  out.requests = s.requests.value();
+  out.solves = s.solves.value();
+  out.top_k = s.top_k.value();
+  out.updates = s.updates.value();
+  out.errors = s.errors.value();
+  out.session_hits = s.session_hits.value();
+  out.session_misses = s.session_misses.value();
+  out.patch_missed = s.patch_missed.value();
+  out.session_evictions = s.session_evictions.value();
+  out.updates_local = s.updates_local.value();
+  out.updates_structural = s.updates_structural.value();
+  out.local_recomputes = s.local_recomputes.value();
+  out.full_invalidations = s.full_invalidations.value();
+  out.batch_updates = s.batch_updates.value();
+  out.batch_edges = s.batch_edges.value();
+  out.coalesced_away = s.coalesced_away.value();
+  out.blocks_resolved = s.blocks_resolved.value();
+  out.batch_downgrades = s.batch_downgrades.value();
   return out;
 }
 

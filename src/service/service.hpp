@@ -29,15 +29,18 @@
 // throws on bad requests (docs/API.md "Error handling").
 //
 // Thread-safety: every public member is safe to call from any thread, and
-// the service itself imposes no cross-request serialization. Every
-// parallel kernel runs on the reentrant scheduler
+// the service imposes no cross-graph serialization. Writes to one graph
+// run one at a time under that graph's lock, which also covers the patch
+// of its warm session; the session cache's own lock is held only for O(1)
+// LRU operations, so one tenant's block re-solve never delays another
+// tenant's requests. Every parallel kernel runs on the reentrant scheduler
 // (support/sched/scheduler.hpp) — N workers can drive N parallel solves
 // concurrently, sharing the process-wide work-stealing pool.
 //
 // Observability: service.* metrics (requests, session_hits/misses/
-// evictions, updates_local/structural, queue_depth gauge) plus per-Service
-// ServiceStats snapshots; request handling is wrapped in service/* trace
-// spans.
+// evictions, patch_missed, updates_local/structural, queue_depth gauge)
+// plus per-Service ServiceStats snapshots; request handling is wrapped in
+// service/* trace spans.
 #pragma once
 
 #include <cstdint>
@@ -129,6 +132,14 @@ struct ServiceStats {
   std::uint64_t errors = 0;
   std::uint64_t session_hits = 0;
   std::uint64_t session_misses = 0;
+  /// Session misses whose cached session was bound to another snapshot: a
+  /// concurrent solve had it checked out while a write (or re-register)
+  /// landed, so it missed the write's patch and was rebound structurally.
+  /// A subset of session_misses.
+  std::uint64_t patch_missed = 0;
+  /// Sessions pushed out of the LRU (over capacity, or evict_sessions).
+  /// Solves and writes both count as uses of their graph: a write that
+  /// finds a warm session puts it back at the most-recent end.
   std::uint64_t session_evictions = 0;
   std::uint64_t updates_local = 0;
   std::uint64_t updates_structural = 0;
@@ -203,7 +214,8 @@ class Service {
   /// many were dropped. Counted as evictions.
   std::size_t evict_sessions();
 
-  /// Warm sessions currently cached.
+  /// Warm sessions currently cached. A session a running request has
+  /// checked out (a solve, or a write patching it) is not counted.
   std::size_t session_count() const;
 
   ServiceStats stats() const;

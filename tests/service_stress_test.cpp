@@ -6,10 +6,13 @@
 // hammers a shared read-only graph to contend on the LRU cache and the
 // worker pool. After the concurrent run, every client's recorded stream is
 // replayed on a fresh single-threaded Service and each response must match
-// the replay within the harness tolerance.
+// the replay within the harness tolerance. A cross-tenant test then pins
+// that one graph's slow write never holds up another graph's reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -136,6 +139,7 @@ void expect_responses_match(const Response& live, const Response& replayed,
       break;
     }
     case RequestKind::kUpdate:
+    case RequestKind::kUpdateBatch:
       EXPECT_EQ(live.affected_sources, replayed.affected_sources)
           << "client " << client << " step " << step;
       EXPECT_EQ(live.locality, replayed.locality)
@@ -348,6 +352,115 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
   BcOptions serial;
   serial.algorithm = Algorithm::kBrandesSerial;
   expect_scores_near(betweenness(*snap, serial).scores, served.scores);
+}
+
+/// A `side` x `side` grid (one block, no articulation points) with a
+/// triangle hung off vertex 0: re-scoring the grid block after a chord
+/// costs a full Brandes over it, so a local write stays in flight long
+/// enough for another graph's reads to run beside it.
+CsrGraph grid_with_triangle(Vertex side) {
+  EdgeList edges;
+  for (Vertex r = 0; r < side; ++r) {
+    for (Vertex c = 0; c < side; ++c) {
+      const Vertex v = r * side + c;
+      if (c + 1 < side) edges.push_back({v, v + 1});
+      if (r + 1 < side) edges.push_back({v, v + side});
+    }
+  }
+  const Vertex n = side * side;
+  edges.push_back({0, n});
+  edges.push_back({n, n + 1});
+  edges.push_back({n + 1, 0});
+  return CsrGraph::undirected_from_edges(n + 2, edges);
+}
+
+// Cross-tenant isolation: a write patches its graph's warm session under
+// that graph's own lock, never under the session-cache lock every graph's
+// requests share. So while a slow local write re-scores graph A's large
+// block, cached top_k reads of graph B keep completing: no B read may
+// take even half as long as the write. (With the patch under the shared
+// lock, a B read issued during the patch waits for all of it.)
+TEST(ServiceStress, ReadsOfOneGraphRunBesideAnotherGraphsWrite) {
+  using Clock = std::chrono::steady_clock;
+  ServiceOptions options;
+  options.parallel_decomposition = parallel_bcc_for_stress();
+  Service service(options);
+  constexpr Vertex kSide = 40;
+  service.register_graph("a", grid_with_triangle(kSide));
+  service.register_graph("b", shared_graph());
+
+  Request solve_a;
+  solve_a.kind = RequestKind::kSolve;
+  solve_a.graph = "a";
+  // One worker for A's session: its write then re-scores the grid on the
+  // writer's thread alone, leaving the other cores to B's reads.
+  solve_a.options.threads = 1;
+  solve_a.options.apgre.partition.parallel_decomposition =
+      parallel_bcc_for_stress();
+  Request top_b;
+  top_b.kind = RequestKind::kTopK;
+  top_b.graph = "b";
+  top_b.k = 6;
+  top_b.options.apgre.partition.parallel_decomposition =
+      parallel_bcc_for_stress();
+  ASSERT_TRUE(service.handle(solve_a).status.ok());
+  ASSERT_TRUE(service.handle(top_b).status.ok());  // B's session is warm
+
+  // A diagonal chord inside the grid block: local, one block re-score.
+  Request write;
+  write.kind = RequestKind::kUpdate;
+  write.graph = "a";
+  write.update.ops.push_back(EdgeOp{kSide + 1, 2 * kSide + 2, true});
+
+  std::atomic<bool> writing{true};
+  double write_seconds = 0.0;
+  Response written;
+  std::thread writer([&] {
+    const Clock::time_point start = Clock::now();
+    written = service.handle(write);
+    write_seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    writing.store(false, std::memory_order_release);
+  });
+  int reads_during_write = 0;
+  double longest_read = 0.0;
+  while (writing.load(std::memory_order_acquire)) {
+    const Clock::time_point start = Clock::now();
+    const Response r = service.handle(top_b);
+    longest_read = std::max(
+        longest_read,
+        std::chrono::duration<double>(Clock::now() - start).count());
+    if (!r.status.ok()) {
+      ADD_FAILURE() << r.status.message;
+      break;
+    }
+    EXPECT_TRUE(r.session_hit);
+    if (writing.load(std::memory_order_acquire)) ++reads_during_write;
+  }
+  writer.join();
+
+  ASSERT_TRUE(written.status.ok()) << written.status.message;
+  EXPECT_EQ(written.locality, UpdateLocality::kLocalInsert);
+  EXPECT_EQ(service.stats().local_recomputes, 1u)
+      << "the write must have patched A's warm session";
+  EXPECT_GT(reads_during_write, 0) << "no B read completed during the write";
+  EXPECT_LT(longest_read, 0.5 * write_seconds)
+      << "a B read waited on A's write: longest read " << longest_read
+      << " s, write " << write_seconds << " s, " << reads_during_write
+      << " reads completed during the write";
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  Request solve_b = top_b;
+  solve_b.kind = RequestKind::kSolve;
+  for (const Request* solve : {&solve_a, &solve_b}) {
+    const Response served = service.handle(*solve);
+    ASSERT_TRUE(served.status.ok()) << served.status.message;
+    EXPECT_TRUE(served.session_hit) << solve->graph;
+    const auto snap = service.snapshot(solve->graph);
+    ASSERT_NE(snap, nullptr);
+    expect_scores_near(betweenness(*snap, serial).scores, served.scores);
+  }
 }
 
 // Shutdown with work still queued: the destructor must drain every queued

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bc/bc.hpp"
@@ -319,6 +321,80 @@ TEST(Service, LruEvictsLeastRecentlyUsedSession) {
   // "b" is still warm, "a" went cold.
   EXPECT_TRUE(service.handle(solve_request("b")).session_hit);
   EXPECT_FALSE(service.handle(solve_request("a")).session_hit);
+}
+
+// A write is a use of its graph: it checks the warm session out to patch
+// it and puts it back at the most-recent end of the LRU.
+TEST(Service, WriteCountsAsLruUse) {
+  Service service(unit_options(/*capacity=*/2));
+  // Two cycles sharing articulation point 0; chord 1-3 is local to the C6.
+  EdgeList edges{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0},
+                 {0, 6}, {6, 7}, {7, 8}, {8, 0}};
+  service.register_graph("a", CsrGraph::undirected_from_edges(9, edges));
+  service.register_graph("b", cycle(6));
+  service.register_graph("c", cycle(7));
+
+  ASSERT_TRUE(service.handle(solve_request("a")).status.ok());
+  ASSERT_TRUE(service.handle(solve_request("b")).status.ok());
+  ASSERT_TRUE(service.handle(update_request("a", 1, 3, true)).status.ok());
+  ASSERT_TRUE(service.handle(solve_request("c")).status.ok());  // evicts "b"
+  EXPECT_EQ(service.stats().local_recomputes, 1u);
+  EXPECT_EQ(service.stats().session_evictions, 1u);
+
+  // "a" is still warm and patched, "b" went cold.
+  const Response a = service.handle(solve_request("a"));
+  ASSERT_TRUE(a.status.ok()) << a.status.message;
+  EXPECT_TRUE(a.session_hit);
+  expect_scores_near(oracle_scores(service, "a"), a.scores);
+  EXPECT_FALSE(service.handle(solve_request("b")).session_hit);
+}
+
+// A session a running solve has checked out misses a concurrent write's
+// patch: it returns to the cache bound to the old snapshot, and the next
+// solve rebinds it (ServiceStats::patch_missed). Whether the write lands
+// while the session is out depends on timing, so each round retries until
+// it does; every round's served scores must match a fresh solve.
+TEST(Service, CheckedOutSessionMissesPatchAndRebinds) {
+  Service service(unit_options(/*capacity=*/1));
+  // A 1500-cycle sharing articulation point 0 with a triangle: serial
+  // Brandes over it keeps the session checked out for milliseconds, and
+  // chord 1-3 is local to the cycle's block.
+  constexpr Vertex kCycle = 1500;
+  EdgeList edges;
+  for (Vertex v = 0; v < kCycle; ++v) edges.push_back({v, (v + 1) % kCycle});
+  edges.push_back({0, kCycle});
+  edges.push_back({kCycle, kCycle + 1});
+  edges.push_back({kCycle + 1, 0});
+  service.register_graph("g",
+                         CsrGraph::undirected_from_edges(kCycle + 2, edges));
+  ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
+
+  bool chord = false;
+  for (int round = 0; round < 20 && service.stats().patch_missed == 0;
+       ++round) {
+    std::atomic<bool> solved{false};
+    std::thread reader([&] {
+      const Response r =
+          service.handle(solve_request("g", Algorithm::kBrandesSerial));
+      EXPECT_TRUE(r.status.ok()) << r.status.message;
+      solved.store(true);
+    });
+    // The session leaves the cache while the serial solve runs.
+    while (service.session_count() != 0 && !solved.load()) {
+      std::this_thread::yield();
+    }
+    const Response write = service.handle(update_request("g", 1, 3, !chord));
+    reader.join();
+    ASSERT_TRUE(write.status.ok()) << write.status.message;
+    chord = !chord;
+
+    const Response served = service.handle(solve_request("g"));
+    ASSERT_TRUE(served.status.ok()) << served.status.message;
+    expect_scores_near(oracle_scores(service, "g"), served.scores);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.patch_missed, 0u) << "no write landed while checked out";
+  EXPECT_LE(stats.patch_missed, stats.session_misses);
 }
 
 TEST(Service, EvictSessionsForcesColdSolves) {

@@ -266,6 +266,7 @@ JsonValue render_stats(const Service& service) {
   s["errors"] = JsonValue(stats.errors);
   s["session_hits"] = JsonValue(stats.session_hits);
   s["session_misses"] = JsonValue(stats.session_misses);
+  s["patch_missed"] = JsonValue(stats.patch_missed);
   s["session_evictions"] = JsonValue(stats.session_evictions);
   s["updates_local"] = JsonValue(stats.updates_local);
   s["updates_structural"] = JsonValue(stats.updates_structural);
