@@ -23,8 +23,7 @@ void clamp_zeros(std::vector<double>& scores) {
 }  // namespace
 
 IncrementalBc::IncrementalBc(CsrGraph graph, BcOptions opts)
-    : graph_(std::make_shared<const CsrGraph>(std::move(graph)),
-             opts.apgre.partition.parallel_decomposition),
+    : graph_(std::move(graph), opts.apgre.partition.parallel_decomposition),
       opts_(std::move(opts)),
       solver_(graph_.graph()) {
   opts_.algorithm = Algorithm::kApgre;
@@ -52,8 +51,18 @@ BatchStats IncrementalBc::apply_batch(const UpdateRequest& batch) {
     // One re-decomposition for the whole batch, however many ops survived.
     resolve_full();
   } else if (ingested.applied()) {
-    if (solver_.apply_local_batch(graph(), ingested.survivors) > 0) {
-      scores_ = *solver_.tracked_scores();
+    std::vector<std::size_t> rescored;
+    if (solver_.apply_local_batch(graph(), ingested.survivors, &rescored) >
+        0) {
+      // scores_ equals the store everywhere else: copy only the vertices
+      // of the re-scored sub-graphs, not all |V|.
+      const std::vector<double>& tracked = *solver_.tracked_scores();
+      const Decomposition& dec = *solver_.decomposition();
+      for (const std::size_t sgi : rescored) {
+        for (const Vertex w : dec.subgraphs[sgi].to_global) {
+          scores_[w] = tracked[w];
+        }
+      }
       for (const EdgeOp& op : ingested.survivors) {
         (op.insert ? stats_.local_inserts : stats_.local_deletes) += 1;
       }

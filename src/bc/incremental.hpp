@@ -101,8 +101,12 @@ class IncrementalBc {
   MutableGraph graph_;
   BcOptions opts_;
   // Bound to graph_'s current snapshot; re-pointed (apply_local_batch or
-  // rebind) right after every snapshot swap, before it is read again.
+  // rebind) right after every snapshot change, before it is read again.
+  // graph_ hands out no snapshot handle, so its batches edit the snapshot
+  // in place and the bound address stays the same.
   Solver solver_;
+  // Equal to the solver's tracked scores whenever its store is valid; a
+  // local batch copies back only the vertices it re-scored.
   std::vector<double> scores_;
   IncrementalStats stats_;
 };

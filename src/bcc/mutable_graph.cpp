@@ -1,15 +1,23 @@
 #include "bcc/mutable_graph.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "support/trace.hpp"
 
 namespace apgre {
 
-MutableGraph::MutableGraph(std::shared_ptr<const CsrGraph> snapshot,
-                           ParallelDecomposition decomposition)
-    : snapshot_(std::move(snapshot)), decomposition_(decomposition) {
-  APGRE_ASSERT(snapshot_ != nullptr);
+MutableGraph::MutableGraph(CsrGraph graph, ParallelDecomposition decomposition)
+    : snapshot_(std::make_shared<CsrGraph>(std::move(graph))),
+      decomposition_(decomposition) {}
+
+bool MutableGraph::unshared() const {
+  if (snapshot_.use_count() != 1) return false;
+  // A former holder may have dropped its handle on another thread just
+  // now; the acquire pairs with that release of the count, so its reads of
+  // the graph happen before the edits that follow.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return true;
 }
 
 IngestResult MutableGraph::ingest(const UpdateRequest& request) {
@@ -34,9 +42,13 @@ IngestResult MutableGraph::ingest(const UpdateRequest& request) {
     verdict = queries_->classify_batch(out.survivors);
   }
 
-  // Survivors are legal by construction, so this cannot throw.
-  snapshot_ = std::make_shared<const CsrGraph>(
-      apply_edge_ops(*snapshot_, out.survivors));
+  // Survivors are legal by construction, so neither call throws on them.
+  if (unshared()) {
+    apply_edge_ops_in_place(*snapshot_, out.survivors);
+  } else {
+    snapshot_ = std::make_shared<CsrGraph>(
+        apply_edge_ops(*snapshot_, out.survivors));
+  }
 
   if (verdict.structural) {
     out.stats.batch_downgrades = 1;
@@ -57,7 +69,7 @@ IngestResult MutableGraph::ingest(const UpdateRequest& request) {
 }
 
 void MutableGraph::replace(CsrGraph next) {
-  snapshot_ = std::make_shared<const CsrGraph>(std::move(next));
+  snapshot_ = std::make_shared<CsrGraph>(std::move(next));
   queries_.reset();
 }
 

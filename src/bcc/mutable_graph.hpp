@@ -1,10 +1,10 @@
 // One evolving graph and its single write path.
 //
-// A MutableGraph owns an immutable CSR snapshot plus the block-cut
-// classifier built on it, and ingest() is the one place an edge batch
-// changes them. Both owners of an evolving graph run it: IncrementalBc
-// (bc/incremental.hpp) and the service's per-graph entry
-// (service/service.hpp). One batch flows through four steps:
+// A MutableGraph owns a CSR snapshot plus the block-cut classifier built on
+// it, and ingest() is the one place an edge batch changes them. Both owners
+// of an evolving graph run it: IncrementalBc (bc/incremental.hpp) and the
+// service's per-graph entry (service/service.hpp). One batch flows through
+// four steps:
 //
 //   1. coalesce — cancel insert/delete pairs on the same edge, dedupe
 //                 repeats, order survivors by timestamp; an illegal op
@@ -15,10 +15,12 @@
 //                 (BlockCutQueries::classify_batch). The classifier is
 //                 built on first use; directed graphs never build one and
 //                 always grade structural.
-//   3. apply    — build the successor snapshot in one merge pass while
-//                 the previous one is still alive (graph/update.hpp
-//                 apply_edge_ops), then swap it in (the previous snapshot
-//                 is released here unless a caller still holds it).
+//   3. apply    — edit the snapshot's CSR arrays in place when no one
+//                 else holds it (graph/update.hpp apply_edge_ops_in_place:
+//                 same address, no second graph alive); when a copy handed
+//                 out by snapshot() is still alive, edit a copy instead and
+//                 swap it in, so every holder keeps the graph it was given
+//                 (copy-on-write).
 //   4. patch or drop — a local batch leaves the tree intact, so the
 //                 classifier's block edge multisets are patched per op; a
 //                 structural batch drops the classifier, rebuilt on the
@@ -27,7 +29,9 @@
 // Scoring is not part of the step: the owner re-scores the affected blocks
 // of its tracked Solver (Solver::apply_local_batch) or re-solves, eagerly
 // (IncrementalBc) or lazily with each request's options (the service).
-// Not thread-safe; the service holds its per-graph mutex around ingest().
+// Not thread-safe; the service holds its per-graph mutex around ingest()
+// and around every snapshot() call, which is what makes the "no one else
+// holds it" test sound: no copy can appear while ingest() runs.
 #pragma once
 
 #include <memory>
@@ -58,7 +62,7 @@ struct IngestResult {
   Vertex affected_sources = 0;
 
   bool ok() const { return status.ok(); }
-  /// A new snapshot was swapped in.
+  /// The snapshot changed (edited in place, or a new one swapped in).
   bool applied() const { return !survivors.empty(); }
   /// The block-cut tree may have changed; cached decompositions are stale.
   bool structural() const { return stats.batch_downgrades != 0; }
@@ -69,12 +73,15 @@ class MutableGraph {
   /// `decomposition` picks the biconnectivity pass the classifier is built
   /// from (the grades do not depend on it).
   explicit MutableGraph(
-      std::shared_ptr<const CsrGraph> snapshot,
+      CsrGraph graph,
       ParallelDecomposition decomposition = ParallelDecomposition::kAuto);
 
-  /// The current snapshot. Immutable; ingest() and replace() swap in a new
-  /// one, so holders of the old pointer keep a consistent graph.
-  const std::shared_ptr<const CsrGraph>& snapshot() const { return snapshot_; }
+  /// A shared handle on the current snapshot. While any handle is alive the
+  /// snapshot is never mutated: ingest() and replace() swap in a new one,
+  /// so a holder keeps a consistent graph and pointer identity stays a
+  /// sound freshness test. With no handle alive, ingest() edits the
+  /// snapshot in place (its address does not change).
+  std::shared_ptr<const CsrGraph> snapshot() const { return snapshot_; }
   const CsrGraph& graph() const { return *snapshot_; }
 
   /// Coalesce, classify, apply and patch-or-drop one batch (file comment).
@@ -85,7 +92,11 @@ class MutableGraph {
   void replace(CsrGraph next);
 
  private:
-  std::shared_ptr<const CsrGraph> snapshot_;
+  /// True when no snapshot() handle is alive, so the snapshot may be
+  /// edited in place.
+  bool unshared() const;
+
+  std::shared_ptr<CsrGraph> snapshot_;
   ParallelDecomposition decomposition_;
   std::unique_ptr<BlockCutQueries> queries_;
 };

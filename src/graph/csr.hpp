@@ -92,9 +92,11 @@ class CsrGraph {
 
   friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
 
-  // The batch merge (graph/update.hpp) builds a successor's arrays in one
-  // pass from this graph's — no EdgeList round-trip, no re-sort. It needs
-  // the private arrays, hence friendship.
+  // The batch edit (graph/update.hpp) shifts the arrays in place — no
+  // EdgeList round-trip, no re-sort — and reserves their capacity first.
+  // It needs the private arrays, hence friendship.
+  friend void apply_edge_ops_in_place(CsrGraph& g,
+                                      const std::vector<EdgeOp>& ops);
   friend CsrGraph apply_edge_ops(const CsrGraph& g,
                                  const std::vector<EdgeOp>& ops);
 

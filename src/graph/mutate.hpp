@@ -14,14 +14,14 @@ namespace apgre {
 bool has_arc(const CsrGraph& g, Vertex u, Vertex v);
 
 /// Graph with the edge (u, v) added — both arcs for undirected graphs.
-/// A batch of one through apply_edge_ops (graph/update.hpp): one O(n + m)
-/// merge pass, no EdgeList round-trip or re-sort.
+/// A batch of one through apply_edge_ops (graph/update.hpp): a copy edited
+/// in place, no EdgeList round-trip or re-sort.
 /// Throws: "update endpoint out of range", "self-loops do not affect
 /// betweenness" (u == v), "arc already present".
 CsrGraph with_edge_inserted(const CsrGraph& g, Vertex u, Vertex v);
 
 /// Graph with the edge (u, v) removed — both arcs for undirected graphs.
-/// The same one-op apply_edge_ops merge as with_edge_inserted.
+/// The same one-op apply_edge_ops edit as with_edge_inserted.
 /// Throws: "update endpoint out of range", "self-loops do not affect
 /// betweenness" (u == v), "arc not present", "symmetric arc missing".
 CsrGraph with_edge_removed(const CsrGraph& g, Vertex u, Vertex v);

@@ -12,8 +12,9 @@
 // *snapshot* on first touch (inserting a present arc, deleting an absent
 // one, self-loops, out-of-range endpoints) rejects the whole batch with a
 // Status carrying the same message the single-edge mutate helpers throw,
-// so a failed batch provably changed no state. apply_edge_ops() then
-// builds the successor snapshot from the survivors in one merge pass.
+// so a failed batch provably changed no state. apply_edge_ops_in_place()
+// then edits the graph's CSR arrays in place, and apply_edge_ops() runs the
+// same edit on a copy.
 //
 // The binary edge-batch frame ("APGB") is the replay-file format: one frame
 // per batch, frames concatenated until EOF, used by apgre_serve's
@@ -80,16 +81,23 @@ struct CoalesceResult {
 /// Reduce `ops` to their net effect against `g` (see file comment).
 CoalesceResult coalesce_batch(const CsrGraph& g, const std::vector<EdgeOp>& ops);
 
-/// Successor graph with every op applied, built in one pass: the ops
-/// become sorted per-arc edits (both arcs of an undirected edge; the out-arc
-/// and its transpose for directed graphs) merged into the CSR arrays, with
-/// untouched vertex ranges copied as whole blocks. One O(n + m) copy per
-/// batch, not per op. Every op is checked against `g` itself before the
-/// successor is allocated, so the call is a commit point for any input: it
-/// throws apgre::Error with the single-edge mutate helpers' messages
-/// ("arc already present", "arc not present", ...), "update endpoint out
-/// of range", or "two ops on one arc" — coalesce_batch survivors never
-/// trip any of them. Throws on an empty batch.
+/// Apply every op to `g` in place, the one CSR edit algorithm: the ops
+/// become sorted per-arc edits (both arcs of an undirected edge; the
+/// out-arc and its transpose for directed graphs); the arc segments
+/// between edit points shift by the running arc delta (one memmove each),
+/// the inserted arcs fill the gaps, and the offsets move from the first
+/// edited vertex on. O(|E|) bytes moved and O(|V|) offsets fixed at worst,
+/// no allocation of a second graph. Every op is checked against `g` before
+/// the first write, so a throw leaves `g` equal to its input: it throws
+/// apgre::Error with the single-edge mutate helpers' messages ("arc
+/// already present", "arc not present", ...), "update endpoint out of
+/// range", or "two ops on one arc" — coalesce_batch survivors never trip
+/// any of them. Throws on an empty batch.
+void apply_edge_ops_in_place(CsrGraph& g, const std::vector<EdgeOp>& ops);
+
+/// Successor graph with every op applied: a copy of `g`, its arc arrays
+/// sized for the edited graph before the copy, edited in place. Validates
+/// and throws like apply_edge_ops_in_place, before the copy is made.
 CsrGraph apply_edge_ops(const CsrGraph& g, const std::vector<EdgeOp>& ops);
 
 /// Serialize one batch as a binary frame (magic "APGB", version, count,

@@ -34,8 +34,7 @@ struct Service::Impl {
   /// through a long patch delays this graph's requests and no other's.
   struct GraphEntry {
     GraphEntry(CsrGraph g, ParallelDecomposition decomposition)
-        : graph(std::make_shared<const CsrGraph>(std::move(g)),
-                decomposition) {}
+        : graph(std::move(g), decomposition) {}
 
     std::mutex mu;
     /// The current snapshot and its block-cut classifier; every update
@@ -339,6 +338,10 @@ struct Service::Impl {
 
     std::lock_guard<std::mutex> lk(entry->mu);
     // Warm sessions are matched against the snapshot the batch applies to.
+    // Holding `prev` also keeps the ingest copy-on-write: the snapshot is
+    // shared, so the batch lands in a new one and a session pinned to
+    // `prev` (or a reader still solving on it) never sees its graph change
+    // under it, and `pin == snapshot` stays a sound freshness test.
     const std::shared_ptr<const CsrGraph> prev = entry->graph.snapshot();
     const IngestResult ingested = entry->graph.ingest(request.update);
     response.batch = ingested.stats;
@@ -354,7 +357,7 @@ struct Service::Impl {
     }
     const std::vector<EdgeOp>& survivors = ingested.survivors;
     const bool local = !ingested.structural();
-    const std::shared_ptr<const CsrGraph>& snap = entry->graph.snapshot();
+    const std::shared_ptr<const CsrGraph> snap = entry->graph.snapshot();
 
     if (local) {
       // Blast radius: the biconnected components the batch is confined to.

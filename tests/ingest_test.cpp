@@ -5,7 +5,9 @@
 // (one survival check per block, strictly more precise than per-edge), the
 // acceptance criterion that an all-local batch of k edges in one block
 // re-solves exactly 1 block with 0 re-decompositions, the binary
-// edge-batch frame format, and the service-level batch counters. The
+// edge-batch frame format, the snapshot ownership rule (edited in place
+// when unshared, copied when a handle is alive), and the service-level
+// batch counters. The
 // randomized trajectories drive IncrementalBc and a Service through the
 // same batches (equal counters and scores), diff against a replay of
 // one-op batches AND a fresh static Brandes solve after every batch; the
@@ -22,8 +24,10 @@
 
 #include "bc/brandes.hpp"
 #include "bc/incremental.hpp"
+#include "bcc/mutable_graph.hpp"
 #include "bcc/queries.hpp"
 #include "graph/generators.hpp"
+#include "graph/mutate.hpp"
 #include "graph/update.hpp"
 #include "service/service.hpp"
 #include "support/metrics.hpp"
@@ -307,6 +311,55 @@ TEST(ApplyBatch, RejectedBatchChangesNoState) {
   EXPECT_EQ(engine.scores(), before);
   EXPECT_EQ(engine.graph().num_arcs(), two_k6().num_arcs());
   EXPECT_EQ(engine.stats().batches, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot ownership: MutableGraph edits its snapshot in place while no one
+// else holds it, and copies it first while a snapshot() handle is alive.
+
+TEST(MutableGraphSnapshot, UnsharedSnapshotIsEditedInPlace) {
+  MutableGraph graph(two_k6());
+  const CsrGraph* const address = &graph.graph();
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false), op(2, 3, false)};
+  const IngestResult deleted = graph.ingest(batch);
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_TRUE(deleted.applied());
+  EXPECT_FALSE(deleted.structural());
+  EXPECT_EQ(&graph.graph(), address);
+  EXPECT_EQ(graph.graph(), apply_edge_ops(two_k6(), deleted.survivors));
+  // A structural batch edits in place too.
+  batch.ops = {op(0, 6, true)};
+  const IngestResult bridged = graph.ingest(batch);
+  ASSERT_TRUE(bridged.structural());
+  EXPECT_EQ(&graph.graph(), address);
+  EXPECT_TRUE(has_arc(graph.graph(), 6, 0));
+}
+
+TEST(MutableGraphSnapshot, SharedSnapshotIsNeverMutated) {
+  MutableGraph graph(two_k6());
+  std::shared_ptr<const CsrGraph> held = graph.snapshot();
+  const CsrGraph before = *held;
+  const Vertex* const held_arcs = held->out_neighbors(0).data();
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false), op(6, 7, false)};
+  const IngestResult r = graph.ingest(batch);
+  ASSERT_TRUE(r.ok());
+  ASSERT_FALSE(r.structural());
+  // The holder still sees the old arcs, where they were.
+  EXPECT_NE(&graph.graph(), held.get());
+  EXPECT_EQ(*held, before);
+  EXPECT_EQ(held->out_neighbors(0).data(), held_arcs);
+  EXPECT_TRUE(has_arc(*held, 0, 1));
+  EXPECT_EQ(graph.graph(), apply_edge_ops(before, r.survivors));
+  EXPECT_EQ(graph.snapshot()->num_arcs(), before.num_arcs() - 4);
+  // Once the holder lets go, the next batch edits in place again.
+  held.reset();
+  const CsrGraph* const address = &graph.graph();
+  batch.ops = {op(0, 1, true)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  EXPECT_EQ(&graph.graph(), address);
+  EXPECT_TRUE(has_arc(graph.graph(), 1, 0));
 }
 
 Request batch_request(const std::string& graph, std::vector<EdgeOp> ops) {

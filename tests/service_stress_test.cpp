@@ -7,7 +7,9 @@
 // worker pool. After the concurrent run, every client's recorded stream is
 // replayed on a fresh single-threaded Service and each response must match
 // the replay within the harness tolerance. A cross-tenant test then pins
-// that one graph's slow write never holds up another graph's reads.
+// that one graph's slow write never holds up another graph's reads, and a
+// pinned-reader test that a write never edits a snapshot a reader or a
+// checked-out session still holds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,15 +17,18 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bc/bc.hpp"
+#include "bc/brandes.hpp"
 #include "bcc/parallel_bicomp.hpp"
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
+#include "graph/mutate.hpp"
 #include "graph/transform.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
@@ -461,6 +466,83 @@ TEST(ServiceStress, ReadsOfOneGraphRunBesideAnotherGraphsWrite) {
     ASSERT_NE(snap, nullptr);
     expect_scores_near(betweenness(*snap, serial).scores, served.scores);
   }
+}
+
+// Copy-on-write under a pinned reader: a write never edits a snapshot
+// that someone still holds. Each round a reader holds the pre-write
+// snapshot while a serial solve keeps the warm session checked out, and a
+// local write lands. The held graph must stay intact (same arcs, not the
+// graph the service now serves), and a session that was out during the
+// write must come back stale: the next solve rebinds it (patch_missed) and
+// reports no session hit. Whether the write lands while the session is out
+// depends on timing, so rounds repeat until it has happened a few times.
+TEST(ServiceStress, PinnedReaderKeepsItsSnapshotAcrossWrites) {
+  ServiceOptions options;
+  options.parallel_decomposition = parallel_bcc_for_stress();
+  options.session_capacity = 1;
+  Service service(options);
+  constexpr Vertex kSide = 30;
+  service.register_graph("g", grid_with_triangle(kSide));
+  Request solve;
+  solve.kind = RequestKind::kSolve;
+  solve.graph = "g";
+  solve.options.apgre.partition.parallel_decomposition =
+      parallel_bcc_for_stress();
+  Request slow_solve = solve;
+  slow_solve.options.algorithm = Algorithm::kBrandesSerial;
+  ASSERT_TRUE(service.handle(solve).status.ok());  // the session is warm
+
+  // A diagonal chord inside the grid block, toggled: always local.
+  bool chord = false;
+  int missed = 0;
+  for (int round = 0; round < 40 && missed < 3; ++round) {
+    const std::shared_ptr<const CsrGraph> pinned = service.snapshot("g");
+    const CsrGraph before = *pinned;
+    const ServiceStats stats_before = service.stats();
+
+    std::atomic<bool> solved{false};
+    std::thread reader([&] {
+      const Response r = service.handle(slow_solve);
+      EXPECT_TRUE(r.status.ok()) << r.status.message;
+      solved.store(true);
+    });
+    // The session leaves the cache while the serial solve runs.
+    while (service.session_count() != 0 && !solved.load()) {
+      std::this_thread::yield();
+    }
+    Request write;
+    write.kind = RequestKind::kUpdate;
+    write.graph = "g";
+    write.update.ops.push_back(EdgeOp{kSide + 1, 2 * kSide + 2, !chord});
+    const Response written = service.handle(write);
+    reader.join();
+    ASSERT_TRUE(written.status.ok()) << written.status.message;
+    ASSERT_NE(written.locality, UpdateLocality::kStructural);
+    chord = !chord;
+
+    // The reader's graph is the pre-write graph, intact.
+    EXPECT_EQ(*pinned, before) << "round " << round;
+    EXPECT_EQ(has_arc(*pinned, kSide + 1, 2 * kSide + 2), !chord);
+    const std::shared_ptr<const CsrGraph> current = service.snapshot("g");
+    EXPECT_NE(current, pinned) << "round " << round;
+    EXPECT_EQ(has_arc(*current, kSide + 1, 2 * kSide + 2), chord);
+
+    // A write that found no session in the cache patched nothing: the
+    // session it missed must not be served as fresh.
+    const bool session_was_out =
+        service.stats().local_recomputes == stats_before.local_recomputes;
+    const Response served = service.handle(solve);
+    ASSERT_TRUE(served.status.ok()) << served.status.message;
+    if (session_was_out) {
+      ++missed;
+      EXPECT_FALSE(served.session_hit) << "round " << round;
+      EXPECT_EQ(service.stats().patch_missed, stats_before.patch_missed + 1);
+    } else {
+      EXPECT_TRUE(served.session_hit) << "round " << round;
+    }
+    expect_scores_near(brandes_bc(*current), served.scores);
+  }
+  EXPECT_GT(missed, 0) << "no write landed while the session was out";
 }
 
 // Shutdown with work still queued: the destructor must drain every queued

@@ -1,12 +1,14 @@
-// apply_edge_ops (graph/update.hpp), the one-pass successor build every
-// edge-update path runs, diffed against the obvious oracle: the successor
-// rebuilt from its arc list by CsrGraph::from_edges. A seeded sweep over
-// random directed and undirected graphs covers the merge's edge cases (ops
-// at vertex 0 and n - 1, several ops at one vertex, a vertex losing its
-// last arc, an insert at an isolated vertex) and counts that it hit each;
-// the illegal-op tests pin the messages and that a rejected batch leaves
-// its input untouched. The merge writes through computed indices, so CI
-// runs this binary under ASan + UBSan.
+// apply_edge_ops_in_place (graph/update.hpp), the one CSR edit every
+// edge-update path runs, and apply_edge_ops, the same edit on a copy,
+// diffed against the obvious oracle: the successor rebuilt from its arc
+// list by CsrGraph::from_edges. A seeded sweep over random directed and
+// undirected graphs runs growing, shrinking and mixed batches through both
+// entry points and covers the edit's edge cases (ops at vertex 0 and
+// n - 1, several ops at one vertex, a vertex losing its last arc, an
+// insert at an isolated vertex), counting that it hit each; the
+// illegal-op tests pin the messages and that a rejected batch leaves its
+// input untouched, in place or not. The edit shifts arc segments through
+// computed indices, so CI runs this binary under ASan + UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,11 +59,22 @@ std::string thrown(const std::function<CsrGraph()>& call) {
 }
 
 /// The message apply_edge_ops throws for `ops` on `g`, or "" if it
-/// returns; also checks that `g` is unchanged afterwards.
+/// returns; also checks that `g` is unchanged afterwards, and that the
+/// in-place edit throws the same message and, when it throws, leaves its
+/// graph equal to `g`.
 std::string rejection(const CsrGraph& g, const std::vector<EdgeOp>& ops) {
   const CsrGraph before = g;
   std::string message = thrown([&] { return apply_edge_ops(g, ops); });
   EXPECT_EQ(g, before) << "apply_edge_ops changed its input";
+  CsrGraph edited = g;
+  const std::string in_place = thrown([&] {
+    apply_edge_ops_in_place(edited, ops);
+    return CsrGraph{};
+  });
+  EXPECT_EQ(in_place, message) << "the two entry points disagree";
+  if (!message.empty()) {
+    EXPECT_EQ(edited, before) << "a rejected in-place edit changed its graph";
+  }
   return message;
 }
 
@@ -74,10 +87,14 @@ struct Coverage {
   int isolated = 0;       ///< an insert at a vertex with no arcs
 };
 
+/// Which ops a random batch may carry.
+enum class Mix { kGrow, kShrink, kMixed };
+
 /// A random legal batch on `g`: endpoints biased to 0, n - 1 and one hub
-/// vertex, at most one op per edge, each inserting an absent arc or
-/// deleting a present one.
-std::vector<EdgeOp> random_batch(const CsrGraph& g, Xoshiro256& rng,
+/// vertex, at most one op per edge, each inserting an absent arc (not for
+/// kShrink) or deleting a present one (not for kGrow). kShrink draws the
+/// second endpoint among the first one's neighbours.
+std::vector<EdgeOp> random_batch(const CsrGraph& g, Xoshiro256& rng, Mix mix,
                                  Coverage& hits) {
   const Vertex n = g.num_vertices();
   const Vertex hub = static_cast<Vertex>(rng() % n);
@@ -98,12 +115,16 @@ std::vector<EdgeOp> random_batch(const CsrGraph& g, Xoshiro256& rng,
   const std::size_t want = 1 + rng() % 10;
   for (std::size_t tries = 0; ops.size() < want && tries < 64; ++tries) {
     const Vertex u = pick();
-    const Vertex v = pick();
+    const auto out = g.out_neighbors(u);
+    if (mix == Mix::kShrink && out.empty()) continue;
+    const Vertex v =
+        mix == Mix::kShrink ? out[rng() % out.size()] : pick();
     if (u == v) continue;
+    const bool insert = !has_arc(g, u, v);
+    if (insert ? mix == Mix::kShrink : mix == Mix::kGrow) continue;
     const auto key = g.directed() ? std::make_pair(u, v)
                                   : std::make_pair(std::min(u, v), std::max(u, v));
     if (!touched.insert(key).second) continue;
-    const bool insert = !has_arc(g, u, v);
     if (insert && (isolated(u) || isolated(v))) ++hits.isolated;
     if (!insert && (g.out_degree(u) == 1 ||
                     (!g.directed() && g.out_degree(v) == 1))) {
@@ -124,6 +145,8 @@ std::vector<EdgeOp> random_batch(const CsrGraph& g, Xoshiro256& rng,
 TEST(ApplyEdgeOps, MatchesRebuildOnRandomGraphs) {
   Coverage hits;
   int batches = 0;
+  int grown = 0;
+  int shrunk = 0;
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     Xoshiro256 rng(seed);
     const bool directed = seed % 2 == 0;
@@ -131,23 +154,56 @@ TEST(ApplyEdgeOps, MatchesRebuildOnRandomGraphs) {
     // Sparse enough to leave isolated vertices and degree-one vertices.
     const EdgeId m = rng() % (2 * static_cast<EdgeId>(n));
     CsrGraph g = erdos_renyi(n, m, directed, seed);
-    for (int step = 0; step < 4; ++step) {
-      const std::vector<EdgeOp> ops = random_batch(g, rng, hits);
+    // The in-place trajectory: one graph edited batch after batch, so its
+    // arrays carry the capacity earlier batches left behind.
+    CsrGraph edited = g;
+    for (int step = 0; step < 6; ++step) {
+      const Mix mix = step % 3 == 0   ? Mix::kGrow
+                      : step % 3 == 1 ? Mix::kShrink
+                                      : Mix::kMixed;
+      const std::vector<EdgeOp> ops = random_batch(g, rng, mix, hits);
       if (ops.empty()) continue;
+      const auto where = [&] {
+        return "seed " + std::to_string(seed) + " step " +
+               std::to_string(step) + (directed ? " directed" : " undirected");
+      };
       const CsrGraph expected = rebuilt(g, ops);
       const CsrGraph next = apply_edge_ops(g, ops);
-      ASSERT_EQ(next, expected) << "seed " << seed << " step " << step
-                                << (directed ? " directed" : " undirected");
+      ASSERT_EQ(next, expected) << where();
+      apply_edge_ops_in_place(edited, ops);
+      ASSERT_EQ(edited, expected) << where() << " (in place)";
       ++batches;
+      grown += next.num_arcs() > g.num_arcs();
+      shrunk += next.num_arcs() < g.num_arcs();
       g = next;
     }
   }
-  EXPECT_GE(batches, 400);
+  EXPECT_GE(batches, 800);
+  EXPECT_GE(grown, 200);
+  EXPECT_GE(shrunk, 200);
   EXPECT_GT(hits.first_vertex, 0);
   EXPECT_GT(hits.last_vertex, 0);
   EXPECT_GT(hits.shared_vertex, 0);
   EXPECT_GT(hits.last_arc, 0);
   EXPECT_GT(hits.isolated, 0);
+}
+
+TEST(ApplyEdgeOps, InPlaceEditKeepsTheArrays) {
+  // A shrinking batch followed by a growing one of the same size: the
+  // second fits the capacity the first left, so the arc array is edited
+  // where it lies.
+  CsrGraph g = complete(6);
+  const CsrGraph original = g;
+  const std::vector<EdgeOp> remove = {op(0, 1, false), op(2, 5, false),
+                                      op(3, 4, false)};
+  const std::vector<EdgeOp> restore = {op(0, 1, true), op(2, 5, true),
+                                       op(3, 4, true)};
+  apply_edge_ops_in_place(g, remove);
+  const Vertex* const arcs = g.out_neighbors(0).data();
+  EXPECT_EQ(g, rebuilt(original, remove));
+  apply_edge_ops_in_place(g, restore);
+  EXPECT_EQ(g, original);
+  EXPECT_EQ(g.out_neighbors(0).data(), arcs);
 }
 
 TEST(ApplyEdgeOps, EdgeCasesMatchRebuild) {
@@ -162,13 +218,19 @@ TEST(ApplyEdgeOps, EdgeCasesMatchRebuild) {
        op(2, 5, true)},
       {op(0, 1, false), op(0, 2, false), op(0, 3, true)},  // rewire vertex 0
   };
+  const auto in_place = [](CsrGraph graph, const std::vector<EdgeOp>& ops) {
+    apply_edge_ops_in_place(graph, ops);
+    return graph;
+  };
   for (const std::vector<EdgeOp>& ops : batches) {
     EXPECT_EQ(apply_edge_ops(g, ops), rebuilt(g, ops));
+    EXPECT_EQ(in_place(g, ops), rebuilt(g, ops));
   }
   const CsrGraph d = CsrGraph::from_edges(4, {{0, 3}, {3, 0}, {1, 2}}, true);
   const std::vector<EdgeOp> ops = {op(3, 0, false), op(0, 3, false),
                                    op(2, 1, true), op(3, 1, true)};
   EXPECT_EQ(apply_edge_ops(d, ops), rebuilt(d, ops));
+  EXPECT_EQ(in_place(d, ops), rebuilt(d, ops));
 }
 
 TEST(ApplyEdgeOps, SingleEdgeHelpersAreOneOpBatches) {
