@@ -18,13 +18,11 @@ namespace {
 constexpr std::int32_t kUnvisited = -1;
 
 // --------------------------------------------------------------------------
-// Serial per-sub-graph kernel (paper Algorithm 2). One backward sweep
-// accumulates all four dependency types:
-//   d_i2i: plain Brandes dependency restricted to the sub-graph,
-//   d_i2o: initialised with alpha at boundary APs, propagated upward,
-//   d_o2o: initialised with beta(s)*alpha at boundary APs when the source
-//          is itself a boundary AP,
-//   out2in needs no array: delta_o2i = beta(s) * d_i2i (paper eq. 5).
+// Serial per-sub-graph kernel (paper Algorithm 2). The paper's four
+// dependency types sum to (1 + gamma(s) + beta(s)) * D(v), where D is one
+// Brandes recursion seeded with alpha at the boundary APs and with the
+// phantom-pendant weight (DESIGN.md §2), so one backward sweep carries one
+// accumulator. beta(s) counts only when the source is a boundary AP.
 // --------------------------------------------------------------------------
 
 // Cache-line aligned: slots sit side by side in one array, and the tallies
@@ -32,9 +30,8 @@ constexpr std::int32_t kUnvisited = -1;
 struct alignas(64) SubgraphScratch {
   std::vector<std::int32_t> dist;
   std::vector<double> sigma;
-  std::vector<double> d_i2i;
-  std::vector<double> d_i2o;
-  std::vector<double> d_o2o;
+  /// Seeds, then (1 + D[v]) / sigma[v] once v is swept (see the kernel).
+  std::vector<double> delta;
   LevelBuckets levels;
 
   // Observability tallies; the owner flushes them into the metrics registry
@@ -46,9 +43,7 @@ struct alignas(64) SubgraphScratch {
     if (dist.size() < n) {
       dist.assign(n, kUnvisited);
       sigma.assign(n, 0.0);
-      d_i2i.assign(n, 0.0);
-      d_i2o.assign(n, 0.0);
-      d_o2o.assign(n, 0.0);
+      delta.assign(n, 0.0);
     }
   }
 
@@ -58,16 +53,11 @@ struct alignas(64) SubgraphScratch {
       traversed_arcs += sg.graph.out_degree(v);
       dist[v] = kUnvisited;
       sigma[v] = 0.0;
-      d_i2i[v] = 0.0;
-      d_i2o[v] = 0.0;
-      d_o2o[v] = 0.0;
+      delta[v] = 0.0;
     }
     levels.clear();
-    // Unreachable boundary APs keep their Phase-0 init values; clear them too.
-    for (Vertex a : sg.boundary_aps) {
-      d_i2o[a] = 0.0;
-      d_o2o[a] = 0.0;
-    }
+    // Unreachable boundary APs keep their Phase-0 seeds; clear them too.
+    for (Vertex a : sg.boundary_aps) delta[a] = 0.0;
   }
 };
 
@@ -76,17 +66,18 @@ void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scrat
   const CsrGraph& g = sg.graph;
   auto& dist = scratch.dist;
   auto& sigma = scratch.sigma;
-  auto& d_i2i = scratch.d_i2i;
-  auto& d_i2o = scratch.d_i2o;
-  auto& d_o2o = scratch.d_o2o;
+  auto& delta = scratch.delta;
   auto& levels = scratch.levels;
 
   const bool s_is_ap = sg.is_boundary_ap[s] != 0;
-  const double size_o2i = s_is_ap ? static_cast<double>(sg.beta[s]) : 0.0;
   const double gamma_s = static_cast<double>(sg.gamma[s]);
+  // Weight of D(v) in bc[v]: in2in and in2out count (1 + gamma(s)) times,
+  // out2in and out2out beta(s) times (paper eqs. 3-8).
+  const double weight =
+      1.0 + gamma_s + (s_is_ap ? static_cast<double>(sg.beta[s]) : 0.0);
   // Phantom-pendant multiplicities (2-core peel): pw[v] leaf children hang
   // off v at dist[v]+1 with sigma equal to v's, contributing pw[v] to the
-  // i2i recursion exactly as the flat reduction's in-graph pendants would.
+  // recursion exactly as the flat reduction's in-graph pendants would.
   const double* pw =
       sg.pendant_weight.empty() ? nullptr : sg.pendant_weight.data();
 
@@ -94,9 +85,7 @@ void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scrat
   // the source; paths ending at the source's own sub-DAG are accounted in
   // the sub-graphs on the other side of s).
   for (Vertex a : sg.boundary_aps) {
-    if (a == s) continue;
-    d_i2o[a] = static_cast<double>(sg.alpha[a]);
-    if (s_is_ap) d_o2o[a] = size_o2i * static_cast<double>(sg.alpha[a]);
+    if (a != s) delta[a] = static_cast<double>(sg.alpha[a]);
   }
 
   // Phase 1: forward BFS building sigma and level buckets.
@@ -121,33 +110,28 @@ void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scrat
     if (levels.level(current + 1).empty()) break;
   }
 
-  // Phase 2: backward sweep; level 0 (the source itself) is processed too,
-  // because the pendant-derived contribution needs the recursion values at
-  // v == s (Theorem 3).
+  // Phase 2: backward sweep, D(v) = seed(v) + pw[v] +
+  // sigma[v] * sum over successors w of (1 + D(w)) / sigma[w]. A swept
+  // vertex leaves that ratio in delta[w], so the sweep divides once per
+  // vertex, not once per arc. Level 0 (the source itself) is processed
+  // too, because the pendant-derived contribution needs D(s) (Theorem 3).
   for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
     for (Vertex v : levels.level(lvl)) {
-      double acc_i2i = pw != nullptr ? pw[v] : 0.0;
-      double acc_i2o = d_i2o[v];
-      double acc_o2o = d_o2o[v];
+      double ratios = 0.0;
       for (Vertex w : g.out_neighbors(v)) {
-        if (dist[w] != dist[v] + 1) continue;
-        const double coef = sigma[v] / sigma[w];
-        acc_i2i += coef * (1.0 + d_i2i[w]);
-        acc_i2o += coef * d_i2o[w];
-        if (s_is_ap) acc_o2o += coef * d_o2o[w];
+        if (dist[w] == dist[v] + 1) ratios += delta[w];
       }
-      d_i2i[v] = acc_i2i;
-      d_i2o[v] = acc_i2o;
-      d_o2o[v] = acc_o2o;
+      const double d =
+          delta[v] + (pw != nullptr ? pw[v] : 0.0) + sigma[v] * ratios;
+      delta[v] = (1.0 + d) / sigma[v];
       if (v != s) {
-        bc[v] += (1.0 + gamma_s) * (acc_i2i + acc_i2o) + size_o2i * acc_i2i +
-                 acc_o2o;
+        bc[v] += weight * d;
       } else if (gamma_s > 0.0) {
         // Derived pendant DAGs: dependency of each pendant on its host.
         // Undirected pendants are reachable from the host, so the pair
         // (pendant, pendant) must be excluded (-1); a boundary-AP host
         // additionally separates the pendant from alpha(s) outside targets.
-        double self = acc_i2i + acc_i2o;
+        double self = d;
         if (!g.directed()) self -= 1.0;
         if (s_is_ap) self += static_cast<double>(sg.alpha[s]);
         bc[s] += gamma_s * self;

@@ -397,8 +397,10 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     apply_edge_ops_in_place(sg.graph, local_ops);
     touched.push_back(sgi);
   }
-  // The worker count of the solve that built the store; a batch that
-  // touches one small block runs inline without a scheduler round trip.
+  // The worker count of the solve that built the store. The split takes
+  // each touched sub-graph's share of the whole decomposition's cost, as
+  // in a cold solve, so a batch into one small block is one task and runs
+  // inline without a scheduler round trip.
   std::optional<WorkStealingScheduler> private_sched;
   std::vector<std::vector<double>> fresh = apgre_subgraph_scores(
       *dec_, touched,

@@ -1,5 +1,6 @@
 #include "bcc/articulation.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/components.hpp"
@@ -7,19 +8,62 @@
 
 namespace apgre {
 
-namespace {
+void LowpointScratch::reset(Vertex n) {
+  disc.assign(n, kInvalidVertex);
+  low.assign(n, 0);
+  stack.clear();
+  time = 0;
+}
 
-/// Iterative DFS frame. `next` indexes into the CSR neighbour list so the
-/// traversal is allocation-free per step; `skipped_parent` ensures exactly
-/// one parent arc is ignored (the projection is simple, so there is one).
-struct Frame {
-  Vertex v;
-  Vertex parent;
-  std::uint32_t next;
-  bool skipped_parent;
-};
+LowpointSearch lowpoint_search(std::span<const EdgeId> offsets,
+                               std::span<const Vertex> targets, Vertex root,
+                               LowpointScratch& scratch,
+                               std::vector<bool>* is_cut) {
+  auto& disc = scratch.disc;
+  auto& low = scratch.low;
+  auto& stack = scratch.stack;
+  LowpointSearch out;
+  // True when the search should stop here.
+  const auto report_cut = [&](Vertex v) {
+    out.found_cut = true;
+    if (is_cut == nullptr) return true;
+    (*is_cut)[v] = true;
+    return false;
+  };
 
-}  // namespace
+  disc[root] = low[root] = scratch.time++;
+  out.reached = 1;
+  stack.push_back({root, kInvalidVertex, offsets[root], true});
+  Vertex root_children = 0;
+  while (!stack.empty()) {
+    LowpointScratch::Frame& frame = stack.back();
+    const Vertex v = frame.v;
+    if (frame.next < offsets[v + 1]) {
+      const Vertex w = targets[frame.next++];
+      if (w == frame.parent && !frame.skipped_parent) {
+        frame.skipped_parent = true;
+      } else if (disc[w] == kInvalidVertex) {
+        disc[w] = low[w] = scratch.time++;
+        ++out.reached;
+        // The root is a cut vertex iff it has two DFS children.
+        if (v == root && ++root_children == 2 && report_cut(root)) break;
+        stack.push_back({w, v, offsets[w], false});
+      } else {
+        low[v] = std::min(low[v], disc[w]);
+      }
+    } else {
+      const Vertex parent = frame.parent;
+      stack.pop_back();
+      if (parent == kInvalidVertex) continue;
+      low[parent] = std::min(low[parent], low[v]);
+      if (parent != root && low[v] >= disc[parent] && report_cut(parent)) {
+        break;
+      }
+    }
+  }
+  stack.clear();
+  return out;
+}
 
 std::vector<bool> articulation_points(const CsrGraph& g) {
   const CsrGraph projection_storage =
@@ -28,43 +72,12 @@ std::vector<bool> articulation_points(const CsrGraph& g) {
 
   const Vertex n = u.num_vertices();
   std::vector<bool> is_ap(n, false);
-  std::vector<Vertex> disc(n, kInvalidVertex);
-  std::vector<Vertex> low(n, 0);
-  std::vector<Frame> stack;
-  Vertex time = 0;
-
+  LowpointScratch scratch;
+  scratch.reset(n);
   for (Vertex root = 0; root < n; ++root) {
-    if (disc[root] != kInvalidVertex) continue;
-    disc[root] = low[root] = time++;
-    stack.push_back(Frame{root, kInvalidVertex, 0, true});
-    Vertex root_children = 0;
-
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const Vertex v = frame.v;
-      const auto neighbors = u.out_neighbors(v);
-      if (frame.next < neighbors.size()) {
-        const Vertex w = neighbors[frame.next++];
-        if (w == frame.parent && !frame.skipped_parent) {
-          frame.skipped_parent = true;
-        } else if (disc[w] == kInvalidVertex) {
-          disc[w] = low[w] = time++;
-          if (v == root) ++root_children;
-          stack.push_back(Frame{w, v, 0, false});
-        } else {
-          low[v] = std::min(low[v], disc[w]);
-        }
-      } else {
-        stack.pop_back();
-        if (frame.parent != kInvalidVertex) {
-          low[frame.parent] = std::min(low[frame.parent], low[v]);
-          if (frame.parent != root && low[v] >= disc[frame.parent]) {
-            is_ap[frame.parent] = true;
-          }
-        }
-      }
+    if (scratch.disc[root] == kInvalidVertex) {
+      lowpoint_search(u.out_offsets(), u.out_targets(), root, scratch, &is_ap);
     }
-    is_ap[root] = root_children >= 2;
   }
   return is_ap;
 }

@@ -1,7 +1,9 @@
 #include "bcc/queries.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "bcc/articulation.hpp"
 #include "support/error.hpp"
 
 namespace apgre {
@@ -121,38 +123,57 @@ Vertex BlockCutQueries::common_block(Vertex u, Vertex v) const {
              : kInvalidVertex;
 }
 
-bool BlockCutQueries::block_survives_ops(Vertex b, const EdgeList& removed,
+bool BlockCutQueries::block_survives_ops(Vertex b, EdgeList removed,
                                          const EdgeList& added) const {
   const auto& members = bcc_.component_vertices[b];
+  const auto n = static_cast<Vertex>(members.size());
   // A two-vertex block is a bridge: deleting its edge disconnects it.
-  if (!removed.empty() && members.size() < 3) return false;
+  if (!removed.empty() && n < 3) return false;
   auto local_id = [&](Vertex global) {
     const auto it = std::lower_bound(members.begin(), members.end(), global);
     APGRE_ASSERT(it != members.end() && *it == global);
     return static_cast<Vertex>(it - members.begin());
   };
-  auto is_removed = [&removed](const Edge& e) {
-    return std::find_if(removed.begin(), removed.end(), [&e](const Edge& r) {
-             return r.src == e.src && r.dst == e.dst;
-           }) != removed.end();
-  };
-  EdgeList local_edges;
-  local_edges.reserve(bcc_.component_edges[b].size() + added.size());
-  for (const Edge& e : bcc_.component_edges[b]) {
-    if (is_removed(e)) continue;  // a candidate deletion
-    local_edges.push_back(Edge{local_id(e.src), local_id(e.dst)});
+
+  // The block's net post-batch edges in local ids: its sorted edge list
+  // minus `removed` (sorted too, so one merge walk) plus `added`.
+  std::sort(removed.begin(), removed.end());
+  const EdgeList& block_edges = bcc_.component_edges[b];
+  EdgeList edges;
+  edges.reserve(block_edges.size() + added.size());
+  auto next_removed = removed.begin();
+  for (const Edge& e : block_edges) {
+    while (next_removed != removed.end() && *next_removed < e) ++next_removed;
+    if (next_removed != removed.end() && *next_removed == e) continue;
+    edges.push_back(Edge{local_id(e.src), local_id(e.dst)});
   }
   for (const Edge& e : added) {
-    local_edges.push_back(Edge{local_id(e.src), local_id(e.dst)});
+    edges.push_back(Edge{local_id(e.src), local_id(e.dst)});
   }
-  const CsrGraph block_graph = CsrGraph::undirected_from_edges(
-      static_cast<Vertex>(members.size()), std::move(local_edges));
+
+  // Counting-sort adjacency: both arcs of every edge, bucketed by source.
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : edges) {
+    ++offsets[e.src + 1];
+    ++offsets[e.dst + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<Vertex> targets(offsets[n]);
+  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) {
+    targets[cursor[e.src]++] = e.dst;
+    targets[cursor[e.dst]++] = e.src;
+  }
+
   // The block survives iff what remains is one biconnected component that
-  // still spans every member (a vertex dropped to degree < 2 — or isolated
-  // entirely — would fall outside the single surviving component).
-  const BiconnectedComponents after = biconnected_components(block_graph);
-  return after.num_components == 1 &&
-         after.component_vertices[0].size() == members.size();
+  // spans every member: a DFS from any member reaches them all and meets
+  // no cut vertex (with >= 3 vertices that also rules out a member left at
+  // degree < 2).
+  LowpointScratch scratch;
+  scratch.reset(n);
+  const LowpointSearch search =
+      lowpoint_search(offsets, targets, 0, scratch, /*is_cut=*/nullptr);
+  return !search.found_cut && search.reached == n;
 }
 
 BatchClassification BlockCutQueries::classify_batch(
@@ -209,7 +230,9 @@ BatchClassification BlockCutQueries::classify_batch(
                            std::max(ops[i].u, ops[i].v)};
       (ops[i].insert ? added : removed).push_back(canonical);
     }
-    if (!block_survives_ops(group.block, removed, added)) return downgrade();
+    if (!block_survives_ops(group.block, std::move(removed), added)) {
+      return downgrade();
+    }
   }
   return out;
 }

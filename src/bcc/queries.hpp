@@ -123,8 +123,10 @@ class BlockCutQueries {
   bool on_path(Vertex node, Vertex x, Vertex y) const;
   /// Is block `b` with `removed` edges taken out and `added` chords put in
   /// still one biconnected component spanning all members? (Edges in
-  /// canonical src < dst order.)
-  bool block_survives_ops(Vertex b, const EdgeList& removed,
+  /// canonical src < dst order; `added` holds edges absent from the block.)
+  /// One counting-sort adjacency over the net edges, then one lowpoint DFS
+  /// (lowpoint_search) that stops at the first cut vertex: O(block).
+  bool block_survives_ops(Vertex b, EdgeList removed,
                           const EdgeList& added) const;
 
   BiconnectedComponents bcc_;

@@ -56,6 +56,11 @@ class CsrGraph {
     return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};
   }
 
+  /// The out-adjacency arrays: v's out-neighbours are
+  /// out_targets()[out_offsets()[v] .. out_offsets()[v + 1]).
+  std::span<const EdgeId> out_offsets() const { return out_offsets_; }
+  std::span<const Vertex> out_targets() const { return out_targets_; }
+
   /// Start of v's out-neighbour block in the arc array; with out_degree it
   /// gives per-arc slot indices (used by the predecessor-list algorithm).
   EdgeId out_offset(Vertex v) const {

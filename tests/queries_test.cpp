@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "bcc/queries.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
@@ -181,6 +186,192 @@ TEST(ClassifyUpdate, CommonBlockOnBarbell) {
   EXPECT_EQ(q.common_block(0, 5), kInvalidVertex);   // opposite cliques
   EXPECT_NE(q.common_block(3, 4), kInvalidVertex);   // bridge block, two APs
   EXPECT_EQ(q.common_block(3, 5), kInvalidVertex);   // different bridges
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of classify_batch's block-survival test against an
+// oracle that runs biconnected_components on the edited block.
+
+/// Oracle: the block's post-batch edges, as a graph of their own on the
+/// members 0..n-1, form one biconnected component spanning all of them.
+bool block_survives_oracle(Vertex n, const std::set<Edge>& edges) {
+  const CsrGraph h = CsrGraph::undirected_from_edges(
+      n, EdgeList(edges.begin(), edges.end()));
+  const BiconnectedComponents after = biconnected_components(h);
+  return after.num_components == 1 && after.component_vertices[0].size() == n;
+}
+
+Edge canonical(Vertex u, Vertex v) {
+  return Edge{std::min(u, v), std::max(u, v)};
+}
+
+/// A block on vertices 0..n-1 with a triangle {0, n, n+1} hung off vertex 0
+/// and a pendant edge {1, n+2}: 0 and 1 are articulation points, and the
+/// pendant is a two-vertex bridge block.
+CsrGraph with_attachments(Vertex n, const std::set<Edge>& block) {
+  EdgeList edges(block.begin(), block.end());
+  edges.push_back({0, n});
+  edges.push_back({n, n + 1});
+  edges.push_back({n + 1, 0});
+  edges.push_back({1, n + 2});
+  return CsrGraph::undirected_from_edges(n + 3, std::move(edges));
+}
+
+std::set<Edge> cycle_block(Vertex n) {
+  std::set<Edge> edges;
+  for (Vertex v = 0; v < n; ++v) edges.insert(canonical(v, (v + 1) % n));
+  return edges;
+}
+
+std::set<Edge> cycle_with_chords(Vertex n, Vertex chords, Xoshiro256& rng) {
+  std::set<Edge> edges = cycle_block(n);
+  for (Vertex c = 0; c < chords; ++c) {
+    const auto u = static_cast<Vertex>(rng.bounded(n));
+    const auto v = static_cast<Vertex>(rng.bounded(n));
+    if (u != v) edges.insert(canonical(u, v));
+  }
+  return edges;
+}
+
+std::set<Edge> grid_block(Vertex rows, Vertex cols) {
+  std::set<Edge> edges;
+  for (Vertex r = 0; r < rows; ++r) {
+    for (Vertex c = 0; c < cols; ++c) {
+      const Vertex v = r * cols + c;
+      if (c + 1 < cols) edges.insert({v, v + 1});
+      if (r + 1 < rows) edges.insert({v, v + cols});
+    }
+  }
+  return edges;
+}
+
+std::set<Edge> clique_block(Vertex n) {
+  std::set<Edge> edges;
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) edges.insert({u, v});
+  }
+  return edges;
+}
+
+/// Random batches into block {0..n-1}: 1-4 deletes of present edges and
+/// 0-3 inserts of absent chords between non-articulation members. Each
+/// verdict must match the oracle; a local batch is applied (to the
+/// queries through apply_local_update), so later batches see its edits.
+void survival_trajectory(Vertex n, std::set<Edge> block, std::uint64_t seed) {
+  BlockCutQueries q(with_attachments(n, block));
+  const Vertex id = q.bcc().any_component[2];
+  ASSERT_EQ(q.bcc().component_vertices[id].size(), n);
+  Xoshiro256 rng(seed);
+  int local = 0;
+  int structural = 0;
+  for (int step = 0; step < 60; ++step) {
+    std::vector<EdgeOp> ops;
+    std::set<Edge> after = block;
+    const std::vector<Edge> present(block.begin(), block.end());
+    const auto deletes = 1 + rng.bounded(4);
+    for (std::uint64_t d = 0; d < deletes; ++d) {
+      const Edge e = present[rng.bounded(present.size())];
+      if (after.erase(e) == 1) ops.push_back(EdgeOp{e.src, e.dst, false});
+    }
+    const auto inserts = rng.bounded(4);
+    for (std::uint64_t i = 0; i < inserts; ++i) {
+      const auto u = static_cast<Vertex>(2 + rng.bounded(n - 2));
+      const auto v = static_cast<Vertex>(2 + rng.bounded(n - 2));
+      const Edge e = canonical(u, v);
+      if (u == v || block.count(e) != 0 || !after.insert(e).second) continue;
+      ops.push_back(EdgeOp{v, u, true});
+    }
+    const bool expected = block_survives_oracle(n, after);
+    const BatchClassification c = q.classify_batch(ops);
+    ASSERT_EQ(!c.structural, expected) << "step " << step;
+    if (c.structural) {
+      ++structural;
+      continue;
+    }
+    ++local;
+    ASSERT_EQ(c.groups.size(), 1u);
+    EXPECT_EQ(c.groups[0].block, id);
+    for (const EdgeOp& op : ops) q.apply_local_update(op.u, op.v, op.insert);
+    block = std::move(after);
+    const auto& stored = q.bcc().component_edges[id];
+    ASSERT_EQ(std::set<Edge>(stored.begin(), stored.end()), block);
+  }
+  // The trajectory must exercise both verdicts to test anything.
+  EXPECT_GT(local, 0);
+  EXPECT_GT(structural, 0);
+}
+
+TEST(BlockSurvival, CyclesWithChordsMatchTheOracle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    const auto n = static_cast<Vertex>(6 + rng.bounded(8));
+    survival_trajectory(n, cycle_with_chords(n, n, rng), seed);
+  }
+}
+
+TEST(BlockSurvival, GridsMatchTheOracle) {
+  const std::pair<Vertex, Vertex> shapes[] = {{3, 3}, {3, 5}, {4, 4}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    survival_trajectory(rows * cols, grid_block(rows, cols), rows * 31 + cols);
+  }
+}
+
+TEST(BlockSurvival, CliquesMatchTheOracle) {
+  for (const Vertex n : {4, 5, 7}) {
+    SCOPED_TRACE(n);
+    survival_trajectory(n, clique_block(n), 100 + n);
+  }
+}
+
+// The edge cases, each pinned and checked against the oracle. Vertices 0
+// and 1 are articulation points (with_attachments), so inserts avoid them.
+TEST(BlockSurvival, EdgeCasesMatchTheOracle) {
+  const struct {
+    const char* name;
+    Vertex n;
+    std::set<Edge> block;
+    std::vector<EdgeOp> ops;
+    bool survives;
+  } cases[] = {
+      {"triangle delete", 3, clique_block(3), {{1, 2, false}}, false},
+      {"member left at degree 1", 5, clique_block(5),
+       {{4, 2, false}, {4, 3, false}, {0, 4, false}}, false},
+      {"member left at degree 2", 5, clique_block(5),
+       {{4, 2, false}, {4, 3, false}}, true},
+      {"split", 6, cycle_block(6), {{3, 4, false}}, false},
+      {"split half repaired", 6, cycle_block(6),
+       {{3, 4, false}, {2, 4, true}}, false},
+      {"split repaired by same-batch inserts", 6, cycle_block(6),
+       {{3, 4, false}, {2, 4, true}, {5, 3, true}}, true},
+  };
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    std::set<Edge> after = tc.block;
+    for (const EdgeOp& op : tc.ops) {
+      const Edge e = canonical(op.u, op.v);
+      if (op.insert) {
+        after.insert(e);
+      } else {
+        after.erase(e);
+      }
+    }
+    ASSERT_EQ(block_survives_oracle(tc.n, after), tc.survives);
+    const BlockCutQueries q(with_attachments(tc.n, tc.block));
+    EXPECT_EQ(!q.classify_batch(tc.ops).structural, tc.survives);
+  }
+}
+
+TEST(BlockSurvival, TwoVertexBridgeBlockNeverSurvivesADelete) {
+  // with_attachments(5, ...) hangs vertex 7 off vertex 1 by a bridge.
+  const BlockCutQueries q(with_attachments(5, clique_block(5)));
+  const Vertex bridge = q.common_block(1, 7);
+  ASSERT_NE(bridge, kInvalidVertex);
+  ASSERT_EQ(q.bcc().component_vertices[bridge].size(), 2u);
+  EXPECT_FALSE(block_survives_oracle(2, {}));
+  EXPECT_TRUE(q.classify_batch({{7, 1, false}}).structural);
+  EXPECT_TRUE(q.classify_batch({{1, 7, false}, {2, 3, false}}).structural);
 }
 
 class QueriesSweep : public ::testing::TestWithParam<std::uint64_t> {};
