@@ -23,7 +23,7 @@ void clamp_zeros(std::vector<double>& scores) {
 }  // namespace
 
 IncrementalBc::IncrementalBc(CsrGraph graph, BcOptions opts)
-    : graph_(std::move(graph), opts.apgre.partition.parallel_decomposition),
+    : graph_(std::move(graph)),
       opts_(std::move(opts)),
       solver_(graph_.graph()) {
   opts_.algorithm = Algorithm::kApgre;

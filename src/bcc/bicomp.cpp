@@ -83,8 +83,8 @@ BiconnectedComponents biconnected_components(const CsrGraph& g) {
           low[v] = std::min(low[v], disc[w]);
         }
       } else {
-        stack.pop_back();
         const Vertex parent = frame.parent;
+        stack.pop_back();
         if (parent != kInvalidVertex) {
           low[parent] = std::min(low[parent], low[v]);
           if (low[v] >= disc[parent]) {

@@ -30,4 +30,9 @@ struct BiconnectedComponents {
 /// no component.
 BiconnectedComponents biconnected_components(const CsrGraph& g);
 
+/// Inert: no decomposition reads it, biconnected_components() is the one
+/// block decomposition. Kept so that callers which still forward
+/// PartitionOptions::parallel_decomposition to BlockCutQueries compile.
+enum class ParallelDecomposition { kAuto };
+
 }  // namespace apgre

@@ -7,9 +7,8 @@
 
 namespace apgre {
 
-MutableGraph::MutableGraph(CsrGraph graph, ParallelDecomposition decomposition)
-    : snapshot_(std::make_shared<CsrGraph>(std::move(graph))),
-      decomposition_(decomposition) {}
+MutableGraph::MutableGraph(CsrGraph graph)
+    : snapshot_(std::make_shared<CsrGraph>(std::move(graph))) {}
 
 bool MutableGraph::unshared() const {
   if (snapshot_.use_count() != 1) return false;
@@ -37,7 +36,7 @@ IngestResult MutableGraph::ingest(const UpdateRequest& request) {
     verdict.structural = true;
   } else {
     if (queries_ == nullptr) {
-      queries_ = std::make_unique<BlockCutQueries>(*snapshot_, decomposition_);
+      queries_ = std::make_unique<BlockCutQueries>(*snapshot_);
     }
     verdict = queries_->classify_batch(out.survivors);
   }

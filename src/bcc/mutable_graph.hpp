@@ -37,7 +37,6 @@
 #include <memory>
 #include <vector>
 
-#include "bcc/parallel_bicomp.hpp"
 #include "bcc/queries.hpp"
 #include "graph/csr.hpp"
 #include "graph/update.hpp"
@@ -70,11 +69,7 @@ struct IngestResult {
 
 class MutableGraph {
  public:
-  /// `decomposition` picks the biconnectivity pass the classifier is built
-  /// from (the grades do not depend on it).
-  explicit MutableGraph(
-      CsrGraph graph,
-      ParallelDecomposition decomposition = ParallelDecomposition::kAuto);
+  explicit MutableGraph(CsrGraph graph);
 
   /// A shared handle on the current snapshot. While any handle is alive the
   /// snapshot is never mutated: ingest() and replace() swap in a new one,
@@ -97,7 +92,6 @@ class MutableGraph {
   bool unshared() const;
 
   std::shared_ptr<CsrGraph> snapshot_;
-  ParallelDecomposition decomposition_;
   std::unique_ptr<BlockCutQueries> queries_;
 };
 

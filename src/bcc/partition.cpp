@@ -5,7 +5,6 @@
 
 #include "bcc/bicomp.hpp"
 #include "bcc/block_cut_tree.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "bcc/reach.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -160,9 +159,7 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
   BiconnectedComponents bcc;
   {
     APGRE_TRACE_SPAN("bcc/decompose");
-    bcc = use_parallel_decomposition(opts.parallel_decomposition, g)
-              ? parallel_biconnected_components(g, sched)
-              : biconnected_components(g);
+    bcc = biconnected_components(g);
   }
   const BlockCutTree tree = block_cut_tree(bcc, g.num_vertices());
 

@@ -13,8 +13,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "bcc/parallel_bicomp.hpp"
+#include "bcc/bicomp.hpp"
 #include "graph/csr.hpp"
+#include "support/sched/scheduler.hpp"
 
 namespace apgre {
 
@@ -40,13 +41,9 @@ struct PartitionOptions {
   /// compute_reach_counts() itself (the APGRE driver does this to time the
   /// two steps separately, as in the paper's Figure 8 breakdown).
   bool compute_reach = true;
-  /// Which biconnectivity pass labels the blocks: kAuto runs the
-  /// scheduler-native parallel pass (bcc/parallel_bicomp.hpp) once the
-  /// graph clears kParallelDecompositionAutoThreshold, kOn forces it (the
-  /// differential tests pin small graphs through it), kOff keeps the
-  /// serial Hopcroft-Tarjan DFS. Directed graphs always decompose
-  /// serially. The parallel pass emits canonical block numbering, so the
-  /// resulting Decomposition is deterministic either way.
+  /// Inert: no decomposition reads it, every one runs the serial
+  /// Hopcroft-Tarjan DFS (bcc/bicomp.hpp). Kept so that callers which
+  /// still forward it to BlockCutQueries compile.
   ParallelDecomposition parallel_decomposition = ParallelDecomposition::kAuto;
 
   /// Memberwise equality — bc::Solver keys its cached decomposition on this.
@@ -114,8 +111,9 @@ struct Decomposition {
 
 /// Decompose `g` and (unless opts.reach == kAuto semantics dictate
 /// otherwise) fill in alpha/beta. Runs per connected component of the
-/// undirected projection; vertices with no arcs are skipped. The parallel
-/// biconnectivity pass and BFS reach counting run on `sched`.
+/// undirected projection; vertices with no arcs are skipped. The blocks
+/// come from the serial Hopcroft-Tarjan DFS (biconnected_components); BFS
+/// reach counting runs on `sched`.
 Decomposition decompose(
     const CsrGraph& g, const PartitionOptions& opts = {},
     WorkStealingScheduler& sched = WorkStealingScheduler::shared());

@@ -8,11 +8,8 @@
 
 namespace apgre {
 
-BlockCutQueries::BlockCutQueries(const CsrGraph& g,
-                                 ParallelDecomposition decomposition)
-    : bcc_(use_parallel_decomposition(decomposition, g)
-               ? parallel_biconnected_components(g)
-               : biconnected_components(g)),
+BlockCutQueries::BlockCutQueries(const CsrGraph& g)
+    : bcc_(biconnected_components(g)),
       tree_(block_cut_tree(bcc_, g.num_vertices())),
       directed_(g.directed()) {
   const Vertex blocks = tree_.num_blocks();

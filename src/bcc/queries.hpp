@@ -9,7 +9,6 @@
 
 #include "bcc/bicomp.hpp"
 #include "bcc/block_cut_tree.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "graph/csr.hpp"
 #include "graph/update.hpp"
 
@@ -60,13 +59,12 @@ struct BatchClassification {
 /// separation query, O(log deg) per same-block query.
 class BlockCutQueries {
  public:
-  /// `decomposition` picks the biconnectivity pass the structure is built
-  /// from (serial DFS vs the scheduler-native parallel pass); every query
-  /// answer is independent of the choice — only internal block numbering
-  /// differs, and the parallel pass canonicalizes even that.
-  explicit BlockCutQueries(
-      const CsrGraph& g,
-      ParallelDecomposition decomposition = ParallelDecomposition::kAuto);
+  /// Built from biconnected_components(g), the one block decomposition.
+  explicit BlockCutQueries(const CsrGraph& g);
+  /// Inert overload: the ParallelDecomposition argument is ignored. Kept
+  /// for callers that still forward PartitionOptions::parallel_decomposition.
+  BlockCutQueries(const CsrGraph& g, ParallelDecomposition)
+      : BlockCutQueries(g) {}
 
   /// Classify a coalesced batch (at most one op per edge) against the tree
   /// this structure was built from — the only classifier; a single edit is

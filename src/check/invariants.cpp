@@ -8,7 +8,6 @@
 #include "bcc/articulation.hpp"
 #include "bcc/bicomp.hpp"
 #include "bcc/block_cut_tree.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "graph/components.hpp"
 #include "graph/transform.hpp"
 
@@ -276,13 +275,9 @@ std::vector<std::string> check_decomposition_invariants(
   return violations;
 }
 
-std::vector<std::string> check_decomposition_agreement(
-    const CsrGraph& g, ParallelDecomposition mode) {
+std::vector<std::string> check_decomposition_agreement(const CsrGraph& g) {
   std::vector<std::string> violations;
-  const bool parallel = use_parallel_decomposition(mode, g);
-  const BiconnectedComponents bcc = parallel
-                                        ? parallel_biconnected_components(g)
-                                        : biconnected_components(g);
+  const BiconnectedComponents bcc = biconnected_components(g);
 
   const CsrGraph projection_storage =
       g.directed() ? undirected_projection(g) : CsrGraph();
@@ -360,20 +355,6 @@ std::vector<std::string> check_decomposition_agreement(
     violation(violations, "block-cut tree has a cycle");
   }
 
-  // --- 4. Parallel pass agrees with the serial DFS ----------------------
-  if (parallel) {
-    BiconnectedComponents serial = biconnected_components(g);
-    canonicalize_blocks(serial);
-    if (serial.num_components != bcc.num_components ||
-        serial.component_vertices != bcc.component_vertices ||
-        serial.component_edges != bcc.component_edges ||
-        serial.is_articulation != bcc.is_articulation ||
-        serial.any_component != bcc.any_component) {
-      violation(violations,
-                "canonicalized parallel decomposition differs from the ",
-                "canonicalized serial Hopcroft-Tarjan output");
-    }
-  }
   return violations;
 }
 

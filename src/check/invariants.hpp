@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bc/bc.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "bcc/partition.hpp"
 #include "graph/csr.hpp"
 
@@ -49,21 +48,16 @@ std::vector<std::string> check_stats_invariants(const CsrGraph& g,
                                                 const ApgreStats& stats,
                                                 const ApgreOptions& opts = {});
 
-/// Biconnectivity-pass agreement: build the block decomposition with the
-/// pass `mode` selects (kOn = the parallel pass regardless of size, kOff =
-/// the serial DFS, kAuto = the production gate) and check it against
-/// ground truths none of the passes share code with:
+/// Biconnectivity agreement: build the block decomposition with the serial
+/// Hopcroft-Tarjan DFS (biconnected_components) and check it against
+/// ground truths it shares no code with:
 ///  1. every edge of the undirected projection lies in exactly one block,
 ///     and each block's vertex set is exactly its edges' endpoints,
 ///  2. the articulation flags match the standalone finder
 ///     (articulation.cpp), and every flagged vertex is in >= 2 blocks,
 ///  3. the block-cut tree is a forest (acyclic; bipartite by
-///     construction), and any_component names a real containing block,
-///  4. when `mode` selected the parallel pass, its canonicalized output is
-///     structure-identical to the canonicalized serial DFS output.
-std::vector<std::string> check_decomposition_agreement(
-    const CsrGraph& g,
-    ParallelDecomposition mode = ParallelDecomposition::kAuto);
+///     construction), and any_component names a real containing block.
+std::vector<std::string> check_decomposition_agreement(const CsrGraph& g);
 
 /// Independent pendant census replicating the partition's classification
 /// from degrees alone: directed pendants have no in-arcs and one out-arc;

@@ -33,8 +33,7 @@ struct Service::Impl {
   /// is only ever held for O(1) LRU operations, so holding entry->mu
   /// through a long patch delays this graph's requests and no other's.
   struct GraphEntry {
-    GraphEntry(CsrGraph g, ParallelDecomposition decomposition)
-        : graph(std::move(g), decomposition) {}
+    explicit GraphEntry(CsrGraph g) : graph(std::move(g)) {}
 
     std::mutex mu;
     /// The current snapshot and its block-cut classifier; every update
@@ -448,8 +447,7 @@ Status Service::register_graph(const std::string& name, CsrGraph graph) {
   if (name.empty()) {
     return Status::invalid_option("graph name must be non-empty");
   }
-  auto entry = std::make_shared<Impl::GraphEntry>(
-      std::move(graph), impl_->options.parallel_decomposition);
+  auto entry = std::make_shared<Impl::GraphEntry>(std::move(graph));
   {
     std::lock_guard<std::mutex> lk(impl_->registry_mu);
     impl_->graphs[name] = std::move(entry);

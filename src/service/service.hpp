@@ -61,13 +61,6 @@ struct ServiceOptions {
   int workers = 4;
   /// Maximum number of warm Solver sessions kept in the LRU cache.
   std::size_t session_capacity = 8;
-  /// Biconnectivity pass for the per-snapshot BlockCutQueries locality
-  /// structure (bcc/parallel_bicomp.hpp): kAuto switches to the
-  /// scheduler-native parallel pass on large snapshots; kOn forces it
-  /// (the TSan matrix drives concurrent parallel decompositions with it);
-  /// kOff keeps the serial DFS. Solve requests choose their own pass via
-  /// BcOptions::apgre.partition.parallel_decomposition.
-  ParallelDecomposition parallel_decomposition = ParallelDecomposition::kAuto;
 };
 
 enum class RequestKind { kSolve, kTopK, kUpdate, kUpdateBatch };

@@ -196,32 +196,6 @@ TEST_F(BenchRegressTest, ServiceParallelWorkloadReportsLatencyPercentiles) {
   EXPECT_TRUE(report.at("results").as_array().empty());
 }
 
-TEST_F(BenchRegressTest, DecomposeWorkloadGatesExactnessAndReportsThroughput) {
-  const CommandResult r = run_tool(
-      "--workload decompose --repeat 2 --scale 0.05 --seed 3 --out " +
-      report_path_);
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("decompose workload:"), std::string::npos)
-      << r.output;
-
-  const JsonValue report = read_report();
-  EXPECT_EQ(report.at("schema_version").as_double(), 1.0);
-  EXPECT_EQ(report.at("config").at("workload").as_string(), "decompose");
-
-  const JsonValue& decompose = report.at("decompose");
-  EXPECT_GT(decompose.at("graph_vertices").as_double(), 0.0);
-  // The fringe-heavy geometry guarantees thousands of bridge blocks.
-  EXPECT_GT(decompose.at("blocks").as_double(), 100.0);
-  EXPECT_EQ(decompose.at("reps").as_double(), 2.0);
-  EXPECT_GT(decompose.at("serial_seconds_median").as_double(), 0.0);
-  EXPECT_GT(decompose.at("parallel_seconds_median").as_double(), 0.0);
-  EXPECT_GT(decompose.at("serial_blocks_per_second").as_double(), 0.0);
-  EXPECT_GT(decompose.at("parallel_blocks_per_second").as_double(), 0.0);
-  EXPECT_GT(decompose.at("speedup").as_double(), 0.0);
-  // The kernels benchmark section is skipped in decompose mode.
-  EXPECT_TRUE(report.at("results").as_array().empty());
-}
-
 TEST_F(BenchRegressTest, SelfBaselineComparesClean) {
   ASSERT_EQ(run_tool(fast_flags() + " --out " + report_path_).exit_code, 0);
   // Identical build, generous threshold: the gate must pass.

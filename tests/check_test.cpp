@@ -335,39 +335,28 @@ TEST(CheckSweep, DecompositionInvariantsHoldAcrossCorpusAndReachMethods) {
   }
 }
 
-TEST(CheckSweep, DecompositionAgreementHoldsForBothBiconnectivityPasses) {
-  // Same sweep apgre_diff runs with --parallel-bcc on/off: the selected
-  // pass's blocks against the standalone AP finder, the edge-partition
-  // property, the forest shape — and, parallel side, the canonicalized
-  // serial structures.
+TEST(CheckSweep, DecompositionAgreementHoldsAcrossCorpus) {
+  // Same sweep apgre_diff runs per corpus case: the serial DFS's blocks
+  // against the standalone AP finder, the edge-partition property and the
+  // forest shape.
   for (std::uint64_t seed = 1; seed <= kInvariantSeeds; ++seed) {
     for (const CorpusCase& c : graph_corpus(seed, /*tiny=*/true)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " " + c.name);
-      for (const std::string& v : check_decomposition_agreement(
-               c.graph, ParallelDecomposition::kOff)) {
-        ADD_FAILURE() << "serial: " << v;
-      }
-      for (const std::string& v : check_decomposition_agreement(
-               c.graph, ParallelDecomposition::kOn)) {
-        ADD_FAILURE() << "parallel: " << v;
+      for (const std::string& v : check_decomposition_agreement(c.graph)) {
+        ADD_FAILURE() << v;
       }
     }
   }
 }
 
 TEST(CheckInvariants, AgreementHoldsOnDirectedAndDegenerateShapes) {
-  // Directed inputs route through the projection (and the parallel pass's
-  // serial fallback); degenerate shapes exercise the empty-block edges.
-  EXPECT_TRUE(check_decomposition_agreement(paper_figure3(),
-                                            ParallelDecomposition::kOn)
-                  .empty());
-  EXPECT_TRUE(check_decomposition_agreement(
-                  CsrGraph::undirected_from_edges(3, {}),
-                  ParallelDecomposition::kOn)
-                  .empty());
-  EXPECT_TRUE(check_decomposition_agreement(caveman(3, 5, 4),
-                                            ParallelDecomposition::kAuto)
-                  .empty());
+  // Directed inputs route through the projection; degenerate shapes
+  // exercise the empty-block edges.
+  EXPECT_TRUE(check_decomposition_agreement(paper_figure3()).empty());
+  EXPECT_TRUE(
+      check_decomposition_agreement(CsrGraph::undirected_from_edges(3, {}))
+          .empty());
+  EXPECT_TRUE(check_decomposition_agreement(caveman(3, 5, 4)).empty());
 }
 
 TEST(CheckSweep, ApgreStatsInvariantsHoldAcrossCorpus) {

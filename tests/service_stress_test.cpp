@@ -15,8 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -25,7 +23,6 @@
 
 #include "bc/bc.hpp"
 #include "bc/brandes.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/mutate.hpp"
@@ -54,19 +51,6 @@ std::string private_name(int client) {
   return "private_" + std::to_string(client);
 }
 
-/// CI matrix knob: APGRE_STRESS_PARALLEL_BCC=on forces the parallel
-/// biconnectivity pass (bcc/parallel_bicomp.hpp) for every decomposition in
-/// this suite — snapshot locality rebuilds and APGRE solves alike — so the
-/// TSan tier races parallel decompositions against each other and against
-/// running kernels on the shared scheduler. Default is kAuto, which at
-/// these graph sizes means the serial DFS (the pre-existing coverage).
-ParallelDecomposition parallel_bcc_for_stress() {
-  const char* env = std::getenv("APGRE_STRESS_PARALLEL_BCC");
-  return env != nullptr && std::strcmp(env, "on") == 0
-             ? ParallelDecomposition::kOn
-             : ParallelDecomposition::kAuto;
-}
-
 /// One client's deterministic request stream. Updates draw a valid random
 /// mutation from the graph's current state, which only this client
 /// mutates, so the stream is reproducible in the replay. The solve mix
@@ -81,8 +65,6 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
     request.graph = private_name(client);
     request.options.algorithm =
         (roll == 0) ? Algorithm::kBrandesSerial : Algorithm::kApgre;
-    request.options.apgre.partition.parallel_decomposition =
-        parallel_bcc_for_stress();
   } else if (roll < 5) {
     request.kind = RequestKind::kTopK;
     request.graph = private_name(client);
@@ -115,8 +97,6 @@ Request next_request(Service& service, std::mt19937_64& rng, int client) {
       case 2: request.options.algorithm = Algorithm::kLockFree; break;
       default:
         request.options.algorithm = Algorithm::kApgre;
-            request.options.apgre.partition.parallel_decomposition =
-            parallel_bcc_for_stress();
         break;
     }
   }
@@ -159,7 +139,6 @@ TEST(ServiceStress, ConcurrentClientsMatchSingleThreadedReplay) {
   // Capacity below clients + shared: evictions and cold rebuilds happen
   // constantly under contention, which is the point.
   options.session_capacity = 4;
-  options.parallel_decomposition = parallel_bcc_for_stress();
   Service service(options);
 
   service.register_graph("shared", shared_graph());
@@ -290,16 +269,15 @@ TEST(ServiceStress, AdversarialUpdatesOnSharedGraphStayConsistent) {
   expect_scores_near(betweenness(*snap, serial).scores, served.scores);
 }
 
-// Concurrent decompose + solve stress: every APGRE solve forces the
-// parallel biconnectivity pass (kOn) while updater threads mutate the same
-// graph, so parallel decompositions — inside racing Solvers and in the
-// snapshot locality rebuild each structural update triggers — overlap with
-// each other and with running kernels on the shared work-stealing
-// scheduler. Racing updates may fail validation (tolerated, as above);
-// what must hold under TSan is no data race in the parallel pass's
-// frontier expansion / union-find / canonicalization, and that the final
-// served scores match a fresh serial solve of the final snapshot.
-TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
+// Concurrent decompose + solve stress: APGRE solves run while updater
+// threads mutate the same graph, so decompositions — inside racing Solvers
+// and in the snapshot locality rebuild each structural update triggers —
+// overlap with each other and with running kernels on the shared
+// work-stealing scheduler. Racing updates may fail validation (tolerated,
+// as above); what must hold under TSan is no data race between them, and
+// that the final served scores match a fresh serial solve of the final
+// snapshot.
+TEST(ServiceStress, ConcurrentDecompositionsStayConsistent) {
   constexpr int kSolveClients = 4;
   constexpr int kUpdateClients = 2;
   constexpr int kStepsPerClient = 40;
@@ -307,7 +285,6 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
   ServiceOptions options;
   options.workers = 4;
   options.session_capacity = 2;
-  options.parallel_decomposition = ParallelDecomposition::kOn;
   Service service(options);
   // Blocks chained by articulation points plus a pendant fringe: updates
   // hit both the localized and the structural (re-decompose) paths.
@@ -327,8 +304,6 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
         if (c < kSolveClients) {
           request.kind = RequestKind::kSolve;
           request.options.algorithm = Algorithm::kApgre;
-          request.options.apgre.partition.parallel_decomposition =
-              ParallelDecomposition::kOn;
         } else {
           request.kind = RequestKind::kUpdate;
           const auto u = static_cast<Vertex>(rng() % n);
@@ -348,8 +323,6 @@ TEST(ServiceStress, ConcurrentParallelDecompositionsStayConsistent) {
   solve.kind = RequestKind::kSolve;
   solve.graph = "shared";
   solve.options.algorithm = Algorithm::kApgre;
-  solve.options.apgre.partition.parallel_decomposition =
-      ParallelDecomposition::kOn;
   const Response served = service.handle(solve);
   ASSERT_TRUE(served.status.ok()) << served.status.message;
   const auto snap = service.snapshot("shared");
@@ -388,7 +361,6 @@ CsrGraph grid_with_triangle(Vertex side) {
 TEST(ServiceStress, ReadsOfOneGraphRunBesideAnotherGraphsWrite) {
   using Clock = std::chrono::steady_clock;
   ServiceOptions options;
-  options.parallel_decomposition = parallel_bcc_for_stress();
   Service service(options);
   constexpr Vertex kSide = 40;
   service.register_graph("a", grid_with_triangle(kSide));
@@ -400,14 +372,10 @@ TEST(ServiceStress, ReadsOfOneGraphRunBesideAnotherGraphsWrite) {
   // One worker for A's session: its write then re-scores the grid on the
   // writer's thread alone, leaving the other cores to B's reads.
   solve_a.options.threads = 1;
-  solve_a.options.apgre.partition.parallel_decomposition =
-      parallel_bcc_for_stress();
   Request top_b;
   top_b.kind = RequestKind::kTopK;
   top_b.graph = "b";
   top_b.k = 6;
-  top_b.options.apgre.partition.parallel_decomposition =
-      parallel_bcc_for_stress();
   ASSERT_TRUE(service.handle(solve_a).status.ok());
   ASSERT_TRUE(service.handle(top_b).status.ok());  // B's session is warm
 
@@ -478,7 +446,6 @@ TEST(ServiceStress, ReadsOfOneGraphRunBesideAnotherGraphsWrite) {
 // depends on timing, so rounds repeat until it has happened a few times.
 TEST(ServiceStress, PinnedReaderKeepsItsSnapshotAcrossWrites) {
   ServiceOptions options;
-  options.parallel_decomposition = parallel_bcc_for_stress();
   options.session_capacity = 1;
   Service service(options);
   constexpr Vertex kSide = 30;
@@ -486,8 +453,6 @@ TEST(ServiceStress, PinnedReaderKeepsItsSnapshotAcrossWrites) {
   Request solve;
   solve.kind = RequestKind::kSolve;
   solve.graph = "g";
-  solve.options.apgre.partition.parallel_decomposition =
-      parallel_bcc_for_stress();
   Request slow_solve = solve;
   slow_solve.options.algorithm = Algorithm::kBrandesSerial;
   ASSERT_TRUE(service.handle(solve).status.ok());  // the session is warm

@@ -9,8 +9,8 @@
 // blame, runs the metamorphic rules (rotating the algorithm under test
 // through the set), replays a random incremental trajectory against the
 // static reference, validates the decomposition + ApgreStats invariants,
-// and sweeps the biconnectivity-pass agreement check across the serial and
-// parallel passes (--parallel-bcc). Exit status 0 means zero divergence
+// and checks the block decomposition against its independent ground truths
+// (check_decomposition_agreement). Exit status 0 means zero divergence
 // above tolerance; 1 means at least one check failed (details on stderr);
 // 2 is a usage error.
 // CI and fuzzing drive this binary; a failing (seed, case) pair is
@@ -96,9 +96,6 @@ int main(int argc, char** argv) {
       .add_bool("metamorphic", true, "run the metamorphic rules")
       .add_bool("invariants", true, "check decomposition + ApgreStats invariants")
       .add_bool("weighted", true, "also diff the weighted algorithm family")
-      .add_string("parallel-bcc", "both",
-                  "decomposition_agreement axis: `on` (parallel pass), "
-                  "`off` (serial DFS), `both`, or `none`")
       .add_double("rel", 1e-7, "relative score tolerance")
       .add_double("abs", 1e-6, "absolute score tolerance")
       .add_int("max-naive", 256, "largest |V| the O(V^3) naive oracle runs on")
@@ -108,8 +105,6 @@ int main(int argc, char** argv) {
   std::pair<std::uint64_t, std::uint64_t> seeds;
   OracleOptions oracle;
   bool large = false;
-  bool agreement_on = false;
-  bool agreement_off = false;
   try {
     const auto positional = flags.parse(argc, argv);
     if (flags.help_requested()) {
@@ -124,12 +119,6 @@ int main(int argc, char** argv) {
     oracle.max_naive_vertices = static_cast<Vertex>(flags.get_int("max-naive"));
     oracle.threads = static_cast<int>(flags.get_int("threads"));
     large = flags.get_bool("large");
-    const std::string axis = flags.get_string("parallel-bcc");
-    APGRE_REQUIRE(axis == "on" || axis == "off" || axis == "both" ||
-                      axis == "none",
-                  "--parallel-bcc expects on, off, both, or none");
-    agreement_on = axis == "on" || axis == "both";
-    agreement_off = axis == "off" || axis == "both";
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n%s", e.what(), flags.help().c_str());
     return 2;
@@ -236,35 +225,19 @@ int main(int argc, char** argv) {
         }
       }
 
-      // --- Biconnectivity-pass agreement axis ---------------------------
-      // Runs check_decomposition_agreement with the parallel pass forced on
-      // and/or the serial DFS forced, per --parallel-bcc. The kOn leg also
-      // cross-checks the canonicalized parallel output against the serial
-      // reference (invariants.hpp point 4), so `both` diffs the two passes
-      // on every corpus case.
-      if (agreement_on || agreement_off) {
+      // --- Block decomposition against its ground truths -----------------
+      {
         ++counters.agreement_graphs;
-        std::vector<std::string> violations;
-        if (agreement_off) {
-          for (std::string& v : check_decomposition_agreement(
-                   c.graph, ParallelDecomposition::kOff)) {
-            violations.push_back("serial: " + std::move(v));
-          }
-        }
-        if (agreement_on) {
-          for (std::string& v : check_decomposition_agreement(
-                   c.graph, ParallelDecomposition::kOn)) {
-            violations.push_back("parallel: " + std::move(v));
-          }
-        }
+        const std::vector<std::string> violations =
+            check_decomposition_agreement(c.graph);
         if (!violations.empty()) {
           ++counters.failures;
-          std::fprintf(stderr, "FAIL [parallel-bcc] %s:\n", tag.c_str());
+          std::fprintf(stderr, "FAIL [agreement] %s:\n", tag.c_str());
           for (const std::string& v : violations) {
             std::fprintf(stderr, "  %s\n", v.c_str());
           }
         } else if (verbose) {
-          std::printf("ok   [parallel-bcc] %s\n", tag.c_str());
+          std::printf("ok   [agreement] %s\n", tag.c_str());
         }
       }
     }

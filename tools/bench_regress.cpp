@@ -30,8 +30,6 @@
 
 #include "bc/bc.hpp"
 #include "bc/incremental.hpp"
-#include "bcc/bicomp.hpp"
-#include "bcc/parallel_bicomp.hpp"
 #include "bcc/queries.hpp"
 #include "check/corpus.hpp"
 #include "graph/generators.hpp"
@@ -690,77 +688,6 @@ JsonValue run_stream_workload(std::uint64_t seed, int batches, int batch_size,
   return JsonValue(std::move(out));
 }
 
-/// --workload decompose: serial Hopcroft-Tarjan DFS vs the parallel
-/// Tarjan-Vishkin-style biconnectivity pass (bcc/parallel_bicomp.hpp) on a
-/// fringe-heavy scale-free geometry — one giant core block plus tens of thousands of bridge blocks, the skew that makes
-/// the decomposition a measurable fraction of an APGRE solve. Reports the
-/// median seconds and blocks/sec of each pass plus the speedup, and hard-
-/// gates exactness: the parallel output must be structure-identical to the
-/// canonicalized serial output field by field (timing means nothing if the
-/// block structure drifts). The parallel timing includes its built-in
-/// canonicalization — that is what production pays; the serial pass is
-/// timed as production runs it (DFS numbering) and canonicalized outside
-/// the timer for the comparison only.
-JsonValue run_decompose_workload(std::uint64_t seed, int repeat, double scale) {
-  const Vertex core =
-      std::max<Vertex>(256, static_cast<Vertex>(24000.0 * scale));
-  const CsrGraph graph = attach_pendants(
-      attach_chains(barabasi_albert(core, 4, seed),
-                    /*count=*/core / 2, /*length=*/6, seed + 1),
-      /*count=*/2 * core, seed + 2);
-
-  auto median_seconds = [repeat](auto&& run) {
-    std::vector<double> seconds;
-    seconds.reserve(static_cast<std::size_t>(repeat));
-    for (int i = 0; i < repeat; ++i) {
-      Timer t;
-      run();
-      seconds.push_back(t.seconds());
-    }
-    return percentile(seconds, 50.0);
-  };
-
-  BiconnectedComponents serial_bcc;
-  const double serial_seconds =
-      median_seconds([&] { serial_bcc = biconnected_components(graph); });
-  BiconnectedComponents parallel_bcc;
-  const double parallel_seconds = median_seconds(
-      [&] { parallel_bcc = parallel_biconnected_components(graph); });
-
-  // Hard exactness gate.
-  canonicalize_blocks(serial_bcc);
-  APGRE_REQUIRE(parallel_bcc.num_components == serial_bcc.num_components,
-                "decompose workload: block counts diverge (parallel " +
-                    std::to_string(parallel_bcc.num_components) + " vs serial " +
-                    std::to_string(serial_bcc.num_components) + ")");
-  APGRE_REQUIRE(parallel_bcc.component_vertices == serial_bcc.component_vertices,
-                "decompose workload: block vertex sets diverge");
-  APGRE_REQUIRE(parallel_bcc.component_edges == serial_bcc.component_edges,
-                "decompose workload: block edge sets diverge");
-  APGRE_REQUIRE(parallel_bcc.any_component == serial_bcc.any_component,
-                "decompose workload: any_component maps diverge");
-  APGRE_REQUIRE(parallel_bcc.is_articulation == serial_bcc.is_articulation,
-                "decompose workload: articulation flags diverge");
-
-  const double blocks = static_cast<double>(serial_bcc.num_components);
-  JsonValue::Object out;
-  out["graph_vertices"] =
-      JsonValue(static_cast<std::uint64_t>(graph.num_vertices()));
-  out["graph_arcs"] = JsonValue(static_cast<std::uint64_t>(graph.num_arcs()));
-  out["blocks"] = JsonValue(static_cast<std::uint64_t>(serial_bcc.num_components));
-  out["reps"] = JsonValue(static_cast<std::int64_t>(repeat));
-  out["serial_seconds_median"] = JsonValue(serial_seconds);
-  out["parallel_seconds_median"] = JsonValue(parallel_seconds);
-  out["serial_blocks_per_second"] =
-      JsonValue(serial_seconds > 0.0 ? blocks / serial_seconds : 0.0);
-  out["parallel_blocks_per_second"] =
-      JsonValue(parallel_seconds > 0.0 ? blocks / parallel_seconds : 0.0);
-  out["speedup"] =
-      JsonValue(parallel_seconds > 0.0 ? serial_seconds / parallel_seconds
-                                       : 0.0);
-  return JsonValue(std::move(out));
-}
-
 /// Throws Error on unreadable / malformed / schema-incompatible reports.
 JsonValue load_report(const std::string& path) {
   std::ifstream in(path);
@@ -860,9 +787,7 @@ int main(int argc, char** argv) {
                   "localized incremental updates/sec vs full re-solve) or "
                   "stream "
                   "(batched ingest via IncrementalBc::apply_batch vs "
-                  "per-edge replay, exactness self-checked) or decompose "
-                  "(serial DFS vs parallel biconnectivity pass, structure "
-                  "exactness hard-gated)")
+                  "per-edge replay, exactness self-checked)")
       .add_int("clients", 8, "service workload: concurrent client threads")
       .add_int("requests", 50, "service workload: requests per client")
       .add_int("updates", 200, "updates workload: trajectory length")
@@ -895,9 +820,9 @@ int main(int argc, char** argv) {
     workload = flags.get_string("workload");
     APGRE_REQUIRE(workload == "kernels" || workload == "service" ||
                       workload == "service_parallel" || workload == "updates" ||
-                      workload == "stream" || workload == "decompose",
+                      workload == "stream",
                   "--workload must be kernels, service, service_parallel, "
-                  "updates, stream or decompose");
+                  "updates or stream");
     APGRE_REQUIRE(flags.get_int("clients") >= 1, "--clients must be >= 1");
     APGRE_REQUIRE(flags.get_int("requests") >= 1, "--requests must be >= 1");
     APGRE_REQUIRE(flags.get_int("updates") >= 1, "--updates must be >= 1");
@@ -985,28 +910,6 @@ int main(int argc, char** argv) {
                  static_cast<int>(flags.get_int("batch-size")));
   }
 
-  JsonValue decompose_section;
-  if (workload == "decompose") {
-    try {
-      decompose_section = run_decompose_workload(
-          static_cast<std::uint64_t>(flags.get_int("seed")), repeat,
-          flags.get_double("scale"));
-    } catch (const Error& e) {
-      // The structure-exactness gate is a hard failure, not a usage error.
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "decompose workload: %.0f blocks, serial %.4fs vs parallel "
-                 "%.4fs median (%.2fx), %.0f vs %.0f blocks/sec\n",
-                 decompose_section.at("blocks").as_double(),
-                 decompose_section.at("serial_seconds_median").as_double(),
-                 decompose_section.at("parallel_seconds_median").as_double(),
-                 decompose_section.at("speedup").as_double(),
-                 decompose_section.at("serial_blocks_per_second").as_double(),
-                 decompose_section.at("parallel_blocks_per_second").as_double());
-  }
-
   JsonValue::Array results;
   for (const BenchGraph& bg : graph_list) {
     JsonValue::Object algorithms;
@@ -1054,9 +957,6 @@ int main(int argc, char** argv) {
   }
   if (!stream_section.is_null()) {
     report["stream"] = std::move(stream_section);
-  }
-  if (!decompose_section.is_null()) {
-    report["decompose"] = std::move(decompose_section);
   }
   const JsonValue head(std::move(report));
 
