@@ -156,18 +156,4 @@ std::vector<Workload> selected_workloads() {
 
 Workload dblp_workload(double scale) { return all_workloads(scale)[5]; }
 
-Workload skewed_workload(double s) {
-  // One dense biconnected core holding most of the arcs, plus a long tail
-  // of 6-vertex communities, short chains and pendants, all bridged
-  // through articulation points: the sub-graph size distribution APGRE's
-  // Figure 2 shows for real graphs, pushed to the extreme where a flat
-  // loop over sub-graphs load-imbalances worst.
-  return {"skewed*", "(scheduler stress)", "synthetic", false, [s] {
-            CsrGraph g = barabasi_albert(scaled(s, 1400), 8, 200);
-            g = attach_communities(g, scaled(s, 260), 6, 201);
-            g = attach_chains(g, scaled(s, 160), 3, 202);
-            return attach_pendants(g, scaled(s, 1400), 203);
-          }};
-}
-
 }  // namespace apgre::bench

@@ -38,11 +38,4 @@ std::vector<Workload> selected_workloads();
 /// The dblp analogue used by the scaling figure (paper Figure 9).
 Workload dblp_workload(double scale);
 
-/// Maximally skewed decomposition (not part of Table 1): one dominant
-/// biconnected core plus thousands of tiny satellite blocks, chains and
-/// pendants. A flat parallel loop over sub-graphs serializes on the core;
-/// this is the work-stealing scheduler's stress / regression workload
-/// (tools/bench_regress includes it by default).
-Workload skewed_workload(double scale);
-
 }  // namespace apgre::bench

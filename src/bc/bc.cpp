@@ -161,12 +161,15 @@ Status validate_options(const BcOptions& opts) {
     return Status::invalid_option("algorithm value " + std::to_string(index) +
                                   " is not in the registry");
   }
-  if (opts.threads < 0) {
-    return Status::invalid_option("threads must be >= 0, got " +
+  if (opts.threads < 0 || opts.threads > kMaxSolveThreads) {
+    return Status::invalid_option("threads must be in [0, " +
+                                  std::to_string(kMaxSolveThreads) + "], got " +
                                   std::to_string(opts.threads));
   }
-  if (opts.scheduler.threads < 0) {
-    return Status::invalid_option("scheduler.threads must be >= 0, got " +
+  if (opts.scheduler.threads < 0 ||
+      opts.scheduler.threads > kMaxSolveThreads) {
+    return Status::invalid_option("scheduler.threads must be in [0, " +
+                                  std::to_string(kMaxSolveThreads) + "], got " +
                                   std::to_string(opts.scheduler.threads));
   }
   return Status::Ok();

@@ -112,6 +112,12 @@ struct BcOptions {
   std::uint64_t seed = 1;
 };
 
+/// Largest worker count validate_options accepts for `threads` and
+/// `scheduler.threads`. A count that differs from the shared pool's builds
+/// a private pool of that many OS threads, and apgre_serve takes the count
+/// off the wire, so it is capped.
+inline constexpr int kMaxSolveThreads = 1024;
+
 /// Check `opts` for inconsistencies without running anything. The same
 /// validation runs at the top of betweenness() / Solver::solve(), which
 /// report it through BcResult::status instead of throwing.

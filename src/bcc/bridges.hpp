@@ -3,8 +3,8 @@
 // Complements the vertex-connectivity decomposition (articulation points /
 // biconnected components): a bridge is an edge whose removal disconnects
 // the graph — every bridge is a 2-vertex biconnected component, and both
-// of its non-leaf endpoints are articulation points. Girvan-Newman style
-// analyses and the vulnerability example use these directly.
+// of its non-leaf endpoints are articulation points. The metamorphic
+// checks (check/metamorphic.cpp, check/dynamic_metamorphic.cpp) use them.
 #pragma once
 
 #include <vector>

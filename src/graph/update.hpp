@@ -1,8 +1,8 @@
 // Batched edge updates: the value types and pure algebra of STINGER-style
 // streaming ingest, shared by every layer that thinks in batches
 // (bcc/queries classify_batch, bc/incremental apply_batch, the service's
-// kUpdateBatch pipeline, apgre_serve's batch_update verb and bench_regress
-// --workload stream).
+// kUpdateBatch pipeline, apgre_serve's batch_update verb and the ledger's
+// caveman_stream workload).
 //
 // An UpdateBatch is a list of timestamped EdgeOps. coalesce_batch() reduces
 // it to its net effect against one graph snapshot: insert/delete pairs on
@@ -17,8 +17,8 @@
 // same edit on a copy.
 //
 // The binary edge-batch frame ("APGB") is the replay-file format: one frame
-// per batch, frames concatenated until EOF, used by apgre_serve's
-// path-based batch_update and bench_regress --stream-file.
+// per batch, frames concatenated until EOF, read by apgre_serve's
+// path-based batch_update.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,7 @@ struct EdgeOp {
   Vertex v = kInvalidVertex;
   bool insert = true;
   double weight = 1.0;
-  /// Stream time; coalescing orders ops by (timestamp, arrival position),
-  /// and bench_regress --replay-speed paces batches by timestamp gaps.
+  /// Stream time; coalescing orders ops by (timestamp, arrival position).
   std::uint64_t timestamp = 0;
 };
 

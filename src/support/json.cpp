@@ -239,15 +239,7 @@ class Parser {
   std::size_t line_ = 1;
 };
 
-void dump_value(const JsonValue& value, std::string& out, int indent, int depth);
-
-void append_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-void dump_value(const JsonValue& value, std::string& out, int indent, int depth) {
+void dump_value(const JsonValue& value, std::string& out) {
   if (value.is_null()) {
     out += "null";
   } else if (value.is_bool()) {
@@ -267,10 +259,8 @@ void dump_value(const JsonValue& value, std::string& out, int indent, int depth)
     for (const JsonValue& element : array) {
       if (!first) out += ',';
       first = false;
-      append_indent(out, indent, depth + 1);
-      dump_value(element, out, indent, depth + 1);
+      dump_value(element, out);
     }
-    append_indent(out, indent, depth);
     out += ']';
   } else {
     const auto& object = value.as_object();
@@ -283,12 +273,10 @@ void dump_value(const JsonValue& value, std::string& out, int indent, int depth)
     for (const auto& [key, element] : object) {
       if (!first) out += ',';
       first = false;
-      append_indent(out, indent, depth + 1);
       append_escaped(out, key);
-      out += indent > 0 ? ": " : ":";
-      dump_value(element, out, indent, depth + 1);
+      out += ':';
+      dump_value(element, out);
     }
-    append_indent(out, indent, depth);
     out += '}';
   }
 }
@@ -341,17 +329,6 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return it->second;
 }
 
-double JsonValue::get(const std::string& key, double fallback) const {
-  if (!contains(key)) return fallback;
-  return at(key).as_double();
-}
-
-std::string JsonValue::get(const std::string& key,
-                           const std::string& fallback) const {
-  if (!contains(key)) return fallback;
-  return at(key).as_string();
-}
-
 JsonValue& JsonValue::operator[](const std::string& key) {
   if (is_null()) value_ = Object{};
   return as_object()[key];
@@ -362,10 +339,9 @@ void JsonValue::push_back(JsonValue element) {
   as_array().push_back(std::move(element));
 }
 
-std::string JsonValue::dump(int indent) const {
+std::string JsonValue::dump() const {
   std::string out;
-  dump_value(*this, out, indent, 0);
-  if (indent > 0) out += '\n';
+  dump_value(*this, out);
   return out;
 }
 

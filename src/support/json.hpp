@@ -1,9 +1,8 @@
-// Minimal JSON value with a parser and serializer, for the observability
-// artifacts (BENCH_<rev>.json) and their schema round-trip tests. Covers
-// the subset those files use — null, bool, finite numbers, strings with
-// standard escapes (incl. \uXXXX input), arrays, objects — not a general
-// JSON library. Objects are std::map, so serialization is deterministic
-// (key-sorted), which keeps artifact diffs reviewable.
+// Minimal JSON value with a parser and serializer, for apgre_serve's line
+// protocol. Covers the subset it uses — null, bool, finite numbers, strings
+// with standard escapes (incl. \uXXXX input), arrays, objects — not a
+// general JSON library. Objects are std::map, so serialization is
+// deterministic (key-sorted), which keeps replies byte-stable.
 #pragma once
 
 #include <cstdint>
@@ -48,20 +47,17 @@ class JsonValue {
   Array& as_array();
   Object& as_object();
 
-  /// Object field access. at() throws Error when absent; get() returns a
-  /// fallback. operator[] inserts (converting null to an object first), for
-  /// building documents.
+  /// Object field access. at() throws Error when absent. operator[]
+  /// inserts (converting null to an object first), for building documents.
   bool contains(const std::string& key) const;
   const JsonValue& at(const std::string& key) const;
-  double get(const std::string& key, double fallback) const;
-  std::string get(const std::string& key, const std::string& fallback) const;
   JsonValue& operator[](const std::string& key);
 
   /// Array append (converting null to an array first).
   void push_back(JsonValue element);
 
-  /// Serialize. indent > 0 pretty-prints with that many spaces per level.
-  std::string dump(int indent = 0) const;
+  /// Serialize compactly, on one line.
+  std::string dump() const;
 
   /// Parse a complete document; trailing non-whitespace or malformed input
   /// throws ParseError with a line number.

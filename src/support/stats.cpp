@@ -81,15 +81,4 @@ double geometric_mean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double percentile(std::vector<double> values, double p) {
-  APGRE_ASSERT(!values.empty());
-  APGRE_ASSERT(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 }  // namespace apgre

@@ -58,7 +58,4 @@ class Log2Histogram {
 /// speedups, which for ratios should be geometric.
 double geometric_mean(const std::vector<double>& values);
 
-/// Exact percentile by sorting a copy (fine for bench-sized inputs).
-double percentile(std::vector<double> values, double p);
-
 }  // namespace apgre

@@ -10,11 +10,13 @@
 // batch counters. The
 // randomized trajectories drive IncrementalBc and a Service through the
 // same batches (equal counters and scores), diff against a replay of
-// one-op batches AND a fresh static Brandes solve after every batch; the
-// concurrent test interleaves batches with solves across the worker pool
-// (run under TSan in CI).
+// one-op batches AND a fresh static Brandes solve after every batch; a
+// 64-batch all-local caveman stream must never downgrade or re-decompose;
+// the concurrent test interleaves batches with solves across the worker
+// pool (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -452,6 +454,73 @@ void random_batch_trajectory(std::uint64_t seed) {
 TEST(ApplyBatch, RandomTrajectorySeed7) { random_batch_trajectory(7); }
 TEST(ApplyBatch, RandomTrajectorySeed17) { random_batch_trajectory(17); }
 TEST(ApplyBatch, RandomTrajectorySeed27) { random_batch_trajectory(27); }
+
+// ---------------------------------------------------------------------------
+// A long all-local stream, the shape the ledger's caveman_stream times, at a
+// size the sanitizer builds run: 8 cliques of 28, one sub-graph per block.
+// Each clique gives a pool of `batch size` vertex-disjoint chords with no
+// articulation-point endpoint, so deleting a whole pool leaves its block
+// biconnected. The 64 batches alternate deleting one clique's pool and
+// re-inserting it, round-robin over the cliques. No batch may downgrade,
+// nothing may re-decompose, and the scores must equal a fresh Brandes
+// solve after every batch. Batch size 1 is the one-op local trajectory.
+
+class StreamTrajectory : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
+  const std::size_t batch_size = GetParam();
+  constexpr Vertex kCliques = 8;
+  constexpr int kBatches = 64;
+  const CsrGraph start = caveman(kCliques, 28, 1);
+
+  const BlockCutQueries queries(start);
+  const std::vector<bool>& is_ap = queries.bcc().is_articulation;
+  std::map<Vertex, std::vector<Edge>> pool_of_block;
+  std::vector<bool> used(start.num_vertices(), false);
+  for (Vertex u = 0; u < start.num_vertices(); ++u) {
+    for (Vertex v : start.out_neighbors(u)) {
+      if (u >= v || used[u] || used[v] || is_ap[u] || is_ap[v]) continue;
+      std::vector<Edge>& pool = pool_of_block[queries.common_block(u, v)];
+      if (pool.size() == batch_size) continue;
+      pool.push_back(Edge{u, v});
+      used[u] = used[v] = true;
+    }
+  }
+  std::vector<std::vector<Edge>> pools;
+  for (auto& [block, pool] : pool_of_block) {
+    if (pool.size() == batch_size) pools.push_back(std::move(pool));
+  }
+  ASSERT_EQ(pools.size(), kCliques) << "every clique yields a full pool";
+
+  IncrementalBc engine(start, per_block_options());
+  const std::uint64_t base = decompositions();
+  for (int b = 0; b < kBatches; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::vector<Edge>& pool = pools[static_cast<std::size_t>(b / 2) %
+                                          pools.size()];
+    UpdateRequest batch;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      batch.ops.push_back(op(pool[i].src, pool[i].dst, b % 2 != 0,
+                             static_cast<std::uint64_t>(b) * 100 + i));
+    }
+    const BatchStats stats = engine.apply_batch(batch);
+    EXPECT_EQ(stats.batch_downgrades, 0u);
+    EXPECT_EQ(stats.blocks_resolved, 1u);
+    EXPECT_EQ(decompositions(), base) << "a local batch must not re-decompose";
+    expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+  }
+  EXPECT_EQ(engine.stats().batches, static_cast<std::uint64_t>(kBatches));
+  EXPECT_EQ(engine.stats().batch_edges, kBatches * batch_size);
+  EXPECT_EQ(engine.stats().batch_downgrades, 0u);
+  EXPECT_EQ(engine.stats().structural_resolves, 0u);
+  EXPECT_EQ(engine.graph().num_arcs(), start.num_arcs());
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, StreamTrajectory,
+                         ::testing::Values(std::size_t{8}, std::size_t{1}),
+                         [](const ::testing::TestParamInfo<std::size_t>& p) {
+                           return "ops" + std::to_string(p.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Binary edge-batch frames.

@@ -221,6 +221,40 @@ TEST_F(ServeTest, InvalidUpdateReportsErrorAndKeepsState) {
       << r.output;
 }
 
+TEST_F(ServeTest, OutOfRangeIntegerFieldsAreErrorsGolden) {
+  // Wire numbers are doubles. One that does not fit its integer field is an
+  // error reply, never a wrapped value: 2^32 is not vertex 0, and k = -1 is
+  // not "every vertex". The failed update leaves the graph unchanged. The
+  // largest id is reserved (kInvalidVertex), so a register naming it fails
+  // instead of wrapping the vertex count to 0. A worker count that fits an
+  // int but exceeds kMaxSolveThreads is an invalid option, rejected by
+  // validate_options before any pool is built.
+  const CommandResult r = serve({
+      kRegisterPath,
+      R"({"op":"update","graph":"p","u":4294967296,"v":3})",
+      R"({"op":"solve","graph":"p","algorithm":"serial"})",
+      R"({"op":"top_k","graph":"p","algorithm":"serial","k":-1})",
+      R"({"op":"solve","graph":"p","algorithm":"serial","threads":1.5})",
+      R"({"op":"register","graph":"q","edges":[[0,4294967295]]})",
+      R"({"op":"solve","graph":"p","algorithm":"serial","threads":1025})",
+  });
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_EQ(
+      r.output,
+      "{\"arcs\":6,\"graph\":\"p\",\"ok\":true,\"op\":\"register\","
+      "\"vertices\":4}\n"
+      "{\"error\":\"vertex ids must be an integer in [0, 4294967295]\","
+      "\"ok\":false}\n"
+      "{\"graph\":\"p\",\"ok\":true,\"op\":\"solve\",\"scores\":[0,4,4,0],"
+      "\"session_hit\":false}\n"
+      "{\"error\":\"k must be non-negative\",\"ok\":false}\n"
+      "{\"error\":\"threads must be an integer in [-2147483648, 2147483647]\","
+      "\"ok\":false}\n"
+      "{\"error\":\"vertex id 4294967295 is reserved\",\"ok\":false}\n"
+      "{\"error\":\"threads must be in [0, 1024], got 1025\",\"graph\":\"p\","
+      "\"ok\":false}\n");
+}
+
 TEST_F(ServeTest, RegistryOpsGolden) {
   const CommandResult r = serve({
       kRegisterPath,

@@ -666,6 +666,20 @@ TEST(ValidateOptions, RejectsBadValuesWithoutThrowing) {
   EXPECT_EQ(validate_options(bad_sched_threads).code,
             StatusCode::kInvalidOption);
 
+  // Worker counts above the cap are rejected before any pool is built.
+  BcOptions max_threads;
+  max_threads.threads = kMaxSolveThreads;
+  max_threads.scheduler.threads = kMaxSolveThreads;
+  EXPECT_TRUE(validate_options(max_threads).ok());
+  BcOptions too_many_threads;
+  too_many_threads.threads = kMaxSolveThreads + 1;
+  EXPECT_EQ(validate_options(too_many_threads).code,
+            StatusCode::kInvalidOption);
+  BcOptions too_many_sched_threads;
+  too_many_sched_threads.scheduler.threads = 1 << 30;
+  EXPECT_EQ(validate_options(too_many_sched_threads).code,
+            StatusCode::kInvalidOption);
+
   BcOptions bad_algorithm;
   bad_algorithm.algorithm = static_cast<Algorithm>(999);
   EXPECT_EQ(validate_options(bad_algorithm).code, StatusCode::kInvalidOption);

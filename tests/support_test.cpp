@@ -153,14 +153,6 @@ TEST(GeometricMean, MatchesClosedForm) {
   EXPECT_NEAR(geometric_mean({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25), 2.0);
-}
-
 TEST(Bitset, SetTestClear) {
   Bitset b(130);
   EXPECT_EQ(b.size(), 130u);

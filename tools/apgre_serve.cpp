@@ -29,13 +29,20 @@
 // Exception: the legacy `update` verb spends "v" on an edge endpoint, so
 // it is always treated as protocol v1.
 //
+// Integer fields (vertex ids, "vertices", "threads", "samples", "seed",
+// "k", "t", "v") must be finite integral numbers in the field's range;
+// anything else is a request error, never a silent conversion.
+//
 // Malformed lines and failed requests answer {"ok":false,"error":...} and
 // the server keeps reading. Exit codes: 0 on EOF or quit, 2 on usage
 // errors.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,10 +57,33 @@
 namespace apgre {
 namespace {
 
-Vertex as_vertex(const JsonValue& value) {
+/// The one conversion of a wire number to an integer field. JSON numbers
+/// arrive as doubles, and casting a non-finite, fractional or out-of-range
+/// double to an integer type is undefined, so each of those throws.
+template <typename T>
+T as_integer(const JsonValue& value, const std::string& what) {
   const double d = value.as_double();
-  APGRE_REQUIRE(d >= 0.0, "vertex ids must be non-negative");
-  return static_cast<Vertex>(d);
+  if constexpr (std::is_unsigned_v<T>) {
+    APGRE_REQUIRE(!(d < 0.0), what + " must be non-negative");
+  }
+  // 2^digits is exact in a double and is the first value past T's max.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  APGRE_REQUIRE(std::isfinite(d) && std::trunc(d) == d && d >= -limit &&
+                    d < limit,
+                what + " must be an integer in [" +
+                    std::to_string(std::numeric_limits<T>::min()) + ", " +
+                    std::to_string(std::numeric_limits<T>::max()) + "]");
+  return static_cast<T>(d);
+}
+
+/// An optional integer field of a request object.
+template <typename T>
+T integer_field(const JsonValue& obj, const std::string& key, T fallback) {
+  return obj.contains(key) ? as_integer<T>(obj.at(key), key) : fallback;
+}
+
+Vertex as_vertex(const JsonValue& value) {
+  return as_integer<Vertex>(value, "vertex ids");
 }
 
 JsonValue error_line(const std::string& why) {
@@ -71,9 +101,7 @@ EdgeOp parse_edge_op(const JsonValue& item) {
   if (item.contains("insert")) op.insert = item.at("insert").as_bool();
   if (item.contains("w")) op.weight = item.at("w").as_double();
   if (item.contains("t")) {
-    const double t = item.at("t").as_double();
-    APGRE_REQUIRE(t >= 0.0, "timestamps must be non-negative");
-    op.timestamp = static_cast<std::uint64_t>(t);
+    op.timestamp = as_integer<std::uint64_t>(item.at("t"), "timestamps");
   }
   return op;
 }
@@ -110,16 +138,15 @@ Request parse_request(const JsonValue& obj, const std::string& op) {
     request.options.algorithm =
         algorithm_from_name(obj.at("algorithm").as_string());
   }
-  request.options.threads = static_cast<int>(obj.get("threads", 0.0));
+  request.options.threads = integer_field<int>(obj, "threads", 0);
   if (obj.contains("undirected_halving")) {
     request.options.undirected_halving =
         obj.at("undirected_halving").as_bool();
   }
-  request.options.num_samples =
-      static_cast<Vertex>(obj.get("samples", 0.0));
-  request.options.seed = static_cast<std::uint64_t>(obj.get("seed", 1.0));
+  request.options.num_samples = integer_field<Vertex>(obj, "samples", 0);
+  request.options.seed = integer_field<std::uint64_t>(obj, "seed", 1);
   if (request.kind == RequestKind::kTopK) {
-    request.k = static_cast<Vertex>(obj.get("k", 10.0));
+    request.k = integer_field<Vertex>(obj, "k", 10);
   }
   return request;
 }
@@ -195,10 +222,14 @@ JsonValue handle_register(Service& service, const JsonValue& obj) {
       const auto& endpoints = pair.as_array();
       APGRE_REQUIRE(endpoints.size() == 2, "edges must be [u, v] pairs");
       const Edge e{as_vertex(endpoints[0]), as_vertex(endpoints[1])};
+      // kInvalidVertex is no vertex, and max_vertex + 1 must not wrap.
+      APGRE_REQUIRE(e.src != kInvalidVertex && e.dst != kInvalidVertex,
+                    "vertex id " + std::to_string(kInvalidVertex) +
+                        " is reserved");
       max_vertex = std::max({max_vertex, e.src, e.dst});
       edges.push_back(e);
     }
-    auto vertices = static_cast<Vertex>(obj.get("vertices", 0.0));
+    Vertex vertices = integer_field<Vertex>(obj, "vertices", 0);
     if (!edges.empty()) vertices = std::max(vertices, max_vertex + 1);
     graph = directed
                 ? CsrGraph::from_edges(vertices, std::move(edges), true)
@@ -298,11 +329,11 @@ bool serve_line(Service& service, const std::string& line, bool timing,
     // The legacy `update` verb spends "v" on an edge endpoint, so it is
     // pinned to protocol v1; every other verb may declare {"v":2}.
     if (op != "update") {
-      const double version = obj.get("v", 1.0);
-      APGRE_REQUIRE(version == 1.0 || version == 2.0,
+      const int version = integer_field<int>(obj, "v", 1);
+      APGRE_REQUIRE(version == 1 || version == 2,
                     "unsupported protocol version: " +
-                        std::to_string(static_cast<long long>(version)));
-      v2 = version == 2.0;
+                        std::to_string(version));
+      v2 = version == 2;
     }
     if (op == "quit") {
       reply["ok"] = JsonValue(true);
