@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "bc/algebraic.hpp"
 #include "bc/brandes.hpp"
 #include "bc/coarse.hpp"
 #include "bc/hybrid.hpp"
@@ -65,10 +64,6 @@ std::vector<double> run_apgre(const CsrGraph& g, const BcOptions& opts,
   result.apgre_stats = solved.apgre_stats;
   return std::move(solved.scores);
 }
-std::vector<double> run_algebraic(const CsrGraph& g, const BcOptions&,
-                                  WorkStealingScheduler&, BcResult&) {
-  return algebraic_bc(g);
-}
 std::vector<double> run_sampling(const CsrGraph& g, const BcOptions& opts,
                                  WorkStealingScheduler&, BcResult&) {
   return sampled_bc(g, opts.num_samples, opts.seed);
@@ -76,7 +71,7 @@ std::vector<double> run_sampling(const CsrGraph& g, const BcOptions& opts,
 
 // The registry. Order matches the Algorithm enum so algorithm_info() can
 // index directly; a static_assert below guards the correspondence.
-constexpr std::size_t kNumAlgorithms = 10;
+constexpr std::size_t kNumAlgorithms = 9;
 const std::array<AlgorithmInfo, kNumAlgorithms> kRegistry = {{
     {Algorithm::kNaive, "naive", nullptr,
      "O(V^3) definition-based oracle (tests only)", &run_naive,
@@ -110,10 +105,6 @@ const std::array<AlgorithmInfo, kNumAlgorithms> kRegistry = {{
      "articulation-point-guided redundancy elimination (the paper)",
      &run_apgre,
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
-     /*test_only=*/false},
-    {Algorithm::kAlgebraic, "algebraic", "batched",
-     "64-wide batched Brandes (Buluc-Gilbert style)", &run_algebraic,
-     /*exact=*/true, /*parallel=*/false, /*comparison=*/false,
      /*test_only=*/false},
     {Algorithm::kSampling, "sampling", nullptr,
      "Brandes-Pich source sampling (approximate)", &run_sampling,

@@ -50,7 +50,6 @@ enum class Algorithm {
   kCoarse,        ///< source-parallel, per-slot buffers (`async` stand-in)
   kHybrid,        ///< direction-optimising BFS (Beamer; Ligra's hybrid)
   kApgre,         ///< the paper's contribution
-  kAlgebraic,     ///< 64-wide batched Brandes (Buluc-Gilbert style)
   kSampling,      ///< Brandes-Pich source sampling (approximate)
 };
 
@@ -89,8 +88,7 @@ const AlgorithmInfo& algorithm_info(Algorithm algorithm);
 
 /// Parse / print algorithm names from the registry ("apgre", "serial",
 /// "preds", "succs", "lockfree", "coarse"/"async", "hybrid", "naive",
-/// "algebraic"/"batched", "sampling"). Parsing throws OptionError on
-/// unknown names.
+/// "sampling"). Parsing throws OptionError on unknown names.
 Algorithm algorithm_from_name(const std::string& name);
 std::string algorithm_name(Algorithm algorithm);
 

@@ -46,29 +46,4 @@ std::vector<CorpusCase> graph_corpus(std::uint64_t seed, bool tiny) {
   return cases;
 }
 
-std::vector<WeightedCorpusCase> weighted_corpus(std::uint64_t seed, bool tiny) {
-  const Vertex n = tiny ? 50 : 400;
-  std::vector<WeightedCorpusCase> cases;
-  cases.push_back(
-      {"weighted_erdos_undirected",
-       with_random_weights(erdos_renyi(n, static_cast<EdgeId>(2) * n, false, seed),
-                           1, 8, seed + 100)});
-  cases.push_back(
-      {"weighted_erdos_directed",
-       with_random_weights(erdos_renyi(n, static_cast<EdgeId>(2) * n, true,
-                                       seed + 1),
-                           1, 8, seed + 101)});
-  cases.push_back(
-      {"weighted_grid",
-       with_random_weights(road_grid(tiny ? 5 : 16, tiny ? 8 : 20, 0.2, 0.1,
-                                     seed + 2),
-                           1, 5, seed + 102)});
-  cases.push_back(
-      {"weighted_pendants",
-       with_random_weights(attach_pendants(barabasi_albert(n, 2, seed + 3),
-                                           tiny ? 12 : 100, seed + 4),
-                           1, 6, seed + 103)});
-  return cases;
-}
-
 }  // namespace apgre

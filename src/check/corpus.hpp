@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/weighted.hpp"
 
 namespace apgre {
 
@@ -23,15 +22,5 @@ struct CorpusCase {
 /// within reach of the O(|V|^3) naive oracle; the large variant is sized
 /// for the non-naive algorithms.
 std::vector<CorpusCase> graph_corpus(std::uint64_t seed, bool tiny);
-
-struct WeightedCorpusCase {
-  std::string name;
-  WeightedCsrGraph graph;
-};
-
-/// Weighted companions: a subset of the corpus shapes decorated with
-/// seeded integer arc weights (the weighted algorithms compare path
-/// lengths exactly, so weights stay integer-valued doubles).
-std::vector<WeightedCorpusCase> weighted_corpus(std::uint64_t seed, bool tiny);
 
 }  // namespace apgre

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "bc/incremental.hpp"
-#include "bc/weighted.hpp"
 #include "check/dynamic.hpp"
 #include "support/error.hpp"
 
@@ -113,18 +112,6 @@ OracleReport differential_check(const CsrGraph& g, const OracleOptions& opts) {
     runs.emplace_back(algorithm, betweenness(g, run).scores);
   }
   return build_report(opts.reference, reference_scores, runs,
-                      opts.rel_tolerance, opts.abs_tolerance);
-}
-
-OracleReport weighted_differential_check(const WeightedCsrGraph& g,
-                                         const OracleOptions& opts) {
-  const std::vector<double> reference_scores = weighted_brandes_bc(g);
-  std::vector<std::pair<Algorithm, std::vector<double>>> runs;
-  runs.emplace_back(Algorithm::kApgre, weighted_apgre_bc(g));
-  if (g.num_vertices() <= opts.max_naive_vertices) {
-    runs.emplace_back(Algorithm::kNaive, weighted_naive_bc(g));
-  }
-  return build_report(Algorithm::kBrandesSerial, reference_scores, runs,
                       opts.rel_tolerance, opts.abs_tolerance);
 }
 

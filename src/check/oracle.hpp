@@ -14,7 +14,6 @@
 
 #include "bc/bc.hpp"
 #include "graph/csr.hpp"
-#include "graph/weighted.hpp"
 
 namespace apgre {
 
@@ -73,12 +72,6 @@ std::vector<Algorithm> exact_algorithm_set(const CsrGraph& g,
 
 /// Run every selected algorithm on `g` and diff against the reference.
 OracleReport differential_check(const CsrGraph& g, const OracleOptions& opts = {});
-
-/// Weighted family: diff weighted_apgre_bc (and, below the naive cap,
-/// weighted_naive_bc) against weighted_brandes_bc. Reported under the
-/// kApgre / kNaive / kBrandesSerial labels.
-OracleReport weighted_differential_check(const WeightedCsrGraph& g,
-                                         const OracleOptions& opts = {});
 
 /// One edge mutation of a dynamic differential run.
 struct DynamicStep {

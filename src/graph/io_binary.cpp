@@ -30,7 +30,6 @@ T read_pod(std::istream& in, const std::string& name) {
 
 struct Header {
   bool directed = false;
-  bool weighted = false;
   Vertex num_vertices = 0;
   EdgeId num_arcs = 0;
 };
@@ -45,12 +44,12 @@ void write_header(std::ostream& out, const Header& h) {
   out.write(kMagic, sizeof(kMagic));
   write_pod(out, kVersion);
   write_pod(out, static_cast<std::uint8_t>(h.directed ? 1 : 0));
-  write_pod(out, static_cast<std::uint8_t>(h.weighted ? 1 : 0));
+  write_pod(out, std::uint8_t{0});  // weighted
   write_pod(out, h.num_vertices);
   write_pod(out, h.num_arcs);
 }
 
-Header read_header(std::istream& in, const std::string& name, bool expect_weighted) {
+Header read_header(std::istream& in, const std::string& name) {
   char magic[4] = {};
   in.read(magic, sizeof(magic));
   APGRE_REQUIRE(in.good() && std::memcmp(magic, kMagic, 4) == 0,
@@ -60,10 +59,8 @@ Header read_header(std::istream& in, const std::string& name, bool expect_weight
                 name + ": unsupported binary graph version " + std::to_string(version));
   Header h;
   h.directed = read_pod<std::uint8_t>(in, name) != 0;
-  h.weighted = read_pod<std::uint8_t>(in, name) != 0;
-  APGRE_REQUIRE(h.weighted == expect_weighted,
-                name + (expect_weighted ? ": file is unweighted; use read_binary"
-                                        : ": file is weighted; use read_binary_weighted"));
+  APGRE_REQUIRE(read_pod<std::uint8_t>(in, name) == 0,
+                name + ": weighted graphs are not supported");
   h.num_vertices = read_pod<Vertex>(in, name);
   h.num_arcs = read_pod<EdgeId>(in, name);
   return h;
@@ -72,7 +69,7 @@ Header read_header(std::istream& in, const std::string& name, bool expect_weight
 }  // namespace
 
 void write_binary(std::ostream& out, const CsrGraph& g) {
-  write_header(out, Header{g.directed(), false, g.num_vertices(), g.num_arcs()});
+  write_header(out, Header{g.directed(), g.num_vertices(), g.num_arcs()});
   for (const Edge& e : g.arcs()) {
     write_pod(out, e.src);
     write_pod(out, e.dst);
@@ -81,7 +78,7 @@ void write_binary(std::ostream& out, const CsrGraph& g) {
 }
 
 CsrGraph read_binary(std::istream& in, const std::string& name) {
-  const Header h = read_header(in, name, /*expect_weighted=*/false);
+  const Header h = read_header(in, name);
   EdgeList edges;
   edges.reserve(std::min(h.num_arcs, kMaxArcReserve));
   for (EdgeId i = 0; i < h.num_arcs; ++i) {
@@ -94,31 +91,6 @@ CsrGraph read_binary(std::istream& in, const std::string& name) {
   return CsrGraph::from_edges(h.num_vertices, std::move(edges), h.directed);
 }
 
-void write_binary_weighted(std::ostream& out, const WeightedCsrGraph& g) {
-  write_header(out, Header{g.directed(), true, g.num_vertices(), g.num_arcs()});
-  for (const WeightedEdge& e : g.arcs()) {
-    write_pod(out, e.src);
-    write_pod(out, e.dst);
-    write_pod(out, e.weight);
-  }
-  APGRE_REQUIRE(out.good(), "binary graph write failed");
-}
-
-WeightedCsrGraph read_binary_weighted(std::istream& in, const std::string& name) {
-  const Header h = read_header(in, name, /*expect_weighted=*/true);
-  std::vector<WeightedEdge> edges;
-  edges.reserve(std::min(h.num_arcs, kMaxArcReserve));
-  for (EdgeId i = 0; i < h.num_arcs; ++i) {
-    const auto src = read_pod<Vertex>(in, name);
-    const auto dst = read_pod<Vertex>(in, name);
-    const auto weight = read_pod<double>(in, name);
-    APGRE_REQUIRE(src < h.num_vertices && dst < h.num_vertices,
-                  name + ": arc endpoint out of range");
-    edges.push_back(WeightedEdge{src, dst, weight});
-  }
-  return WeightedCsrGraph::from_edges(h.num_vertices, std::move(edges), h.directed);
-}
-
 void write_binary_file(const std::string& path, const CsrGraph& g) {
   std::ofstream out(path, std::ios::binary);
   APGRE_REQUIRE(out.good(), "cannot open " + path + " for writing");
@@ -129,18 +101,6 @@ CsrGraph read_binary_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   APGRE_REQUIRE(in.good(), "cannot open " + path);
   return read_binary(in, path);
-}
-
-void write_binary_weighted_file(const std::string& path, const WeightedCsrGraph& g) {
-  std::ofstream out(path, std::ios::binary);
-  APGRE_REQUIRE(out.good(), "cannot open " + path + " for writing");
-  write_binary_weighted(out, g);
-}
-
-WeightedCsrGraph read_binary_weighted_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  APGRE_REQUIRE(in.good(), "cannot open " + path);
-  return read_binary_weighted(in, path);
 }
 
 }  // namespace apgre

@@ -32,9 +32,9 @@
 namespace apgre {
 
 /// One timestamped edge operation. `weight` is carried end to end (wire,
-/// frames, coalescing) but the BC graphs are unweighted, so non-unit
-/// weights are rejected at coalesce time — the field is reserved for the
-/// weighted-BC extension (docs/API.md "Batched streaming ingest").
+/// frames, coalescing) so a weighted stream fails loudly: the BC graphs are
+/// unweighted, and non-unit weights are rejected at coalesce time
+/// (docs/API.md "Batched streaming ingest").
 struct EdgeOp {
   Vertex u = kInvalidVertex;
   Vertex v = kInvalidVertex;

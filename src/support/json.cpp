@@ -97,8 +97,18 @@ class Parser {
   JsonValue parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // The parser recurses once per level; a bound keeps hostile input
+      // from overflowing the stack.
+      if (depth_ == JsonValue::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) +
+             " levels");
+      }
+      ++depth_;
+      JsonValue value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -237,6 +247,7 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
+  int depth_ = 0;  ///< enclosing arrays and objects
 };
 
 void dump_value(const JsonValue& value, std::string& out) {

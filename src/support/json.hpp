@@ -59,8 +59,11 @@ class JsonValue {
   /// Serialize compactly, on one line.
   std::string dump() const;
 
-  /// Parse a complete document; trailing non-whitespace or malformed input
-  /// throws ParseError with a line number.
+  /// Deepest nesting of arrays and objects parse() accepts.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parse a complete document; trailing non-whitespace, malformed input or
+  /// nesting deeper than kMaxDepth throws ParseError with a line number.
   static JsonValue parse(std::string_view text);
 
  private:

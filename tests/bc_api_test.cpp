@@ -13,12 +13,10 @@ TEST(BcApi, AlgorithmNamesRoundTrip) {
   for (Algorithm a :
        {Algorithm::kNaive, Algorithm::kBrandesSerial, Algorithm::kParallelPreds,
         Algorithm::kParallelSuccs, Algorithm::kLockFree, Algorithm::kCoarse,
-        Algorithm::kHybrid, Algorithm::kApgre, Algorithm::kAlgebraic,
-        Algorithm::kSampling}) {
+        Algorithm::kHybrid, Algorithm::kApgre, Algorithm::kSampling}) {
     EXPECT_EQ(algorithm_from_name(algorithm_name(a)), a);
   }
   EXPECT_EQ(algorithm_from_name("async"), Algorithm::kCoarse);    // paper alias
-  EXPECT_EQ(algorithm_from_name("batched"), Algorithm::kAlgebraic);
   EXPECT_THROW(algorithm_from_name("bogus"), OptionError);
 }
 
@@ -37,7 +35,7 @@ TEST(BcApi, EveryExactAlgorithmAgrees) {
   for (Algorithm a :
        {Algorithm::kNaive, Algorithm::kBrandesSerial, Algorithm::kParallelPreds,
         Algorithm::kParallelSuccs, Algorithm::kLockFree, Algorithm::kCoarse,
-        Algorithm::kHybrid, Algorithm::kApgre, Algorithm::kAlgebraic}) {
+        Algorithm::kHybrid, Algorithm::kApgre}) {
     SCOPED_TRACE(algorithm_name(a));
     BcOptions opts;
     opts.algorithm = a;

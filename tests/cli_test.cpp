@@ -108,36 +108,6 @@ TEST_F(CliTest, EdgeBetweennessMode) {
   EXPECT_NE(r.output.find("rank\tedge\tscore"), std::string::npos);
 }
 
-TEST_F(CliTest, WeightedDimacsMode) {
-  const CommandResult r =
-      run_cli("--format dimacs --weighted --top 3 " + dimacs_path_);
-  EXPECT_EQ(r.exit_code, 0);
-  EXPECT_NE(r.output.find("weighted arcs"), std::string::npos);
-}
-
-// --threads reaches weighted APGRE's scheduler: one worker and two must
-// rank the same vertices with the same scores.
-TEST_F(CliTest, WeightedThreadsKeepRanking) {
-  const auto ranking = [](const std::string& output) {
-    const auto table = output.find("rank\tvertex\tscore");
-    return table == std::string::npos ? std::string() : output.substr(table);
-  };
-  const CommandResult one = run_cli(
-      "--format dimacs --weighted --threads 1 --top 10 " + dimacs_path_);
-  const CommandResult two = run_cli(
-      "--format dimacs --weighted --threads 2 --top 10 " + dimacs_path_);
-  ASSERT_EQ(one.exit_code, 0) << one.output;
-  ASSERT_EQ(two.exit_code, 0) << two.output;
-  ASSERT_FALSE(ranking(one.output).empty()) << one.output;
-  EXPECT_EQ(ranking(one.output), ranking(two.output));
-}
-
-TEST_F(CliTest, WeightedRequiresDimacs) {
-  const CommandResult r = run_cli("--weighted " + snap_path_);
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("requires --format dimacs"), std::string::npos);
-}
-
 TEST_F(CliTest, CsvExport) {
   const std::string csv = ::testing::TempDir() + "/cli_scores.csv";
   const CommandResult r =
@@ -172,6 +142,39 @@ TEST_F(CliTest, SchedulerFlagsRoundTrip) {
   const CommandResult on = run_cli("--threads 2 --top 1 " + snap_path_);
   EXPECT_EQ(on.exit_code, 0);
   EXPECT_NE(on.output.find("scheduler:"), std::string::npos);
+}
+
+// Integer flags are range-checked before any work: a value that would wrap
+// in the narrowing (2^32 samples as 0, 2^32 + 1 threads as 1, -1 as every
+// vertex) is a usage error.
+TEST_F(CliTest, OutOfRangeIntegerFlagsAreUsageErrors) {
+  for (const char* flag : {"--samples 4294967296", "--samples -1",
+                           "--threads 4294967297", "--threads -2147483649",
+                           "--top -1"}) {
+    const CommandResult r = run_cli(std::string(flag) + " " + snap_path_);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("must be an integer in"), std::string::npos)
+        << flag << "\n" << r.output;
+  }
+}
+
+TEST_F(CliTest, IntegerFlagsAtTheirLimitsRun) {
+  const CommandResult r = run_cli(
+      "--algorithm sampling --samples 4294967295 --top 0 " + snap_path_);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("rank\tvertex\tscore"), std::string::npos);
+}
+
+// Names the registry does not know, and flags no longer offered, are usage
+// errors (exit 2), not runtime failures.
+TEST_F(CliTest, UnknownAlgorithmAndRemovedFlagsAreUsageErrors) {
+  const CommandResult algebraic = run_cli("--algorithm algebraic " + snap_path_);
+  EXPECT_EQ(algebraic.exit_code, 2) << algebraic.output;
+  EXPECT_NE(algebraic.output.find("algebraic"), std::string::npos);
+  const CommandResult weighted =
+      run_cli("--format dimacs --weighted " + dimacs_path_);
+  EXPECT_EQ(weighted.exit_code, 2) << weighted.output;
+  EXPECT_NE(weighted.output.find("unknown flag"), std::string::npos);
 }
 
 TEST_F(CliTest, SamplingMode) {

@@ -192,6 +192,21 @@ TEST_F(ServeTest, MalformedLineKeepsServing) {
       << r.output;
 }
 
+TEST_F(ServeTest, DeeplyNestedLineIsAnErrorAndServingContinues) {
+  // 100,000 nested arrays in a well-formed request: the parser bounds its
+  // recursion, so the line answers an error instead of overflowing the
+  // stack, and the next line is still served.
+  const std::string deep = R"({"op":"graphs","x":)" +
+                           std::string(100000, '[') +
+                           std::string(100000, ']') + "}";
+  const CommandResult r = serve({deep, R"({"op":"graphs"})"});
+  EXPECT_EQ(r.exit_code, 0) << r.output.substr(0, 200);
+  EXPECT_EQ(r.output,
+            "{\"error\":\"json:1: nesting deeper than 64 levels\","
+            "\"ok\":false}\n"
+            "{\"graphs\":[],\"ok\":true,\"op\":\"graphs\"}\n");
+}
+
 TEST_F(ServeTest, UnknownOpAndUnknownGraphAreErrors) {
   const CommandResult r = serve({
       R"({"op":"bogus"})",

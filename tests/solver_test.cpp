@@ -618,7 +618,7 @@ TEST(Solver, LocalBatchesKeepTheTopSubgraphAndReportWhatTheyRescored) {
 }
 
 TEST(Registry, RoundTripsEveryAlgorithm) {
-  EXPECT_EQ(algorithm_registry().size(), 10u);
+  EXPECT_EQ(algorithm_registry().size(), 9u);
   for (const AlgorithmInfo& info : algorithm_registry()) {
     EXPECT_EQ(algorithm_from_name(info.name), info.algorithm);
     EXPECT_EQ(algorithm_name(info.algorithm), info.name);

@@ -5,6 +5,7 @@
 
 #include "support/bitset.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/prng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -238,6 +239,26 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, CellBeforeRowIsAnError) {
   Table t({"a"});
   EXPECT_THROW(t.cell("x"), std::logic_error);
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const JsonValue deepest = JsonValue::parse(nested(JsonValue::kMaxDepth));
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_THROW(JsonValue::parse(nested(JsonValue::kMaxDepth + 1)), ParseError);
+
+  // Objects count as levels too, and so does a mix of both.
+  std::string objects;
+  for (int i = 0; i < JsonValue::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(JsonValue::kMaxDepth, '}');
+  EXPECT_NO_THROW(JsonValue::parse(objects));
+  EXPECT_THROW(JsonValue::parse("[" + objects + "]"), ParseError);
+
+  // Far past the bound fails the same way instead of exhausting the stack.
+  EXPECT_THROW(JsonValue::parse(nested(100000)), ParseError);
 }
 
 }  // namespace

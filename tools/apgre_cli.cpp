@@ -1,29 +1,30 @@
 // apgre_cli — compute betweenness centrality from the command line.
 //
 //   apgre_cli --format snap --algorithm apgre --top 20 graph.txt
-//   apgre_cli --format dimacs --weighted --top 10 usa-road.gr
+//   apgre_cli --format dimacs --top 10 usa-road.gr
 //   apgre_cli --format snap --directed --algorithm succs --output scores.csv g.txt
 //   apgre_cli --threads 4 graph.txt
 //
 // Formats: snap (edge list), dimacs (.gr), metis. Algorithms: every member
 // of the registry (bc/bc.hpp; the --algorithm help text is generated from
-// it) plus `edges` for edge betweenness. With --weighted (dimacs only) the
-// weighted Dijkstra-based algorithms run instead.
+// it) plus `edges` for edge betweenness. Graphs are unweighted; a dimacs
+// file's arc weights are ignored.
 //
 // Exit codes: 0 success, 1 runtime failure (unreadable input, internal
-// error), 2 usage error (unknown flags / names), 3 options rejected by
-// validate_options (reported through BcResult::status).
+// error), 2 usage error (unknown flags / names, integer flags out of range),
+// 3 options rejected by validate_options (reported through
+// BcResult::status).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "bc/bc.hpp"
 #include "bc/edge_bc.hpp"
-#include "bc/weighted.hpp"
 #include "graph/io_dimacs.hpp"
 #include "graph/io_metis.hpp"
 #include "graph/io_snap.hpp"
-#include "graph/weighted.hpp"
 #include "support/flags.hpp"
 #include "support/timer.hpp"
 
@@ -31,10 +32,23 @@ namespace {
 
 using namespace apgre;
 
-void print_top(const std::vector<double>& scores, std::int64_t top) {
+/// An integer flag's value, checked to fit T: out of range is a usage
+/// error, never a silent wrap.
+template <typename T>
+T int_flag(const FlagParser& flags, const std::string& name) {
+  const std::int64_t value = flags.get_int(name);
+  if (!std::in_range<T>(value)) {
+    throw OptionError("--" + name + " must be an integer in [" +
+                      std::to_string(std::numeric_limits<T>::min()) + ", " +
+                      std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(value);
+}
+
+void print_top(const std::vector<double>& scores, std::size_t top) {
   std::vector<Vertex> order(scores.size());
   for (Vertex v = 0; v < scores.size(); ++v) order[v] = v;
-  const auto k = std::min<std::size_t>(static_cast<std::size_t>(top), scores.size());
+  const std::size_t k = std::min(top, scores.size());
   std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
                     order.end(),
                     [&](Vertex a, Vertex b) { return scores[a] > scores[b]; });
@@ -80,8 +94,6 @@ int main(int argc, char** argv) {
   flags.add_string("format", "snap", "input format: snap | dimacs | metis")
       .add_string("algorithm", "apgre", algorithm_help())
       .add_bool("directed", false, "treat the input as directed")
-      .add_bool("weighted", false,
-                "use arc weights (dimacs format only; Dijkstra-based)")
       .add_int("threads", 0, "scheduler workers (0 = one per hardware thread)")
       .add_int("top", 10, "print the k highest-ranked vertices/edges")
       .add_int("samples", 0, "sampling: number of sources (0 = sqrt(n))")
@@ -91,51 +103,36 @@ int main(int argc, char** argv) {
       .add_string("output", "", "also write all scores to this CSV file");
 
   std::vector<std::string> positional;
+  std::string algorithm;
+  BcOptions opts;
+  std::size_t top = 0;
   try {
     positional = flags.parse(argc, argv);
+    if (flags.help_requested()) {
+      std::fprintf(stderr, "%s", flags.help().c_str());
+      return 0;
+    }
+    algorithm = flags.get_string("algorithm");
+    if (algorithm != "edges") opts.algorithm = algorithm_from_name(algorithm);
+    opts.threads = int_flag<int>(flags, "threads");
+    opts.num_samples = int_flag<Vertex>(flags, "samples");
+    opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+    opts.undirected_halving = flags.get_bool("halve-undirected");
+    top = int_flag<std::size_t>(flags, "top");
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n%s", e.what(), flags.help().c_str());
     return 2;
   }
-  if (flags.help_requested() || positional.size() != 1) {
+  if (positional.size() != 1) {
     std::fprintf(stderr, "%s", flags.help().c_str());
-    return flags.help_requested() ? 0 : 2;
+    return 2;
   }
 
   try {
     const std::string& path = positional.front();
     const std::string format = flags.get_string("format");
     const bool directed = flags.get_bool("directed");
-    const std::string algorithm = flags.get_string("algorithm");
 
-    // ---- Weighted path --------------------------------------------------
-    if (flags.get_bool("weighted")) {
-      APGRE_REQUIRE(format == "dimacs", "--weighted requires --format dimacs");
-      std::ifstream in(path);
-      APGRE_REQUIRE(in.good(), "cannot open " + path);
-      const WeightedCsrGraph g = read_dimacs_weighted(in, directed, path);
-      std::printf("loaded %s: %u vertices, %llu weighted arcs\n", path.c_str(),
-                  g.num_vertices(), static_cast<unsigned long long>(g.num_arcs()));
-      Timer timer;
-      std::vector<double> scores;
-      if (algorithm == "apgre") {
-        const int threads = static_cast<int>(flags.get_int("threads"));
-        scores = weighted_apgre_bc(g, {}, nullptr,
-                                   SchedulerOptions{.threads = threads});
-      } else if (algorithm == "serial") {
-        scores = weighted_brandes_bc(g);
-      } else {
-        throw OptionError("--weighted supports --algorithm apgre|serial");
-      }
-      std::printf("computed in %.3f s\n\n", timer.seconds());
-      print_top(scores, flags.get_int("top"));
-      if (!flags.get_string("output").empty()) {
-        write_csv(flags.get_string("output"), scores);
-      }
-      return 0;
-    }
-
-    // ---- Unweighted path ------------------------------------------------
     CsrGraph g;
     if (format == "snap") {
       g = read_snap_file(path, directed).graph;
@@ -156,20 +153,13 @@ int main(int argc, char** argv) {
       const auto scores = edge_betweenness_bc(g);
       std::printf("edge betweenness computed in %.3f s\n\n", timer.seconds());
       std::printf("rank\tedge\tscore\n");
-      const auto top = top_edges(g, scores, static_cast<std::size_t>(flags.get_int("top")));
-      for (std::size_t i = 0; i < top.size(); ++i) {
-        std::printf("%zu\t%u-%u\t%.6f\n", i + 1, top[i].first.src,
-                    top[i].first.dst, top[i].second);
+      const auto ranked = top_edges(g, scores, top);
+      for (std::size_t i = 0; i < ranked.size(); ++i) {
+        std::printf("%zu\t%u-%u\t%.6f\n", i + 1, ranked[i].first.src,
+                    ranked[i].first.dst, ranked[i].second);
       }
       return 0;
     }
-
-    BcOptions opts;
-    opts.algorithm = algorithm_from_name(algorithm);
-    opts.threads = static_cast<int>(flags.get_int("threads"));
-    opts.undirected_halving = flags.get_bool("halve-undirected");
-    opts.num_samples = static_cast<Vertex>(flags.get_int("samples"));
-    opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
     const BcResult result = betweenness(g, opts);
     if (!result.status.ok()) {
@@ -201,7 +191,7 @@ int main(int argc, char** argv) {
                   result.apgre_stats.sched_idle_seconds);
     }
     std::printf("\n");
-    print_top(result.scores, flags.get_int("top"));
+    print_top(result.scores, top);
     if (!flags.get_string("output").empty()) {
       write_csv(flags.get_string("output"), result.scores);
     }

@@ -73,7 +73,6 @@ struct SweepCounters {
   std::size_t differential_runs = 0;
   std::size_t metamorphic_checks = 0;
   std::size_t invariant_graphs = 0;
-  std::size_t weighted_graphs = 0;
   std::size_t agreement_graphs = 0;
   std::size_t trajectory_steps = 0;
   std::size_t failures = 0;
@@ -95,7 +94,6 @@ int main(int argc, char** argv) {
       .add_bool("large", false, "use the large corpus (naive auto-skipped)")
       .add_bool("metamorphic", true, "run the metamorphic rules")
       .add_bool("invariants", true, "check decomposition + ApgreStats invariants")
-      .add_bool("weighted", true, "also diff the weighted algorithm family")
       .add_double("rel", 1e-7, "relative score tolerance")
       .add_double("abs", 1e-6, "absolute score tolerance")
       .add_int("max-naive", 256, "largest |V| the O(V^3) naive oracle runs on")
@@ -241,43 +239,22 @@ int main(int argc, char** argv) {
         }
       }
     }
-
-    // --- Weighted family ------------------------------------------------
-    if (flags.get_bool("weighted")) {
-      for (const WeightedCorpusCase& c : weighted_corpus(seed, !large)) {
-        if (c.name.find(case_filter) == std::string::npos) continue;
-        ++counters.weighted_graphs;
-        const OracleReport report = weighted_differential_check(c.graph, oracle);
-        counters.worst_divergence =
-            std::max(counters.worst_divergence, report.max_divergence);
-        if (!report.ok) {
-          ++counters.failures;
-          std::fprintf(stderr, "FAIL [weighted] seed %llu %s\n%s",
-                       static_cast<unsigned long long>(seed), c.name.c_str(),
-                       report.summary().c_str());
-        } else if (verbose) {
-          std::printf("ok   [weighted] seed %llu %s: max divergence %.3g\n",
-                      static_cast<unsigned long long>(seed), c.name.c_str(),
-                      report.max_divergence);
-        }
-      }
-    }
   }
 
-  if (counters.graphs == 0 && counters.weighted_graphs == 0) {
+  if (counters.graphs == 0) {
     // A typo'd --cases filter must not read as a clean sweep.
     std::fprintf(stderr, "error: no corpus case matches --cases `%s`\n",
                  case_filter.c_str());
     return 2;
   }
   std::printf(
-      "apgre_diff: seeds %llu..%llu, %zu graphs (%zu weighted), "
+      "apgre_diff: seeds %llu..%llu, %zu graphs, "
       "%zu differential runs, %zu metamorphic checks, %zu invariant graphs, "
       "%zu trajectory steps, %zu agreement graphs; "
       "worst divergence %.3g; %zu failures in %.2f s\n",
       static_cast<unsigned long long>(seeds.first),
       static_cast<unsigned long long>(seeds.second), counters.graphs,
-      counters.weighted_graphs, counters.differential_runs,
+      counters.differential_runs,
       counters.metamorphic_checks, counters.invariant_graphs,
       counters.trajectory_steps,
       counters.agreement_graphs, counters.worst_divergence, counters.failures,

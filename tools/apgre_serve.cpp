@@ -387,7 +387,10 @@ bool serve_line(Service& service, const std::string& line, bool timing,
     } else {
       reply = error_line("unknown op: " + op);
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Not only apgre::Error: a request can also provoke std::bad_alloc (a
+    // huge vertex count) or a failed internal assert, and one bad line must
+    // not end the server.
     reply = error_line(e.what());
   }
   // v2 replies echo the protocol version; v1 replies stay byte-stable.
