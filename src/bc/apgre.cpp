@@ -5,7 +5,7 @@
 #include <numeric>
 #include <optional>
 
-#include "bc/frontier.hpp"
+#include "bc/brandes_kernel.hpp"
 #include "bcc/reach.hpp"
 #include "support/metrics.hpp"
 #include "support/timer.hpp"
@@ -15,7 +15,7 @@ namespace apgre {
 
 namespace {
 
-constexpr std::int32_t kUnvisited = -1;
+using detail::kUnvisited;
 
 // --------------------------------------------------------------------------
 // Serial per-sub-graph kernel (paper Algorithm 2). The paper's four
@@ -32,30 +32,33 @@ struct alignas(64) SubgraphScratch {
   std::vector<double> sigma;
   /// Seeds, then (1 + D[v]) / sigma[v] once v is swept (see the kernel).
   std::vector<double> delta;
-  LevelBuckets levels;
+  detail::SuccessorDag dag;
 
   // Observability tallies; the owner flushes them into the metrics registry
   // when the scratch retires (once per thread, so tallying is contention-free).
   std::uint64_t sources = 0;
   std::uint64_t traversed_arcs = 0;
 
-  void ensure(Vertex n) {
+  void ensure(const Subgraph& sg) {
+    const Vertex n = sg.num_vertices();
     if (dist.size() < n) {
       dist.assign(n, kUnvisited);
       sigma.assign(n, 0.0);
       delta.assign(n, 0.0);
     }
+    dag.ensure(n, sg.num_arcs());
   }
 
   void reset_touched(const Subgraph& sg) {
     ++sources;
-    for (Vertex v : levels.touched()) {
+    for (std::size_t i = 0; i < dag.reached; ++i) {
+      const Vertex v = dag.queue[i];
       traversed_arcs += sg.graph.out_degree(v);
       dist[v] = kUnvisited;
       sigma[v] = 0.0;
       delta[v] = 0.0;
     }
-    levels.clear();
+    dag.reached = 0;
     // Unreachable boundary APs keep their Phase-0 seeds; clear them too.
     for (Vertex a : sg.boundary_aps) delta[a] = 0.0;
   }
@@ -64,10 +67,9 @@ struct alignas(64) SubgraphScratch {
 void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scratch,
                             std::vector<double>& bc) {
   const CsrGraph& g = sg.graph;
-  auto& dist = scratch.dist;
-  auto& sigma = scratch.sigma;
-  auto& delta = scratch.delta;
-  auto& levels = scratch.levels;
+  const double* sigma = scratch.sigma.data();
+  double* delta = scratch.delta.data();
+  const detail::SuccessorDag& dag = scratch.dag;
 
   const bool s_is_ap = sg.is_boundary_ap[s] != 0;
   const double gamma_s = static_cast<double>(sg.gamma[s]);
@@ -88,54 +90,37 @@ void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scrat
     if (a != s) delta[a] = static_cast<double>(sg.alpha[a]);
   }
 
-  // Phase 1: forward BFS building sigma and level buckets.
-  dist[s] = 0;
-  sigma[s] = 1.0;
-  levels.push(s);
-  levels.finish_level();
-  for (std::size_t current = 0; !levels.level(current).empty(); ++current) {
-    // Index-based scan: push() may reallocate the level storage.
-    const auto [begin, end] = levels.level_range(current);
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const Vertex v = levels.vertex(idx);
-      for (Vertex w : g.out_neighbors(v)) {
-        if (dist[w] == kUnvisited) {
-          dist[w] = dist[v] + 1;
-          levels.push(w);
-        }
-        if (dist[w] == dist[v] + 1) sigma[w] += sigma[v];
-      }
-    }
-    levels.finish_level();
-    if (levels.level(current + 1).empty()) break;
-  }
+  // Phase 1: forward BFS building sigma and the successor DAG.
+  detail::forward_sweep(g, s, scratch.dist.data(), scratch.sigma.data(),
+                        scratch.dag);
 
-  // Phase 2: backward sweep, D(v) = seed(v) + pw[v] +
-  // sigma[v] * sum over successors w of (1 + D(w)) / sigma[w]. A swept
-  // vertex leaves that ratio in delta[w], so the sweep divides once per
-  // vertex, not once per arc. Level 0 (the source itself) is processed
-  // too, because the pendant-derived contribution needs D(s) (Theorem 3).
-  for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
-    for (Vertex v : levels.level(lvl)) {
-      double ratios = 0.0;
-      for (Vertex w : g.out_neighbors(v)) {
-        if (dist[w] == dist[v] + 1) ratios += delta[w];
-      }
-      const double d =
-          delta[v] + (pw != nullptr ? pw[v] : 0.0) + sigma[v] * ratios;
-      delta[v] = (1.0 + d) / sigma[v];
-      if (v != s) {
-        bc[v] += weight * d;
-      } else if (gamma_s > 0.0) {
-        // Derived pendant DAGs: dependency of each pendant on its host.
-        // Undirected pendants are reachable from the host, so the pair
-        // (pendant, pendant) must be excluded (-1); a boundary-AP host
-        // additionally separates the pendant from alpha(s) outside targets.
-        double self = d;
-        if (!g.directed()) self -= 1.0;
-        if (s_is_ap) self += static_cast<double>(sg.alpha[s]);
-        bc[s] += gamma_s * self;
-      }
+  // Phase 2: backward sweep in reverse discovery order, D(v) = seed(v) +
+  // pw[v] + sigma[v] * sum over successors w of (1 + D(w)) / sigma[w]. The
+  // successors were recorded in the forward sweep, so no arc is re-tested.
+  // A swept vertex leaves that ratio in delta[w], so the sweep divides once
+  // per vertex, not once per arc. The source itself is processed too,
+  // because the pendant-derived contribution needs D(s) (Theorem 3).
+  const Vertex* succ = dag.succ.data();
+  for (std::size_t i = dag.reached; i-- > 0;) {
+    const Vertex v = dag.queue[i];
+    double ratios = 0.0;
+    for (EdgeId j = dag.succ_begin(i); j < dag.succ_end[i]; ++j) {
+      ratios += delta[succ[j]];
+    }
+    const double d =
+        delta[v] + (pw != nullptr ? pw[v] : 0.0) + sigma[v] * ratios;
+    delta[v] = (1.0 + d) / sigma[v];
+    if (v != s) {
+      bc[v] += weight * d;
+    } else if (gamma_s > 0.0) {
+      // Derived pendant DAGs: dependency of each pendant on its host.
+      // Undirected pendants are reachable from the host, so the pair
+      // (pendant, pendant) must be excluded (-1); a boundary-AP host
+      // additionally separates the pendant from alpha(s) outside targets.
+      double self = d;
+      if (!g.directed()) self -= 1.0;
+      if (s_is_ap) self += static_cast<double>(sg.alpha[s]);
+      bc[s] += gamma_s * self;
     }
   }
   scratch.reset_touched(sg);
@@ -208,7 +193,7 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
     const Piece& p = pieces[i];
     const Subgraph& sg = dec.subgraphs[subgraphs[p.k]];
     SubgraphScratch& sc = scratch[static_cast<std::size_t>(slot)];
-    sc.ensure(sg.num_vertices());
+    sc.ensure(sg);
     piece_bc[i].assign(sg.num_vertices(), 0.0);
     for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
       subgraph_source_serial(sg, sg.roots[r], sc, piece_bc[i]);

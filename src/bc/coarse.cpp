@@ -24,7 +24,7 @@ std::vector<double> coarse_bc(const CsrGraph& g, WorkStealingScheduler& sched) {
                      [&](std::int64_t lo, std::int64_t hi, int slot) {
                        SlotState& st = slots[static_cast<std::size_t>(slot)];
                        if (st.scratch == nullptr) {
-                         st.scratch = std::make_unique<detail::BrandesScratch>(n);
+                         st.scratch = std::make_unique<detail::BrandesScratch>(g);
                          st.bc.assign(n, 0.0);
                        }
                        for (std::int64_t s = lo; s < hi; ++s) {

@@ -10,50 +10,30 @@ namespace apgre {
 std::vector<double> edge_betweenness_bc(const CsrGraph& g) {
   const Vertex n = g.num_vertices();
   std::vector<double> scores(g.num_arcs(), 0.0);
-  detail::BrandesScratch scratch(n);
+  detail::BrandesScratch scratch(g);
+  double* sigma = scratch.sigma.data();
+  double* delta = scratch.delta.data();
+  const detail::SuccessorDag& dag = scratch.dag;
 
   for (Vertex s = 0; s < n; ++s) {
-    auto& dist = scratch.dist;
-    auto& sigma = scratch.sigma;
-    auto& delta = scratch.delta;
-    auto& levels = scratch.levels;
-
-    dist[s] = 0;
-    sigma[s] = 1.0;
-    levels.push(s);
-    levels.finish_level();
-    for (std::size_t current = 0; !levels.level(current).empty(); ++current) {
-      const auto [begin, end] = levels.level_range(current);
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        const Vertex v = levels.vertex(idx);
-        for (Vertex w : g.out_neighbors(v)) {
-          if (dist[w] == detail::kUnvisited) {
-            dist[w] = dist[v] + 1;
-            levels.push(w);
-          }
-          if (dist[w] == dist[v] + 1) sigma[w] += sigma[v];
-        }
-      }
-      levels.finish_level();
-      if (levels.level(current + 1).empty()) break;
-    }
-
+    detail::forward_sweep(g, s, scratch.dist.data(), sigma, scratch.dag);
     // Backward: the per-arc contribution is exactly the summand of the
-    // vertex dependency recursion.
-    for (std::size_t lvl = levels.num_levels(); lvl-- > 0;) {
-      for (Vertex v : levels.level(lvl)) {
-        const auto neighbors = g.out_neighbors(v);
-        const EdgeId base = g.out_offset(v);
-        double acc = 0.0;
-        for (std::size_t j = 0; j < neighbors.size(); ++j) {
-          const Vertex w = neighbors[j];
-          if (dist[w] != dist[v] + 1) continue;
-          const double contribution = sigma[v] / sigma[w] * (1.0 + delta[w]);
-          scores[base + j] += contribution;
-          acc += contribution;
-        }
-        delta[v] = acc;
+    // vertex dependency recursion. Successors are a CSR-order subsequence
+    // of v's out-neighbours, so one merge walk finds each one's arc slot.
+    for (std::size_t i = dag.reached; i-- > 0;) {
+      const Vertex v = dag.queue[i];
+      const auto neighbors = g.out_neighbors(v);
+      const EdgeId base = g.out_offset(v);
+      double acc = 0.0;
+      std::size_t j = 0;
+      for (EdgeId k = dag.succ_begin(i); k < dag.succ_end[i]; ++k, ++j) {
+        const Vertex w = dag.succ[k];
+        while (neighbors[j] != w) ++j;
+        const double contribution = sigma[v] / sigma[w] * (1.0 + delta[w]);
+        scores[base + j] += contribution;
+        acc += contribution;
       }
+      delta[v] = acc;
     }
     scratch.reset_touched();
   }

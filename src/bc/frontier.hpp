@@ -1,10 +1,11 @@
 // Level-bucket frontier structures for the BFS phases.
 //
 // LevelBuckets records the vertices of every BFS level contiguously so the
-// backward dependency sweep can walk levels in reverse (paper Algorithm 2,
-// `Levels[]`). SlotLocalFrontier stands in for the paper's CilkPlus reducer
-// bag: parallel_for chunks append to per-slot buffers which are
-// concatenated into the next level once the loop returns.
+// level-synchronous kernels' backward sweep can walk levels in reverse
+// (paper Algorithm 2, `Levels[]`); the serial kernels walk a flat queue
+// instead (bc/brandes_kernel.hpp). SlotLocalFrontier stands in for the
+// paper's CilkPlus reducer bag: parallel_for chunks append to per-slot
+// buffers which are concatenated into the next level once the loop returns.
 #pragma once
 
 #include <algorithm>

@@ -3,10 +3,15 @@
 // accessors with defaults, and generated --help text.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace apgre {
 
@@ -51,5 +56,21 @@ class FlagParser {
   std::map<std::string, Flag> flags_;
   bool help_requested_ = false;
 };
+
+/// Int flag `name` narrowed to T and checked to lie in [lo, hi] (by default
+/// all of T): a value outside is an OptionError naming the range, never a
+/// silent wrap.
+template <std::integral T>
+T int_flag(const FlagParser& flags, const std::string& name,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+  const std::int64_t value = flags.get_int(name);
+  if (!std::in_range<T>(value) || static_cast<T>(value) < lo ||
+      static_cast<T>(value) > hi) {
+    throw OptionError("--" + name + " must be an integer in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<T>(value);
+}
 
 }  // namespace apgre

@@ -8,6 +8,7 @@
 #include "bc/naive.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
+#include "support/metrics.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
@@ -189,6 +190,83 @@ TEST(ApgreBc, OversubscribedThreadsStillExact) {
   const BcResult r = solve(g, {}, workers(16));
   EXPECT_GT(r.apgre_stats.num_batch_tasks, 0u);
   testing::expect_scores_near(brandes_bc(g), r.scores);
+}
+
+// ---- Scoring kernel --------------------------------------------------------
+// The kernel records each vertex's DAG successors in the forward sweep and
+// sums over them alone in the backward sweep. These shapes stress what that
+// record must leave out (same-level and back arcs) and what it must carry
+// (seeds at unreached boundary APs, phantom pendant weights).
+
+// From any root of K_n every arc between two non-root vertices joins one
+// BFS level to itself, so only the root's own n - 1 arcs are DAG arcs.
+TEST(ApgreKernel, CompleteGraphMatchesNaive) {
+  const Vertex n = 12;
+  const CsrGraph g = complete(n);
+  Counter& traversed = metrics().counter("bc.apgre.traversed_arcs");
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::uint64_t before = traversed.value();
+    const BcResult r = solve(g, {}, workers(threads));
+    ASSERT_TRUE(r.status.ok());
+    testing::expect_scores_near(naive_bc(g), r.scores);
+    // Every one of the n roots scans every arc once: the tally counts the
+    // arcs of each reached vertex, not the recorded successors.
+    EXPECT_EQ(traversed.value() - before,
+              std::uint64_t{n} * std::uint64_t{n} * (n - 1));
+  }
+}
+
+// Diagonals put many arcs between vertices of one BFS level or reach a
+// vertex by several shortest paths at once.
+TEST(ApgreKernel, GridWithDiagonalsMatchesNaive) {
+  const CsrGraph g = road_grid(7, 7, 0.5, 0.0, 31);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    testing::expect_scores_near(naive_bc(g), solve(g, {}, workers(threads)).scores);
+  }
+}
+
+// Directed blocks with back arcs (0 -> 4, 5 -> 4, 3 -> 2): arcs into an
+// earlier level or within one are never successors. Boundary AP 4 is
+// unreachable from roots 2 and 3 of its second block, so its Phase-0 seed
+// survives their sweeps; root 4 comes next and, hosting the pendants 6 and
+// 7, reads D(4) into its derived pendant term, so a seed the scratch failed
+// to clear would show in bc[4].
+TEST(ApgreKernel, DirectedBackArcsAndUnreachableApMatchNaive) {
+  const EdgeList edges{{4, 5}, {5, 0}, {0, 4}, {5, 4},  // block {0, 4, 5}
+                       {4, 2}, {4, 3}, {2, 3}, {3, 2},  // block {2, 3, 4}
+                       {6, 4}, {7, 4}};                 // pendants on AP 4
+  const CsrGraph g = CsrGraph::from_edges(8, edges, true);
+  ApgreOptions opts;
+  opts.partition.merge_threshold = 2;  // keep the two blocks apart
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const BcResult r = solve(g, opts, workers(threads));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.apgre_stats.num_subgraphs, 2u);
+    testing::expect_scores_near(naive_bc(g), r.scores);
+  }
+}
+
+// The peel hangs trees off the core; their anchors carry pendant_weight,
+// which the backward sweep adds at the anchor without any recorded arc.
+TEST(ApgreKernel, PeeledAnchorsWithPendantWeightMatchNaive) {
+  const CsrGraph g =
+      attach_pendants(attach_chains(road_grid(5, 5, 0.3, 0.0, 41), 6, 3, 42), 8, 43);
+  const ApgrePreparation prep = prepare_apgre(g, PartitionOptions{});
+  double total_weight = 0.0;
+  for (const Subgraph& sg : prep.dec.subgraphs) {
+    for (double w : sg.pendant_weight) total_weight += w;
+  }
+  EXPECT_GT(total_weight, 0.0);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const BcResult r = solve(g, {}, workers(threads));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_GT(r.apgre_stats.peeled_vertices, 0u);
+    testing::expect_scores_near(naive_bc(g), r.scores);
+  }
 }
 
 // ---- Property sweeps ------------------------------------------------------

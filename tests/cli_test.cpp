@@ -18,6 +18,9 @@
 #ifndef APGRE_CLI_PATH
 #error "APGRE_CLI_PATH must be defined by the build"
 #endif
+#ifndef APGRE_DIFF_PATH
+#error "APGRE_DIFF_PATH must be defined by the build"
+#endif
 
 namespace apgre {
 namespace {
@@ -27,8 +30,8 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_cli(const std::string& args) {
-  const std::string command = std::string(APGRE_CLI_PATH) + " " + args + " 2>&1";
+CommandResult run_tool(const char* tool, const std::string& args) {
+  const std::string command = std::string(tool) + " " + args + " 2>&1";
   std::array<char, 4096> buffer{};
   CommandResult result;
   FILE* pipe = popen(command.c_str(), "r");
@@ -39,6 +42,10 @@ CommandResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CommandResult run_cli(const std::string& args) {
+  return run_tool(APGRE_CLI_PATH, args);
 }
 
 class CliTest : public ::testing::Test {
@@ -152,6 +159,20 @@ TEST_F(CliTest, OutOfRangeIntegerFlagsAreUsageErrors) {
                            "--threads 4294967297", "--threads -2147483649",
                            "--top -1"}) {
     const CommandResult r = run_cli(std::string(flag) + " " + snap_path_);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("must be an integer in"), std::string::npos)
+        << flag << "\n" << r.output;
+  }
+}
+
+// apgre_diff checks its integer flags the same way, before any case runs:
+// 2^32 + 1 threads would run on one worker and --max-naive -1 would run the
+// O(V^3) oracle on every case.
+TEST(DiffFlags, OutOfRangeIntegerFlagsAreUsageErrors) {
+  for (const char* flag : {"--threads 4294967297", "--threads 1025",
+                           "--threads -1", "--max-naive -1",
+                           "--max-naive 4294967296"}) {
+    const CommandResult r = run_tool(APGRE_DIFF_PATH, "--seed 1 " + std::string(flag));
     EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
     EXPECT_NE(r.output.find("must be an integer in"), std::string::npos)
         << flag << "\n" << r.output;

@@ -115,5 +115,27 @@ TEST(FlagParser, PartialNumbersRejected) {
   EXPECT_THROW(parse(flags, {"--threads", "3x"}), Error);
 }
 
+TEST(IntFlag, ChecksTheTypeRangeAndTheGivenBounds) {
+  FlagParser flags = make_parser();
+  parse(flags, {"--threads", "4294967297"});
+  EXPECT_EQ(int_flag<std::int64_t>(flags, "threads"), 4294967297);
+  EXPECT_THROW(int_flag<int>(flags, "threads"), OptionError);
+  EXPECT_THROW(int_flag<std::uint32_t>(flags, "threads"), OptionError);
+
+  parse(flags, {"--threads", "-1"});
+  EXPECT_EQ(int_flag<int>(flags, "threads"), -1);
+  EXPECT_THROW(int_flag<std::size_t>(flags, "threads"), OptionError);
+  EXPECT_THROW(int_flag<int>(flags, "threads", 0, 8), OptionError);
+
+  parse(flags, {"--threads", "8"});
+  EXPECT_EQ(int_flag<int>(flags, "threads", 0, 8), 8);
+  try {
+    int_flag<int>(flags, "threads", 1, 7);
+    FAIL() << "8 is outside [1, 7]";
+  } catch (const OptionError& e) {
+    EXPECT_STREQ(e.what(), "--threads must be an integer in [1, 7]");
+  }
+}
+
 }  // namespace
 }  // namespace apgre

@@ -91,6 +91,20 @@ TEST_F(ServeTest, PositionalArgumentFails) {
   EXPECT_NE(r.output.find("no positional arguments"), std::string::npos);
 }
 
+// Integer flags are range-checked before the service starts a worker: a
+// value that would wrap in the narrowing (2^32 + 1 workers as 1, -1 as a
+// 2^64 - 1 capacity) or lies past the solve-thread cap is a usage error.
+TEST_F(ServeTest, OutOfRangeIntegerFlagsAreUsageErrors) {
+  for (const char* flag : {"--workers 4294967297", "--workers 1025",
+                           "--workers 0", "--workers -1", "--capacity -1",
+                           "--capacity 0"}) {
+    const CommandResult r = run_serve(flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("must be an integer in"), std::string::npos)
+        << flag << "\n" << r.output;
+  }
+}
+
 TEST_F(ServeTest, EmptyInputExitsZero) {
   const CommandResult r = run_serve("--workers 1");
   EXPECT_EQ(r.exit_code, 0);

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <utility>
 
 #include "bc/bc.hpp"
@@ -31,19 +30,6 @@
 namespace {
 
 using namespace apgre;
-
-/// An integer flag's value, checked to fit T: out of range is a usage
-/// error, never a silent wrap.
-template <typename T>
-T int_flag(const FlagParser& flags, const std::string& name) {
-  const std::int64_t value = flags.get_int(name);
-  if (!std::in_range<T>(value)) {
-    throw OptionError("--" + name + " must be an integer in [" +
-                      std::to_string(std::numeric_limits<T>::min()) + ", " +
-                      std::to_string(std::numeric_limits<T>::max()) + "]");
-  }
-  return static_cast<T>(value);
-}
 
 void print_top(const std::vector<double>& scores, std::size_t top) {
   std::vector<Vertex> order(scores.size());

@@ -12,7 +12,8 @@
 // and checks the block decomposition against its independent ground truths
 // (check_decomposition_agreement). Exit status 0 means zero divergence
 // above tolerance; 1 means at least one check failed (details on stderr);
-// 2 is a usage error.
+// 2 is a usage error (including --threads outside [0, 1024] and
+// --max-naive outside the vertex-id range).
 // CI and fuzzing drive this binary; a failing (seed, case) pair is
 // reproducible by rerunning with the same flags (see docs/TESTING.md).
 #include <algorithm>
@@ -114,8 +115,8 @@ int main(int argc, char** argv) {
     oracle.algorithms = parse_algo_set(flags.get_string("algo-set"));
     oracle.rel_tolerance = flags.get_double("rel");
     oracle.abs_tolerance = flags.get_double("abs");
-    oracle.max_naive_vertices = static_cast<Vertex>(flags.get_int("max-naive"));
-    oracle.threads = static_cast<int>(flags.get_int("threads"));
+    oracle.max_naive_vertices = int_flag<Vertex>(flags, "max-naive");
+    oracle.threads = int_flag<int>(flags, "threads", 0, kMaxSolveThreads);
     large = flags.get_bool("large");
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n%s", e.what(), flags.help().c_str());

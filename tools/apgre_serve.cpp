@@ -35,7 +35,8 @@
 //
 // Malformed lines and failed requests answer {"ok":false,"error":...} and
 // the server keeps reading. Exit codes: 0 on EOF or quit, 2 on usage
-// errors.
+// errors (including --workers outside [1, 1024] and --capacity below 1;
+// both are checked before any worker starts).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -46,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "bc/bc.hpp"
 #include "graph/csr.hpp"
 #include "graph/io_snap.hpp"
 #include "graph/update.hpp"
@@ -418,9 +420,8 @@ int serve_main(int argc, char** argv) {
       throw OptionError("apgre_serve takes no positional arguments");
     }
     ServiceOptions options;
-    options.workers = static_cast<int>(flags.get_int("workers"));
-    options.session_capacity =
-        static_cast<std::size_t>(flags.get_int("capacity"));
+    options.workers = int_flag<int>(flags, "workers", 1, kMaxSolveThreads);
+    options.session_capacity = int_flag<std::size_t>(flags, "capacity", 1);
     const bool timing = flags.get_bool("timing");
 
     Service service(options);
