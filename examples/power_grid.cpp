@@ -27,6 +27,7 @@ Vertex largest_fragment_without(const CsrGraph& g, Vertex v) {
   const ComponentLabels labels = connected_components(rest.graph);
   std::vector<Vertex> sizes(labels.num_components, 0);
   for (Vertex u = 0; u < rest.graph.num_vertices(); ++u) ++sizes[labels.component[u]];
+  if (sizes.empty()) return 0;
   return *std::max_element(sizes.begin(), sizes.end());
 }
 

@@ -147,10 +147,11 @@ double subgraph_cost(const Subgraph& sg) {
 // 1/(2 * workers) of the decomposition's cost (arcs * roots, summed over
 // every sub-graph) splits into about 4 * workers root batches, which is
 // how the inner level of the paper's two-level parallelism is supplied;
-// every other sub-graph is one task. Each piece accumulates into its own
+// every other sub-graph is one piece, and pieces cheaper than 1/(64 *
+// workers) of the cost share a task. Each piece accumulates into its own
 // local-id buffer, and a split sub-graph's pieces are summed in root
 // order, so contributions depend on the worker count alone, never on
-// which worker ran what. A single piece runs inline on the caller.
+// which worker ran what. A single task runs inline on the caller.
 // --------------------------------------------------------------------------
 
 std::vector<std::vector<double>> apgre_subgraph_scores(
@@ -183,20 +184,42 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
     }
   }
 
+  // Tasks: a piece costing at least `pack` runs alone; cheaper pieces are
+  // packed, in order, into tasks of about `pack`, so a decomposition of
+  // many tiny blocks pays one scheduler task per pack, not per block.
+  struct Task {
+    std::size_t begin;  ///< pieces [begin, end)
+    std::size_t end;
+    double cost;
+  };
+  const double pack = total_cost / (64.0 * static_cast<double>(workers));
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (tasks.empty() || tasks.back().cost >= pack || pieces[i].cost >= pack) {
+      tasks.push_back({i, i + 1, pieces[i].cost});
+    } else {
+      tasks.back().end = i + 1;
+      tasks.back().cost += pieces[i].cost;
+    }
+  }
+
   std::vector<std::vector<double>> piece_bc(pieces.size());
   // Per-slot kernel scratch. A scheduler run needs num_slots() of them:
   // external participant threads get slots beyond the pool workers.
-  const bool inline_run = pieces.size() <= 1;
+  const bool inline_run = tasks.size() <= 1;
   std::vector<SubgraphScratch> scratch(
       inline_run ? 1 : static_cast<std::size_t>(scheduler.num_slots()));
-  const auto score_piece = [&](std::size_t i, int slot) {
-    const Piece& p = pieces[i];
-    const Subgraph& sg = dec.subgraphs[subgraphs[p.k]];
+  // Each piece scores into its own buffer, whichever task carries it.
+  const auto score_task = [&](const Task& t, int slot) {
     SubgraphScratch& sc = scratch[static_cast<std::size_t>(slot)];
-    sc.ensure(sg);
-    piece_bc[i].assign(sg.num_vertices(), 0.0);
-    for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
-      subgraph_source_serial(sg, sg.roots[r], sc, piece_bc[i]);
+    for (std::size_t i = t.begin; i < t.end; ++i) {
+      const Piece& p = pieces[i];
+      const Subgraph& sg = dec.subgraphs[subgraphs[p.k]];
+      sc.ensure(sg);
+      piece_bc[i].assign(sg.num_vertices(), 0.0);
+      for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
+        subgraph_source_serial(sg, sg.roots[r], sc, piece_bc[i]);
+      }
     }
   };
 
@@ -205,24 +228,20 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
   if (inline_run) {
     // No scheduler round trip (and no span: local batches into one small
     // block run at thousands per second).
-    if (!pieces.empty()) score_piece(0, 0);
+    if (!tasks.empty()) score_task(tasks[0], 0);
   } else {
     APGRE_TRACE_SPAN("apgre/rest_bc");
-    // Largest pieces first: run() deals tasks round-robin, and thieves
+    // Largest tasks first: run() deals tasks round-robin, and thieves
     // steal from the victim's old end, so big work spreads out before the
     // tail.
-    std::vector<std::size_t> order(pieces.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return pieces[a].cost > pieces[b].cost;
-                     });
-    std::vector<WorkStealingScheduler::Task> tasks;
-    tasks.reserve(order.size());
-    for (const std::size_t i : order) {
-      tasks.push_back([&score_piece, i](int slot) { score_piece(i, slot); });
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const Task& a, const Task& b) { return a.cost > b.cost; });
+    std::vector<WorkStealingScheduler::Task> runs;
+    runs.reserve(tasks.size());
+    for (const Task& t : tasks) {
+      runs.push_back([&score_task, &t](int slot) { score_task(t, slot); });
     }
-    run_stats = scheduler.run(std::move(tasks));
+    run_stats = scheduler.run(std::move(runs));
   }
   const double run_seconds = run_timer.seconds();
   for (const SubgraphScratch& sc : scratch) {

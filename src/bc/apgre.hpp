@@ -11,8 +11,8 @@
 //      dependency types (in2in, in2out, out2in, out2out) in one backward
 //      sweep and merges them into global BC scores. Every scoring task runs
 //      that serial kernel on the work-stealing scheduler: one task per
-//      sub-graph, and root batches of each one carrying a large share of
-//      the scoring cost — the batches stand in for the paper's inner
+//      sub-graph (small ones packed together), and root batches of each
+//      one carrying a large share of the scoring cost — the batches stand in for the paper's inner
 //      level-synchronous parallelism (DESIGN.md, substitutions).
 //
 // Solver::solve (bc/bc.hpp) owns the whole pipeline; this header exposes
@@ -44,7 +44,7 @@ struct ApgreOptions {
 
 /// Phase breakdown and decomposition summary (paper Figure 8 / Table 4).
 struct ApgreStats {
-  double partition_seconds = 0.0;  ///< biconnected decomposition + grouping
+  double partition_seconds = 0.0;  ///< biconnected decomposition + sub-graph build
   double reach_seconds = 0.0;      ///< alpha/beta counting
   /// 2-core peel (prepare_apgre): time spent peeling + building the core
   /// reduction, vertices removed, and the surviving core fraction (1.0
@@ -74,8 +74,8 @@ struct ApgreStats {
   /// scheduler worker. `num_fine_subgraphs` is always 0, for the same
   /// reason as top_bc_seconds.
   std::size_t num_fine_subgraphs = 0;
-  std::size_t num_batch_tasks = 0;     ///< root-batch tasks of split sub-graphs
-  std::size_t num_subgraph_tasks = 0;  ///< whole-sub-graph serial tasks
+  std::size_t num_batch_tasks = 0;     ///< root batches of split sub-graphs
+  std::size_t num_subgraph_tasks = 0;  ///< sub-graphs scored whole
   std::uint64_t sched_tasks = 0;       ///< tasks executed by the scheduler
   std::uint64_t sched_steals = 0;      ///< successful work steals
   double sched_idle_seconds = 0.0;     ///< summed worker idle time
@@ -141,8 +141,9 @@ std::vector<double> apgre_bc_with_decomposition(
 /// contributions of dec.subgraphs[i] for each i in `subgraphs`, in local
 /// ids and in that order, scored on `scheduler`. A sub-graph whose cost
 /// (arcs x roots) is at least 1/(2 * workers) of the whole decomposition's
-/// splits into about 4 * workers root-batch tasks; every other one is a
-/// single task, and a call with a single task runs it inline. Bitwise
+/// splits into about 4 * workers root batches; every other one is a
+/// single piece. Pieces cheaper than 1/(64 * workers) of that cost share a
+/// scheduler task, and a call with a single task runs it inline. Bitwise
 /// reproducible for a fixed worker count, whatever the steal order. When
 /// `stats` is non-null its rest_bc_seconds, task counts and sched_* fields
 /// are overwritten.

@@ -14,7 +14,6 @@
 #include "bc/parallel_preds.hpp"
 #include "bc/parallel_succs.hpp"
 #include "bc/sampling.hpp"
-#include "graph/mutate.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/timer.hpp"
@@ -338,35 +337,23 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     const Membership* const a_end = members_.data() + member_offsets_[op.u + 1];
     const Membership* b = members_.data() + member_offsets_[op.v];
     const Membership* const b_end = members_.data() + member_offsets_[op.v + 1];
-    const std::size_t before = routes.size();
-    // Both runs are in sub-graph order: walk them to the common sub-graphs.
-    while (a != a_end && b != b_end && routes.size() == before) {
+    // Both runs are in sub-graph order: walk them to the sub-graph they
+    // share. Two blocks share at most one vertex, so two endpoints have at
+    // most one sub-graph in common.
+    while (a != a_end && b != b_end && a->subgraph != b->subgraph) {
       if (a->subgraph < b->subgraph) {
         ++a;
-        continue;
-      }
-      if (b->subgraph < a->subgraph) {
+      } else {
         ++b;
-        continue;
       }
-      // Articulation endpoints belong to several sub-graph groups, but
-      // every block's edges materialise in exactly one of them — a deletion
-      // must patch the group that actually stores the arc. (Insert
-      // endpoints are non-APs by the classify contract, so the first group
-      // wins.)
-      if (op.insert ||
-          has_arc(dec_->subgraphs[a->subgraph].graph, a->local, b->local)) {
-        routes.push_back({a->subgraph, EdgeOp{a->local, b->local, op.insert}});
-      }
-      ++a;
-      ++b;
     }
-    if (routes.size() == before) {
+    if (a == a_end || b == b_end) {
       // Endpoints outside every cached sub-graph contradict the locality
       // precondition; re-decompose rather than score a stale cache.
       rebind(g);
       return 0;
     }
+    routes.push_back({a->subgraph, EdgeOp{a->local, b->local, op.insert}});
   }
   std::stable_sort(routes.begin(), routes.end(),
                    [](const Route& x, const Route& y) {

@@ -207,8 +207,9 @@ class Solver {
   /// applied (coalesced — at most one op per edge; a single edit is a batch
   /// of one), and the batch must have been classified local as a whole
   /// (BlockCutQueries::classify_batch) against the previous graph, so the
-  /// block-cut tree, the grouping and every reach count survive by
-  /// construction. Routes each op through a global vertex -> (sub-graph,
+  /// block-cut tree, the sub-graphs and every reach count survive by
+  /// construction. Routes each op to the one sub-graph (block) holding
+  /// both its endpoints through a global vertex -> (sub-graph,
   /// local id) index built with the store (O(memberships of its endpoints),
   /// not O(|V|)), groups the ops by sub-graph and re-scores each affected
   /// sub-graph exactly once, however many ops landed in it: the

@@ -18,11 +18,4 @@ std::vector<double> brandes_bc_from_sources(const CsrGraph& g,
                                             const std::vector<Vertex>& sources,
                                             double source_weight);
 
-/// Serial Brandes with explicit predecessor lists, as in the SSCA#2
-/// benchmark code the paper uses for its `preds-serial` baseline. Same
-/// results as brandes_bc up to summation order; the backward sweep
-/// scatters through predecessor lists instead of gathering over successor
-/// lists.
-std::vector<double> brandes_preds_serial_bc(const CsrGraph& g);
-
 }  // namespace apgre

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/edge_list.hpp"
@@ -42,27 +41,10 @@ class LevelBuckets {
   std::size_t num_levels() const { return offsets_.size() - 1; }
 
   /// Vertices of closed level `i`. NOTE: the returned span is invalidated
-  /// by push()/push_batch(); loops that grow the frontier while scanning a
-  /// level must use level_range() + vertex() instead.
+  /// by push()/push_batch().
   std::span<const Vertex> level(std::size_t i) const {
     APGRE_ASSERT(i + 1 < offsets_.size());
     return {vertices_.data() + offsets_[i], vertices_.data() + offsets_[i + 1]};
-  }
-
-  /// [begin, end) index range of closed level `i`, stable across push().
-  std::pair<std::size_t, std::size_t> level_range(std::size_t i) const {
-    APGRE_ASSERT(i + 1 < offsets_.size());
-    return {offsets_[i], offsets_[i + 1]};
-  }
-
-  /// Vertex at flat index `idx`; safe to call while pushing.
-  Vertex vertex(std::size_t idx) const {
-    APGRE_ASSERT(idx < vertices_.size());
-    return vertices_[idx];
-  }
-
-  std::size_t current_level_size() const {
-    return vertices_.size() - offsets_.back();
   }
 
   /// Every vertex touched by the BFS, in discovery-level order. Used to

@@ -25,7 +25,7 @@ BiconnectedComponents biconnected_components(const CsrGraph& g) {
 
   const Vertex n = u.num_vertices();
   BiconnectedComponents out;
-  out.is_articulation.assign(n, false);
+  out.is_articulation = std::vector<bool>(n, false);
   out.any_component.assign(n, kInvalidVertex);
 
   std::vector<Vertex> disc(n, kInvalidVertex);
@@ -36,25 +36,36 @@ BiconnectedComponents biconnected_components(const CsrGraph& g) {
   std::vector<Vertex> vertex_stamp(n, kInvalidVertex);
   Vertex time = 0;
 
+  std::vector<Vertex> block_vertices;  // the closing block's, unsorted
+
   auto close_component = [&](const Edge& boundary) {
     const Vertex id = out.num_components++;
-    auto& vertices = out.component_vertices.emplace_back();
-    auto& edges = out.component_edges.emplace_back();
-    Edge e{};
+    // The block's edges are the stack from `boundary` up. Both lists are
+    // allocated at their final size.
+    std::size_t first = edge_stack.size();
     do {
-      APGRE_ASSERT(!edge_stack.empty());
-      e = edge_stack.back();
-      edge_stack.pop_back();
+      APGRE_ASSERT(first > 0);
+      --first;
+    } while (edge_stack[first].src != boundary.src ||
+             edge_stack[first].dst != boundary.dst);
+    auto& edges = out.component_edges.emplace_back();
+    edges.reserve(edge_stack.size() - first);
+    block_vertices.clear();
+    for (std::size_t i = first; i < edge_stack.size(); ++i) {
+      const Edge e = edge_stack[i];
       edges.push_back(Edge{std::min(e.src, e.dst), std::max(e.src, e.dst)});
       for (Vertex endpoint : {e.src, e.dst}) {
         if (vertex_stamp[endpoint] != id) {
           vertex_stamp[endpoint] = id;
-          vertices.push_back(endpoint);
+          block_vertices.push_back(endpoint);
           out.any_component[endpoint] = id;
         }
       }
-    } while (e.src != boundary.src || e.dst != boundary.dst);
-    std::sort(vertices.begin(), vertices.end());
+    }
+    edge_stack.resize(first);
+    std::sort(block_vertices.begin(), block_vertices.end());
+    out.component_vertices.emplace_back(block_vertices.begin(),
+                                        block_vertices.end());
     std::sort(edges.begin(), edges.end());
   };
 

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "bcc/bicomp.hpp"
-#include "bcc/block_cut_tree.hpp"
 #include "bcc/reach.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -14,103 +13,6 @@
 namespace apgre {
 
 namespace {
-
-/// Union-find over block ids; the root carries the accumulated vertex count
-/// of the group (paper's VSet sizes).
-class BlockGroups {
- public:
-  explicit BlockGroups(const BiconnectedComponents& bcc)
-      : parent_(bcc.num_components), size_(bcc.num_components) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-    for (Vertex b = 0; b < bcc.num_components; ++b) {
-      size_[b] = static_cast<Vertex>(bcc.component_vertices[b].size());
-    }
-  }
-
-  Vertex find(Vertex b) {
-    while (parent_[b] != b) {
-      parent_[b] = parent_[parent_[b]];
-      b = parent_[b];
-    }
-    return b;
-  }
-
-  /// Merge the group of `child` into the group of `parent`. The shared
-  /// articulation point is counted once.
-  void merge(Vertex child, Vertex parent) {
-    const Vertex c = find(child);
-    const Vertex p = find(parent);
-    APGRE_ASSERT(c != p);
-    parent_[c] = p;
-    size_[p] += size_[c] - 1;
-  }
-
-  Vertex group_size(Vertex b) { return size_[find(b)]; }
-
- private:
-  std::vector<Vertex> parent_;
-  std::vector<Vertex> size_;
-};
-
-/// DFS frame over the bipartite block-cut tree; iterates the blocks
-/// reachable through each articulation point of `block`. `via_ap` is the
-/// AP this block was entered through: its other blocks are siblings (they
-/// hang off the parent), so the child must not iterate it.
-struct BlockFrame {
-  Vertex block;
-  Vertex parent;       // parent block (kInvalidVertex for the top block)
-  Vertex via_ap;       // AP index used to enter this block, or kInvalidVertex
-  std::size_t ap_i;    // index into block_aps[block]
-  std::size_t blk_i;   // index into ap_blocks[current ap]
-};
-
-/// Paper Algorithm 1 lines 5-25: DFS from the top block, merging small
-/// groups into their DFS parent on post-order exit.
-void merge_blocks(const BlockCutTree& tree, Vertex top, Vertex threshold,
-                  std::vector<bool>& visited, BlockGroups& groups) {
-  std::vector<BlockFrame> stack;
-  visited[top] = true;
-  stack.push_back(BlockFrame{top, kInvalidVertex, kInvalidVertex, 0, 0});
-
-  while (!stack.empty()) {
-    BlockFrame& frame = stack.back();
-    const auto& aps = tree.block_aps[frame.block];
-    bool descended = false;
-    while (frame.ap_i < aps.size()) {
-      if (aps[frame.ap_i] == frame.via_ap) {
-        // Entered through this AP: its other blocks are this block's
-        // siblings, owned by the parent.
-        ++frame.ap_i;
-        frame.blk_i = 0;
-        continue;
-      }
-      const auto& siblings = tree.ap_blocks[aps[frame.ap_i]];
-      if (frame.blk_i < siblings.size()) {
-        const Vertex next = siblings[frame.blk_i++];
-        if (!visited[next]) {
-          visited[next] = true;
-          stack.push_back(BlockFrame{next, frame.block, aps[frame.ap_i], 0, 0});
-          descended = true;
-          break;
-        }
-      } else {
-        ++frame.ap_i;
-        frame.blk_i = 0;
-      }
-    }
-    if (descended) continue;
-
-    const BlockFrame done = stack.back();
-    stack.pop_back();
-    if (done.parent == kInvalidVertex) continue;
-    const Vertex my_size = groups.group_size(done.block);
-    if (done.parent != top && my_size < threshold) {
-      groups.merge(done.block, done.parent);
-    } else if (done.parent == top && my_size <= 2) {
-      groups.merge(done.block, done.parent);
-    }
-  }
-}
 
 /// Pendant classification (paper BUILDSUBGRAPH): directed pendants have no
 /// in-arcs and a single out-arc; undirected pendants have degree one with
@@ -127,6 +29,96 @@ bool is_removed_pendant(const CsrGraph& g, Vertex v) {
 }
 
 Vertex pendant_host(const CsrGraph& g, Vertex v) { return g.out_neighbors(v)[0]; }
+
+/// The top sub-graph's rule: more arcs, then more vertices, then the lower
+/// index, so the winner does not depend on which slot built what.
+bool beats(const std::vector<Subgraph>& subgraphs, std::size_t i,
+           std::size_t j) {
+  const Subgraph& a = subgraphs[i];
+  const Subgraph& b = subgraphs[j];
+  if (a.num_arcs() != b.num_arcs()) return a.num_arcs() > b.num_arcs();
+  if (a.num_vertices() != b.num_vertices()) {
+    return a.num_vertices() > b.num_vertices();
+  }
+  return i < j;
+}
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Per-slot state of the sub-graph build: a global -> local id map,
+/// allocated on the slot's first block and reset after each, and the
+/// slot's tallies.
+struct alignas(64) BuildSlot {
+  std::vector<Vertex> global_to_local;
+  Vertex pendants = 0;
+  std::size_t top = kNone;  ///< index of the slot's largest sub-graph
+};
+
+/// Materialise block `b` as `sg`, taking over the block's vertex list.
+/// Returns the number of pendants it removed from the root set.
+Vertex build_subgraph(const CsrGraph& g, BiconnectedComponents& bcc, Vertex b,
+                      bool total_redundancy, std::vector<Vertex>& global_to_local,
+                      Subgraph& sg) {
+  Vertex pendants = 0;
+  sg.to_global = std::move(bcc.component_vertices[b]);  // sorted
+  for (std::size_t i = 0; i < sg.to_global.size(); ++i) {
+    global_to_local[sg.to_global[i]] = static_cast<Vertex>(i);
+  }
+  const auto local_n = static_cast<Vertex>(sg.to_global.size());
+
+  // Arc set: the original directed arcs over the block's edges.
+  EdgeList arcs;
+  arcs.reserve(2 * bcc.component_edges[b].size());
+  for (const Edge& e : bcc.component_edges[b]) {
+    const Vertex lu = global_to_local[e.src];
+    const Vertex lv = global_to_local[e.dst];
+    if (!g.directed()) {
+      arcs.push_back(Edge{lu, lv});
+      arcs.push_back(Edge{lv, lu});
+      continue;
+    }
+    const auto out_u = g.out_neighbors(e.src);
+    if (std::binary_search(out_u.begin(), out_u.end(), e.dst)) {
+      arcs.push_back(Edge{lu, lv});
+    }
+    const auto out_v = g.out_neighbors(e.dst);
+    if (std::binary_search(out_v.begin(), out_v.end(), e.src)) {
+      arcs.push_back(Edge{lv, lu});
+    }
+  }
+  sg.graph = CsrGraph::from_edges(local_n, std::move(arcs), g.directed());
+
+  // Boundary APs, gamma and the root set.
+  sg.is_boundary_ap.assign(local_n, 0);
+  sg.gamma.assign(local_n, 0);
+  sg.removed.assign(local_n, 0);
+  for (Vertex local = 0; local < local_n; ++local) {
+    const Vertex global = sg.to_global[local];
+    if (bcc.is_articulation[global]) {
+      sg.is_boundary_ap[local] = 1;
+      sg.boundary_aps.push_back(local);
+    }
+    if (!total_redundancy || !is_removed_pendant(g, global)) continue;
+    // A pendant's one edge is a bridge block, so its host is here too.
+    const Vertex host_local = global_to_local[pendant_host(g, global)];
+    APGRE_ASSERT_MSG(host_local != kInvalidVertex,
+                     "pendant host must share the sub-graph");
+    sg.removed[local] = 1;
+    ++sg.gamma[host_local];
+    ++pendants;
+  }
+  sg.roots.reserve(local_n);
+  for (Vertex local = 0; local < local_n; ++local) {
+    if (!sg.removed[local]) sg.roots.push_back(local);
+  }
+
+  sg.alpha.assign(local_n, 0);
+  sg.beta.assign(local_n, 0);
+
+  // Reset the scratch map for the next block.
+  for (Vertex v : sg.to_global) global_to_local[v] = kInvalidVertex;
+  return pendants;
+}
 
 }  // namespace
 
@@ -161,162 +153,40 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
     APGRE_TRACE_SPAN("bcc/decompose");
     bcc = biconnected_components(g);
   }
-  const BlockCutTree tree = block_cut_tree(bcc, g.num_vertices());
 
   Decomposition dec;
   dec.num_vertices = g.num_vertices();
   dec.num_blocks = bcc.num_components;
-  dec.num_articulation_points = tree.num_aps();
+  dec.num_articulation_points = static_cast<Vertex>(std::count(
+      bcc.is_articulation.begin(), bcc.is_articulation.end(), true));
 
-  // --- Group blocks (Algorithm 1). One DFS per connected component of the
-  // block-cut tree, rooted at the component's largest block.
-  BlockGroups groups(bcc);
-  {
-    std::vector<bool> comp_seen(bcc.num_components, false);
-    std::vector<bool> merged(bcc.num_components, false);
-    std::vector<Vertex> comp_blocks;
-    for (Vertex b = 0; b < bcc.num_components; ++b) {
-      if (comp_seen[b]) continue;
-      // BFS to enumerate the blocks of this component and find its top.
-      comp_blocks.assign(1, b);
-      comp_seen[b] = true;
-      Vertex top = b;
-      for (std::size_t head = 0; head < comp_blocks.size(); ++head) {
-        const Vertex cur = comp_blocks[head];
-        if (bcc.component_vertices[cur].size() >
-            bcc.component_vertices[top].size()) {
-          top = cur;
-        }
-        for (Vertex ap : tree.block_aps[cur]) {
-          for (Vertex next : tree.ap_blocks[ap]) {
-            if (!comp_seen[next]) {
-              comp_seen[next] = true;
-              comp_blocks.push_back(next);
-            }
-          }
-        }
-      }
-      merge_blocks(tree, top, opts.merge_threshold, merged, groups);
+  // --- One Subgraph per block. Two blocks share at most one vertex, an
+  // articulation point, so every articulation point of a block is one of
+  // its boundary APs. Blocks build independently, on `sched`.
+  dec.subgraphs.resize(bcc.num_components);
+  std::vector<BuildSlot> slots(static_cast<std::size_t>(sched.num_slots()));
+  // Chunks of at least 64 blocks, so a graph of few blocks builds inline.
+  const std::int64_t blocks = bcc.num_components;
+  const std::int64_t grain =
+      std::max<std::int64_t>(64, blocks / (8 * sched.num_workers()));
+  sched.parallel_for(0, blocks, grain, [&](std::int64_t lo, std::int64_t hi,
+                                           int s) {
+    BuildSlot& slot = slots[static_cast<std::size_t>(s)];
+    if (slot.global_to_local.empty()) {
+      slot.global_to_local.assign(g.num_vertices(), kInvalidVertex);
     }
-  }
-
-  // --- Materialise one Subgraph per group.
-  std::vector<Vertex> group_subgraph(bcc.num_components, kInvalidVertex);
-  std::vector<std::vector<Vertex>> group_blocks;
-  for (Vertex b = 0; b < bcc.num_components; ++b) {
-    const Vertex root = groups.find(b);
-    if (group_subgraph[root] == kInvalidVertex) {
-      group_subgraph[root] = static_cast<Vertex>(group_blocks.size());
-      group_blocks.emplace_back();
+    for (auto b = static_cast<std::size_t>(lo); b < static_cast<std::size_t>(hi);
+         ++b) {
+      slot.pendants +=
+          build_subgraph(g, bcc, static_cast<Vertex>(b), opts.total_redundancy,
+                         slot.global_to_local, dec.subgraphs[b]);
+      if (slot.top == kNone || beats(dec.subgraphs, b, slot.top)) slot.top = b;
     }
-    group_blocks[group_subgraph[root]].push_back(b);
-  }
-  const auto num_subgraphs = static_cast<Vertex>(group_blocks.size());
-
-  // Boundary articulation points: APs whose blocks span several groups.
-  // boundary_groups_of_ap[a] lists each group in which a is a boundary AP.
-  std::vector<std::vector<Vertex>> ap_groups(tree.num_aps());
-  for (Vertex a = 0; a < tree.num_aps(); ++a) {
-    auto& gs = ap_groups[a];
-    for (Vertex block : tree.ap_blocks[a]) {
-      gs.push_back(group_subgraph[groups.find(block)]);
-    }
-    std::sort(gs.begin(), gs.end());
-    gs.erase(std::unique(gs.begin(), gs.end()), gs.end());
-    if (gs.size() < 2) gs.clear();  // interior to one group: not a boundary AP
-  }
-
-  dec.subgraphs.resize(num_subgraphs);
-  std::vector<Vertex> global_to_local(g.num_vertices(), kInvalidVertex);
-
-  for (Vertex sgi = 0; sgi < num_subgraphs; ++sgi) {
-    Subgraph& sg = dec.subgraphs[sgi];
-
-    // Vertex set: union of the member blocks' vertices.
-    for (Vertex block : group_blocks[sgi]) {
-      for (Vertex v : bcc.component_vertices[block]) {
-        if (global_to_local[v] == kInvalidVertex) {
-          global_to_local[v] = 0;  // provisional mark
-          sg.to_global.push_back(v);
-        }
-      }
-    }
-    std::sort(sg.to_global.begin(), sg.to_global.end());
-    for (std::size_t i = 0; i < sg.to_global.size(); ++i) {
-      global_to_local[sg.to_global[i]] = static_cast<Vertex>(i);
-    }
-    const auto local_n = static_cast<Vertex>(sg.to_global.size());
-
-    // Arc set: the original directed arcs over the member blocks' edges.
-    EdgeList arcs;
-    for (Vertex block : group_blocks[sgi]) {
-      for (const Edge& e : bcc.component_edges[block]) {
-        const Vertex lu = global_to_local[e.src];
-        const Vertex lv = global_to_local[e.dst];
-        if (!g.directed()) {
-          arcs.push_back(Edge{lu, lv});
-          arcs.push_back(Edge{lv, lu});
-          continue;
-        }
-        const auto out_u = g.out_neighbors(e.src);
-        if (std::binary_search(out_u.begin(), out_u.end(), e.dst)) {
-          arcs.push_back(Edge{lu, lv});
-        }
-        const auto out_v = g.out_neighbors(e.dst);
-        if (std::binary_search(out_v.begin(), out_v.end(), e.src)) {
-          arcs.push_back(Edge{lv, lu});
-        }
-      }
-    }
-    sg.graph = CsrGraph::from_edges(local_n, std::move(arcs), g.directed());
-
-    // Boundary APs.
-    sg.is_boundary_ap.assign(local_n, 0);
-    for (Vertex local = 0; local < local_n; ++local) {
-      const Vertex ap = tree.ap_index[sg.to_global[local]];
-      if (ap == kInvalidVertex) continue;
-      const auto& gs = ap_groups[ap];
-      if (std::binary_search(gs.begin(), gs.end(), sgi)) {
-        sg.is_boundary_ap[local] = 1;
-        sg.boundary_aps.push_back(local);
-      }
-    }
-
-    // Gamma / root set.
-    sg.gamma.assign(local_n, 0);
-    sg.removed.assign(local_n, 0);
-    if (opts.total_redundancy) {
-      for (Vertex local = 0; local < local_n; ++local) {
-        const Vertex global = sg.to_global[local];
-        if (!is_removed_pendant(g, global)) continue;
-        const Vertex host = pendant_host(g, global);
-        const Vertex host_local = global_to_local[host];
-        APGRE_ASSERT_MSG(host_local != kInvalidVertex,
-                         "pendant host must share the sub-graph");
-        sg.removed[local] = 1;
-        ++sg.gamma[host_local];
-        ++dec.num_pendants_removed;
-      }
-    }
-    for (Vertex local = 0; local < local_n; ++local) {
-      if (!sg.removed[local]) sg.roots.push_back(local);
-    }
-
-    sg.alpha.assign(local_n, 0);
-    sg.beta.assign(local_n, 0);
-
-    // Reset the scratch map for the next sub-graph.
-    for (Vertex v : sg.to_global) global_to_local[v] = kInvalidVertex;
-  }
-
-  // Top sub-graph: largest by arc count (ties: vertex count).
-  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
-    const Subgraph& sg = dec.subgraphs[i];
-    const Subgraph& best = dec.subgraphs[dec.top_subgraph];
-    if (sg.num_arcs() > best.num_arcs() ||
-        (sg.num_arcs() == best.num_arcs() &&
-         sg.num_vertices() > best.num_vertices())) {
-      dec.top_subgraph = i;
+  });
+  for (const BuildSlot& slot : slots) {
+    dec.num_pendants_removed += slot.pendants;
+    if (slot.top != kNone && beats(dec.subgraphs, slot.top, dec.top_subgraph)) {
+      dec.top_subgraph = slot.top;
     }
   }
 
@@ -336,7 +206,7 @@ void inject_pendant_weights(Decomposition& dec,
                    "pendant multiplicities must cover the decomposed graph");
   // A vertex can sit in several sub-graphs (boundary AP); home the phantom
   // pendants in the first one encountered, mirroring how a real pendant
-  // block lands in exactly one group.
+  // lands in exactly one block.
   std::vector<std::uint8_t> homed(multiplicity.size(), 0);
   for (Subgraph& sg : dec.subgraphs) {
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {

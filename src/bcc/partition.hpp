@@ -1,10 +1,10 @@
 // Graph decomposition along articulation points — paper Algorithm 1
 // (GRAPHPARTITION) plus BUILDSUBGRAPH's gamma / root-set bookkeeping.
 //
-// The undirected projection is decomposed into biconnected components;
-// a DFS over the block-cut tree starting at the largest block merges small
-// blocks into their parents (threshold rule); every resulting group becomes
-// a Subgraph carrying the state the APGRE kernel needs:
+// The undirected projection is decomposed into biconnected components, and
+// every block becomes one Subgraph. Unlike Algorithm 1, no block merges
+// into its neighbour (DESIGN.md, "One sub-graph per block"). Each Subgraph
+// carries the state the APGRE kernel needs:
 //   * its induced directed arcs in local ids,
 //   * its boundary articulation points with alpha/beta reach counts,
 //   * gamma counts and the root set R (pendants removed).
@@ -27,9 +27,6 @@ enum class ReachMethod {
 };
 
 struct PartitionOptions {
-  /// Paper Algorithm 1 THRESHOLD: a block group smaller than this merges
-  /// into its DFS parent (unless the parent is the top block).
-  Vertex merge_threshold = 32;
   /// Enable total-redundancy elimination (gamma / pendant removal) and,
   /// in APGRE solves of undirected graphs, the 2-core peel that extends it
   /// to whole trees (bc/apgre.hpp prepare_apgre). Switchable for the
@@ -83,6 +80,7 @@ struct Subgraph {
 };
 
 struct Decomposition {
+  /// One sub-graph per biconnected block, in block order.
   std::vector<Subgraph> subgraphs;
   /// Index of the largest sub-graph (by arc count) — the paper's "top
   /// sub-graph", which dominates APGRE's runtime (Fig. 8, Table 4).
@@ -112,8 +110,8 @@ struct Decomposition {
 /// Decompose `g` and (unless opts.reach == kAuto semantics dictate
 /// otherwise) fill in alpha/beta. Runs per connected component of the
 /// undirected projection; vertices with no arcs are skipped. The blocks
-/// come from the serial Hopcroft-Tarjan DFS (biconnected_components); BFS
-/// reach counting runs on `sched`.
+/// come from the serial Hopcroft-Tarjan DFS (biconnected_components); their
+/// sub-graphs are built on `sched`, and so is BFS reach counting.
 Decomposition decompose(
     const CsrGraph& g, const PartitionOptions& opts = {},
     WorkStealingScheduler& sched = WorkStealingScheduler::shared());

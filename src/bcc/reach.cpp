@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "support/error.hpp"
@@ -99,95 +100,95 @@ void reach_by_bfs(const CsrGraph& g, Decomposition& dec,
 //   alpha_gi(a) = (vertices on the far side of edge (gi, a)) - [a itself]
 // which is a subtree weight (or its complement) once the tree is rooted.
 
-struct TreeDp {
-  // Node ids: [0, S) sub-graphs, [S, S + A) AP nodes.
-  std::vector<std::vector<Vertex>> adjacency;
-  std::vector<std::uint64_t> weight;
-  std::vector<std::uint64_t> subtree;
-  std::vector<Vertex> parent;
-  std::vector<std::uint64_t> component_total;  // per node: total of its tree
-};
-
 void reach_by_tree_dp(const CsrGraph& g, Decomposition& dec) {
   APGRE_ASSERT_MSG(!g.directed(), "tree-DP reach requires an undirected graph");
   const auto num_subgraphs = static_cast<Vertex>(dec.subgraphs.size());
 
-  // Collect boundary-AP vertices and give them node ids.
-  std::vector<Vertex> ap_node(g.num_vertices(), kInvalidVertex);
-  Vertex num_ap_nodes = 0;
-  for (const Subgraph& sg : dec.subgraphs) {
-    for (Vertex local : sg.boundary_aps) {
-      Vertex& id = ap_node[sg.to_global[local]];
-      if (id == kInvalidVertex) id = num_ap_nodes++;
-    }
-  }
-
-  TreeDp dp;
-  const Vertex num_nodes = num_subgraphs + num_ap_nodes;
-  dp.adjacency.resize(num_nodes);
-  dp.weight.assign(num_nodes, 0);
-  dp.subtree.assign(num_nodes, 0);
-  dp.parent.assign(num_nodes, kInvalidVertex);
-  dp.component_total.assign(num_nodes, 0);
-
+  // One pass over the sub-graphs: sub-graph i's links to its boundary APs
+  // are link_ap[link_begin[i] .. link_begin[i + 1]), in boundary_aps order.
+  std::vector<std::size_t> link_begin(static_cast<std::size_t>(num_subgraphs) + 1, 0);
+  std::vector<Vertex> link_ap;
+  link_ap.reserve(2 * static_cast<std::size_t>(num_subgraphs));  // tree bound
+  std::vector<std::uint64_t> weight(num_subgraphs);
   for (Vertex sgi = 0; sgi < num_subgraphs; ++sgi) {
     const Subgraph& sg = dec.subgraphs[sgi];
-    dp.weight[sgi] = sg.to_global.size() - sg.boundary_aps.size();
+    weight[sgi] = sg.to_global.size() - sg.boundary_aps.size();
     // Phantom pendants (2-core peel) count as private vertices of the
     // sub-graph that homed them; every other sub-graph then sees them on the
     // correct side of the block-cut tree automatically.
     for (double pw : sg.pendant_weight) {
-      dp.weight[sgi] += static_cast<std::uint64_t>(pw);
+      weight[sgi] += static_cast<std::uint64_t>(pw);
     }
-    for (Vertex local : sg.boundary_aps) {
-      const Vertex node = num_subgraphs + ap_node[sg.to_global[local]];
-      dp.adjacency[sgi].push_back(node);
-      dp.adjacency[node].push_back(sgi);
-      dp.weight[node] = 1;
+    for (Vertex local : sg.boundary_aps) link_ap.push_back(sg.to_global[local]);
+    link_begin[sgi + 1] = link_ap.size();
+  }
+
+  // Node ids: [0, S) sub-graphs, then one per boundary-AP vertex, which
+  // weighs 1.
+  std::vector<Vertex> ap_node(g.num_vertices(), kInvalidVertex);
+  Vertex num_nodes = num_subgraphs;
+  for (Vertex& a : link_ap) {
+    Vertex& id = ap_node[a];
+    if (id == kInvalidVertex) id = num_nodes++;
+    a = id;
+  }
+  weight.resize(num_nodes, 1);
+
+  // Flat adjacency: node u's neighbours are adjacency[offsets[u] ..
+  // offsets[u + 1]).
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (Vertex sgi = 0; sgi < num_subgraphs; ++sgi) {
+    offsets[sgi + 1] = link_begin[sgi + 1] - link_begin[sgi];
+  }
+  for (Vertex node : link_ap) ++offsets[node + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<Vertex> adjacency(offsets.back());
+  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+  for (Vertex sgi = 0; sgi < num_subgraphs; ++sgi) {
+    for (std::size_t k = link_begin[sgi]; k < link_begin[sgi + 1]; ++k) {
+      adjacency[fill[sgi]++] = link_ap[k];
+      adjacency[fill[link_ap[k]]++] = sgi;
     }
   }
 
-  // Iterative DFS per component: compute subtree sums, parents, totals.
-  std::vector<std::uint8_t> seen(num_nodes, 0);
-  std::vector<std::pair<Vertex, std::size_t>> stack;  // (node, next child idx)
-  std::vector<Vertex> component_nodes;
+  // BFS per component for parents and roots, then subtree sums in reverse
+  // BFS order: `subtree` starts as the node weights and accumulates.
+  std::vector<Vertex> parent(num_nodes, kInvalidVertex);
+  std::vector<Vertex> root_of(num_nodes, kInvalidVertex);
+  std::vector<Vertex> order;
+  order.reserve(num_nodes);
   for (Vertex root = 0; root < num_nodes; ++root) {
-    if (seen[root]) continue;
-    component_nodes.clear();
-    seen[root] = 1;
-    stack.assign(1, {root, 0});
-    while (!stack.empty()) {
-      auto& [node, next] = stack.back();
-      if (next < dp.adjacency[node].size()) {
-        const Vertex child = dp.adjacency[node][next++];
-        if (!seen[child]) {
-          seen[child] = 1;
-          dp.parent[child] = node;
-          stack.push_back({child, 0});
-        }
-      } else {
-        dp.subtree[node] = dp.weight[node];
-        for (Vertex child : dp.adjacency[node]) {
-          if (dp.parent[child] == node) dp.subtree[node] += dp.subtree[child];
-        }
-        component_nodes.push_back(node);
-        stack.pop_back();
+    if (root_of[root] != kInvalidVertex) continue;
+    root_of[root] = root;
+    order.push_back(root);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      const Vertex node = order[head];
+      for (std::size_t j = offsets[node]; j < offsets[node + 1]; ++j) {
+        const Vertex next = adjacency[j];
+        if (root_of[next] != kInvalidVertex) continue;
+        root_of[next] = root;
+        parent[next] = node;
+        order.push_back(next);
       }
     }
-    const std::uint64_t total = dp.subtree[root];
-    for (Vertex node : component_nodes) dp.component_total[node] = total;
+  }
+  std::vector<std::uint64_t>& subtree = weight;
+  for (std::size_t i = order.size(); i-- > 0;) {
+    const Vertex node = order[i];
+    if (parent[node] != kInvalidVertex) subtree[parent[node]] += subtree[node];
   }
 
   for (Vertex sgi = 0; sgi < num_subgraphs; ++sgi) {
     Subgraph& sg = dec.subgraphs[sgi];
-    for (Vertex local : sg.boundary_aps) {
-      const Vertex node = num_subgraphs + ap_node[sg.to_global[local]];
+    for (std::size_t i = 0; i < sg.boundary_aps.size(); ++i) {
+      const Vertex local = sg.boundary_aps[i];
+      const Vertex node = link_ap[link_begin[sgi] + i];
       std::uint64_t far = 0;
-      if (dp.parent[node] == sgi) {
-        far = dp.subtree[node];  // AP hangs below this sub-graph
+      if (parent[node] == sgi) {
+        far = subtree[node];  // AP hangs below this sub-graph
       } else {
-        APGRE_ASSERT(dp.parent[sgi] == node);
-        far = dp.component_total[sgi] - dp.subtree[sgi];
+        APGRE_ASSERT(parent[sgi] == node);
+        far = subtree[root_of[sgi]] - subtree[sgi];
       }
       APGRE_ASSERT(far >= 1);  // the AP itself is on the far side
       sg.alpha[local] = far - 1;

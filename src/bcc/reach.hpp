@@ -11,7 +11,7 @@
 //     as the paper describes. Works for directed and undirected graphs;
 //     parallelised across sub-graphs.
 //   * kTreeDp: for undirected graphs alpha == beta and both equal a
-//     subtree-size expression on the group-level block-cut tree, computable
+//     subtree-size expression on the block-cut tree, computable
 //     in O(|V|+|E|) total. Used as the default undirected fast path and
 //     compared against kBfs by the ablation bench and the test suite.
 #pragma once

@@ -17,7 +17,7 @@ namespace apgre {
 namespace {
 
 MetamorphicResult not_applied(const std::string& rule, const std::string& why) {
-  MetamorphicResult result{rule};
+  MetamorphicResult result{.rule = rule, .detail = {}};
   result.applied = false;
   result.detail = why;
   return result;
@@ -76,7 +76,7 @@ MetamorphicResult check_dynamic_pendant_attach(const CsrGraph& g,
 
   engine.attach_pendant(host);
 
-  MetamorphicResult result{"dynamic_pendant"};
+  MetamorphicResult result{.rule = "dynamic_pendant", .detail = {}};
   fold(result, "closed form", predicted, engine.scores(), rel, abs);
   fold(result, "static oracle", brandes_bc(engine.graph()), engine.scores(),
        rel, abs);
@@ -124,7 +124,7 @@ MetamorphicResult check_dynamic_bridge_delete(const CsrGraph& g,
 
   apply_edit(engine, a, b, /*insert=*/false);
 
-  MetamorphicResult result{"dynamic_bridge_delete"};
+  MetamorphicResult result{.rule = "dynamic_bridge_delete", .detail = {}};
   fold(result, "closed form", predicted, engine.scores(), rel, abs);
   fold(result, "static oracle", brandes_bc(engine.graph()), engine.scores(),
        rel, abs);
@@ -167,7 +167,7 @@ MetamorphicResult check_dynamic_chord_roundtrip(const CsrGraph& g,
   IncrementalBc engine(g, opts);
   const std::vector<double> before = engine.scores();
 
-  MetamorphicResult result{"dynamic_chord_roundtrip"};
+  MetamorphicResult result{.rule = "dynamic_chord_roundtrip", .detail = {}};
   if (!apply_edit(engine, u, v, /*insert=*/true)) {
     fail(result, "chord insert did not classify kLocalInsert");
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "bcc/articulation.hpp"
@@ -270,6 +271,25 @@ std::vector<std::string> check_decomposition_invariants(
   if (removed_total != dec.num_pendants_removed) {
     violation(violations, "per-sub-graph removed pendants ", removed_total,
               " != decomposition counter ", dec.num_pendants_removed);
+  }
+
+  // --- 5. One sub-graph per block ---------------------------------------
+  const BiconnectedComponents bcc = biconnected_components(g);
+  if (dec.num_blocks != bcc.num_components ||
+      dec.subgraphs.size() != bcc.num_components) {
+    violation(violations, "decomposition has ", dec.subgraphs.size(),
+              " sub-graphs and counts ", dec.num_blocks, " blocks, graph has ",
+              bcc.num_components, " blocks");
+  }
+  std::set<std::vector<Vertex>> unmatched(bcc.component_vertices.begin(),
+                                          bcc.component_vertices.end());
+  for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
+    std::vector<Vertex> members = dec.subgraphs[sgi].to_global;
+    std::sort(members.begin(), members.end());
+    if (unmatched.erase(members) == 0) {
+      violation(violations, "sub-graph ", sgi,
+                " vertex set is not a block, or repeats another sub-graph's");
+    }
   }
 
   return violations;

@@ -33,7 +33,10 @@ namespace apgre {
 ///     `max_reach_checks` boundary APs (alpha == beta on undirected inputs),
 ///  4. roots/removed partition each sub-graph with gamma accounting:
 ///     Sum gamma == #removed per sub-graph, the global pendant counter adds
-///     up, and every removed vertex passes the pendant degree census.
+///     up, and every removed vertex passes the pendant degree census,
+///  5. one sub-graph per biconnected block: as many sub-graphs as blocks,
+///     the num_blocks counter matches, and each sub-graph's vertex set is
+///     a distinct block's.
 std::vector<std::string> check_decomposition_invariants(
     const CsrGraph& g, const Decomposition& dec,
     std::size_t max_reach_checks = static_cast<std::size_t>(-1));

@@ -30,7 +30,7 @@ MetamorphicResult verdict(const std::string& rule,
                           const std::vector<double>& predicted,
                           const std::vector<double>& actual, double rel,
                           double abs) {
-  MetamorphicResult result{rule};
+  MetamorphicResult result{.rule = rule, .detail = {}};
   const ScoreComparison cmp = compare_scores(predicted, actual, rel, abs);
   result.ok = cmp.ok;
   if (!cmp.ok) {
@@ -45,7 +45,7 @@ MetamorphicResult verdict(const std::string& rule,
 }
 
 MetamorphicResult not_applied(const std::string& rule, const std::string& why) {
-  MetamorphicResult result{rule};
+  MetamorphicResult result{.rule = rule, .detail = {}};
   result.applied = false;
   result.detail = why;
   return result;

@@ -55,10 +55,6 @@ TEST(ApgreBc, TrivialGraphs) {
 TEST(ApgreBc, PaperFigure3ExactScores) {
   const CsrGraph g = paper_figure3();
   testing::expect_scores_near(naive_bc(g), apgre_scores(g));
-  // Decomposition-sensitive: also check with the three blocks kept apart.
-  ApgreOptions opts;
-  opts.partition.merge_threshold = 3;
-  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
 }
 
 TEST(ApgreBc, DisconnectedComponents) {
@@ -80,9 +76,7 @@ TEST(ApgreBc, PendantOnBoundaryArticulationPoint) {
   // two triangles joined at an AP that also hosts a pendant.
   const CsrGraph g = CsrGraph::undirected_from_edges(
       8, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}, {2, 7}});
-  ApgreOptions opts;
-  opts.partition.merge_threshold = 2;  // keep the triangles in separate sub-graphs
-  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g));
 }
 
 TEST(ApgreBc, DirectedPendantsIntoArticulationPoint) {
@@ -91,9 +85,7 @@ TEST(ApgreBc, DirectedPendantsIntoArticulationPoint) {
                  {2, 3}, {3, 2}, {3, 4}, {4, 3}, {4, 2}, {2, 4},  // block
                  {4, 5}, {5, 4}, {5, 6}, {6, 5}, {6, 4}, {4, 6}};
   const CsrGraph g = CsrGraph::from_edges(7, edges, true);
-  ApgreOptions opts;
-  opts.partition.merge_threshold = 2;
-  testing::expect_scores_near(naive_bc(g), apgre_scores(g, opts));
+  testing::expect_scores_near(naive_bc(g), apgre_scores(g));
 }
 
 TEST(ApgreBc, SubgraphKernelMatchesWholeGraphOnBiconnected) {
@@ -141,10 +133,33 @@ TEST(ApgreBc, CostShareSplitsASmallDominantBlock) {
 
     Solver tracked(g);
     tracked.enable_contribution_tracking();
-    const BcResult t = tracked.solve({.scheduler = workers(threads)});
+    const BcResult t =
+        tracked.solve({.apgre = {}, .scheduler = workers(threads)});
     ASSERT_TRUE(t.status.ok());
     EXPECT_GT(t.apgre_stats.num_batch_tasks, 0u);
     testing::expect_scores_near(expected, t.scores);
+  }
+}
+
+// A chain of 2,000 triangles, each sharing one vertex with the next: 2,000
+// blocks in the 2-core, each its own sub-graph, packed into shared tasks.
+TEST(ApgreBc, TriangleChainMatchesBrandes) {
+  const Vertex triangles = 2000;
+  EdgeList edges;
+  for (Vertex t = 0; t < triangles; ++t) {
+    const Vertex a = 2 * t;
+    edges.insert(edges.end(), {{a, a + 1}, {a + 1, a + 2}, {a, a + 2}});
+  }
+  const CsrGraph g = CsrGraph::undirected_from_edges(2 * triangles + 1, edges);
+  const std::vector<double> expected = brandes_bc(g);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const BcResult r = solve(g, {}, workers(threads));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.apgre_stats.num_subgraphs, triangles);
+    EXPECT_EQ(r.apgre_stats.peeled_vertices, 0u);
+    EXPECT_LT(r.apgre_stats.sched_tasks, triangles);
+    testing::expect_scores_near(expected, r.scores);
   }
 }
 
@@ -227,26 +242,46 @@ TEST(ApgreKernel, GridWithDiagonalsMatchesNaive) {
   }
 }
 
-// Directed blocks with back arcs (0 -> 4, 5 -> 4, 3 -> 2): arcs into an
-// earlier level or within one are never successors. Boundary AP 4 is
-// unreachable from roots 2 and 3 of its second block, so its Phase-0 seed
-// survives their sweeps; root 4 comes next and, hosting the pendants 6 and
-// 7, reads D(4) into its derived pendant term, so a seed the scratch failed
-// to clear would show in bc[4].
+// A directed block with back arcs (3 -> 1 and 1 -> 3 join one level to
+// itself from roots 1 and 3): arcs into an earlier level or within one are
+// never successors. Boundary AP 2 of block {1, 2, 3} is unreachable from
+// roots 1 and 3, so its Phase-0 seed at local id 1 survives the block's
+// last sweep. The block and the triangle {4, 5, 6} are cheap next to the
+// clique, so they share one task and one scratch, the triangle second: a
+// seed the scratch failed to clear would be read as the seed of vertex 5,
+// local id 1 there, which root 4 reaches.
 TEST(ApgreKernel, DirectedBackArcsAndUnreachableApMatchNaive) {
-  const EdgeList edges{{4, 5}, {5, 0}, {0, 4}, {5, 4},  // block {0, 4, 5}
-                       {4, 2}, {4, 3}, {2, 3}, {3, 2},  // block {2, 3, 4}
-                       {6, 4}, {7, 4}};                 // pendants on AP 4
-  const CsrGraph g = CsrGraph::from_edges(8, edges, true);
-  ApgreOptions opts;
-  opts.partition.merge_threshold = 2;  // keep the two blocks apart
+  EdgeList edges{{2, 1}, {2, 3}, {1, 3}, {3, 1},            // block {1, 2, 3}
+                 {4, 5}, {5, 4}, {5, 6}, {6, 5}, {4, 6}, {6, 4}};  // {4, 5, 6}
+  const std::vector<Vertex> clique{0, 2, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+  for (Vertex u : clique) {
+    for (Vertex v : clique) {
+      if (u != v) edges.push_back({u, v});
+    }
+  }
+  const CsrGraph g = CsrGraph::from_edges(16, edges, true);
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);
-    const BcResult r = solve(g, opts, workers(threads));
+    const BcResult r = solve(g, {}, workers(threads));
     ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.apgre_stats.num_subgraphs, 2u);
+    EXPECT_EQ(r.apgre_stats.num_subgraphs, 3u);
     testing::expect_scores_near(naive_bc(g), r.scores);
   }
+
+  const Decomposition dec = decompose(g);
+  const auto index_of = [&dec](const std::vector<Vertex>& block) {
+    for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
+      if (dec.subgraphs[i].to_global == block) return i;
+    }
+    return dec.subgraphs.size();
+  };
+  const std::size_t pair[] = {index_of({1, 2, 3}), index_of({4, 5, 6})};
+  ASSERT_LT(pair[0], dec.subgraphs.size());
+  ASSERT_LT(pair[1], dec.subgraphs.size());
+  WorkStealingScheduler one(workers(1));
+  const auto after = apgre_subgraph_scores(dec, pair, one);
+  const auto alone = apgre_subgraph_scores(dec, std::span(pair + 1, 1), one);
+  EXPECT_EQ(after[1], alone[0]);
 }
 
 // The peel hangs trees off the core; their anchors carry pendant_weight,
@@ -271,15 +306,17 @@ TEST(ApgreKernel, PeeledAnchorsWithPendantWeightMatchNaive) {
 
 // ---- Property sweeps ------------------------------------------------------
 
+/// (seed, salt, total_redundancy): each seed and salt draw their own
+/// corpus.
 class ApgreSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, Vertex, bool>> {};
 
 TEST_P(ApgreSweep, MatchesBrandesOnRandomGraphs) {
-  const auto [seed, threshold, total_redundancy] = GetParam();
+  const auto [seed, salt, total_redundancy] = GetParam();
   ApgreOptions opts;
-  opts.partition.merge_threshold = threshold;
   opts.partition.total_redundancy = total_redundancy;
-  for (const auto& gc : testing::graph_family(seed, /*tiny=*/true)) {
+  for (const auto& gc :
+       testing::graph_family(seed * 1000 + salt, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
     expect_apgre_matches_brandes(gc.graph, opts);
   }

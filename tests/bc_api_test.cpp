@@ -80,7 +80,6 @@ TEST(BcApi, SamplingPassesParametersThrough) {
 TEST(BcApi, ApgreOptionsPassedThrough) {
   const CsrGraph g = attach_pendants(barbell(6, 2), 8, 1);
   BcOptions opts;
-  opts.apgre.partition.merge_threshold = 2;
   opts.apgre.partition.total_redundancy = false;
   const BcResult r = betweenness(g, opts);
   testing::expect_scores_near(brandes_bc(g), r.scores);

@@ -2,6 +2,7 @@
 
 #include "bc/brandes.hpp"
 #include "bc/naive.hpp"
+#include "bc/parallel_preds.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 
@@ -87,10 +88,17 @@ TEST(BrandesBc, FromSourcesSubsetAndWeight) {
   }
 }
 
+/// The paper's `preds-serial` baseline, Brandes with predecessor lists
+/// run serially: the `preds` kernel on a one-worker scheduler.
+std::vector<double> preds_serial_bc(const CsrGraph& g) {
+  WorkStealingScheduler serial(SchedulerOptions{.threads = 1});
+  return parallel_preds_bc(g, serial);
+}
+
 TEST(PredsSerialBc, MatchesSuccessorVariant) {
   for (const CsrGraph& g :
        {path(7), star(9), cycle(9), barbell(5, 2), paper_figure3()}) {
-    testing::expect_scores_near(brandes_bc(g), brandes_preds_serial_bc(g));
+    testing::expect_scores_near(brandes_bc(g), preds_serial_bc(g));
   }
 }
 
@@ -106,8 +114,7 @@ TEST_P(BrandesSweep, MatchesNaiveOracle) {
 TEST_P(BrandesSweep, PredsSerialMatchesOracle) {
   for (const auto& gc : testing::graph_family(GetParam(), /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
-    testing::expect_scores_near(naive_bc(gc.graph),
-                                brandes_preds_serial_bc(gc.graph));
+    testing::expect_scores_near(naive_bc(gc.graph), preds_serial_bc(gc.graph));
   }
 }
 

@@ -46,18 +46,11 @@ UpdateLocality apply_one(IncrementalBc& engine, Vertex u, Vertex v,
                    : UpdateLocality::kLocalDelete;
 }
 
-/// One sub-graph per block, so "localized" demonstrably means one block.
-BcOptions per_block_options() {
-  BcOptions opts;
-  opts.apgre.partition.merge_threshold = 2;
-  return opts;
-}
-
 // The acceptance criterion: an intra-block biconnectivity-preserving
 // delete completes without incrementing bcc.decompositions, and the
 // incremental scores still match a fresh static solve.
 TEST(IncrementalBc, LocalDeleteAvoidsRedecomposition) {
-  IncrementalBc engine(k5_plus_triangle(), per_block_options());
+  IncrementalBc engine(k5_plus_triangle());
   const std::uint64_t after_init = decompositions();
 
   // K5 minus {1,2} is still one biconnected component.
@@ -77,7 +70,7 @@ TEST(IncrementalBc, LocalDeleteAvoidsRedecomposition) {
 }
 
 TEST(IncrementalBc, StructuralUpdatesFallBackToFullSolve) {
-  IncrementalBc engine(k5_plus_triangle(), per_block_options());
+  IncrementalBc engine(k5_plus_triangle());
   const std::uint64_t after_init = decompositions();
 
   // Deleting a triangle edge dissolves the {0,5,6} block into bridges.
@@ -94,7 +87,7 @@ TEST(IncrementalBc, StructuralUpdatesFallBackToFullSolve) {
 }
 
 TEST(IncrementalBc, PendantAttachDetachUsesClosedFormOnly) {
-  IncrementalBc engine(k5_plus_triangle(), per_block_options());
+  IncrementalBc engine(k5_plus_triangle());
   const std::uint64_t after_init = decompositions();
 
   const Vertex pendant = engine.attach_pendant(3);
@@ -141,7 +134,7 @@ TEST(IncrementalBc, DirectedUpdatesAreConservativelyStructural) {
 }
 
 TEST(IncrementalBc, IllegalUpdatesThrowBeforeAnyStateChange) {
-  IncrementalBc engine(k5_plus_triangle(), per_block_options());
+  IncrementalBc engine(k5_plus_triangle());
   const std::vector<double> before = engine.scores();
   const CsrGraph graph_before = engine.graph();
 

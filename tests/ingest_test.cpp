@@ -63,13 +63,6 @@ CsrGraph two_k6() {
   return CsrGraph::undirected_from_edges(11, std::move(edges));
 }
 
-/// One sub-graph per block, so blocks_resolved counts blocks 1:1.
-BcOptions per_block_options() {
-  BcOptions opts;
-  opts.apgre.partition.merge_threshold = 2;
-  return opts;
-}
-
 EdgeOp op(Vertex u, Vertex v, bool insert, std::uint64_t t = 0) {
   EdgeOp e;
   e.u = u;
@@ -219,7 +212,7 @@ TEST(ClassifyBatch, SameBatchRepairIsMorePreciseThanPerEdge) {
 // The acceptance criterion: an all-local batch of k edges inside one block
 // triggers exactly ONE block re-solve and ZERO re-decompositions.
 TEST(ApplyBatch, OneBlockBatchResolvesOnce) {
-  IncrementalBc engine(two_k6(), per_block_options());
+  IncrementalBc engine(two_k6());
   const std::uint64_t base = decompositions();
 
   UpdateRequest batch;
@@ -249,7 +242,7 @@ TEST(ApplyBatch, OneBlockBatchResolvesOnce) {
 }
 
 TEST(ApplyBatch, MultiBlockBatchResolvesEachBlockOnce) {
-  IncrementalBc engine(two_k6(), per_block_options());
+  IncrementalBc engine(two_k6());
   const std::uint64_t base = decompositions();
   UpdateRequest batch;
   batch.ops = {op(0, 1, false, 0), op(6, 7, false, 1)};
@@ -261,7 +254,7 @@ TEST(ApplyBatch, MultiBlockBatchResolvesEachBlockOnce) {
 }
 
 TEST(ApplyBatch, StructuralBatchRedecomposesOnce) {
-  IncrementalBc engine(two_k6(), per_block_options());
+  IncrementalBc engine(two_k6());
   const std::uint64_t base = decompositions();
   // The cross-block insert downgrades the whole batch; the local chord
   // deletes ride along in the single re-decomposition.
@@ -277,7 +270,7 @@ TEST(ApplyBatch, StructuralBatchRedecomposesOnce) {
 }
 
 TEST(ApplyBatch, NetNoOpBatchLeavesEverythingUntouched) {
-  IncrementalBc engine(two_k6(), per_block_options());
+  IncrementalBc engine(two_k6());
   const std::vector<double> before = engine.scores();
   const std::uint64_t base = decompositions();
   UpdateRequest batch;
@@ -293,7 +286,7 @@ TEST(ApplyBatch, NetNoOpBatchLeavesEverythingUntouched) {
 }
 
 TEST(ApplyBatch, SameBatchRepairAppliesExactly) {
-  IncrementalBc engine(cycle(4), per_block_options());
+  IncrementalBc engine(cycle(4));
   const std::uint64_t base = decompositions();
   UpdateRequest batch;
   batch.ops = {op(0, 1, false, 0), op(0, 2, true, 1), op(1, 3, true, 2)};
@@ -305,7 +298,7 @@ TEST(ApplyBatch, SameBatchRepairAppliesExactly) {
 }
 
 TEST(ApplyBatch, RejectedBatchChangesNoState) {
-  IncrementalBc engine(two_k6(), per_block_options());
+  IncrementalBc engine(two_k6());
   const std::vector<double> before = engine.scores();
   UpdateRequest batch;
   batch.ops = {op(0, 1, false, 0), op(0, 2, true, 1)};  // 0-2 already present
@@ -395,14 +388,13 @@ ServiceOptions unit_options() {
 /// three must match each other and a fresh static Brandes solve.
 void random_batch_trajectory(std::uint64_t seed) {
   const CsrGraph start = caveman(3, 5, seed);
-  IncrementalBc batched(start, per_block_options());
-  IncrementalBc per_edge(start, per_block_options());
+  IncrementalBc batched(start);
+  IncrementalBc per_edge(start);
   Service service(unit_options());
   ASSERT_TRUE(service.register_graph("g", start).ok());
-  // A warm APGRE session with the engines' grouping, so local batches patch
-  // its contribution store in place rather than re-solving cold.
+  // A warm APGRE session, so local batches patch its contribution store in
+  // place rather than re-solving cold.
   Request solve = solve_request("g");
-  solve.options = per_block_options();
   ASSERT_TRUE(service.handle(solve).status.ok());
 
   std::set<std::pair<Vertex, Vertex>> edges;
@@ -492,7 +484,7 @@ TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
   }
   ASSERT_EQ(pools.size(), kCliques) << "every clique yields a full pool";
 
-  IncrementalBc engine(start, per_block_options());
+  IncrementalBc engine(start);
   const std::uint64_t base = decompositions();
   for (int b = 0; b < kBatches; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));

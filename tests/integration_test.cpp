@@ -86,7 +86,9 @@ TEST(Integration, RankingAgreesAcrossAlgorithms) {
     return std::distance(scores.begin(),
                          std::max_element(scores.begin(), scores.end()));
   };
-  const auto expected = top_vertex(betweenness(g, {Algorithm::kBrandesSerial}).scores);
+  const BcOptions serial{
+      .algorithm = Algorithm::kBrandesSerial, .apgre = {}, .scheduler = {}};
+  const auto expected = top_vertex(betweenness(g, serial).scores);
   for (Algorithm a : {Algorithm::kApgre, Algorithm::kHybrid, Algorithm::kCoarse}) {
     BcOptions opts;
     opts.algorithm = a;

@@ -50,6 +50,7 @@ void check_invariants(const CsrGraph& g, const PartitionOptions& opts) {
       EXPECT_EQ(boundary_membership[v], membership[v]) << "vertex " << v;
     }
   }
+  EXPECT_EQ(dec.subgraphs.size(), dec.num_blocks);  // one per block
 
   // 3. Roots + removed = all sub-graph vertices; gamma sums to removed.
   for (const Subgraph& sg : dec.subgraphs) {
@@ -58,7 +59,9 @@ void check_invariants(const CsrGraph& g, const PartitionOptions& opts) {
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       gamma_sum += sg.gamma[local];
       removed_count += sg.removed[local];
-      if (sg.removed[local]) EXPECT_EQ(sg.gamma[local], 0u);
+      if (sg.removed[local]) {
+        EXPECT_EQ(sg.gamma[local], 0u);
+      }
     }
     EXPECT_EQ(gamma_sum, removed_count);
     EXPECT_EQ(sg.roots.size() + removed_count, sg.num_vertices());
@@ -110,56 +113,65 @@ TEST(Partition, CycleIsSingleSubgraph) {
   EXPECT_EQ(dec.subgraphs[0].roots.size(), 10u);
 }
 
-TEST(Partition, StarMergesIntoOneSubgraph) {
-  // Every block is a single edge attached to the top block -> all merged.
+TEST(Partition, StarSplitsIntoOneSubgraphPerLeaf) {
+  // Every edge of a star is a block of its own: 19 two-vertex sub-graphs,
+  // each with the centre as boundary AP and sole root.
   const Decomposition dec = decompose(star(20));
-  ASSERT_EQ(dec.subgraphs.size(), 1u);
-  const Subgraph& sg = dec.subgraphs[0];
-  EXPECT_TRUE(sg.boundary_aps.empty());
-  // All 19 leaves are pendants; only the centre remains a root.
+  ASSERT_EQ(dec.subgraphs.size(), 19u);
+  EXPECT_EQ(dec.num_blocks, 19u);
   EXPECT_EQ(dec.num_pendants_removed, 19u);
-  EXPECT_EQ(sg.roots.size(), 1u);
-  EXPECT_EQ(sg.gamma[sg.roots[0]], 19u);
+  for (const Subgraph& sg : dec.subgraphs) {
+    ASSERT_EQ(sg.num_vertices(), 2u);
+    ASSERT_EQ(sg.roots.size(), 1u);
+    EXPECT_EQ(sg.to_global[sg.roots[0]], 0u);
+    EXPECT_EQ(sg.gamma[sg.roots[0]], 1u);
+    EXPECT_EQ(sg.boundary_aps, std::vector<Vertex>{sg.roots[0]});
+  }
 }
 
-TEST(Partition, BarbellSplitsAtThreshold) {
-  // Large cliques stay separate when the threshold is small.
-  PartitionOptions opts;
-  opts.merge_threshold = 3;
-  const Decomposition dec = decompose(barbell(8, 0), opts);
-  EXPECT_GE(dec.subgraphs.size(), 2u);
+TEST(Partition, BarbellSplitsAtItsArticulationPoints) {
+  // Two K8s joined by one bridge: three blocks, two APs.
+  const Decomposition dec = decompose(barbell(8, 0));
+  EXPECT_EQ(dec.subgraphs.size(), 3u);
   EXPECT_EQ(dec.num_articulation_points, 2u);
 }
 
-TEST(Partition, LargeThresholdMergesChainsButNotTopChildren) {
-  // Paper Algorithm 1: below-threshold groups merge into their parent, but
-  // a group hanging directly off the top block only merges when its size
-  // is <= 2. barbell(8, 4) therefore collapses to exactly two sub-graphs:
-  // the top clique, and the bridge chain + far clique merged together.
-  PartitionOptions opts;
-  opts.merge_threshold = 1000;
-  const Decomposition dec = decompose(barbell(8, 4), opts);
-  ASSERT_EQ(dec.subgraphs.size(), 2u);
-  std::vector<Vertex> sizes{dec.subgraphs[0].num_vertices(),
-                            dec.subgraphs[1].num_vertices()};
-  std::sort(sizes.begin(), sizes.end());
-  EXPECT_EQ(sizes, (std::vector<Vertex>{8, 13}));  // share one AP
+TEST(Partition, BarbellBridgeChainIsOneSubgraphPerEdge) {
+  // barbell(8, 4): the two cliques and the five bridges of the chain
+  // between them are seven blocks, and each is its own sub-graph, however
+  // small; every bridge's two ends are boundary APs.
+  const Decomposition dec = decompose(barbell(8, 4));
+  ASSERT_EQ(dec.subgraphs.size(), 7u);
+  std::multiset<Vertex> sizes;
+  for (const Subgraph& sg : dec.subgraphs) {
+    sizes.insert(sg.num_vertices());
+    if (sg.num_vertices() == 2) {
+      EXPECT_EQ(sg.boundary_aps.size(), 2u);
+    }
+  }
+  EXPECT_EQ(sizes, (std::multiset<Vertex>{2, 2, 2, 2, 2, 8, 8}));
 }
 
 TEST(Partition, PaperFigure3Decomposition) {
-  PartitionOptions opts;
-  opts.merge_threshold = 3;  // keep the three blocks apart (paper Fig. 3e)
-  const Decomposition dec = decompose(paper_figure3(), opts);
-  // Blocks {2..6}, {6,7,8,9}, {3,10,12}; pendant bridges {0,2}, {1,2} merge
-  // into the top block. Pendants 0 and 1 are removed with gamma(2) = 2.
+  const Decomposition dec = decompose(paper_figure3());
+  // Blocks {2..6}, {6,7,8,9}, {3,10,11,12} and the pendant bridges {0,2},
+  // {1,2}. Pendants 0 and 1 are removed, each with gamma(2) = 1 in its own
+  // bridge sub-graph; the top block derives none.
+  EXPECT_EQ(dec.subgraphs.size(), 5u);
   EXPECT_EQ(dec.num_pendants_removed, 2u);
-  bool found_gamma2 = false;
+  int bridges_with_gamma1 = 0;
   for (const Subgraph& sg : dec.subgraphs) {
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      if (sg.to_global[local] == 2 && sg.gamma[local] == 2) found_gamma2 = true;
+      if (sg.to_global[local] != 2) continue;
+      if (sg.num_vertices() == 2) {
+        EXPECT_EQ(sg.gamma[local], 1u);
+        ++bridges_with_gamma1;
+      } else {
+        EXPECT_EQ(sg.gamma[local], 0u);
+      }
     }
   }
-  EXPECT_TRUE(found_gamma2);
+  EXPECT_EQ(bridges_with_gamma1, 2);
 }
 
 TEST(Partition, TopSubgraphIsLargest) {
@@ -181,16 +193,26 @@ TEST(Partition, WorkModelBoundsAreSane) {
   EXPECT_GE(model.partial_redundancy, 0.0);
   EXPECT_GE(model.total_redundancy, 0.0);
   EXPECT_LE(model.partial_redundancy + model.total_redundancy, 1.0);
-  // Heavy pendant decoration must show substantial total redundancy.
-  EXPECT_GT(model.total_redundancy, 0.05);
+  // Each pendant is a two-arc bridge sub-graph whose host derives it, so
+  // total redundancy is positive but small; cutting the pendants off the
+  // rest of the graph shows as partial redundancy.
+  EXPECT_GT(model.total_redundancy, 0.0);
+  EXPECT_GT(model.partial_redundancy, 0.05);
+
+  // A k-leaf star: k bridge sub-graphs of 2 arcs, each with one root out
+  // of two sources, against Brandes' (k + 1) * 2k. Total redundancy is
+  // 2k / (2k(k + 1)) = 1 / (k + 1).
+  const CsrGraph s = star(17);
+  const auto star_model = decompose(s).work_model(s.num_arcs());
+  EXPECT_DOUBLE_EQ(star_model.total_redundancy, 1.0 / 17.0);
 }
 
 TEST(Partition, GammaDisabledKeepsAllRoots) {
   PartitionOptions opts;
   opts.total_redundancy = false;
   const Decomposition dec = decompose(star(10), opts);
-  ASSERT_EQ(dec.subgraphs.size(), 1u);
-  EXPECT_EQ(dec.subgraphs[0].roots.size(), 10u);
+  ASSERT_EQ(dec.subgraphs.size(), 9u);
+  for (const Subgraph& sg : dec.subgraphs) EXPECT_EQ(sg.roots.size(), 2u);
 }
 
 TEST(Partition, K2KeepsLowerIdAsRoot) {
@@ -202,15 +224,17 @@ TEST(Partition, K2KeepsLowerIdAsRoot) {
   EXPECT_EQ(sg.to_global[sg.roots[0]], 0u);
 }
 
+/// (seed, salt, total_redundancy): each seed and salt draw their own
+/// corpus.
 class PartitionSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, Vertex, bool>> {};
 
 TEST_P(PartitionSweep, InvariantsHoldOnRandomGraphs) {
-  const auto [seed, threshold, total_redundancy] = GetParam();
+  const auto [seed, salt, total_redundancy] = GetParam();
   PartitionOptions opts;
-  opts.merge_threshold = threshold;
   opts.total_redundancy = total_redundancy;
-  for (const auto& gc : testing::graph_family(seed, /*tiny=*/true)) {
+  for (const auto& gc :
+       testing::graph_family(seed * 1000 + salt, /*tiny=*/true)) {
     SCOPED_TRACE(gc.name);
     check_invariants(gc.graph, opts);
   }

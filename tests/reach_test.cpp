@@ -49,9 +49,7 @@ void check_against_oracle(const CsrGraph& g, ReachMethod method) {
 }
 
 TEST(Reach, BarbellAlphaCountsFarSide) {
-  PartitionOptions opts;
-  opts.merge_threshold = 3;
-  const Decomposition dec = decompose(barbell(5, 0), opts);
+  const Decomposition dec = decompose(barbell(5, 0));
   // Cliques {0..4} and {5..9}; APs 4 and 5. For the clique sub-graph
   // containing {0..4}, alpha(4) = 5 (the other clique's vertices).
   bool checked = false;
@@ -71,9 +69,7 @@ TEST(Reach, DirectedAlphaBetaDiffer) {
   // Build: block {1,2,3} as triangle (symmetric), pendant-ish arcs 1->0, 3->4.
   EdgeList edges{{1, 2}, {2, 1}, {2, 3}, {3, 2}, {1, 3}, {3, 1}, {1, 0}, {3, 4}};
   const CsrGraph g = CsrGraph::from_edges(5, edges, true);
-  PartitionOptions opts;
-  opts.merge_threshold = 2;
-  const Decomposition dec = decompose(g, opts);
+  const Decomposition dec = decompose(g);
   for (const Subgraph& sg : dec.subgraphs) {
     for (Vertex a : sg.boundary_aps) {
       const Vertex global = sg.to_global[a];

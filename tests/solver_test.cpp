@@ -445,13 +445,6 @@ CsrGraph k5_with_triangles() {
            {7, 8}, {8, 1}, {2, 9}, {9, 10}, {10, 2}});
 }
 
-/// One sub-graph per block.
-BcOptions per_block_options() {
-  BcOptions opts = pinned_options();
-  opts.apgre.partition.merge_threshold = 2;
-  return opts;
-}
-
 /// Index of the first sub-graph holding global vertex u — or, given v, of
 /// the one storing the arc u -> v; subgraphs.size() when there is none.
 std::size_t subgraph_of(const Decomposition& dec, Vertex u,
@@ -477,7 +470,7 @@ TEST(Solver, LocalBatchRoutesApChordToItsStoringSubgraph) {
   const CsrGraph g = k5_with_triangles();
   Solver solver(g);
   solver.enable_contribution_tracking();
-  ASSERT_TRUE(solver.solve(per_block_options()).status.ok());
+  ASSERT_TRUE(solver.solve(pinned_options()).status.ok());
   const Decomposition& dec = *solver.decomposition();
   // Each endpoint also sits in a triangle's sub-graph, numbered before the
   // K5's: routing must skip both to reach the one storing the arc.
@@ -517,7 +510,7 @@ TEST(Solver, LocalBatchAfterRedecompositionRoutesThroughAFreshIndex) {
   const CsrGraph g = k5_with_triangles();
   Solver solver(g);
   solver.enable_contribution_tracking();
-  const BcOptions opts = per_block_options();
+  const BcOptions opts = pinned_options();
   ASSERT_TRUE(solver.solve(opts).status.ok());
   const std::size_t stored_before = subgraph_of(*solver.decomposition(), 1, 2);
 
@@ -574,7 +567,7 @@ TEST(Solver, LocalBatchesKeepTheTopSubgraphAndReportWhatTheyRescored) {
   CsrGraph g = CsrGraph::undirected_from_edges(9, std::move(edges));
   Solver solver(g);
   solver.enable_contribution_tracking();
-  ASSERT_TRUE(solver.solve(per_block_options()).status.ok());
+  ASSERT_TRUE(solver.solve(pinned_options()).status.ok());
   const Decomposition& dec = *solver.decomposition();
   ASSERT_EQ(dec.top_subgraph, first_maximum(dec));
   // The blocks tie, so the top is the one with the lower index: `first`.
@@ -639,8 +632,10 @@ TEST(Registry, CapabilityFlagsMatchTheFamily) {
   // The paper's Tables 2/3 compare exactly seven algorithms.
   int comparison = 0;
   for (const AlgorithmInfo& info : algorithm_registry()) {
-    if (info.comparison) ++comparison;
-    if (info.comparison) EXPECT_TRUE(info.exact) << info.name;
+    if (info.comparison) {
+      ++comparison;
+      EXPECT_TRUE(info.exact) << info.name;
+    }
   }
   EXPECT_EQ(comparison, 7);
 }

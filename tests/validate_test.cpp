@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bcc/validate.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
@@ -19,9 +21,7 @@ TEST(ValidateDecomposition, AcceptsFreshDecompositions) {
 
 TEST(ValidateDecomposition, DetectsCorruptedAlpha) {
   const CsrGraph g = barbell(5, 2);
-  PartitionOptions opts;
-  opts.merge_threshold = 3;
-  Decomposition dec = decompose(g, opts);
+  Decomposition dec = decompose(g);
   ASSERT_FALSE(dec.subgraphs.empty());
   bool corrupted = false;
   for (Subgraph& sg : dec.subgraphs) {
@@ -52,20 +52,31 @@ TEST(ValidateDecomposition, DetectsDroppedArc) {
 }
 
 TEST(ValidateDecomposition, DetectsBrokenGammaAccounting) {
+  // Seven bridge sub-graphs, each deriving one leaf from the centre.
   const CsrGraph g = star(8);
   Decomposition dec = decompose(g);
-  ASSERT_EQ(dec.subgraphs.size(), 1u);
-  dec.subgraphs[0].gamma[dec.subgraphs[0].roots[0]] += 1;
+  ASSERT_EQ(dec.subgraphs.size(), 7u);
+  Subgraph& sg = dec.subgraphs[0];
+  ASSERT_EQ(sg.roots.size(), 1u);
+  sg.gamma[sg.roots[0]] += 1;
   const auto violations = validate_decomposition(g, dec);
   EXPECT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("gamma"), std::string::npos);
 }
 
 TEST(ValidateDecomposition, DetectsForeignArc) {
-  const CsrGraph g = CsrGraph::undirected_from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  // A 4-cycle {0, 1, 2, 3} and a path 4-5-6: the cycle's sub-graph lacks
+  // the chord 0-2.
+  const CsrGraph g = CsrGraph::undirected_from_edges(
+      7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}});
   Decomposition dec = decompose(g);
-  // Splice an arc that does not exist in g into the first sub-graph.
-  Subgraph& sg = dec.subgraphs[0];
+  const auto cycle_sg =
+      std::find_if(dec.subgraphs.begin(), dec.subgraphs.end(),
+                   [](const Subgraph& sg) { return sg.num_vertices() == 4; });
+  ASSERT_NE(cycle_sg, dec.subgraphs.end());
+  // Splice the chord, absent from g, into the cycle's sub-graph (local ids
+  // follow global order there).
+  Subgraph& sg = *cycle_sg;
   EdgeList arcs = sg.graph.arcs();
   arcs.push_back(Edge{0, 2});
   arcs.push_back(Edge{2, 0});
