@@ -15,61 +15,20 @@ namespace apgre {
 
 namespace {
 
-using detail::kUnvisited;
-
 // --------------------------------------------------------------------------
 // Serial per-sub-graph kernel (paper Algorithm 2). The paper's four
 // dependency types sum to (1 + gamma(s) + beta(s)) * D(v), where D is one
 // Brandes recursion seeded with alpha at the boundary APs and with the
-// phantom-pendant weight (DESIGN.md §2), so one backward sweep carries one
-// accumulator. beta(s) counts only when the source is a boundary AP.
+// phantom-pendant weight (DESIGN.md §2), so the shared backward sweep
+// (bc/brandes_kernel.hpp) carries one accumulator. beta(s) counts only
+// when the source is a boundary AP.
 // --------------------------------------------------------------------------
 
-// Cache-line aligned: slots sit side by side in one array, and the tallies
-// below change per source.
-struct alignas(64) SubgraphScratch {
-  std::vector<std::int32_t> dist;
-  std::vector<double> sigma;
-  /// Seeds, then (1 + D[v]) / sigma[v] once v is swept (see the kernel).
-  std::vector<double> delta;
-  detail::SuccessorDag dag;
-
-  // Observability tallies; the owner flushes them into the metrics registry
-  // when the scratch retires (once per thread, so tallying is contention-free).
-  std::uint64_t sources = 0;
-  std::uint64_t traversed_arcs = 0;
-
-  void ensure(const Subgraph& sg) {
-    const Vertex n = sg.num_vertices();
-    if (dist.size() < n) {
-      dist.assign(n, kUnvisited);
-      sigma.assign(n, 0.0);
-      delta.assign(n, 0.0);
-    }
-    dag.ensure(n, sg.num_arcs());
-  }
-
-  void reset_touched(const Subgraph& sg) {
-    ++sources;
-    for (std::size_t i = 0; i < dag.reached; ++i) {
-      const Vertex v = dag.queue[i];
-      traversed_arcs += sg.graph.out_degree(v);
-      dist[v] = kUnvisited;
-      sigma[v] = 0.0;
-      delta[v] = 0.0;
-    }
-    dag.reached = 0;
-    // Unreachable boundary APs keep their Phase-0 seeds; clear them too.
-    for (Vertex a : sg.boundary_aps) delta[a] = 0.0;
-  }
-};
-
-void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scratch,
+void subgraph_source_serial(const Subgraph& sg, Vertex s,
+                            detail::BrandesScratch& scratch,
                             std::vector<double>& bc) {
   const CsrGraph& g = sg.graph;
-  const double* sigma = scratch.sigma.data();
   double* delta = scratch.delta.data();
-  const detail::SuccessorDag& dag = scratch.dag;
 
   const bool s_is_ap = sg.is_boundary_ap[s] != 0;
   const double gamma_s = static_cast<double>(sg.gamma[s]);
@@ -94,36 +53,30 @@ void subgraph_source_serial(const Subgraph& sg, Vertex s, SubgraphScratch& scrat
   detail::forward_sweep(g, s, scratch.dist.data(), scratch.sigma.data(),
                         scratch.dag);
 
-  // Phase 2: backward sweep in reverse discovery order, D(v) = seed(v) +
-  // pw[v] + sigma[v] * sum over successors w of (1 + D(w)) / sigma[w]. The
-  // successors were recorded in the forward sweep, so no arc is re-tested.
-  // A swept vertex leaves that ratio in delta[w], so the sweep divides once
-  // per vertex, not once per arc. The source itself is processed too,
-  // because the pendant-derived contribution needs D(s) (Theorem 3).
-  const Vertex* succ = dag.succ.data();
-  for (std::size_t i = dag.reached; i-- > 0;) {
-    const Vertex v = dag.queue[i];
-    double ratios = 0.0;
-    for (EdgeId j = dag.succ_begin(i); j < dag.succ_end[i]; ++j) {
-      ratios += delta[succ[j]];
-    }
-    const double d =
-        delta[v] + (pw != nullptr ? pw[v] : 0.0) + sigma[v] * ratios;
-    delta[v] = (1.0 + d) / sigma[v];
-    if (v != s) {
-      bc[v] += weight * d;
-    } else if (gamma_s > 0.0) {
-      // Derived pendant DAGs: dependency of each pendant on its host.
-      // Undirected pendants are reachable from the host, so the pair
-      // (pendant, pendant) must be excluded (-1); a boundary-AP host
-      // additionally separates the pendant from alpha(s) outside targets.
-      double self = d;
-      if (!g.directed()) self -= 1.0;
-      if (s_is_ap) self += static_cast<double>(sg.alpha[s]);
-      bc[s] += gamma_s * self;
-    }
-  }
-  scratch.reset_touched(sg);
+  // Phase 2: the shared backward sweep, D(v) = seed(v) + pw[v] + sigma[v] *
+  // sum over successors w of (1 + D(w)) / sigma[w]. The source itself is
+  // swept too, because the pendant-derived contribution needs D(s)
+  // (Theorem 3).
+  detail::backward_sweep(
+      scratch.dag, scratch.sigma.data(), delta, pw,
+      [&](std::size_t, Vertex v, double d) {
+        if (v != s) {
+          bc[v] += weight * d;
+        } else if (gamma_s > 0.0) {
+          // Derived pendant DAGs: dependency of each pendant on its host.
+          // Undirected pendants are reachable from the host, so the pair
+          // (pendant, pendant) must be excluded (-1); a boundary-AP host
+          // additionally separates the pendant from alpha(s) outside
+          // targets.
+          double self = d;
+          if (!g.directed()) self -= 1.0;
+          if (s_is_ap) self += static_cast<double>(sg.alpha[s]);
+          bc[s] += gamma_s * self;
+        }
+      });
+  scratch.reset_touched(g);
+  // Unreachable boundary APs keep their Phase-0 seeds; clear them too.
+  for (Vertex a : sg.boundary_aps) delta[a] = 0.0;
 }
 
 void flush_kernel_tallies(std::uint64_t sources, std::uint64_t traversed_arcs) {
@@ -207,15 +160,15 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
   // Per-slot kernel scratch. A scheduler run needs num_slots() of them:
   // external participant threads get slots beyond the pool workers.
   const bool inline_run = tasks.size() <= 1;
-  std::vector<SubgraphScratch> scratch(
+  std::vector<detail::BrandesScratch> scratch(
       inline_run ? 1 : static_cast<std::size_t>(scheduler.num_slots()));
   // Each piece scores into its own buffer, whichever task carries it.
   const auto score_task = [&](const Task& t, int slot) {
-    SubgraphScratch& sc = scratch[static_cast<std::size_t>(slot)];
+    detail::BrandesScratch& sc = scratch[static_cast<std::size_t>(slot)];
     for (std::size_t i = t.begin; i < t.end; ++i) {
       const Piece& p = pieces[i];
       const Subgraph& sg = dec.subgraphs[subgraphs[p.k]];
-      sc.ensure(sg);
+      sc.ensure(sg.num_vertices(), sg.num_arcs());
       piece_bc[i].assign(sg.num_vertices(), 0.0);
       for (std::size_t r = p.root_begin; r < p.root_end; ++r) {
         subgraph_source_serial(sg, sg.roots[r], sc, piece_bc[i]);
@@ -244,7 +197,7 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
     run_stats = scheduler.run(std::move(runs));
   }
   const double run_seconds = run_timer.seconds();
-  for (const SubgraphScratch& sc : scratch) {
+  for (const detail::BrandesScratch& sc : scratch) {
     if (sc.sources != 0) flush_kernel_tallies(sc.sources, sc.traversed_arcs);
   }
 
@@ -404,12 +357,6 @@ std::vector<double> apgre_bc_with_decomposition(
   m.gauge("apgre.total_seconds").set(local.total_seconds);
   m.gauge("apgre.partial_redundancy").set(local.partial_redundancy);
   m.gauge("apgre.total_redundancy").set(local.total_redundancy);
-  Histogram& hv = m.histogram("apgre.subgraph_vertices");
-  Histogram& ha = m.histogram("apgre.subgraph_arcs");
-  for (const Subgraph& sg : dec.subgraphs) {
-    hv.observe(sg.num_vertices());
-    ha.observe(sg.num_arcs());
-  }
   return bc;
 }
 

@@ -18,7 +18,8 @@ std::vector<double> brandes_bc_from_sources(const CsrGraph& g,
                                             const std::vector<Vertex>& sources,
                                             double source_weight) {
   std::vector<double> bc(g.num_vertices(), 0.0);
-  detail::BrandesScratch scratch(g);
+  detail::BrandesScratch scratch;
+  scratch.ensure(g.num_vertices(), g.num_arcs());
   for (Vertex s : sources) {
     APGRE_ASSERT(s < g.num_vertices());
     detail::brandes_iteration(g, s, source_weight, scratch, bc);

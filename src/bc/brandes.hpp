@@ -1,7 +1,8 @@
 // Brandes' sequential algorithm (Brandes 2001), the paper's `serial`
 // baseline: one BFS per source recording each vertex's shortest-path DAG
-// successors, then a backward sweep accumulating dependencies over those
-// lists (bc/brandes_kernel.hpp). O(|V||E|) time, O(|V|+|E|) space.
+// successors, then the backward sweep every serial kernel shares,
+// accumulating dependencies over those lists with one divide per vertex
+// (bc/brandes_kernel.hpp). O(|V||E|) time, O(|V|+|E|) space.
 #pragma once
 
 #include <vector>

@@ -1,8 +1,11 @@
-// Internal: the per-source Brandes kernel pieces. `forward_sweep` is the
-// one forward sweep, shared by the serial baseline and the coarse
-// source-parallel algorithm (both through `brandes_iteration`), edge
-// betweenness, the incremental checker and APGRE's per-sub-graph kernel
-// (bc/apgre.cpp). Each caller owns its scratch (and, when parallel, a
+// Internal: the per-source Brandes kernel every serial BC kernel shares.
+// `forward_sweep` records one source's shortest-path DAG, `backward_sweep`
+// runs the dependency recursion over it with optional seeds and pendant
+// weights, and `BrandesScratch` is their working set. Serial Brandes, the
+// coarse source-parallel algorithm and the dynamic checker (all through
+// `brandes_iteration`), edge betweenness (bc/edge_bc.cpp) and APGRE's
+// per-sub-graph kernel (bc/apgre.cpp) differ only in what they do with
+// each vertex's D(v). Each caller owns its scratch (and, when parallel, a
 // private bc buffer).
 #pragma once
 
@@ -27,22 +30,14 @@ struct SuccessorDag {
   std::vector<Vertex> succ;
   std::size_t reached = 0;  ///< queue entries filled by the last sweep
 
-  /// Grow to a graph of `n` vertices and `arcs` arcs; never shrinks.
-  void ensure(Vertex n, EdgeId arcs) {
-    if (queue.size() < n) {
-      queue.resize(n);
-      succ_end.resize(n);
-    }
-    if (succ.size() < arcs) succ.resize(arcs);
-  }
-
   EdgeId succ_begin(std::size_t i) const { return i == 0 ? 0 : succ_end[i - 1]; }
 };
 
 /// Forward sweep from `s`: BFS distances and shortest-path counts into
 /// `dist` / `sigma` (all kUnvisited / 0 on entry), recording the DAG into
-/// `dag`, which must be sized for `g` (SuccessorDag::ensure). Queue order is level order, so walking the queue backwards visits
-/// every successor before its predecessors.
+/// `dag`, which must be sized for `g` (BrandesScratch::ensure). Queue order
+/// is level order, so walking the queue backwards visits every successor
+/// before its predecessors.
 inline void forward_sweep(const CsrGraph& g, Vertex s, std::int32_t* dist,
                           double* sigma, SuccessorDag& dag) {
   Vertex* queue = dag.queue.data();
@@ -75,32 +70,72 @@ inline void forward_sweep(const CsrGraph& g, Vertex s, std::int32_t* dist,
   dag.reached = tail;
 }
 
-/// Per-source working set, reset in O(touched) between sources.
-struct BrandesScratch {
+/// Backward sweep over the DAG the last `forward_sweep` recorded, in reverse
+/// queue order, so every successor is final before its predecessors:
+///
+///   D(v) = delta[v] + pw[v] + sigma[v] * sum over w in succ(v) of delta[w]
+///
+/// On entry `delta[v]` holds v's dependency seed (0 when unseeded); `pw` is
+/// null or a per-vertex pendant weight. The sweep leaves the ratio
+/// (1 + D(v)) / sigma[v] in `delta[v]`, so it divides once per vertex, not
+/// once per arc, and calls `visit(i, v, D(v))` for the vertex at queue
+/// position i, after every successor's ratio is in `delta`.
+template <typename Visit>
+inline void backward_sweep(const SuccessorDag& dag, const double* sigma,
+                           double* delta, const double* pw, Visit&& visit) {
+  const Vertex* succ = dag.succ.data();
+  for (std::size_t i = dag.reached; i-- > 0;) {
+    const Vertex v = dag.queue[i];
+    double ratios = 0.0;
+    for (EdgeId j = dag.succ_begin(i); j < dag.succ_end[i]; ++j) {
+      ratios += delta[succ[j]];
+    }
+    const double d =
+        delta[v] + (pw != nullptr ? pw[v] : 0.0) + sigma[v] * ratios;
+    delta[v] = (1.0 + d) / sigma[v];
+    visit(i, v, d);
+  }
+}
+
+/// Per-source working set of every serial kernel, reset in O(touched)
+/// between sources and grown, never shrunk, by `ensure`. Cache-line
+/// aligned: per-slot scratches sit side by side in one array, and the
+/// tallies below change per source.
+struct alignas(64) BrandesScratch {
   std::vector<std::int32_t> dist;
   std::vector<double> sigma;
+  /// Seeds, then (1 + D[v]) / sigma[v] once v is swept (`backward_sweep`).
   std::vector<double> delta;
   SuccessorDag dag;
 
   // Observability tallies accumulated across sources; the driving algorithm
   // flushes them into the metrics registry once per run (the scratch is
-  // per-thread, so tallying here stays contention-free).
+  // per-thread, so tallying here stays contention-free). Only
+  // `brandes_iteration` times its two phases.
   std::uint64_t sources = 0;
   std::uint64_t traversed_arcs = 0;
   double forward_seconds = 0.0;
   double backward_seconds = 0.0;
 
-  explicit BrandesScratch(const CsrGraph& g)
-      : dist(g.num_vertices(), kUnvisited),
-        sigma(g.num_vertices(), 0.0),
-        delta(g.num_vertices(), 0.0),
-        dag{.queue = std::vector<Vertex>(g.num_vertices()),
-            .succ_end = std::vector<EdgeId>(g.num_vertices()),
-            .succ = std::vector<Vertex>(g.num_arcs())} {}
+  /// Grow to a graph of `n` vertices and `arcs` arcs; every slot stays
+  /// clean.
+  void ensure(Vertex n, EdgeId arcs) {
+    if (dist.size() < n) {
+      dist.assign(n, kUnvisited);
+      sigma.assign(n, 0.0);
+      delta.assign(n, 0.0);
+      dag.queue.assign(n, 0);
+      dag.succ_end.assign(n, 0);
+    }
+    if (dag.succ.size() < arcs) dag.succ.assign(arcs, 0);
+  }
 
-  void reset_touched() {
+  /// Clear what the last source touched in `g` and tally it.
+  void reset_touched(const CsrGraph& g) {
+    ++sources;
     for (std::size_t i = 0; i < dag.reached; ++i) {
       const Vertex v = dag.queue[i];
+      traversed_arcs += g.out_degree(v);
       dist[v] = kUnvisited;
       sigma[v] = 0.0;
       delta[v] = 0.0;
@@ -109,38 +144,22 @@ struct BrandesScratch {
   }
 };
 
-/// One complete Brandes iteration from `s`: the forward sweep, then a
-/// backward sweep over the recorded successors adding
-/// `weight * delta_s(v)` into `bc`.
+/// One complete Brandes iteration from `s` (`scratch` sized for `g`): the
+/// forward sweep, then the backward sweep adding `weight * D(v)` into `bc`
+/// for every v != s.
 inline void brandes_iteration(const CsrGraph& g, Vertex s, double weight,
                               BrandesScratch& scratch, std::vector<double>& bc) {
-  double* sigma = scratch.sigma.data();
-  double* delta = scratch.delta.data();
-  const SuccessorDag& dag = scratch.dag;
-
   Timer phase_timer;
-  forward_sweep(g, s, scratch.dist.data(), sigma, scratch.dag);
+  forward_sweep(g, s, scratch.dist.data(), scratch.sigma.data(), scratch.dag);
   scratch.forward_seconds += phase_timer.seconds();
 
   phase_timer.reset();
-  const Vertex* succ = dag.succ.data();
-  for (std::size_t i = dag.reached; i-- > 0;) {
-    const Vertex v = dag.queue[i];
-    double acc = 0.0;
-    for (EdgeId j = dag.succ_begin(i); j < dag.succ_end[i]; ++j) {
-      const Vertex w = succ[j];
-      acc += sigma[v] / sigma[w] * (1.0 + delta[w]);
-    }
-    delta[v] = acc;
-    if (v != s) bc[v] += weight * acc;
-  }
+  backward_sweep(scratch.dag, scratch.sigma.data(), scratch.delta.data(),
+                 nullptr, [&](std::size_t, Vertex v, double d) {
+                   if (v != s) bc[v] += weight * d;
+                 });
   scratch.backward_seconds += phase_timer.seconds();
-
-  ++scratch.sources;
-  for (std::size_t i = 0; i < dag.reached; ++i) {
-    scratch.traversed_arcs += g.out_degree(dag.queue[i]);
-  }
-  scratch.reset_touched();
+  scratch.reset_touched(g);
 }
 
 }  // namespace apgre::detail

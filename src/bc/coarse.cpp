@@ -1,7 +1,5 @@
 #include "bc/coarse.hpp"
 
-#include <memory>
-
 #include "bc/brandes_kernel.hpp"
 #include "support/metrics.hpp"
 
@@ -9,9 +7,9 @@ namespace apgre {
 
 namespace {
 
-/// One slot's private state, allocated on the slot's first chunk.
+/// One slot's private state, sized on the slot's first chunk.
 struct SlotState {
-  std::unique_ptr<detail::BrandesScratch> scratch;
+  detail::BrandesScratch scratch;
   std::vector<double> bc;
 };
 
@@ -23,13 +21,13 @@ std::vector<double> coarse_bc(const CsrGraph& g, WorkStealingScheduler& sched) {
   sched.parallel_for(0, static_cast<std::int64_t>(n), 16,
                      [&](std::int64_t lo, std::int64_t hi, int slot) {
                        SlotState& st = slots[static_cast<std::size_t>(slot)];
-                       if (st.scratch == nullptr) {
-                         st.scratch = std::make_unique<detail::BrandesScratch>(g);
+                       if (st.bc.empty()) {
+                         st.scratch.ensure(n, g.num_arcs());
                          st.bc.assign(n, 0.0);
                        }
                        for (std::int64_t s = lo; s < hi; ++s) {
                          detail::brandes_iteration(g, static_cast<Vertex>(s), 1.0,
-                                                   *st.scratch, st.bc);
+                                                   st.scratch, st.bc);
                        }
                      });
 
@@ -40,11 +38,11 @@ std::vector<double> coarse_bc(const CsrGraph& g, WorkStealingScheduler& sched) {
   double forward_cpu_seconds = 0.0;
   double backward_cpu_seconds = 0.0;
   for (const SlotState& st : slots) {
-    if (st.scratch == nullptr) continue;
+    if (st.bc.empty()) continue;
     for (Vertex v = 0; v < n; ++v) bc[v] += st.bc[v];
-    traversed_arcs += st.scratch->traversed_arcs;
-    forward_cpu_seconds += st.scratch->forward_seconds;
-    backward_cpu_seconds += st.scratch->backward_seconds;
+    traversed_arcs += st.scratch.traversed_arcs;
+    forward_cpu_seconds += st.scratch.forward_seconds;
+    backward_cpu_seconds += st.scratch.backward_seconds;
   }
 
   MetricsRegistry& m = metrics();

@@ -10,32 +10,32 @@ namespace apgre {
 std::vector<double> edge_betweenness_bc(const CsrGraph& g) {
   const Vertex n = g.num_vertices();
   std::vector<double> scores(g.num_arcs(), 0.0);
-  detail::BrandesScratch scratch(g);
-  double* sigma = scratch.sigma.data();
-  double* delta = scratch.delta.data();
+  detail::BrandesScratch scratch;
+  scratch.ensure(n, g.num_arcs());
+  const double* sigma = scratch.sigma.data();
+  const double* delta = scratch.delta.data();
   const detail::SuccessorDag& dag = scratch.dag;
 
   for (Vertex s = 0; s < n; ++s) {
-    detail::forward_sweep(g, s, scratch.dist.data(), sigma, scratch.dag);
-    // Backward: the per-arc contribution is exactly the summand of the
-    // vertex dependency recursion. Successors are a CSR-order subsequence
-    // of v's out-neighbours, so one merge walk finds each one's arc slot.
-    for (std::size_t i = dag.reached; i-- > 0;) {
-      const Vertex v = dag.queue[i];
-      const auto neighbors = g.out_neighbors(v);
-      const EdgeId base = g.out_offset(v);
-      double acc = 0.0;
-      std::size_t j = 0;
-      for (EdgeId k = dag.succ_begin(i); k < dag.succ_end[i]; ++k, ++j) {
-        const Vertex w = dag.succ[k];
-        while (neighbors[j] != w) ++j;
-        const double contribution = sigma[v] / sigma[w] * (1.0 + delta[w]);
-        scores[base + j] += contribution;
-        acc += contribution;
-      }
-      delta[v] = acc;
-    }
-    scratch.reset_touched();
+    detail::forward_sweep(g, s, scratch.dist.data(), scratch.sigma.data(),
+                          scratch.dag);
+    // Arc (v, w) carries sigma[v] * (1 + D(w)) / sigma[w], the summand of
+    // the vertex recursion; every successor w is swept before v, so its
+    // ratio is in delta[w]. Successors are a CSR-order subsequence of v's
+    // out-neighbours, so one merge walk finds each one's arc slot.
+    detail::backward_sweep(
+        dag, sigma, scratch.delta.data(), nullptr,
+        [&](std::size_t i, Vertex v, double) {
+          const auto neighbors = g.out_neighbors(v);
+          const EdgeId base = g.out_offset(v);
+          std::size_t j = 0;
+          for (EdgeId k = dag.succ_begin(i); k < dag.succ_end[i]; ++k, ++j) {
+            const Vertex w = dag.succ[k];
+            while (neighbors[j] != w) ++j;
+            scores[base + j] += sigma[v] * delta[w];
+          }
+        });
+    scratch.reset_touched(g);
   }
   return scores;
 }

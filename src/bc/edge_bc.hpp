@@ -4,8 +4,9 @@
 //
 //   EBC(e) = sum over ordered pairs (s, t) of sigma_st(e) / sigma_st
 //
-// computed with the Brandes backward sweep: every shortest-path DAG arc
-// (v, w) carries sigma_sv / sigma_sw * (1 + delta_s(w)) per source s.
+// computed with the shared Brandes backward sweep (bc/brandes_kernel.hpp):
+// every shortest-path DAG arc (v, w) carries
+// sigma_sv * (1 + delta_s(w)) / sigma_sw per source s.
 #pragma once
 
 #include <vector>

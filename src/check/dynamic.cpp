@@ -81,13 +81,14 @@ Vertex DynamicBc::apply_update(Vertex u, Vertex v, bool inserting) {
   // directions of the update because the conditions are mirrored.
   const auto affected = affected_sources(graph_, u, v, inserting);
 
-  detail::BrandesScratch scratch(graph_);
+  detail::BrandesScratch scratch;
+  scratch.ensure(graph_.num_vertices(), graph_.num_arcs());
   for (Vertex s : affected) {
     detail::brandes_iteration(graph_, s, -1.0, scratch, bc_);
   }
 
   graph_ = std::move(next);
-  scratch.dag.ensure(graph_.num_vertices(), graph_.num_arcs());
+  scratch.ensure(graph_.num_vertices(), graph_.num_arcs());
 
   for (Vertex s : affected) {
     detail::brandes_iteration(graph_, s, 1.0, scratch, bc_);

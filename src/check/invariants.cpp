@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "bcc/articulation.hpp"
@@ -289,6 +290,60 @@ std::vector<std::string> check_decomposition_invariants(
     if (unmatched.erase(members) == 0) {
       violation(violations, "sub-graph ", sgi,
                 " vertex set is not a block, or repeats another sub-graph's");
+    }
+  }
+
+  // --- 6. Every arc of g in exactly one sub-graph ------------------------
+  std::vector<Vertex> arc_copies(g.num_arcs(), 0);
+  for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
+    const Subgraph& sg = dec.subgraphs[sgi];
+    if (sg.to_global.size() != sg.num_vertices()) continue;  // flagged in 1
+    for (const Edge& local : sg.graph.arcs()) {
+      const Vertex src = sg.to_global[local.src];
+      const Vertex dst = sg.to_global[local.dst];
+      const auto neighbors = src < n ? g.out_neighbors(src)
+                                     : std::span<const Vertex>();
+      const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), dst);
+      if (it == neighbors.end() || *it != dst) {
+        violation(violations, "sub-graph ", sgi, " contains arc g", src,
+                  "->g", dst, " absent from the graph");
+        continue;
+      }
+      ++arc_copies[g.out_offset(src) +
+                   static_cast<EdgeId>(it - neighbors.begin())];
+    }
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    const auto neighbors = g.out_neighbors(v);
+    for (std::size_t j = 0; j < neighbors.size(); ++j) {
+      const Vertex count = arc_copies[g.out_offset(v) + j];
+      if (count != 1) {
+        violation(violations, "arc g", v, "->g", neighbors[j], " lies in ",
+                  count, " sub-graphs (expected exactly 1)");
+      }
+    }
+  }
+
+  // --- 7. Undirected: sum(alpha) + |V_i| is the component's size --------
+  if (!g.directed()) {
+    const ComponentLabels comp = connected_components(g);
+    std::vector<std::uint64_t> comp_size(comp.num_components, 0);
+    for (Vertex v = 0; v < n; ++v) ++comp_size[comp.component[v]];
+    for (std::size_t sgi = 0; sgi < dec.subgraphs.size(); ++sgi) {
+      const Subgraph& sg = dec.subgraphs[sgi];
+      if (sg.num_vertices() == 0 || sg.alpha.size() != sg.num_vertices() ||
+          sg.to_global.empty() || sg.to_global[0] >= n) {
+        continue;  // flagged in 1 or 3
+      }
+      std::uint64_t alpha_sum = 0;
+      for (Vertex local : sg.boundary_aps) {
+        if (local < sg.num_vertices()) alpha_sum += sg.alpha[local];
+      }
+      const std::uint64_t size = comp_size[comp.component[sg.to_global[0]]];
+      if (alpha_sum + sg.num_vertices() != size) {
+        violation(violations, "sub-graph ", sgi, ": sum(alpha) ", alpha_sum,
+                  " + |V_i| ", sg.num_vertices(), " != component size ", size);
+      }
     }
   }
 

@@ -1,12 +1,13 @@
 // Internal-consistency invariants for the APGRE decomposition and the
 // ApgreStats a betweenness() run reports.
 //
-// Unlike bcc/validate.hpp (which checks a Decomposition against the paper's
-// structural properties using the library's own reach code), this layer
-// re-derives every quantity independently — naive restricted BFS for
-// alpha/beta, degree and 2-core censuses for pendants and the peeled
-// fringe, the standalone articulation finder for AP counts — so a
-// bookkeeping bug in partition.cpp or reach.cpp cannot hide behind itself.
+// The one decomposition checker: it tests a Decomposition against the
+// paper's structural properties (§3.1 properties 1-4 plus the
+// BUILDSUBGRAPH bookkeeping) and re-derives every quantity independently —
+// naive restricted BFS for alpha/beta, degree and 2-core censuses for
+// pendants and the peeled fringe, the standalone articulation finder for AP
+// counts — so a bookkeeping bug in partition.cpp or reach.cpp cannot hide
+// behind itself.
 //
 // All checkers return a human-readable list of violations; empty means
 // every invariant holds.
@@ -36,7 +37,11 @@ namespace apgre {
 ///     up, and every removed vertex passes the pendant degree census,
 ///  5. one sub-graph per biconnected block: as many sub-graphs as blocks,
 ///     the num_blocks counter matches, and each sub-graph's vertex set is
-///     a distinct block's.
+///     a distinct block's,
+///  6. every arc of `g` lies in exactly one sub-graph, and no sub-graph
+///     holds an arc `g` lacks,
+///  7. on undirected graphs, Sum alpha over a sub-graph's boundary APs plus
+///     its vertex count equals the size of its connected component.
 std::vector<std::string> check_decomposition_invariants(
     const CsrGraph& g, const Decomposition& dec,
     std::size_t max_reach_checks = static_cast<std::size_t>(-1));

@@ -1,11 +1,7 @@
-// GraphML import/export for visualisation pipelines (Gephi, Cytoscape, yEd).
-// The writer emits the graph structure plus optional per-vertex score
+// GraphML export for visualisation pipelines (Gephi, Cytoscape, yEd). The
+// writer emits the graph structure plus optional per-vertex score
 // attributes — the natural hand-off after a centrality run ("colour by
-// betweenness"). The reader accepts the structural subset the writer
-// produces (node / edge elements, edgedefault direction); per-vertex data
-// attributes are ignored on load. Malformed documents — truncated files,
-// edges referencing undeclared node ids, attribute soup — throw
-// apgre::Error, never crash (enforced by tests/io_fuzz_test.cpp).
+// betweenness").
 #pragma once
 
 #include <iosfwd>
@@ -26,13 +22,5 @@ void write_graphml(std::ostream& out, const CsrGraph& g,
                    const std::vector<VertexAttribute>& attributes = {});
 void write_graphml_file(const std::string& path, const CsrGraph& g,
                         const std::vector<VertexAttribute>& attributes = {});
-
-/// Parse the structural subset of GraphML: `<graph edgedefault="...">` with
-/// `<node id="..."/>` and `<edge source="..." target="..."/>` elements.
-/// Node ids may be arbitrary strings; vertices are numbered in declaration
-/// order. Edges referencing undeclared ids, missing required attributes,
-/// or a document truncated before `</graphml>` raise apgre::Error.
-CsrGraph read_graphml(std::istream& in, const std::string& name = "<stream>");
-CsrGraph read_graphml_file(const std::string& path);
 
 }  // namespace apgre

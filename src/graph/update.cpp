@@ -347,8 +347,8 @@ UpdateRequest read_edge_batch(std::istream& in) {
                 "unsupported edge-batch frame version");
   const std::uint64_t count = get_u64(in);
   UpdateRequest batch;
-  // Untrusted count: grow as ops actually arrive (the fuzz-hardening idiom
-  // from io_binary) instead of reserving attacker-chosen sizes.
+  // Untrusted count: reserve at most 2^20 ops and grow as ops actually
+  // arrive, instead of reserving an attacker-chosen size.
   batch.ops.reserve(std::min<std::uint64_t>(count, 1u << 20));
   for (std::uint64_t i = 0; i < count; ++i) {
     EdgeOp op;

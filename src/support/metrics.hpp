@@ -9,7 +9,7 @@
 // atomic RMW, not free.
 //
 // Naming scheme (docs/OBSERVABILITY.md): `<component>.<metric>`, e.g.
-// `bc.lockfree.traversed_arcs`, `apgre.subgraph_vertices`. Counters
+// `bc.lockfree.traversed_arcs`, `sched.task_micros`. Counters
 // accumulate across runs until reset(); gauges hold the last run's value.
 #pragma once
 

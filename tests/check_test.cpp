@@ -6,6 +6,7 @@
 // as described in docs/TESTING.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "bc/bc.hpp"
@@ -407,6 +408,89 @@ TEST(CheckInvariants, CorruptedDecompositionIsFlagged) {
   Decomposition wrong_counter = dec;
   wrong_counter.num_articulation_points += 1;
   EXPECT_FALSE(check_decomposition_invariants(g, wrong_counter).empty());
+}
+
+TEST(CheckInvariants, AcceptsFreshDecompositions) {
+  for (const auto& gc : testing::graph_family(95, /*tiny=*/true)) {
+    SCOPED_TRACE(gc.name);
+    const Decomposition dec = decompose(gc.graph);
+    for (const std::string& v : check_decomposition_invariants(gc.graph, dec)) {
+      ADD_FAILURE() << v;
+    }
+  }
+}
+
+TEST(CheckInvariants, DetectsCorruptedAlpha) {
+  const CsrGraph g = barbell(5, 2);
+  Decomposition dec = decompose(g);
+  ASSERT_TRUE(check_decomposition_invariants(g, dec).empty());
+  bool corrupted = false;
+  for (Subgraph& sg : dec.subgraphs) {
+    if (!sg.boundary_aps.empty()) {
+      sg.alpha[sg.boundary_aps[0]] += 7;
+      corrupted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  const auto violations = check_decomposition_invariants(g, dec);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations.front().find("alpha"), std::string::npos);
+  // Without the BFS re-check, the alpha-sum identity still catches it.
+  const auto unsampled =
+      check_decomposition_invariants(g, dec, /*max_reach_checks=*/0);
+  ASSERT_FALSE(unsampled.empty());
+  EXPECT_NE(unsampled.front().find("sum(alpha)"), std::string::npos);
+}
+
+TEST(CheckInvariants, DetectsDroppedArc) {
+  const CsrGraph g = cycle(8);
+  Decomposition dec = decompose(g);
+  ASSERT_EQ(dec.subgraphs.size(), 1u);
+  ASSERT_TRUE(check_decomposition_invariants(g, dec).empty());
+  // Rebuild the sub-graph with one arc missing.
+  Subgraph& sg = dec.subgraphs[0];
+  EdgeList arcs = sg.graph.arcs();
+  arcs.pop_back();
+  sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs), false);
+  EXPECT_FALSE(check_decomposition_invariants(g, dec).empty());
+}
+
+TEST(CheckInvariants, DetectsBrokenGammaAccounting) {
+  // Seven bridge sub-graphs, each deriving one leaf from the centre.
+  const CsrGraph g = star(8);
+  Decomposition dec = decompose(g);
+  ASSERT_EQ(dec.subgraphs.size(), 7u);
+  ASSERT_TRUE(check_decomposition_invariants(g, dec).empty());
+  Subgraph& sg = dec.subgraphs[0];
+  ASSERT_EQ(sg.roots.size(), 1u);
+  sg.gamma[sg.roots[0]] += 1;
+  const auto violations = check_decomposition_invariants(g, dec);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations.front().find("gamma"), std::string::npos);
+}
+
+TEST(CheckInvariants, DetectsForeignArc) {
+  // A 4-cycle {0, 1, 2, 3} and a path 4-5-6: the cycle's sub-graph lacks
+  // the chord 0-2.
+  const CsrGraph g = CsrGraph::undirected_from_edges(
+      7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}});
+  Decomposition dec = decompose(g);
+  ASSERT_TRUE(check_decomposition_invariants(g, dec).empty());
+  const auto cycle_sg =
+      std::find_if(dec.subgraphs.begin(), dec.subgraphs.end(),
+                   [](const Subgraph& sg) { return sg.num_vertices() == 4; });
+  ASSERT_NE(cycle_sg, dec.subgraphs.end());
+  // Splice the chord, absent from g, into the cycle's sub-graph (local ids
+  // follow global order there).
+  Subgraph& sg = *cycle_sg;
+  EdgeList arcs = sg.graph.arcs();
+  arcs.push_back(Edge{0, 2});
+  arcs.push_back(Edge{2, 0});
+  sg.graph = CsrGraph::from_edges(sg.num_vertices(), std::move(arcs), false);
+  const auto violations = check_decomposition_invariants(g, dec);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations.front().find("absent from the graph"), std::string::npos);
 }
 
 TEST(CheckInvariants, PendantCensusMatchesDegreeStructure) {

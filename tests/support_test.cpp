@@ -3,7 +3,6 @@
 #include <set>
 #include <thread>
 
-#include "support/bitset.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/prng.hpp"
@@ -152,34 +151,6 @@ TEST(Log2Histogram, BucketsPowersOfTwo) {
 TEST(GeometricMean, MatchesClosedForm) {
   EXPECT_NEAR(geometric_mean({1.0, 4.0}), 2.0, 1e-12);
   EXPECT_NEAR(geometric_mean({2.0, 2.0, 2.0}), 2.0, 1e-12);
-}
-
-TEST(Bitset, SetTestClear) {
-  Bitset b(130);
-  EXPECT_EQ(b.size(), 130u);
-  EXPECT_FALSE(b.test(0));
-  b.set(0);
-  b.set(64);
-  b.set(129);
-  EXPECT_TRUE(b.test(0));
-  EXPECT_TRUE(b.test(64));
-  EXPECT_TRUE(b.test(129));
-  EXPECT_EQ(b.count(), 3u);
-  b.clear(64);
-  EXPECT_FALSE(b.test(64));
-  b.reset();
-  EXPECT_EQ(b.count(), 0u);
-}
-
-TEST(AtomicBitset, SetReportsFirstClaim) {
-  AtomicBitset b(100);
-  EXPECT_TRUE(b.set(42));
-  EXPECT_FALSE(b.set(42));
-  EXPECT_TRUE(b.test(42));
-  EXPECT_FALSE(b.test(41));
-  b.reset();
-  EXPECT_FALSE(b.test(42));
-  EXPECT_TRUE(b.set(42));
 }
 
 TEST(Timer, MeasuresElapsedTime) {
