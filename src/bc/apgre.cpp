@@ -85,13 +85,11 @@ void flush_kernel_tallies(std::uint64_t sources, std::uint64_t traversed_arcs) {
   m.counter("bc.apgre.traversed_arcs").add(traversed_arcs);
 }
 
-// Scoring cost of a sub-graph: arcs traversed per root times its roots.
-double subgraph_cost(const Subgraph& sg) {
-  return static_cast<double>(std::max<EdgeId>(sg.num_arcs(), 1)) *
-         static_cast<double>(sg.roots.size());
-}
-
 }  // namespace
+
+std::uint64_t apgre_subgraph_cost(const Subgraph& sg) {
+  return std::max<EdgeId>(sg.num_arcs(), 1) * sg.roots.size();
+}
 
 // --------------------------------------------------------------------------
 // Scoring: every (sub-graph, root-batch) piece becomes a task running the
@@ -109,10 +107,16 @@ double subgraph_cost(const Subgraph& sg) {
 
 std::vector<std::vector<double>> apgre_subgraph_scores(
     const Decomposition& dec, std::span<const std::size_t> subgraphs,
-    WorkStealingScheduler& scheduler, ApgreStats* stats) {
+    WorkStealingScheduler& scheduler, ApgreStats* stats,
+    std::uint64_t total_cost) {
   const auto workers = static_cast<std::size_t>(scheduler.num_workers());
-  double total_cost = 0.0;
-  for (const Subgraph& sg : dec.subgraphs) total_cost += subgraph_cost(sg);
+  if (total_cost == 0) {
+    for (const Subgraph& sg : dec.subgraphs) {
+      total_cost += apgre_subgraph_cost(sg);
+    }
+  }
+  // Integer costs: the split is the same whichever way the total was kept.
+  const auto total = static_cast<double>(total_cost);
 
   struct Piece {
     std::size_t k;  ///< index into `subgraphs`
@@ -125,9 +129,9 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
   for (std::size_t k = 0; k < subgraphs.size(); ++k) {
     const Subgraph& sg = dec.subgraphs[subgraphs[k]];
     const std::size_t roots = sg.roots.size();
-    const double cost = subgraph_cost(sg);
+    const auto cost = static_cast<double>(apgre_subgraph_cost(sg));
     const std::size_t grain =
-        cost * 2.0 * static_cast<double>(workers) >= total_cost
+        cost * 2.0 * static_cast<double>(workers) >= total
             ? std::max<std::size_t>(1, roots / (4 * workers))
             : roots;
     for (std::size_t b = 0; b < roots; b += grain) {
@@ -145,7 +149,7 @@ std::vector<std::vector<double>> apgre_subgraph_scores(
     std::size_t end;
     double cost;
   };
-  const double pack = total_cost / (64.0 * static_cast<double>(workers));
+  const double pack = total / (64.0 * static_cast<double>(workers));
   std::vector<Task> tasks;
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     if (tasks.empty() || tasks.back().cost >= pack || pieces[i].cost >= pack) {

@@ -27,6 +27,7 @@
 //     in2in reach (the pendant is itself reachable from its host).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -137,18 +138,26 @@ std::vector<double> apgre_bc_with_decomposition(
     WorkStealingScheduler& scheduler,
     std::vector<std::vector<double>>* contributions = nullptr);
 
+/// Scoring cost of a sub-graph, the unit of apgre_subgraph_scores' task
+/// split: arcs traversed per root (at least 1) times its roots.
+std::uint64_t apgre_subgraph_cost(const Subgraph& sg);
+
 /// The one APGRE scorer (paper Algorithm 2, BCinSG, per sub-graph): the
 /// contributions of dec.subgraphs[i] for each i in `subgraphs`, in local
 /// ids and in that order, scored on `scheduler`. A sub-graph whose cost
-/// (arcs x roots) is at least 1/(2 * workers) of the whole decomposition's
-/// splits into about 4 * workers root batches; every other one is a
-/// single piece. Pieces cheaper than 1/(64 * workers) of that cost share a
-/// scheduler task, and a call with a single task runs it inline. Bitwise
-/// reproducible for a fixed worker count, whatever the steal order. When
-/// `stats` is non-null its rest_bc_seconds, task counts and sched_* fields
-/// are overwritten.
+/// (apgre_subgraph_cost) is at least 1/(2 * workers) of the whole
+/// decomposition's splits into about 4 * workers root batches; every other
+/// one is a single piece. Pieces cheaper than 1/(64 * workers) of that cost
+/// share a scheduler task, and a call with a single task runs it inline.
+/// Bitwise reproducible for a fixed worker count, whatever the steal order.
+/// `total_cost` is the whole decomposition's summed cost when the caller
+/// keeps it current (the Solver does across local batches), so a call
+/// scoring a few sub-graphs costs what they cost; 0 sums it here, one pass
+/// over every sub-graph. When `stats` is non-null its rest_bc_seconds,
+/// task counts and sched_* fields are overwritten.
 std::vector<std::vector<double>> apgre_subgraph_scores(
     const Decomposition& dec, std::span<const std::size_t> subgraphs,
-    WorkStealingScheduler& scheduler, ApgreStats* stats = nullptr);
+    WorkStealingScheduler& scheduler, ApgreStats* stats = nullptr,
+    std::uint64_t total_cost = 0);
 
 }  // namespace apgre

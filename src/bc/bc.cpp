@@ -266,6 +266,10 @@ void Solver::build_store(const std::vector<double>& scores, int workers) {
   // the per-block subtract/re-add arithmetic of apply_local_batch.
   tracked_scores_ = scores;
   store_workers_ = workers;
+  total_cost_ = 0;
+  for (const Subgraph& sg : dec.subgraphs) {
+    total_cost_ += apgre_subgraph_cost(sg);
+  }
 
   // Routing index: a counting sort of every (sub-graph, local id) pair by
   // global id, filled in sub-graph order so each vertex's run is sorted.
@@ -287,20 +291,23 @@ void Solver::build_store(const std::vector<double>& scores, int workers) {
   store_valid_ = true;
 }
 
-void Solver::refresh_top_subgraph() {
-  // Same criterion as decompose() (arcs, then vertices, first maximum);
-  // a full rescan because a deletion can demote the current top.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < dec_->subgraphs.size(); ++i) {
-    const Subgraph& sg = dec_->subgraphs[i];
-    const Subgraph& cur = dec_->subgraphs[best];
-    if (sg.num_arcs() > cur.num_arcs() ||
-        (sg.num_arcs() == cur.num_arcs() &&
-         sg.num_vertices() > cur.num_vertices())) {
-      best = i;
+void Solver::repick_top_subgraph(std::span<const std::size_t> touched,
+                                 EdgeId top_arcs_before) {
+  const std::vector<Subgraph>& subgraphs = dec_->subgraphs;
+  std::size_t& top = dec_->top_subgraph;
+  if (subgraphs[top].num_arcs() < top_arcs_before) {
+    // The top lost arcs, so an untouched sub-graph may overtake it: rescan.
+    top = 0;
+    for (std::size_t i = 1; i < subgraphs.size(); ++i) {
+      if (top_subgraph_beats(subgraphs, i, top)) top = i;
     }
+    return;
   }
-  dec_->top_subgraph = best;
+  // A local batch moves no vertex, so every untouched sub-graph still loses
+  // to a top that did not shrink: only the touched ones can overtake it.
+  for (const std::size_t sgi : touched) {
+    if (top_subgraph_beats(subgraphs, sgi, top)) top = sgi;
+  }
 }
 
 std::size_t Solver::apply_local_batch(const CsrGraph& g,
@@ -362,7 +369,9 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
 
   // One contribution subtract / merge-all / re-score / add-back cycle per
   // affected sub-graph — the per-block cost is paid once for the whole
-  // batch, not once per edge — and one scorer call for all of them.
+  // batch, not once per edge — and one scorer call for all of them. The
+  // summed cost and the top sub-graph move by the touched sub-graphs only.
+  const EdgeId top_arcs = dec_->subgraphs[dec_->top_subgraph].num_arcs();
   std::vector<std::size_t> touched;
   std::vector<EdgeOp> local_ops;
   for (std::size_t r = 0; r < routes.size();) {
@@ -375,7 +384,9 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     for (Vertex local = 0; local < sg.num_vertices(); ++local) {
       tracked_scores_[sg.to_global[local]] -= contrib_[sgi][local];
     }
+    total_cost_ -= apgre_subgraph_cost(sg);
     apply_edge_ops_in_place(sg.graph, local_ops);
+    total_cost_ += apgre_subgraph_cost(sg);
     touched.push_back(sgi);
   }
   // The worker count of the solve that built the store. The split takes
@@ -386,7 +397,8 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
   std::vector<std::vector<double>> fresh = apgre_subgraph_scores(
       *dec_, touched,
       select_scheduler(SchedulerOptions{.threads = store_workers_},
-                       private_sched));
+                       private_sched),
+      nullptr, total_cost_);
   for (std::size_t k = 0; k < touched.size(); ++k) {
     const std::size_t sgi = touched[k];
     const Subgraph& sg = dec_->subgraphs[sgi];
@@ -399,7 +411,7 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
     }
   }
   metrics().counter("bc.solver.local_recomputes").add(touched.size());
-  refresh_top_subgraph();
+  repick_top_subgraph(touched, top_arcs);
   g_ = &g;
   const std::size_t count = touched.size();
   if (rescored != nullptr) *rescored = std::move(touched);

@@ -203,9 +203,9 @@ class Solver {
   }
 
   /// Localized dynamic update (iCentral-style), the session's one update
-  /// method: `g` must equal the previous graph with every op in `ops`
-  /// applied (coalesced — at most one op per edge; a single edit is a batch
-  /// of one), and the batch must have been classified local as a whole
+  /// method: `g` must be the graph with every op in `ops` applied
+  /// (coalesced — at most one op per edge; a single edit is a batch of
+  /// one), and the batch must have been classified local as a whole
   /// (BlockCutQueries::classify_batch) against the previous graph, so the
   /// block-cut tree, the sub-graphs and every reach count survive by
   /// construction. Routes each op to the one sub-graph (block) holding
@@ -216,7 +216,14 @@ class Solver {
   /// contribution subtract / edit-all (one apply_edge_ops_in_place on the
   /// sub-graph's own CSR) / re-score / add-back cycle runs per *block*, not
   /// per edge. The re-scores are one apgre_subgraph_scores call with the
-  /// worker count of the solve that built the store.
+  /// worker count of the solve that built the store. The decomposition's
+  /// summed scoring cost and its top sub-graph are updated from the
+  /// touched sub-graphs alone (a full rescan only when the top lost arcs),
+  /// so the call costs what the touched blocks cost, not O(#sub-graphs).
+  /// The arcs of `g` may lag `ops` until its owner folds them
+  /// (MutableGraph::unfolded): this call keeps `g` as the session's graph
+  /// but reads none of its arcs. Only solve() reads them, so such an owner
+  /// folds before the next solve, after this call's zero path too.
   /// Returns the number of sub-graphs re-scored (>= 1 on the localized
   /// path, one "bc.solver.local_recomputes" tick each) and, when
   /// `rescored` is given, their indices into decomposition()->subgraphs:
@@ -234,7 +241,10 @@ class Solver {
 
  private:
   void build_store(const std::vector<double>& scores, int workers);
-  void refresh_top_subgraph();
+  /// Re-pick dec_->top_subgraph after a local batch edited `touched`,
+  /// given the top's arc count before it.
+  void repick_top_subgraph(std::span<const std::size_t> touched,
+                           EdgeId top_arcs_before);
 
   const CsrGraph* g_;
   std::unique_ptr<Decomposition> dec_;
@@ -252,6 +262,9 @@ class Solver {
   bool track_ = false;
   bool store_valid_ = false;
   int store_workers_ = 0;  ///< scheduler workers of the solve that built it
+  /// Summed apgre_subgraph_cost over dec_'s sub-graphs, kept current by
+  /// local batches; valid with the store.
+  std::uint64_t total_cost_ = 0;
   std::vector<std::vector<double>> contrib_;
   std::vector<double> tracked_scores_;
   // Routing index, built by build_store and valid with the store: global

@@ -51,9 +51,12 @@ BatchStats IncrementalBc::apply_batch(const UpdateRequest& batch) {
     // One re-decomposition for the whole batch, however many ops survived.
     resolve_full();
   } else if (ingested.applied()) {
+    // No fold: the Solver is bound to the snapshot object, which stays put
+    // (graph_ hands out no handle), and a local re-score reads only the
+    // sub-graphs' own arcs.
     std::vector<std::size_t> rescored;
-    if (solver_.apply_local_batch(graph(), ingested.survivors, &rescored) >
-        0) {
+    if (solver_.apply_local_batch(graph_.unfolded(), ingested.survivors,
+                                  &rescored) > 0) {
       // scores_ equals the store everywhere else: copy only the vertices
       // of the re-scored sub-graphs, not all |V|.
       const std::vector<double>& tracked = *solver_.tracked_scores();

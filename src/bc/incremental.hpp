@@ -4,15 +4,17 @@
 // Solver, and keeps exact BC scores current across edge batches and
 // pendant vertex attach/detach. apply_batch() is the one edge-update
 // method; a single edit is a batch of one. Each batch runs the shared
-// ingest step (coalesce, classify against the cached block-cut tree, apply,
-// patch or drop the classifier), then:
+// ingest step (coalesce, classify against the cached block-cut tree,
+// record the edits, patch the classifier or fold and drop it), then:
 //
 //   local      — the batch is provably confined to its blocks; the Solver's
 //                contribution store subtracts each affected block's old
 //                scores, re-runs Brandes inside the block only (with the
 //                cached alpha/beta peripheral weights), and adds the new
 //                scores back, once per block. No re-decomposition happens
-//                ("bcc.decompositions" does not move).
+//                ("bcc.decompositions" does not move), and the full CSR is
+//                not edited: the edits stay pending until graph() or a
+//                structural batch folds them ("graph.folds").
 //   structural — the block-cut tree may change shape (or the graph is
 //                directed, where classification is conservative); one full
 //                re-decomposition + solve for the whole batch.
@@ -68,6 +70,7 @@ class IncrementalBc {
   /// invalid options.
   explicit IncrementalBc(CsrGraph graph, BcOptions opts = {});
 
+  /// The current graph; folds the pending edits of local batches first.
   const CsrGraph& graph() const { return graph_.graph(); }
   /// Current exact scores, ordered-pair convention, length num_vertices().
   const std::vector<double>& scores() const { return scores_; }
@@ -100,10 +103,12 @@ class IncrementalBc {
 
   MutableGraph graph_;
   BcOptions opts_;
-  // Bound to graph_'s current snapshot; re-pointed (apply_local_batch or
+  // Bound to graph_'s snapshot object; re-pointed (apply_local_batch or
   // rebind) right after every snapshot change, before it is read again.
-  // graph_ hands out no snapshot handle, so its batches edit the snapshot
-  // in place and the bound address stays the same.
+  // graph_ hands out no snapshot handle, so every fold edits the snapshot
+  // in place and the bound address stays the same. Its arcs lag the
+  // pending edits of local batches, which only a solve would read: every
+  // re-solve rebinds to graph(), which folds first.
   Solver solver_;
   // Equal to the solver's tracked scores whenever its store is valid; a
   // local batch copies back only the vertices it re-scored.

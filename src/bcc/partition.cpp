@@ -30,19 +30,6 @@ bool is_removed_pendant(const CsrGraph& g, Vertex v) {
 
 Vertex pendant_host(const CsrGraph& g, Vertex v) { return g.out_neighbors(v)[0]; }
 
-/// The top sub-graph's rule: more arcs, then more vertices, then the lower
-/// index, so the winner does not depend on which slot built what.
-bool beats(const std::vector<Subgraph>& subgraphs, std::size_t i,
-           std::size_t j) {
-  const Subgraph& a = subgraphs[i];
-  const Subgraph& b = subgraphs[j];
-  if (a.num_arcs() != b.num_arcs()) return a.num_arcs() > b.num_arcs();
-  if (a.num_vertices() != b.num_vertices()) {
-    return a.num_vertices() > b.num_vertices();
-  }
-  return i < j;
-}
-
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// Per-slot state of the sub-graph build: a global -> local id map,
@@ -122,6 +109,17 @@ Vertex build_subgraph(const CsrGraph& g, BiconnectedComponents& bcc, Vertex b,
 
 }  // namespace
 
+bool top_subgraph_beats(const std::vector<Subgraph>& subgraphs, std::size_t i,
+                        std::size_t j) {
+  const Subgraph& a = subgraphs[i];
+  const Subgraph& b = subgraphs[j];
+  if (a.num_arcs() != b.num_arcs()) return a.num_arcs() > b.num_arcs();
+  if (a.num_vertices() != b.num_vertices()) {
+    return a.num_vertices() > b.num_vertices();
+  }
+  return i < j;
+}
+
 Decomposition::WorkModel Decomposition::work_model(EdgeId total_arcs) const {
   WorkModel model;
   model.brandes =
@@ -180,12 +178,12 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
       slot.pendants +=
           build_subgraph(g, bcc, static_cast<Vertex>(b), opts.total_redundancy,
                          slot.global_to_local, dec.subgraphs[b]);
-      if (slot.top == kNone || beats(dec.subgraphs, b, slot.top)) slot.top = b;
+      if (slot.top == kNone || top_subgraph_beats(dec.subgraphs, b, slot.top)) slot.top = b;
     }
   });
   for (const BuildSlot& slot : slots) {
     dec.num_pendants_removed += slot.pendants;
-    if (slot.top != kNone && beats(dec.subgraphs, slot.top, dec.top_subgraph)) {
+    if (slot.top != kNone && top_subgraph_beats(dec.subgraphs, slot.top, dec.top_subgraph)) {
       dec.top_subgraph = slot.top;
     }
   }

@@ -83,7 +83,8 @@ struct Decomposition {
   /// One sub-graph per biconnected block, in block order.
   std::vector<Subgraph> subgraphs;
   /// Index of the largest sub-graph (by arc count) — the paper's "top
-  /// sub-graph", which dominates APGRE's runtime (Fig. 8, Table 4).
+  /// sub-graph", which dominates APGRE's runtime (Fig. 8, Table 4). Ties
+  /// break as top_subgraph_beats says.
   std::size_t top_subgraph = 0;
   /// Global structure counters.
   Vertex num_articulation_points = 0;
@@ -106,6 +107,12 @@ struct Decomposition {
   };
   WorkModel work_model(EdgeId total_arcs) const;
 };
+
+/// The top sub-graph's rule: sub-graph i beats j with more arcs, then more
+/// vertices, then the lower index, so the winner does not depend on the
+/// order sub-graphs are compared in.
+bool top_subgraph_beats(const std::vector<Subgraph>& subgraphs, std::size_t i,
+                        std::size_t j);
 
 /// Decompose `g` and (unless opts.reach == kAuto semantics dictate
 /// otherwise) fill in alpha/beta. Runs per connected component of the

@@ -17,7 +17,7 @@ namespace {
 
 /// Per-edge fold state while walking the batch in timestamp order.
 struct EdgeFold {
-  bool initial = false;  ///< stored in the snapshot before the batch
+  bool initial = false;  ///< present before the batch (pending edits applied)
   bool present = false;  ///< pending state after the ops folded so far
   bool touched = false;  ///< at least one effective op seen
   EdgeOp last;           ///< the op that set the current pending state
@@ -26,8 +26,8 @@ struct EdgeFold {
 
 }  // namespace
 
-CoalesceResult coalesce_batch(const CsrGraph& g,
-                              const std::vector<EdgeOp>& ops) {
+CoalesceResult coalesce_batch(const CsrGraph& g, const std::vector<EdgeOp>& ops,
+                              const PendingEdits* pending) {
   CoalesceResult out;
   auto reject = [&out](std::string why) -> CoalesceResult& {
     out.survivors.clear();
@@ -45,6 +45,15 @@ CoalesceResult coalesce_batch(const CsrGraph& g,
                      return ops[a].timestamp < ops[b].timestamp;
                    });
 
+  // An edge's state before the batch: its pending edit, else its arc in g.
+  const auto present_before = [&g, pending](std::pair<Vertex, Vertex> key) {
+    if (pending != nullptr) {
+      if (const auto edit = pending->find(key); edit != pending->end()) {
+        return edit->second;
+      }
+    }
+    return has_arc(g, key.first, key.second);
+  };
   const Vertex n = g.num_vertices();
   std::map<std::pair<Vertex, Vertex>, EdgeFold> folds;
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
@@ -59,14 +68,11 @@ CoalesceResult coalesce_batch(const CsrGraph& g,
       // Reserved field: the scored graphs are unweighted (docs/API.md).
       return reject("non-unit edge weights are not supported");
     }
-    const auto key = g.directed()
-                         ? std::make_pair(op.u, op.v)
-                         : std::make_pair(std::min(op.u, op.v),
-                                          std::max(op.u, op.v));
+    const auto key = edge_key(g.directed(), op.u, op.v);
     auto [it, fresh] = folds.try_emplace(key);
     EdgeFold& fold = it->second;
     if (fresh) {
-      fold.initial = has_arc(g, key.first, key.second);
+      fold.initial = present_before(key);
       fold.present = fold.initial;
     }
     if (op.insert == fold.present) {

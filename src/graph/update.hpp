@@ -23,7 +23,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -77,8 +79,23 @@ struct CoalesceResult {
   Status status;
 };
 
-/// Reduce `ops` to their net effect against `g` (see file comment).
-CoalesceResult coalesce_batch(const CsrGraph& g, const std::vector<EdgeOp>& ops);
+/// Canonical key of the edge an op names: (u, v) for directed graphs,
+/// (min, max) for undirected ones, where both orientations are one edge.
+inline std::pair<Vertex, Vertex> edge_key(bool directed, Vertex u, Vertex v) {
+  return directed || u < v ? std::make_pair(u, v) : std::make_pair(v, u);
+}
+
+/// Net edits not yet applied to a graph's CSR arrays, keyed by edge_key:
+/// whether the edge is present after them. An entry exists only where that
+/// differs from the arrays (bcc/mutable_graph.hpp defers its edits so).
+using PendingEdits = std::map<std::pair<Vertex, Vertex>, bool>;
+
+/// Reduce `ops` to their net effect against `g` (see file comment). With
+/// `pending`, the ops coalesce and validate against `g` with those edits
+/// applied, without applying them: an edge's state before the batch is its
+/// pending entry when it has one, its arc in `g` otherwise.
+CoalesceResult coalesce_batch(const CsrGraph& g, const std::vector<EdgeOp>& ops,
+                              const PendingEdits* pending = nullptr);
 
 /// Apply every op to `g` in place, the one CSR edit algorithm: the ops
 /// become sorted per-arc edits (both arcs of an undirected edge; the

@@ -337,10 +337,12 @@ struct Service::Impl {
 
     std::lock_guard<std::mutex> lk(entry->mu);
     // Warm sessions are matched against the snapshot the batch applies to.
-    // Holding `prev` also keeps the ingest copy-on-write: the snapshot is
-    // shared, so the batch lands in a new one and a session pinned to
-    // `prev` (or a reader still solving on it) never sees its graph change
-    // under it, and `pin == snapshot` stays a sound freshness test.
+    // Holding `prev` also keeps the fold copy-on-write: the snapshot is
+    // shared, so the batch lands in a new one (structural batches fold in
+    // ingest, local ones in the snapshot() read below) and a session
+    // pinned to `prev` (or a reader still solving on it) never sees its
+    // graph change under it, and `pin == snapshot` stays a sound freshness
+    // test.
     const std::shared_ptr<const CsrGraph> prev = entry->graph.snapshot();
     const IngestResult ingested = entry->graph.ingest(request.update);
     response.batch = ingested.stats;

@@ -13,8 +13,9 @@
 // Every mutation is one UpdateRequest — a single `update` is a batch of
 // size 1 — and runs the per-graph MutableGraph's ingest step
 // (bcc/mutable_graph.hpp), the same one IncrementalBc runs: coalesce,
-// classify the batch against the block-cut tree as a whole, apply, patch
-// or drop the classifier. The service then either patches the warm
+// classify the batch against the block-cut tree as a whole, record the
+// edits, patch the classifier or fold and drop it (the write then reads the
+// new snapshot, which folds a local batch's edits too). The service then either patches the warm
 // session's contribution store with ONE block re-solve per affected block
 // (Solver::apply_local_batch) or — when the batch is structural — drops
 // the cached decomposition and snapshot peel ONCE for the whole batch so

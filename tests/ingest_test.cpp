@@ -6,12 +6,14 @@
 // acceptance criterion that an all-local batch of k edges in one block
 // re-solves exactly 1 block with 0 re-decompositions, the binary
 // edge-batch frame format, the snapshot ownership rule (edited in place
-// when unshared, copied when a handle is alive), and the service-level
-// batch counters. The
+// when unshared, copied when a handle is alive), the deferred edit (a
+// local batch leaves the CSR arrays as they are until a read or a
+// structural batch folds it), and the service-level batch counters. The
 // randomized trajectories drive IncrementalBc and a Service through the
 // same batches (equal counters and scores), diff against a replay of
 // one-op batches AND a fresh static Brandes solve after every batch; a
-// 64-batch all-local caveman stream must never downgrade or re-decompose;
+// 64-batch all-local caveman stream must never downgrade, re-decompose or
+// fold;
 // the concurrent test interleaves batches with solves across the worker
 // pool (run under TSan in CI).
 #include <gtest/gtest.h>
@@ -357,6 +359,123 @@ TEST(MutableGraphSnapshot, SharedSnapshotIsNeverMutated) {
   EXPECT_TRUE(has_arc(graph.graph(), 1, 0));
 }
 
+// Deferred edits: a local batch only records its survivors as pending, and
+// the CSR arrays catch up in one fold when the full graph is read or a
+// structural batch lands.
+
+std::uint64_t folds() { return metrics().counter("graph.folds").value(); }
+
+TEST(MutableGraphSnapshot, LocalBatchLeavesTheArraysUntilARead) {
+  MutableGraph graph(two_k6());
+  const Vertex* const arcs = graph.unfolded().out_neighbors(0).data();
+  const std::uint64_t base = folds();
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false), op(7, 8, false)};
+  const IngestResult r = graph.ingest(batch);
+  ASSERT_TRUE(r.ok());
+  ASSERT_FALSE(r.structural());
+  EXPECT_EQ(graph.unfolded(), two_k6());
+  EXPECT_EQ(graph.unfolded().out_neighbors(0).data(), arcs);
+  EXPECT_EQ(graph.pending().size(), 2u);
+  EXPECT_EQ(folds(), base);
+  // graph() folds, in place: no handle is alive.
+  EXPECT_EQ(graph.graph(), apply_edge_ops(two_k6(), r.survivors));
+  EXPECT_EQ(&graph.graph(), &graph.unfolded());
+  EXPECT_TRUE(graph.pending().empty());
+  EXPECT_EQ(folds(), base + 1);
+  // snapshot() folds too; a read with nothing pending does not.
+  batch.ops = {op(0, 1, true)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  EXPECT_FALSE(has_arc(graph.unfolded(), 0, 1));
+  EXPECT_TRUE(has_arc(*graph.snapshot(), 0, 1));
+  EXPECT_EQ(folds(), base + 2);
+  EXPECT_EQ(*graph.snapshot(), apply_edge_ops(two_k6(), {op(7, 8, false)}));
+  EXPECT_EQ(folds(), base + 2);
+}
+
+TEST(MutableGraphSnapshot, PendingDeleteCanBeReinsertedNotDeletedAgain) {
+  MutableGraph graph(two_k6());
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  // The arrays still hold 0-1, but the graph does not.
+  ASSERT_TRUE(has_arc(graph.unfolded(), 0, 1));
+  batch.ops = {op(1, 0, false)};
+  const IngestResult again = graph.ingest(batch);
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.status.message, "arc not present");
+  EXPECT_EQ(graph.pending().size(), 1u);
+  batch.ops = {op(1, 0, true)};
+  const IngestResult back = graph.ingest(batch);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back.applied());
+  EXPECT_FALSE(back.structural());
+  EXPECT_TRUE(graph.pending().empty());
+  EXPECT_EQ(graph.graph(), two_k6());
+}
+
+TEST(MutableGraphSnapshot, ToggleBackBatchLeavesNothingPending) {
+  MutableGraph graph(two_k6());
+  const std::uint64_t base = folds();
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false), op(2, 3, false), op(6, 7, false)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  EXPECT_EQ(graph.pending().size(), 3u);
+  for (EdgeOp& o : batch.ops) o.insert = true;
+  const IngestResult back = graph.ingest(batch);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.survivors.size(), 3u);
+  EXPECT_FALSE(back.structural());
+  EXPECT_TRUE(graph.pending().empty());
+  EXPECT_EQ(graph.graph(), two_k6());
+  EXPECT_EQ(folds(), base) << "nothing was pending to fold";
+}
+
+TEST(MutableGraphSnapshot, StructuralBatchFoldsEveryPendingEdit) {
+  MutableGraph graph(two_k6());
+  const CsrGraph* const address = &graph.unfolded();
+  const std::uint64_t base = folds();
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false), op(6, 7, false), op(2, 3, false)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  // Restores 0-1, deletes 8-9 and bridges the blocks with 0-6: structural.
+  batch.ops = {op(0, 1, true), op(8, 9, false), op(0, 6, true)};
+  const IngestResult r = graph.ingest(batch);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.structural());
+  EXPECT_TRUE(graph.pending().empty());
+  EXPECT_EQ(folds(), base + 1);
+  EXPECT_EQ(&graph.unfolded(), address);
+  const std::vector<EdgeOp> net = {op(6, 7, false), op(2, 3, false),
+                                   op(8, 9, false), op(0, 6, true)};
+  EXPECT_EQ(graph.unfolded(), apply_edge_ops(two_k6(), net));
+  EXPECT_EQ(graph.graph(), apply_edge_ops(two_k6(), net));
+  EXPECT_EQ(folds(), base + 1);
+}
+
+TEST(MutableGraphSnapshot, HandleTakenWhileEditsArePendingIsNeverMutated) {
+  MutableGraph graph(two_k6());
+  UpdateRequest batch;
+  batch.ops = {op(0, 1, false)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  const std::shared_ptr<const CsrGraph> held = graph.snapshot();
+  const CsrGraph first = apply_edge_ops(two_k6(), {op(0, 1, false)});
+  EXPECT_EQ(*held, first);
+  const Vertex* const held_arcs = held->out_neighbors(2).data();
+  // A local and then a structural batch while the handle is alive: both
+  // folds copy, and the holder keeps what it was given.
+  batch.ops = {op(2, 3, false)};
+  ASSERT_TRUE(graph.ingest(batch).ok());
+  EXPECT_EQ(graph.graph(), apply_edge_ops(first, {op(2, 3, false)}));
+  EXPECT_NE(&graph.graph(), held.get());
+  batch.ops = {op(4, 7, true)};
+  ASSERT_TRUE(graph.ingest(batch).structural());
+  EXPECT_EQ(*held, first);
+  EXPECT_EQ(held->out_neighbors(2).data(), held_arcs);
+  EXPECT_EQ(graph.graph(),
+            apply_edge_ops(first, {op(2, 3, false), op(4, 7, true)}));
+}
+
 Request batch_request(const std::string& graph, std::vector<EdgeOp> ops) {
   Request request;
   request.kind = RequestKind::kUpdateBatch;
@@ -454,8 +573,9 @@ TEST(ApplyBatch, RandomTrajectorySeed27) { random_batch_trajectory(27); }
 // articulation-point endpoint, so deleting a whole pool leaves its block
 // biconnected. The 64 batches alternate deleting one clique's pool and
 // re-inserting it, round-robin over the cliques. No batch may downgrade,
-// nothing may re-decompose, and the scores must equal a fresh Brandes
-// solve after every batch. Batch size 1 is the one-op local trajectory.
+// nothing may re-decompose or fold, and the scores must equal a fresh
+// Brandes solve after every batch. Batch size 1 is the one-op local
+// trajectory.
 
 class StreamTrajectory : public ::testing::TestWithParam<std::size_t> {};
 
@@ -484,28 +604,53 @@ TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
   }
   ASSERT_EQ(pools.size(), kCliques) << "every clique yields a full pool";
 
-  IncrementalBc engine(start);
-  const std::uint64_t base = decompositions();
-  for (int b = 0; b < kBatches; ++b) {
-    SCOPED_TRACE("batch " + std::to_string(b));
+  const auto batch_at = [&pools](int b, bool insert) {
     const std::vector<Edge>& pool = pools[static_cast<std::size_t>(b / 2) %
                                           pools.size()];
     UpdateRequest batch;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      batch.ops.push_back(op(pool[i].src, pool[i].dst, b % 2 != 0,
+      batch.ops.push_back(op(pool[i].src, pool[i].dst, insert,
                              static_cast<std::uint64_t>(b) * 100 + i));
     }
+    return batch;
+  };
+
+  IncrementalBc engine(start);
+  // The oracle scores a copy edited beside the engine: reading
+  // engine.graph() would fold the engine's pending edits.
+  CsrGraph mirror = start;
+  const std::uint64_t base = decompositions();
+  const std::uint64_t base_folds = folds();
+  for (int b = 0; b < kBatches; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const UpdateRequest batch = batch_at(b, b % 2 != 0);
     const BatchStats stats = engine.apply_batch(batch);
+    apply_edge_ops_in_place(mirror, batch.ops);
     EXPECT_EQ(stats.batch_downgrades, 0u);
     EXPECT_EQ(stats.blocks_resolved, 1u);
     EXPECT_EQ(decompositions(), base) << "a local batch must not re-decompose";
-    expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+    EXPECT_EQ(folds(), base_folds) << "a local batch must not edit the CSR";
+    expect_scores_near(brandes_bc(mirror), engine.scores());
   }
   EXPECT_EQ(engine.stats().batches, static_cast<std::uint64_t>(kBatches));
   EXPECT_EQ(engine.stats().batch_edges, kBatches * batch_size);
   EXPECT_EQ(engine.stats().batch_downgrades, 0u);
   EXPECT_EQ(engine.stats().structural_resolves, 0u);
-  EXPECT_EQ(engine.graph().num_arcs(), start.num_arcs());
+  // Every pool was re-inserted, so nothing is pending and a read folds
+  // nothing.
+  EXPECT_EQ(engine.graph(), start);
+  EXPECT_EQ(folds(), base_folds);
+  // One more delete batch stays pending until the graph is read, which
+  // folds it once.
+  engine.apply_batch(batch_at(0, /*insert=*/false));
+  apply_edge_ops_in_place(mirror, batch_at(0, false).ops);
+  EXPECT_EQ(folds(), base_folds);
+  EXPECT_EQ(engine.graph(), mirror);
+  EXPECT_EQ(folds(), base_folds + 1);
+  expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+  EXPECT_EQ(engine.graph().num_arcs(), start.num_arcs() - 2 * batch_size);
+  EXPECT_EQ(folds(), base_folds + 1);
+  EXPECT_EQ(decompositions(), base);
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, StreamTrajectory,

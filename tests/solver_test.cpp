@@ -5,16 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bc/bc.hpp"
 #include "bc/incremental.hpp"
+#include "bcc/queries.hpp"
 #include "check/corpus.hpp"
 #include "check/oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/mutate.hpp"
 #include "graph/transform.hpp"
 #include "support/metrics.hpp"
+#include "support/prng.hpp"
 #include "test_util.hpp"
 
 namespace apgre {
@@ -536,6 +539,64 @@ TEST(Solver, LocalBatchAfterRedecompositionRoutesThroughAFreshIndex) {
   EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
 }
 
+// The scorer splits a sub-graph into root batches when it carries at least
+// 1/(2 * workers) of the decomposition's summed cost. The Solver keeps
+// that sum current across local batches: after deletes shrink the big
+// block, a batch into the small one crosses the threshold and runs on the
+// pool, where it ran inline before.
+TEST(Solver, LocalBatchesSplitAgainstTheCurrentTotalCost) {
+  // K10 on 0..9 and K5 on 9..13, sharing articulation point 9.
+  EdgeList edges;
+  for (Vertex u = 0; u < 10; ++u) {
+    for (Vertex v = u + 1; v < 10; ++v) edges.push_back({u, v});
+  }
+  for (Vertex u = 9; u < 14; ++u) {
+    for (Vertex v = u + 1; v < 14; ++v) edges.push_back({u, v});
+  }
+  CsrGraph g = CsrGraph::undirected_from_edges(14, std::move(edges));
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  ASSERT_TRUE(solver.solve(four_workers()).status.ok());
+  const Decomposition& dec = *solver.decomposition();
+  const Subgraph& small = dec.subgraphs[subgraph_of(dec, 10)];
+  const auto total_cost = [&dec] {
+    std::uint64_t total = 0;
+    for (const Subgraph& sg : dec.subgraphs) total += apgre_subgraph_cost(sg);
+    return total;
+  };
+  constexpr std::uint64_t kTwiceWorkers = 8;
+  Counter& tasks = metrics().counter("sched.tasks");
+  // Applies one local batch; returns the scheduler tasks its re-score ran.
+  const auto apply = [&](const std::vector<EdgeOp>& ops) {
+    EXPECT_FALSE(BlockCutQueries(g).classify_batch(ops).structural);
+    apply_edge_ops_in_place(g, ops);
+    const std::uint64_t before = tasks.value();
+    EXPECT_EQ(solver.apply_local_batch(g, ops), 1u);
+    return tasks.value() - before;
+  };
+
+  // The small block's share is under the threshold: scored inline.
+  EXPECT_EQ(apply({EdgeOp{10, 11, /*insert=*/false}}), 0u);
+  ASSERT_LT(kTwiceWorkers * apgre_subgraph_cost(small), total_cost());
+
+  // Eleven deletes leave K10 biconnected and shrink its cost.
+  std::vector<EdgeOp> shrink;
+  for (const Edge e : {Edge{0, 1}, Edge{2, 3}, Edge{4, 5}, Edge{6, 7},
+                       Edge{0, 2}, Edge{1, 3}, Edge{4, 6}, Edge{5, 7},
+                       Edge{0, 4}, Edge{1, 5}, Edge{8, 1}}) {
+    shrink.push_back(EdgeOp{e.src, e.dst, /*insert=*/false});
+  }
+  apply(shrink);
+
+  // Re-inserting the small block's chord now crosses the threshold.
+  const std::uint64_t ran = apply({EdgeOp{10, 11, /*insert=*/true}});
+  ASSERT_GE(kTwiceWorkers * apgre_subgraph_cost(small), total_cost());
+  EXPECT_GT(ran, 1u);
+  const ScoreComparison cmp =
+      compare_scores(brandes_scores(g), *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+}
+
 /// The top sub-graph by decompose()'s criterion, by a full scan: most
 /// arcs, then most vertices, then the first index.
 std::size_t first_maximum(const Decomposition& dec) {
@@ -550,6 +611,108 @@ std::size_t first_maximum(const Decomposition& dec) {
     }
   }
   return best;
+}
+
+/// A seeded trajectory of local batches over a chain of four blocks with
+/// 6, 5, 6 and 5 vertices, each block a clique to start with, sharing
+/// articulation points 5, 9 and 14. Each batch toggles one random edge in
+/// each of two or three random blocks, drawn from the toggles that
+/// classify_batch grades local. After every batch the batch's sub-graphs
+/// must be reported re-scored, the top sub-graph must be the full scan's
+/// first maximum, and the scores exact. Returns how often a batch grew
+/// the top, shrank it, and left another sub-graph tied with it on arcs,
+/// so the caller can check that the trajectory reached those cases.
+struct TopEvents {
+  int grew = 0;
+  int shrank = 0;
+  int tied = 0;
+};
+
+TopEvents multi_block_trajectory(std::uint64_t seed) {
+  const std::vector<std::vector<Vertex>> blocks = {
+      {0, 1, 2, 3, 4, 5}, {5, 6, 7, 8, 9}, {9, 10, 11, 12, 13, 14},
+      {14, 15, 16, 17, 18}};
+  EdgeList edges;
+  for (const std::vector<Vertex>& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      for (std::size_t j = i + 1; j < block.size(); ++j) {
+        edges.push_back({block[i], block[j]});
+      }
+    }
+  }
+  CsrGraph g = CsrGraph::undirected_from_edges(19, std::move(edges));
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  EXPECT_TRUE(solver.solve(pinned_options()).status.ok());
+  const Decomposition& dec = *solver.decomposition();
+  EXPECT_EQ(dec.subgraphs.size(), blocks.size());
+
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  SplitMix64 rng(seed);
+  TopEvents events;
+  for (int b = 0; b < 60; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    // Every toggle that classifies local on its own, per block. Blocks
+    // share no edge, so toggles in distinct blocks stay local together.
+    const BlockCutQueries queries(g);
+    std::vector<std::vector<EdgeOp>> candidates(blocks.size());
+    for (std::size_t block = 0; block < blocks.size(); ++block) {
+      const std::vector<Vertex>& members = blocks[block];
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        for (std::size_t j = i + 1; j < members.size(); ++j) {
+          const EdgeOp toggle{members[i], members[j],
+                              !has_arc(g, members[i], members[j])};
+          if (!queries.classify_batch({toggle}).structural) {
+            candidates[block].push_back(toggle);
+          }
+        }
+      }
+    }
+    std::vector<EdgeOp> ops;
+    std::vector<std::size_t> picked;
+    const std::size_t want = 2 + rng.next() % 2;
+    for (int guard = 0; picked.size() < want && guard < 100; ++guard) {
+      const std::size_t block = rng.next() % blocks.size();
+      if (candidates[block].empty() ||
+          std::find(picked.begin(), picked.end(), block) != picked.end()) {
+        continue;
+      }
+      picked.push_back(block);
+      ops.push_back(candidates[block][rng.next() % candidates[block].size()]);
+    }
+    EXPECT_EQ(ops.size(), want);
+    EXPECT_FALSE(queries.classify_batch(ops).structural);
+
+    std::vector<std::size_t> expected;
+    for (const std::size_t block : picked) {
+      expected.push_back(subgraph_of(dec, blocks[block][1]));  // not an AP
+    }
+    std::sort(expected.begin(), expected.end());
+
+    const std::size_t top = dec.top_subgraph;
+    const EdgeId top_arcs = dec.subgraphs[top].num_arcs();
+    apply_edge_ops_in_place(g, ops);
+    std::vector<std::size_t> rescored;
+    EXPECT_EQ(solver.apply_local_batch(g, ops, &rescored), ops.size());
+    EXPECT_EQ(rescored, expected);
+    EXPECT_EQ(dec.top_subgraph, first_maximum(dec));
+    const ScoreComparison cmp = compare_scores(betweenness(g, serial).scores,
+                                               *solver.tracked_scores());
+    EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+
+    const EdgeId arcs_now = dec.subgraphs[top].num_arcs();
+    events.grew += arcs_now > top_arcs ? 1 : 0;
+    events.shrank += arcs_now < top_arcs ? 1 : 0;
+    const EdgeId best = dec.subgraphs[dec.top_subgraph].num_arcs();
+    for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
+      if (i != dec.top_subgraph && dec.subgraphs[i].num_arcs() == best) {
+        ++events.tied;
+        break;
+      }
+    }
+  }
+  return events;
 }
 
 TEST(Solver, LocalBatchesKeepTheTopSubgraphAndReportWhatTheyRescored) {
@@ -608,6 +771,15 @@ TEST(Solver, LocalBatchesKeepTheTopSubgraphAndReportWhatTheyRescored) {
     EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
   }
   EXPECT_EQ(dec.top_subgraph, first);
+
+  // Seeded multi-block batches, some of which touch the top.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const TopEvents events = multi_block_trajectory(seed);
+    EXPECT_GT(events.grew, 0);
+    EXPECT_GT(events.shrank, 0);
+    EXPECT_GT(events.tied, 0);
+  }
 }
 
 TEST(Registry, RoundTripsEveryAlgorithm) {
