@@ -17,18 +17,24 @@
 
 namespace apgre::detail {
 
-inline constexpr std::int32_t kUnvisited = -1;
+/// Distance of a vertex the sweep has not reached. It is larger than any
+/// level, so one signed compare tells a fresh vertex from a reached one.
+inline constexpr std::int32_t kUnvisited = INT32_MAX;
 
 /// One source's shortest-path DAG: the BFS discovery queue and, for the
 /// vertex at queue position i, its DAG successors
-/// succ[succ_begin(i) .. succ_end[i]) in CSR order. Each arc is recorded
-/// at most once per source, so `succ` sized by the arc count never
-/// overflows and the sweep needs no capacity check.
+/// succ[succ_begin(i) .. succ_end[i]) in CSR order. The sweep stores every
+/// scanned neighbour at queue[tail] and succ[num_succ] before it knows
+/// whether to keep it. The queue store can land one past the last vertex,
+/// so `queue` holds n + 1 entries; the succ store cannot, since each arc
+/// scanned before it raised num_succ at most once, so `succ` sized by the
+/// arc count suffices. Neither needs a capacity check.
 struct SuccessorDag {
   std::vector<Vertex> queue;
   std::vector<EdgeId> succ_end;
   std::vector<Vertex> succ;
   std::size_t reached = 0;  ///< queue entries filled by the last sweep
+  std::size_t scanned = 0;  ///< of those, the prefix whose arcs it scanned
 
   EdgeId succ_begin(std::size_t i) const { return i == 0 ? 0 : succ_end[i - 1]; }
 };
@@ -38,36 +44,64 @@ struct SuccessorDag {
 /// `dag`, which must be sized for `g` (BrandesScratch::ensure). Queue order
 /// is level order, so walking the queue backwards visits every successor
 /// before its predecessors.
+///
+/// The BFS is branch-free per arc: every neighbour is stored at the queue
+/// tail and in the next successor slot, and the tail and the successor
+/// count advance by the outcome of a compare. Once every vertex is queued
+/// and the head reaches the deepest level, no arc can lead to a fresh
+/// vertex or a successor, so the scan stops there. Sigma is summed after
+/// the BFS over the recorded successors, in queue order and CSR order: the
+/// same additions in the same order as summing per arc during the BFS.
 inline void forward_sweep(const CsrGraph& g, Vertex s, std::int32_t* dist,
                           double* sigma, SuccessorDag& dag) {
+  const EdgeId* offsets = g.out_offsets().data();
+  const Vertex* targets = g.out_targets().data();
   Vertex* queue = dag.queue.data();
   EdgeId* succ_end = dag.succ_end.data();
   Vertex* succ = dag.succ.data();
+  const std::size_t n = g.num_vertices();
   dist[s] = 0;
   sigma[s] = 1.0;
   queue[0] = s;
   std::size_t tail = 1;
+  std::size_t head = 0;
+  // The level being scanned ends at queue[level_end]; its successors sit
+  // at distance `next`.
+  std::size_t level_end = 1;
+  std::int32_t next = 1;
   EdgeId num_succ = 0;
-  for (std::size_t head = 0; head < tail; ++head) {
+  for (; head < tail; ++head) {
+    if (head == level_end) {
+      // queue[head .. tail) is the next level, and the deepest one once
+      // every vertex is queued.
+      if (tail == n) break;
+      level_end = tail;
+      ++next;
+    }
     const Vertex v = queue[head];
-    const std::int32_t next = dist[v] + 1;
-    const double sigma_v = sigma[v];
-    for (Vertex w : g.out_neighbors(v)) {
+    for (EdgeId k = offsets[v]; k < offsets[v + 1]; ++k) {
+      const Vertex w = targets[k];
       // Kept in a register: the queue and succ stores may alias dist.
-      std::int32_t dist_w = dist[w];
-      if (dist_w == kUnvisited) {
-        dist_w = next;
-        dist[w] = next;
-        queue[tail++] = w;
-      }
-      if (dist_w == next) {
-        sigma[w] += sigma_v;
-        succ[num_succ++] = w;
-      }
+      const std::int32_t dist_w = dist[w];
+      const bool fresh = dist_w > next;
+      queue[tail] = w;
+      tail += fresh;
+      const std::int32_t d = fresh ? next : dist_w;
+      dist[w] = d;
+      succ[num_succ] = w;
+      num_succ += d == next;
     }
     succ_end[head] = num_succ;
   }
+  dag.scanned = head;
+  for (std::size_t i = head; i < tail; ++i) succ_end[i] = num_succ;
   dag.reached = tail;
+
+  EdgeId j = 0;
+  for (std::size_t i = 0; i < head; ++i) {
+    const double sigma_v = sigma[queue[i]];
+    for (; j < succ_end[i]; ++j) sigma[succ[j]] += sigma_v;
+  }
 }
 
 /// Backward sweep over the DAG the last `forward_sweep` recorded, in reverse
@@ -124,23 +158,27 @@ struct alignas(64) BrandesScratch {
       dist.assign(n, kUnvisited);
       sigma.assign(n, 0.0);
       delta.assign(n, 0.0);
-      dag.queue.assign(n, 0);
+      dag.queue.assign(std::size_t{n} + 1, 0);
       dag.succ_end.assign(n, 0);
     }
     if (dag.succ.size() < arcs) dag.succ.assign(arcs, 0);
   }
 
-  /// Clear what the last source touched in `g` and tally it.
+  /// Clear what the last source touched in `g` and tally the arcs its
+  /// sweep scanned.
   void reset_touched(const CsrGraph& g) {
     ++sources;
+    for (std::size_t i = 0; i < dag.scanned; ++i) {
+      traversed_arcs += g.out_degree(dag.queue[i]);
+    }
     for (std::size_t i = 0; i < dag.reached; ++i) {
       const Vertex v = dag.queue[i];
-      traversed_arcs += g.out_degree(v);
       dist[v] = kUnvisited;
       sigma[v] = 0.0;
       delta[v] = 0.0;
     }
     dag.reached = 0;
+    dag.scanned = 0;
   }
 };
 

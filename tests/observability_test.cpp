@@ -12,6 +12,7 @@
 
 #include "bc/bc.hpp"
 #include "check/corpus.hpp"
+#include "graph/generators.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
@@ -239,6 +240,19 @@ TEST(MetricsTest, KernelsReportIntoTheRegistry) {
                   .value(),
               0u);
   }
+}
+
+// The tally counts the arcs the sweep scans. From any root of K_n every
+// vertex is queued once the root's n - 1 arcs are scanned, and the rest
+// sit on the deepest level, so the sweep scans nothing more.
+TEST(MetricsTest, SerialSweepTalliesOnlyTheArcsItScans) {
+  constexpr Vertex n = 24;
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  Counter& traversed = metrics().counter("bc.serial.traversed_arcs");
+  const std::uint64_t before = traversed.value();
+  ASSERT_TRUE(betweenness(complete(n), serial).status.ok());
+  EXPECT_EQ(traversed.value() - before, std::uint64_t{n} * (n - 1));
 }
 
 // ---- JSON value ----------------------------------------------------------
