@@ -8,11 +8,8 @@
 
 #include "bc/brandes.hpp"
 #include "bc/coarse.hpp"
-#include "bc/hybrid.hpp"
-#include "bc/lockfree.hpp"
+#include "bc/level_sync.hpp"
 #include "bc/naive.hpp"
-#include "bc/parallel_preds.hpp"
-#include "bc/parallel_succs.hpp"
 #include "bc/sampling.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
@@ -93,7 +90,7 @@ const std::array<AlgorithmInfo, kNumAlgorithms> kRegistry = {{
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kCoarse, "coarse", "async",
-     "source-parallel with per-slot buffers", &run_coarse,
+     "source-parallel with per-chunk buffers", &run_coarse,
      /*exact=*/true, /*parallel=*/true, /*comparison=*/true,
      /*test_only=*/false},
     {Algorithm::kHybrid, "hybrid", nullptr,

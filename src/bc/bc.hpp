@@ -47,7 +47,7 @@ enum class Algorithm {
   kParallelPreds, ///< level-synchronous, predecessor lists (Bader-Madduri)
   kParallelSuccs, ///< level-synchronous, successor scans (Madduri et al.)
   kLockFree,      ///< pull-based level-synchronous, no atomics (Tan et al.)
-  kCoarse,        ///< source-parallel, per-slot buffers (`async` stand-in)
+  kCoarse,        ///< source-parallel, per-chunk buffers (`async` stand-in)
   kHybrid,        ///< direction-optimising BFS (Beamer; Ligra's hybrid)
   kApgre,         ///< the paper's contribution
   kSampling,      ///< Brandes-Pich source sampling (approximate)

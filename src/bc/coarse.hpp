@@ -1,6 +1,8 @@
-// Coarse-grained source-parallel BC: sources are distributed over the
-// scheduler's workers in chunks; every slot runs the serial Brandes kernel
-// into a private score buffer, merged at the end. No barriers between sources —
+// Coarse-grained source-parallel BC: the sources are cut into contiguous
+// chunks (four per worker) that the scheduler's workers take; each chunk
+// runs the serial Brandes kernel into its own score buffer, and the buffers
+// are summed in chunk order at the end, so a run at a given worker count
+// is bitwise reproducible. No barriers between sources —
 // this is the shared-memory stand-in for the Galois-based asynchronous
 // algorithm of Prountzos & Pingali, PPoPP 2013 (the paper's `async`
 // column), whose defining property is the absence of level synchronisation

@@ -6,8 +6,8 @@
 
 #include "bc/brandes.hpp"
 #include "bc/brandes_kernel.hpp"
+#include "bc/level_sync.hpp"
 #include "bc/naive.hpp"
-#include "bc/parallel_preds.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 

@@ -2,11 +2,9 @@
 
 #include "bc/brandes.hpp"
 #include "bc/coarse.hpp"
-#include "bc/hybrid.hpp"
-#include "bc/lockfree.hpp"
-#include "bc/parallel_preds.hpp"
-#include "bc/parallel_succs.hpp"
+#include "bc/level_sync.hpp"
 #include "graph/generators.hpp"
+#include "support/metrics.hpp"
 #include "support/sched/scheduler.hpp"
 #include "test_util.hpp"
 
@@ -14,11 +12,6 @@ namespace apgre {
 namespace {
 
 using BcFn = std::vector<double> (*)(const CsrGraph&, WorkStealingScheduler&);
-
-std::vector<double> hybrid_default(const CsrGraph& g,
-                                   WorkStealingScheduler& sched) {
-  return hybrid_bc(g, sched);
-}
 
 WorkStealingScheduler& shared_pool() { return WorkStealingScheduler::shared(); }
 
@@ -37,7 +30,7 @@ struct NamedAlgorithm {
 const NamedAlgorithm kAlgorithms[] = {
     {"preds", parallel_preds_bc}, {"succs", parallel_succs_bc},
     {"lockfree", lockfree_bc},    {"coarse", coarse_bc},
-    {"hybrid", hybrid_default},
+    {"hybrid", hybrid_bc},
 };
 
 TEST(ParallelBc, AllAgreeOnShapes) {
@@ -78,22 +71,35 @@ TEST(ParallelBc, DirectedPaperFigure3) {
   }
 }
 
-TEST(HybridBc, ForcedBottomUpStillCorrect) {
-  // alpha tiny + beta huge forces bottom-up from the first level.
-  HybridOptions opts;
-  opts.alpha = 1e-9;
-  opts.beta = 1e9;
-  const CsrGraph g = barabasi_albert(200, 3, 7);
-  testing::expect_scores_near(
-      brandes_bc(g), hybrid_bc(g, shared_pool(), opts));
+// Beamer's switch turns a BFS level bottom-up only when the frontier is
+// fat: a Barabasi-Albert hub's second level is, no level of a path is.
+TEST(HybridBc, SwitchesBottomUpOnlyOnAFatFrontier) {
+  Counter& bottom_up = metrics().counter("bc.hybrid.bottom_up_levels");
+  const std::uint64_t before = bottom_up.value();
+  hybrid_bc(barabasi_albert(200, 3, 7), shared_pool());
+  EXPECT_GT(bottom_up.value(), before);
+  const std::uint64_t after_ba = bottom_up.value();
+  hybrid_bc(path(200), shared_pool());
+  EXPECT_EQ(bottom_up.value(), after_ba);
 }
 
-TEST(HybridBc, ForcedTopDownStillCorrect) {
-  HybridOptions opts;
-  opts.alpha = 1e9;  // never switch
-  const CsrGraph g = barabasi_albert(200, 3, 8);
-  testing::expect_scores_near(
-      brandes_bc(g), hybrid_bc(g, shared_pool(), opts));
+// sigma is an exact integer sum however the push's atomic adds interleave,
+// and the successor-pull backward sweep writes each delta cell once, in CSR
+// order. So `succs`, `lockfree` and `hybrid` agree bit for bit with each
+// other and across worker counts.
+TEST(ParallelBc, LevelSyncScoresAreBitwiseEqualAcrossWorkerCounts) {
+  for (const CsrGraph& g :
+       {testing::dominant_block_graph(),
+        testing::graph_family(9, /*tiny=*/false)[4].graph}) {
+    WorkStealingScheduler one = pool(1);
+    const std::vector<double> expected = parallel_succs_bc(g, one);
+    for (int threads : {1, 2, 4}) {
+      WorkStealingScheduler sched = pool(threads);
+      for (BcFn fn : {parallel_succs_bc, lockfree_bc, hybrid_bc}) {
+        EXPECT_EQ(fn(g, sched), expected) << threads << " workers";
+      }
+    }
+  }
 }
 
 TEST(ParallelBc, MultithreadedRunsMatchSerial) {
