@@ -34,12 +34,14 @@ std::int64_t grain(std::size_t n, int workers) {
       64, static_cast<std::int64_t>(n) / (8 * static_cast<std::int64_t>(workers)));
 }
 
-/// One slot's share of a level: the vertices it discovered and, for the
-/// Beamer switch, their out-edge volume. The lists are concatenated into
+/// One slot's share of a level: the vertices it discovered, the pull's
+/// candidates it left unvisited and, for the Beamer switch, the
+/// discovered vertices' out-edge volume. The lists are concatenated into
 /// the next level once the level's loop has returned (the paper's
 /// reducer bag).
 struct alignas(64) SlotLists {
   std::vector<Vertex> discovered;
+  std::vector<Vertex> remaining;
   std::uint64_t out_edges = 0;
 };
 
@@ -207,29 +209,29 @@ class LevelSyncRun {
               sigma_[v].store(paths, std::memory_order_relaxed);
               local.discovered.push_back(v);
               if constexpr (kHybrid) local.out_edges += g_.out_degree(v);
+            } else {
+              local.remaining.push_back(v);
             }
           }
         });
   }
 
   /// Merge the slots' lists into the next level once the level's loop has
-  /// returned, and return its out-edge volume. After a pull the unvisited
-  /// list drops what it discovered and stays ascending; a push leaves it
-  /// stale until the next pull rebuilds it.
+  /// returned, and return its out-edge volume. After a pull the slots'
+  /// remaining lists become the unvisited list; a push leaves it stale
+  /// until the next pull rebuilds it.
   std::uint64_t close_level(bool pulled) {
-    if (pulled) {
-      std::erase_if(unvisited_, [&](Vertex v) {
-        return dist_[v].load(std::memory_order_relaxed) != kUnvisited;
-      });
-    } else {
-      unvisited_valid_ = false;
-    }
+    unvisited_valid_ = pulled;
+    if (pulled) unvisited_.clear();
     std::uint64_t out_edges = 0;
     for (SlotLists& local : slots_) {
       levels_.insert(levels_.end(), local.discovered.begin(),
                      local.discovered.end());
+      unvisited_.insert(unvisited_.end(), local.remaining.begin(),
+                        local.remaining.end());
       out_edges += local.out_edges;
       local.discovered.clear();
+      local.remaining.clear();
       local.out_edges = 0;
     }
     offsets_.push_back(levels_.size());
@@ -340,7 +342,7 @@ class LevelSyncRun {
   std::vector<Vertex> levels_;
   std::vector<std::size_t> offsets_{0};
   std::vector<SlotLists> slots_;
-  /// The bottom-up scan list, ascending; valid from a pull until a push.
+  /// The bottom-up scan list; valid from a pull until a push.
   std::vector<Vertex> unvisited_;
   bool unvisited_valid_ = false;
 
