@@ -83,8 +83,8 @@ struct ApgreStats {
 };
 
 /// The 2-core peel APGRE runs on `g`: `reuse` when it is non-null and
-/// covers g's vertex count (the service shares one peel per snapshot),
-/// otherwise a fresh two_core_peel(g). Null when the peel does not apply:
+/// covers g's vertex count (a Solver keeps its graph's peel across a change
+/// of partition options), otherwise a fresh two_core_peel(g). Null when the peel does not apply:
 /// directed graphs, and opts.total_redundancy off (the peel is pendant
 /// derivation, so the switch that turns gamma off turns it off too).
 std::shared_ptr<const PeelResult> apgre_peel(

@@ -1,7 +1,6 @@
 #include "bc/bc.hpp"
 
 #include <array>
-#include <cmath>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -184,7 +183,7 @@ BcResult Solver::solve(const BcOptions& opts) {
     ApgreStats stats;  // peel/partition/reach seconds stay zero on a hit
     if (dec_ == nullptr || !(dec_key_ == key)) {
       store_valid_ = false;
-      // An adopted peel (service) is reused.
+      // A peel of the current graph outlives a change of partition options.
       ApgrePreparation prep = prepare_apgre(g, key, scheduler, peel_, &stats);
       dec_ = std::make_unique<Decomposition>(std::move(prep.dec));
       peel_ = std::move(prep.peel);
@@ -240,15 +239,6 @@ void Solver::rebind(const CsrGraph& g) {
   members_.clear();
 }
 
-void Solver::adopt_peel(std::shared_ptr<const PeelResult> peel) {
-  if (peel == peel_) return;
-  peel_ = std::move(peel);
-  // The cached decomposition (if any) was built on a different reduction.
-  dec_.reset();
-  dec_key_ = PartitionOptions{};
-  store_valid_ = false;
-}
-
 void Solver::enable_contribution_tracking() {
   track_ = true;
   // Any scores computed before opting in have no per-sub-graph breakdown;
@@ -258,9 +248,8 @@ void Solver::enable_contribution_tracking() {
 
 void Solver::build_store(const std::vector<double>& scores, int workers) {
   const Decomposition& dec = *dec_;
-  // `scores` come already expanded when the session peels (see the
-  // tracked_scores_ invariant in the header): the expansion commutes with
-  // the per-block subtract/re-add arithmetic of apply_local_batch.
+  // `scores` come already expanded when the session peels: the store's
+  // invariant in the header.
   tracked_scores_ = scores;
   store_workers_ = workers;
   total_cost_ = 0;
@@ -288,6 +277,17 @@ void Solver::build_store(const std::vector<double>& scores, int workers) {
   store_valid_ = true;
 }
 
+double Solver::resum(Vertex w) const {
+  double score = 0.0;
+  for (std::size_t m = member_offsets_[w]; m < member_offsets_[w + 1]; ++m) {
+    score += contrib_[members_[m].subgraph][members_[m].local];
+  }
+  if (peel_ != nullptr && peel_->num_peeled > 0 && peel_->in_core[w]) {
+    score += peel_->core_correction[w];
+  }
+  return score;
+}
+
 void Solver::repick_top_subgraph(std::span<const std::size_t> touched,
                                  EdgeId top_arcs_before) {
   const std::vector<Subgraph>& subgraphs = dec_->subgraphs;
@@ -308,9 +308,7 @@ void Solver::repick_top_subgraph(std::span<const std::size_t> touched,
 }
 
 std::size_t Solver::apply_local_batch(const CsrGraph& g,
-                                      const std::vector<EdgeOp>& ops,
-                                      std::vector<std::size_t>* rescored) {
-  if (rescored != nullptr) rescored->clear();
+                                      const std::vector<EdgeOp>& ops) {
   if (dec_ == nullptr || !track_ || !store_valid_ || ops.empty()) {
     rebind(g);
     return 0;
@@ -364,10 +362,10 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
                      return x.subgraph < y.subgraph;
                    });
 
-  // One contribution subtract / merge-all / re-score / add-back cycle per
-  // affected sub-graph — the per-block cost is paid once for the whole
-  // batch, not once per edge — and one scorer call for all of them. The
-  // summed cost and the top sub-graph move by the touched sub-graphs only.
+  // One edit-all per affected sub-graph — the per-block cost is paid once
+  // for the whole batch, not once per edge — and one scorer call for all
+  // of them. The summed cost and the top sub-graph move by the touched
+  // sub-graphs only.
   const EdgeId top_arcs = dec_->subgraphs[dec_->top_subgraph].num_arcs();
   std::vector<std::size_t> touched;
   std::vector<EdgeOp> local_ops;
@@ -378,9 +376,6 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
       local_ops.push_back(routes[r].local);
     }
     Subgraph& sg = dec_->subgraphs[sgi];
-    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      tracked_scores_[sg.to_global[local]] -= contrib_[sgi][local];
-    }
     total_cost_ -= apgre_subgraph_cost(sg);
     apply_edge_ops_in_place(sg.graph, local_ops);
     total_cost_ += apgre_subgraph_cost(sg);
@@ -397,22 +392,19 @@ std::size_t Solver::apply_local_batch(const CsrGraph& g,
                        private_sched),
       nullptr, total_cost_);
   for (std::size_t k = 0; k < touched.size(); ++k) {
-    const std::size_t sgi = touched[k];
-    const Subgraph& sg = dec_->subgraphs[sgi];
-    contrib_[sgi] = std::move(fresh[k]);
-    for (Vertex local = 0; local < sg.num_vertices(); ++local) {
-      double& score = tracked_scores_[sg.to_global[local]];
-      score += contrib_[sgi][local];
-      // Clamp subtract/re-add cancellation noise on exact zeros.
-      if (std::abs(score) < 1e-9) score = std::max(score, 0.0);
+    contrib_[touched[k]] = std::move(fresh[k]);
+  }
+  // Re-sum after every contribution is stored: an articulation point may
+  // sit in two touched sub-graphs.
+  for (const std::size_t sgi : touched) {
+    for (const Vertex w : dec_->subgraphs[sgi].to_global) {
+      tracked_scores_[w] = resum(w);
     }
   }
   metrics().counter("bc.solver.local_recomputes").add(touched.size());
   repick_top_subgraph(touched, top_arcs);
   g_ = &g;
-  const std::size_t count = touched.size();
-  if (rescored != nullptr) *rescored = std::move(touched);
-  return count;
+  return touched.size();
 }
 
 BcResult betweenness(const CsrGraph& g, const BcOptions& opts) {

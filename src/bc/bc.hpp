@@ -164,15 +164,8 @@ class Solver {
 
   /// The 2-core peel the cached decomposition was built on, or nullptr
   /// when the peel does not apply (directed graph, total_redundancy off)
-  /// or nothing is solved yet. Shared so the service can hand one
-  /// snapshot-wide peel to every warm session (adopt_peel).
+  /// or nothing is solved yet.
   std::shared_ptr<const PeelResult> peel() const { return peel_; }
-
-  /// Inject a precomputed peel of the *current* graph (the service stores
-  /// one per snapshot so warm sessions skip re-peeling). Adopting the
-  /// pointer already held is a no-op; a different one invalidates the
-  /// cached decomposition, which was built on a different reduction.
-  void adopt_peel(std::shared_ptr<const PeelResult> peel);
 
   /// Point the session at a different graph snapshot (the service layer
   /// calls this after a structural dynamic update). Drops the cached
@@ -195,9 +188,10 @@ class Solver {
   /// The store's unhalved full-graph APGRE scores, or nullptr while no
   /// valid store exists (tracking disabled, no APGRE solve yet, or
   /// invalidated by rebind / changed partition options). When the session
-  /// peels, these are already re-expanded to full-graph scores (the
-  /// closed-form corrections are constant under local updates, so the
-  /// per-block subtract/re-add arithmetic preserves them).
+  /// peels, these are already re-expanded to full-graph scores. After any
+  /// number of local batches they are bitwise equal to a cold solve of the
+  /// current graph at the same options and worker count (see the store's
+  /// invariant below).
   const std::vector<double>* tracked_scores() const {
     return store_valid_ ? &tracked_scores_ : nullptr;
   }
@@ -212,23 +206,20 @@ class Solver {
   /// both its endpoints through a global vertex -> (sub-graph,
   /// local id) index built with the store (O(memberships of its endpoints),
   /// not O(|V|)), groups the ops by sub-graph and re-scores each affected
-  /// sub-graph exactly once, however many ops landed in it: the
-  /// contribution subtract / edit-all (one apply_edge_ops_in_place on the
-  /// sub-graph's own CSR) / re-score / add-back cycle runs per *block*, not
-  /// per edge. The re-scores are one apgre_subgraph_scores call with the
-  /// worker count of the solve that built the store. The decomposition's
-  /// summed scoring cost and its top sub-graph are updated from the
-  /// touched sub-graphs alone (a full rescan only when the top lost arcs),
-  /// so the call costs what the touched blocks cost, not O(#sub-graphs).
+  /// sub-graph exactly once, however many ops landed in it: one
+  /// apply_edge_ops_in_place on the sub-graph's own CSR, then one
+  /// apgre_subgraph_scores call for all of them, with the worker count of
+  /// the solve that built the store. Each vertex of a re-scored sub-graph
+  /// is then re-summed from the store (resum). The decomposition's summed
+  /// scoring cost and its top sub-graph are updated from the touched
+  /// sub-graphs alone (a full rescan only when the top lost arcs), so the
+  /// call costs what the touched blocks cost, not O(#sub-graphs).
   /// The arcs of `g` may lag `ops` until its owner folds them
   /// (MutableGraph::unfolded): this call keeps `g` as the session's graph
   /// but reads none of its arcs. Only solve() reads them, so such an owner
   /// folds before the next solve, after this call's zero path too.
   /// Returns the number of sub-graphs re-scored (>= 1 on the localized
-  /// path, one "bc.solver.local_recomputes" tick each) and, when
-  /// `rescored` is given, their indices into decomposition()->subgraphs:
-  /// tracked_scores() changed only at those sub-graphs' vertices
-  /// (`rescored` is left empty on the zero path). Returns 0 after
+  /// path, one "bc.solver.local_recomputes" tick each). Returns 0 after
   /// falling back to a plain rebind() — full re-decomposition on the next
   /// solve — when no valid store exists, when a peeled session sees an op
   /// incident to a peeled-forest vertex (the peel analysis is
@@ -236,11 +227,14 @@ class Solver {
   /// sub-graph. Violating the locality precondition silently corrupts
   /// later scores — classify first.
   std::size_t apply_local_batch(const CsrGraph& g,
-                                const std::vector<EdgeOp>& ops,
-                                std::vector<std::size_t>* rescored = nullptr);
+                                const std::vector<EdgeOp>& ops);
 
  private:
   void build_store(const std::vector<double>& scores, int workers);
+  /// Vertex w's score as the cold solve forms it from the store: 0.0 plus
+  /// w's contributions in sub-graph order, plus the peel's correction at a
+  /// core vertex.
+  double resum(Vertex w) const;
   /// Re-pick dec_->top_subgraph after a local batch edited `touched`,
   /// given the top's arc count before it.
   void repick_top_subgraph(std::span<const std::size_t> touched,
@@ -254,11 +248,12 @@ class Solver {
   std::shared_ptr<const PeelResult> peel_;
   // Contribution store (enable_contribution_tracking): per-sub-graph local
   // score vectors and their scatter-sum. Invariant while store_valid_:
-  // tracked_scores_[w] == sum over sub-graphs i containing w of
-  // contrib_[i][local id of w], computed on the *current* sub-graph arcs —
-  // plus, when the session peels, the constant closed-form expansion
-  // (corrections at anchors, overwritten scores at peeled vertices, whose
-  // per-block contributions are exactly zero).
+  // contrib_[i] is sub-graph i's apgre_subgraph_scores on its *current*
+  // arcs, and tracked_scores_[w] == resum(w) for every vertex w of a
+  // sub-graph, computed in that order with no other rounding step — the
+  // same arithmetic as apgre_bc_with_decomposition's scatter-sum followed
+  // by expand_peeled_scores, so the store is bitwise a cold solve. A
+  // peeled vertex belongs to no sub-graph and keeps its closed-form score.
   bool track_ = false;
   bool store_valid_ = false;
   int store_workers_ = 0;  ///< scheduler workers of the solve that built it

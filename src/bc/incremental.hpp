@@ -8,10 +8,10 @@
 // record the edits, patch the classifier or fold and drop it), then:
 //
 //   local      — the batch is provably confined to its blocks; the Solver's
-//                contribution store subtracts each affected block's old
-//                scores, re-runs Brandes inside the block only (with the
-//                cached alpha/beta peripheral weights), and adds the new
-//                scores back, once per block. No re-decomposition happens
+//                contribution store re-runs Brandes inside each affected
+//                block only (with the cached alpha/beta peripheral
+//                weights), once per block, and re-sums the block's vertices
+//                from the store. No re-decomposition happens
 //                ("bcc.decompositions" does not move), and the full CSR is
 //                not edited: the edits stay pending until graph() or a
 //                structural batch folds them ("graph.folds").
@@ -19,9 +19,10 @@
 //                directed, where classification is conservative); one full
 //                re-decomposition + solve for the whole batch.
 //
-// Pendant attach/detach use the closed-form score delta of the static
-// pendant metamorphic rule (src/check/metamorphic.cpp): one Brandes
-// iteration from the host instead of a full solve.
+// Either way the scores are the Solver's contribution store, bitwise equal
+// to a cold APGRE solve of the current graph at the same options. Pendant
+// attach re-solves the grown graph; detach is a batch deleting every edge
+// of the vertex.
 //
 // Scores follow the ordered-pair convention (no undirected halving), the
 // same as brandes_bc() — callers wanting conventional undirected BC halve
@@ -39,6 +40,7 @@
 #include "bcc/queries.hpp"
 #include "graph/csr.hpp"
 #include "graph/update.hpp"
+#include "support/error.hpp"
 
 namespace apgre {
 
@@ -49,9 +51,9 @@ struct IncrementalStats {
   std::uint64_t local_inserts = 0;
   std::uint64_t local_deletes = 0;
   std::uint64_t pendant_attaches = 0;
-  std::uint64_t pendant_detaches = 0;
-  /// Full re-decomposition + solve fallbacks (structural updates). A
-  /// downgraded batch counts once, however many ops it carried.
+  /// Full re-decomposition + solve fallbacks (structural updates and
+  /// pendant attaches). A downgraded batch counts once, however many ops
+  /// it carried.
   std::uint64_t structural_resolves = 0;
   /// apply_batch totals, accumulated across batches (same fields as the
   /// per-batch BatchStats it returns).
@@ -72,8 +74,13 @@ class IncrementalBc {
 
   /// The current graph; folds the pending edits of local batches first.
   const CsrGraph& graph() const { return graph_.graph(); }
-  /// Current exact scores, ordered-pair convention, length num_vertices().
-  const std::vector<double>& scores() const { return scores_; }
+  /// Current exact scores, ordered-pair convention, length num_vertices():
+  /// the Solver's tracked scores, which every method keeps valid.
+  const std::vector<double>& scores() const {
+    const std::vector<double>* tracked = solver_.tracked_scores();
+    APGRE_ASSERT(tracked != nullptr);
+    return *tracked;
+  }
   const IncrementalStats& stats() const { return stats_; }
 
   /// Apply a timestamped batch of edge inserts/deletes and bring scores
@@ -89,13 +96,13 @@ class IncrementalBc {
 
   /// Attach a fresh degree-1 vertex to `host` (arc pendant -> host for
   /// directed graphs); returns the new vertex id (= old num_vertices()).
-  /// Closed-form score delta — no solve.
+  /// The vertex count changes, so this re-solves once (a structural
+  /// resolve); later local batches stay local.
   Vertex attach_pendant(Vertex host);
 
-  /// Remove every arc incident to `v`. The vertex stays as an isolated id
-  /// with score 0. Undirected degree-1 vertices use the closed-form
-  /// inverse of attach_pendant; anything else re-solves. No-op when
-  /// already isolated.
+  /// Remove every arc incident to `v`: one apply_batch deleting them all,
+  /// which isolating a vertex always makes structural. The vertex stays as
+  /// an isolated id with score 0. No-op when already isolated.
   void detach_vertex(Vertex v);
 
  private:
@@ -108,11 +115,10 @@ class IncrementalBc {
   // graph_ hands out no snapshot handle, so every fold edits the snapshot
   // in place and the bound address stays the same. Its arcs lag the
   // pending edits of local batches, which only a solve would read: every
-  // re-solve rebinds to graph(), which folds first.
+  // re-solve rebinds to graph(), which folds first. It tracks
+  // contributions, and its store, which scores() returns, is valid after
+  // every public method.
   Solver solver_;
-  // Equal to the solver's tracked scores whenever its store is valid; a
-  // local batch copies back only the vertices it re-scored.
-  std::vector<double> scores_;
   IncrementalStats stats_;
 };
 

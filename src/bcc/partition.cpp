@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "bcc/bicomp.hpp"
 #include "bcc/reach.hpp"
@@ -160,7 +161,16 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
 
   // --- One Subgraph per block. Two blocks share at most one vertex, an
   // articulation point, so every articulation point of a block is one of
-  // its boundary APs. Blocks build independently, on `sched`.
+  // its boundary APs. Blocks build independently, on `sched`, ordered by
+  // their two lowest vertex ids: a strict order (no two blocks share both),
+  // and one a local batch cannot change, while the DFS's closing order
+  // follows an articulation point's lowest neighbour in each child block.
+  std::vector<std::pair<std::uint64_t, Vertex>> order(bcc.num_components);
+  for (Vertex b = 0; b < bcc.num_components; ++b) {
+    const std::vector<Vertex>& members = bcc.component_vertices[b];
+    order[b] = {(std::uint64_t{members[0]} << 32) | members[1], b};
+  }
+  std::sort(order.begin(), order.end());
   dec.subgraphs.resize(bcc.num_components);
   std::vector<BuildSlot> slots(static_cast<std::size_t>(sched.num_slots()));
   // Chunks of at least 64 blocks, so a graph of few blocks builds inline.
@@ -176,7 +186,7 @@ Decomposition decompose(const CsrGraph& g, const PartitionOptions& opts,
     for (auto b = static_cast<std::size_t>(lo); b < static_cast<std::size_t>(hi);
          ++b) {
       slot.pendants +=
-          build_subgraph(g, bcc, static_cast<Vertex>(b), opts.total_redundancy,
+          build_subgraph(g, bcc, order[b].second, opts.total_redundancy,
                          slot.global_to_local, dec.subgraphs[b]);
       if (slot.top == kNone || top_subgraph_beats(dec.subgraphs, b, slot.top)) slot.top = b;
     }

@@ -80,7 +80,8 @@ struct Subgraph {
 };
 
 struct Decomposition {
-  /// One sub-graph per biconnected block, in block order.
+  /// One sub-graph per biconnected block, ordered by the blocks' two
+  /// lowest vertex ids (a local batch keeps every index).
   std::vector<Subgraph> subgraphs;
   /// Index of the largest sub-graph (by arc count) — the paper's "top
   /// sub-graph", which dominates APGRE's runtime (Fig. 8, Table 4). Ties

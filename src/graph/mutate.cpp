@@ -30,11 +30,4 @@ CsrGraph with_pendant_attached(const CsrGraph& g, Vertex host) {
   return CsrGraph::from_edges(pendant + 1, std::move(arcs), g.directed());
 }
 
-CsrGraph with_vertex_isolated(const CsrGraph& g, Vertex v) {
-  APGRE_ASSERT(v < g.num_vertices());
-  EdgeList arcs = g.arcs();
-  std::erase_if(arcs, [&](const Edge& e) { return e.src == v || e.dst == v; });
-  return CsrGraph::from_edges(g.num_vertices(), std::move(arcs), g.directed());
-}
-
 }  // namespace apgre

@@ -31,9 +31,4 @@ CsrGraph with_edge_removed(const CsrGraph& g, Vertex u, Vertex v);
 /// (the static pendant metamorphic rule's convention), both arcs otherwise.
 CsrGraph with_pendant_attached(const CsrGraph& g, Vertex host);
 
-/// Graph with every arc incident to `v` (either direction) removed. The
-/// vertex itself stays, so ids are stable; scores of an isolated vertex are
-/// zero. No-op if `v` is already isolated.
-CsrGraph with_vertex_isolated(const CsrGraph& g, Vertex v);
-
 }  // namespace apgre

@@ -28,7 +28,7 @@ struct Service::Impl {
   /// Per-graph registry entry. `mu` serializes this graph's writes: the
   /// ingest, the snapshot swap and the patch of its warm session, which a
   /// write checks out of the LRU and puts back before releasing `mu`.
-  /// Readers copy the snapshot (and peel) under it and solve outside it.
+  /// Readers copy the snapshot under it and solve outside it.
   /// Lock ordering: entry->mu before cache_mu, never the reverse; cache_mu
   /// is only ever held for O(1) LRU operations, so holding entry->mu
   /// through a long patch delays this graph's requests and no other's.
@@ -39,13 +39,6 @@ struct Service::Impl {
     /// The current snapshot and its block-cut classifier; every update
     /// runs its ingest step (bcc/mutable_graph.hpp).
     MutableGraph graph;
-    /// Snapshot-wide 2-core peel (apgre_peel), computed lazily by the
-    /// first APGRE solve it applies to and handed to every warm session
-    /// (Solver::adopt_peel) so they skip re-peeling. Local updates
-    /// provably leave the peel intact (both endpoints sit in a >= 3-vertex
-    /// biconnected component, so no degree drops below 2 and the peel
-    /// cascade is untouched); structural ones reset it.
-    std::shared_ptr<const PeelResult> peel;
   };
 
   /// A warm Solver bound to one immutable snapshot. The pin keeps the
@@ -250,15 +243,9 @@ struct Service::Impl {
     }
 
     std::shared_ptr<const CsrGraph> snap;
-    std::shared_ptr<const PeelResult> peel;
     {
       std::lock_guard<std::mutex> lk(entry->mu);
       snap = entry->graph.snapshot();
-      if (request.options.algorithm == Algorithm::kApgre) {
-        // One peel per snapshot, shared by every warm session.
-        peel = apgre_peel(*snap, request.options.apgre.partition, entry->peel);
-        if (peel != nullptr) entry->peel = peel;
-      }
     }
 
     std::unique_ptr<Session> session = cache_take(request.graph);
@@ -276,7 +263,6 @@ struct Service::Impl {
     }
     (hit ? stats.session_hits : stats.session_misses).add();
 
-    if (peel != nullptr) session->solver.adopt_peel(peel);
     BcResult result = session->solver.solve(request.options);
     cache_put(request.graph, std::move(session));
 
@@ -314,8 +300,8 @@ struct Service::Impl {
 
   /// The one mutation path: kUpdate (exactly one op) and kUpdateBatch both
   /// run the entry's ingest step (bcc/mutable_graph.hpp), then invalidate
-  /// or patch what this service caches on top of the snapshot — the peel
-  /// and the warm session.
+  /// or patch what this service caches on top of the snapshot: the warm
+  /// session.
   Response update(const Request& request) {
     APGRE_TRACE_SPAN("service/update");
     const bool batched = request.kind == RequestKind::kUpdateBatch;
@@ -371,9 +357,6 @@ struct Service::Impl {
                                      : UpdateLocality::kLocalInsert;
     } else {
       response.locality = UpdateLocality::kStructural;
-      // ONE reset per downgraded batch — an entirely forest-incident batch
-      // re-peels the snapshot once on the next solve, not once per edge.
-      entry->peel.reset();
     }
     (local ? stats.updates_local : stats.updates_structural)
         .add(survivors.size());

@@ -18,8 +18,8 @@
 // new snapshot, which folds a local batch's edits too). The service then either patches the warm
 // session's contribution store with ONE block re-solve per affected block
 // (Solver::apply_local_batch) or — when the batch is structural — drops
-// the cached decomposition and snapshot peel ONCE for the whole batch so
-// the next solve re-decomposes with that request's options. The split is
+// the session's cached decomposition and peel ONCE for the whole batch so
+// the next solve re-peels and re-decomposes with that request's options. The split is
 // observable as local_recomputes vs full_invalidations plus the batch_*
 // counters.
 //

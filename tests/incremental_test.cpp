@@ -1,11 +1,14 @@
 // IncrementalBc (bc/incremental.hpp): the iCentral-style localized update
 // path. The tests pin the routing (local updates must NOT re-decompose;
-// "bcc.decompositions" is the witness), check the pendant closed forms,
-// and replay randomized insert/delete/attach/detach trajectories over the
-// seeded corpus, diffing against a fresh static Brandes solve after EVERY
-// step — whatever path an update took, the scores must be exact.
+// "bcc.decompositions" is the witness), check that pendant attach/detach
+// leave a store the next local batch can patch, and replay randomized
+// insert/delete/attach/detach trajectories over the seeded corpus and an
+// AP-rich peeled graph, comparing bit for bit with a cold APGRE solve after
+// EVERY step — whatever path an update took, the scores must be the ones a
+// fresh solve computes.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bc/brandes.hpp"
@@ -20,6 +23,7 @@
 namespace apgre {
 namespace {
 
+using testing::cold_apgre_scores;
 using testing::expect_scores_near;
 
 std::uint64_t decompositions() {
@@ -86,36 +90,55 @@ TEST(IncrementalBc, StructuralUpdatesFallBackToFullSolve) {
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 }
 
-TEST(IncrementalBc, PendantAttachDetachUsesClosedFormOnly) {
+// Attach and detach each leave a valid contribution store: the scores are
+// a cold solve's, bit for bit, and the next local batch patches that store
+// without a downgrade or a decomposition.
+TEST(IncrementalBc, PendantAttachDetachKeepTheStoreForTheNextLocalBatch) {
   IncrementalBc engine(k5_plus_triangle());
-  const std::uint64_t after_init = decompositions();
+  // K5 chord 1-2: deleting and re-inserting it stays inside one block.
+  const auto next_local_batch_stays_local = [&engine](bool insert) {
+    const std::uint64_t before = decompositions();
+    const BatchStats batch =
+        engine.apply_batch(UpdateRequest{{EdgeOp{1, 2, insert}}});
+    EXPECT_EQ(batch.batch_downgrades, 0u);
+    EXPECT_EQ(decompositions(), before) << "a local batch must not decompose";
+    EXPECT_EQ(cold_apgre_scores(engine.graph()), engine.scores());
+  };
 
+  const std::uint64_t before_attach = decompositions();
   const Vertex pendant = engine.attach_pendant(3);
   EXPECT_EQ(pendant, 7u);
   EXPECT_EQ(engine.graph().num_vertices(), 8u);
-  EXPECT_EQ(decompositions(), after_init)
-      << "pendant attach is a closed-form delta, not a solve";
-  EXPECT_DOUBLE_EQ(engine.scores()[pendant], 0.0);
-  expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+  EXPECT_EQ(decompositions(), before_attach + 1) << "attach re-solves once";
+  EXPECT_EQ(engine.scores()[pendant], 0.0);
+  EXPECT_EQ(cold_apgre_scores(engine.graph()), engine.scores());
+  next_local_batch_stays_local(/*insert=*/false);
 
   engine.detach_vertex(pendant);
-  EXPECT_EQ(decompositions(), after_init)
-      << "pendant detach is the closed-form inverse";
-  EXPECT_DOUBLE_EQ(engine.scores()[pendant], 0.0);
+  EXPECT_EQ(engine.scores()[pendant], 0.0);
+  EXPECT_EQ(cold_apgre_scores(engine.graph()), engine.scores());
+  next_local_batch_stays_local(/*insert=*/true);
   expect_scores_near(brandes_bc(engine.graph()), engine.scores());
 
   EXPECT_EQ(engine.stats().pendant_attaches, 1u);
-  EXPECT_EQ(engine.stats().pendant_detaches, 1u);
-  EXPECT_EQ(engine.stats().structural_resolves, 0u);
+  EXPECT_EQ(engine.stats().local_deletes, 1u);
+  EXPECT_EQ(engine.stats().local_inserts, 1u);
+  // The attach and the detach batch (isolating a vertex is structural).
+  EXPECT_EQ(engine.stats().structural_resolves, 2u);
 
-  // Detaching an interior vertex reshapes shortest paths — full re-solve.
+  // Detaching an interior vertex is one batch of its four edges.
+  const std::uint64_t batches = engine.stats().batches;
+  const std::uint64_t edges = engine.stats().batch_edges;
   engine.detach_vertex(1);
-  EXPECT_EQ(engine.stats().structural_resolves, 1u);
-  EXPECT_DOUBLE_EQ(engine.scores()[1], 0.0);
-  expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+  EXPECT_EQ(engine.stats().batches, batches + 1);
+  EXPECT_EQ(engine.stats().batch_edges, edges + 4);
+  EXPECT_EQ(engine.stats().structural_resolves, 3u);
+  EXPECT_EQ(engine.scores()[1], 0.0);
+  EXPECT_EQ(cold_apgre_scores(engine.graph()), engine.scores());
   // Detaching it again is a no-op.
   engine.detach_vertex(1);
-  EXPECT_EQ(engine.stats().structural_resolves, 1u);
+  EXPECT_EQ(engine.stats().batches, batches + 1);
+  EXPECT_EQ(engine.stats().structural_resolves, 3u);
 }
 
 // Satellite regression: directed graphs route every edge update through
@@ -147,24 +170,39 @@ TEST(IncrementalBc, IllegalUpdatesThrowBeforeAnyStateChange) {
   EXPECT_EQ(engine.stats().structural_resolves, 0u);
 }
 
-// Randomized trajectories over the seeded corpus: mixed inserts, deletes,
-// pendant attaches and detaches, scores diffed against a fresh static
-// solve after EVERY step. Also pins the routing invariant: the engine
-// re-decomposes exactly once per structural resolve, never for local
-// updates or pendant closed forms.
+/// An AP-rich graph the engine peels: a Barabasi-Albert core with
+/// communities, chains and pendants attached.
+CsrGraph social_analogue(std::uint64_t seed) {
+  CsrGraph g = barabasi_albert(300, 4, seed);
+  g = attach_communities(g, 24, 6, seed + 1);
+  g = attach_chains(g, 16, 3, seed + 2);
+  return attach_pendants(g, 80, seed + 3);
+}
+
+// Randomized trajectories over the seeded corpus and the social analogue:
+// mixed inserts, deletes, pendant attaches and detaches, scores compared
+// bit for bit with a cold APGRE solve after EVERY step, and with Brandes
+// within tolerance once per graph. Also pins the routing invariant: the
+// engine re-decomposes exactly once per structural resolve, never for
+// local updates.
 class IncrementalTrajectory : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalTrajectory, MatchesStaticOracleAfterEveryStep) {
   const std::uint64_t seed = GetParam();
-  for (const auto& gc : testing::graph_family(seed, /*tiny=*/true)) {
+  std::vector<testing::GraphCase> cases =
+      testing::graph_family(seed, /*tiny=*/true);
+  cases.push_back({"social_analogue", social_analogue(seed)});
+  for (const auto& gc : cases) {
     if (gc.graph.num_vertices() < 4) continue;
     SCOPED_TRACE(gc.name);
     IncrementalBc engine(gc.graph);
     const std::uint64_t after_init = decompositions();
+    std::uint64_t cold = 0;  // decompositions of the cold solves below
 
     Xoshiro256 rng(hash_combine64(seed, 0x7a7e));
-    constexpr int kSteps = 10;
-    for (int step = 0; step < kSteps; ++step) {
+    const int num_steps = gc.name == "social_analogue" ? 120 : 10;
+    for (int step = 0; step < num_steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
       switch (rng.bounded(8)) {
         case 0: {  // pendant attach
           const auto host =
@@ -172,7 +210,7 @@ TEST_P(IncrementalTrajectory, MatchesStaticOracleAfterEveryStep) {
           engine.attach_pendant(host);
           break;
         }
-        case 1: {  // detach (pendant closed form or interior re-solve)
+        case 1: {  // detach: one batch deleting every incident edge
           const auto v =
               static_cast<Vertex>(rng.bounded(engine.graph().num_vertices()));
           engine.detach_vertex(v);
@@ -186,9 +224,17 @@ TEST_P(IncrementalTrajectory, MatchesStaticOracleAfterEveryStep) {
           break;
         }
       }
-      expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+      const std::uint64_t before = decompositions();
+      ASSERT_EQ(cold_apgre_scores(engine.graph()), engine.scores());
+      cold += decompositions() - before;
     }
-    EXPECT_EQ(decompositions() - after_init,
+    expect_scores_near(brandes_bc(engine.graph()), engine.scores());
+    if (gc.name == "social_analogue") {
+      EXPECT_GT(engine.stats().local_inserts + engine.stats().local_deletes,
+                10u);
+      EXPECT_GT(engine.stats().batch_downgrades, 10u);
+    }
+    EXPECT_EQ(decompositions() - after_init - cold,
               engine.stats().structural_resolves)
         << "only structural resolves may re-decompose";
   }

@@ -573,9 +573,9 @@ TEST(ApplyBatch, RandomTrajectorySeed27) { random_batch_trajectory(27); }
 // articulation-point endpoint, so deleting a whole pool leaves its block
 // biconnected. The 64 batches alternate deleting one clique's pool and
 // re-inserting it, round-robin over the cliques. No batch may downgrade,
-// nothing may re-decompose or fold, and the scores must equal a fresh
-// Brandes solve after every batch. Batch size 1 is the one-op local
-// trajectory.
+// nothing may re-decompose or fold, and the scores must equal a cold APGRE
+// solve bit for bit after every batch (and Brandes within tolerance at the
+// end). Batch size 1 is the one-op local trajectory.
 
 class StreamTrajectory : public ::testing::TestWithParam<std::size_t> {};
 
@@ -617,9 +617,10 @@ TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
 
   IncrementalBc engine(start);
   // The oracle scores a copy edited beside the engine: reading
-  // engine.graph() would fold the engine's pending edits.
+  // engine.graph() would fold the engine's pending edits. Its cold solves
+  // decompose, so `base` moves past each one.
   CsrGraph mirror = start;
-  const std::uint64_t base = decompositions();
+  std::uint64_t base = decompositions();
   const std::uint64_t base_folds = folds();
   for (int b = 0; b < kBatches; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
@@ -630,8 +631,10 @@ TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
     EXPECT_EQ(stats.blocks_resolved, 1u);
     EXPECT_EQ(decompositions(), base) << "a local batch must not re-decompose";
     EXPECT_EQ(folds(), base_folds) << "a local batch must not edit the CSR";
-    expect_scores_near(brandes_bc(mirror), engine.scores());
+    ASSERT_EQ(testing::cold_apgre_scores(mirror), engine.scores());
+    base = decompositions();
   }
+  expect_scores_near(brandes_bc(mirror), engine.scores());
   EXPECT_EQ(engine.stats().batches, static_cast<std::uint64_t>(kBatches));
   EXPECT_EQ(engine.stats().batch_edges, kBatches * batch_size);
   EXPECT_EQ(engine.stats().batch_downgrades, 0u);
@@ -647,10 +650,10 @@ TEST_P(StreamTrajectory, LocalBatchesStayExactWithoutRedecomposing) {
   EXPECT_EQ(folds(), base_folds);
   EXPECT_EQ(engine.graph(), mirror);
   EXPECT_EQ(folds(), base_folds + 1);
-  expect_scores_near(brandes_bc(engine.graph()), engine.scores());
   EXPECT_EQ(engine.graph().num_arcs(), start.num_arcs() - 2 * batch_size);
   EXPECT_EQ(folds(), base_folds + 1);
   EXPECT_EQ(decompositions(), base);
+  EXPECT_EQ(testing::cold_apgre_scores(engine.graph()), engine.scores());
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, StreamTrajectory,
@@ -840,8 +843,8 @@ TEST(ServiceBatch, RegisterRejectsEmptyName) {
 TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   // K4 core with a pendant chain 3-4-5 and pendant 2-6: the chain edges
   // are bridge blocks, so a batch deleting both is structural and must
-  // drop the cached snapshot peel exactly once — the next solve
-  // re-runs the peel once, not once per op.
+  // drop the warm session's decomposition and peel exactly once — the
+  // next solve re-runs the peel once, not once per op.
   const CsrGraph g = CsrGraph::undirected_from_edges(
       7, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
           {3, 4}, {4, 5}, {2, 6}});
@@ -854,7 +857,7 @@ TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   ASSERT_TRUE(service.handle(peeled).status.ok());
   const std::uint64_t base = peel_runs();
   ASSERT_TRUE(service.handle(peeled).status.ok());
-  EXPECT_EQ(peel_runs(), base) << "warm snapshot peel must be reused";
+  EXPECT_EQ(peel_runs(), base) << "a warm session must keep its peel";
 
   const Response batch = service.handle(
       batch_request("g", {op(4, 5, false, 0), op(2, 6, false, 1)}));
@@ -864,7 +867,8 @@ TEST(ServiceBatch, ForestIncidentBatchResetsPeelOnce) {
   const Response after = service.handle(peeled);
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(peel_runs(), base + 1)
-      << "one structural batch = one peel reset = one re-peel at next solve";
+      << "one structural batch = one session rebind = one re-peel at next "
+         "solve";
   expect_scores_near(brandes_bc(*service.snapshot("g")), after.scores);
 }
 

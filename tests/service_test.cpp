@@ -68,6 +68,16 @@ std::vector<double> oracle_scores(const Service& service,
   return betweenness(*snap, serial).scores;
 }
 
+/// Cold-solve oracle: a fresh APGRE solve of the current snapshot at a
+/// solve request's options, which a patched warm session must equal bit
+/// for bit.
+std::vector<double> cold_scores(const Service& service,
+                                const std::string& name) {
+  const auto snap = service.snapshot(name);
+  EXPECT_NE(snap, nullptr);
+  return testing::cold_apgre_scores(*snap, solve_request(name).options);
+}
+
 TEST(Service, SolveMatchesFreshBetweenness) {
   Service service(unit_options());
   const CsrGraph g = attach_pendants(caveman(5, 5, 21), 10, 22);
@@ -156,6 +166,7 @@ TEST(Service, LocalUpdateKeepsCachedDecomposition) {
   EXPECT_TRUE(solved.session_hit);
   EXPECT_EQ(decompositions(), after_first)
       << "local update must not re-decompose";
+  EXPECT_EQ(cold_scores(service, "g"), solved.scores);
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.local_recomputes, 1u)
@@ -188,6 +199,7 @@ TEST(Service, LocalDeletePatchesSessionWithoutRedecomposition) {
   EXPECT_TRUE(solved.session_hit);
   EXPECT_EQ(decompositions(), after_first)
       << "a biconnectivity-preserving delete must not re-decompose";
+  EXPECT_EQ(cold_scores(service, "g"), solved.scores);
   expect_scores_near(oracle_scores(service, "g"), solved.scores);
   EXPECT_EQ(service.stats().local_recomputes, 1u);
   EXPECT_EQ(service.stats().full_invalidations, 0u);
@@ -260,7 +272,7 @@ TEST(Service, DirectedUpdatesAreConservativelyStructural) {
 
 // ---- 2-core peel service lifecycle (APGRE peels by default) -------------
 
-TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
+TEST(Service, PeeledSolveMatchesOracleAndWarmSessionKeepsItsPeel) {
   Service service(unit_options());
   const CsrGraph g =
       attach_pendants(attach_chains(caveman(4, 4, 3), 4, 3, 4), 8, 5);
@@ -273,19 +285,19 @@ TEST(Service, PeeledSolveMatchesOracleAndSharesTheSnapshotPeel) {
   expect_scores_near(oracle_scores(service, "g"), first.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1);
 
-  // Warm session: the snapshot-wide peel is adopted, not recomputed, and
-  // the peeled decomposition cache survives.
+  // Warm session: its solver keeps the peel and the peeled decomposition,
+  // so nothing is recomputed.
   const std::uint64_t dec_after = decompositions();
   const Response second = service.handle(solve_request("g"));
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.session_hit);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)
-      << "one peel per snapshot, shared by warm sessions";
+      << "a warm session must not re-peel";
   EXPECT_EQ(decompositions(), dec_after);
   EXPECT_EQ(first.scores, second.scores);
 }
 
-TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
+TEST(Service, StructuralUpdateRePeelsOnTheNextSolve) {
   Service service(unit_options());
   // Cycle core {0..5} with the chain 0-6-7 hanging off it.
   const CsrGraph g = CsrGraph::undirected_from_edges(
@@ -293,8 +305,8 @@ TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
   service.register_graph("g", g);
   ASSERT_TRUE(service.handle(solve_request("g")).status.ok());
 
-  // Deleting the forest edge 6-7 is structural and reshapes the peel
-  // (vertex count unchanged, so only an explicit reset catches it).
+  // Deleting the forest edge 6-7 is structural and reshapes the peel: the
+  // write rebinds the warm session, whose next solve peels again.
   const std::uint64_t runs_before =
       metrics().counter("graph.peel.runs").value();
   const Response update = service.handle(update_request("g", 6, 7, false));
@@ -303,7 +315,7 @@ TEST(Service, StructuralUpdateResetsTheSnapshotPeel) {
   ASSERT_TRUE(after.status.ok()) << after.status.message;
   expect_scores_near(oracle_scores(service, "g"), after.scores);
   EXPECT_EQ(metrics().counter("graph.peel.runs").value(), runs_before + 1)
-      << "a structural update must drop the snapshot peel and re-peel";
+      << "a structural update must drop the session's peel and re-peel";
 }
 
 TEST(Service, LruEvictsLeastRecentlyUsedSession) {
@@ -345,6 +357,7 @@ TEST(Service, WriteCountsAsLruUse) {
   const Response a = service.handle(solve_request("a"));
   ASSERT_TRUE(a.status.ok()) << a.status.message;
   EXPECT_TRUE(a.session_hit);
+  EXPECT_EQ(cold_scores(service, "a"), a.scores);
   expect_scores_near(oracle_scores(service, "a"), a.scores);
   EXPECT_FALSE(service.handle(solve_request("b")).session_hit);
 }
@@ -483,9 +496,10 @@ TEST(Service, BatchPreservesRequestOrder) {
 }
 
 // Property-based cache soundness: a random register/solve/update/evict
-// sequence over the seeded corpus, checked against the fresh-solve oracle
-// after every step. Whatever the cache did — hit, patch, rebind, evict —
-// served scores must match a from-scratch solve on the current snapshot.
+// sequence over the seeded corpus, checked against a cold APGRE solve bit
+// for bit after every step, and against Brandes within tolerance once per
+// graph at the end. Whatever the cache did — hit, patch, rebind, evict —
+// served scores must be a from-scratch solve's on the current snapshot.
 TEST(Service, RandomSequencesMatchFreshSolveOracle) {
   constexpr std::uint64_t kSeeds = 3;
   constexpr int kStepsPerCase = 12;
@@ -521,6 +535,11 @@ TEST(Service, RandomSequencesMatchFreshSolveOracle) {
         default:
           break;  // plain solve below is the step
       }
+      const Response solved = service.handle(solve_request(name));
+      ASSERT_TRUE(solved.status.ok()) << name << ": " << solved.status.message;
+      EXPECT_EQ(cold_scores(service, name), solved.scores) << name;
+    }
+    for (const std::string& name : names) {
       const Response solved = service.handle(solve_request(name));
       ASSERT_TRUE(solved.status.ok()) << name << ": " << solved.status.message;
       expect_scores_near(oracle_scores(service, name), solved.scores);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,12 @@ std::vector<double> brandes_scores(const CsrGraph& g) {
   BcOptions serial;
   serial.algorithm = Algorithm::kBrandesSerial;
   return betweenness(g, serial).scores;
+}
+
+/// The solver's tracked scores; empty while it has no valid store.
+std::vector<double> tracked_or_empty(const Solver& solver) {
+  const std::vector<double>* tracked = solver.tracked_scores();
+  return tracked != nullptr ? *tracked : std::vector<double>{};
 }
 
 TEST(Solver, ScoresMatchOneShotBetweennessExactly) {
@@ -368,28 +375,6 @@ TEST(Solver, PeelKnobKeysTheDecompositionCache) {
                       << cmp.expected_score << " actual " << cmp.actual_score;
 }
 
-TEST(Solver, AdoptPeelReusesAndInvalidates) {
-  const CsrGraph g = skewed_graph();
-  Solver solver(g);
-  const BcOptions peeled = pinned_options();
-  ASSERT_TRUE(solver.solve(peeled).status.ok());
-  const std::shared_ptr<const PeelResult> own = solver.peel();
-  ASSERT_NE(own, nullptr);
-  const Decomposition* dec = solver.decomposition();
-
-  // Re-adopting the pointer already held keeps the cache.
-  solver.adopt_peel(own);
-  EXPECT_EQ(solver.decomposition(), dec);
-
-  // A different peel of the same graph invalidates it (different object,
-  // so the cached reduction can no longer be trusted).
-  solver.adopt_peel(std::make_shared<const PeelResult>(two_core_peel(g)));
-  EXPECT_EQ(solver.decomposition(), nullptr);
-  const BcResult r = solver.solve(peeled);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_GT(r.apgre_stats.peeled_vertices, 0u);
-}
-
 TEST(Solver, ForestIncidentLocalUpdateFallsBackToRebind) {
   // Cycle core with a hanging chain 0-6-7: updates touching the chain must
   // refuse the localized patch (the cached decomposition excludes the
@@ -454,13 +439,15 @@ TEST(Solver, TrackedPeeledStoreStaysExactThroughCoreLocalUpdates) {
 
 // ---- Routing through the membership index ---------------------------------
 
-/// K5 on {0..4} with a triangle at each of the articulation points 0, 1
-/// and 2 ({0,5,6}, {1,7,8}, {2,9,10}): the K5 chord 1-2 joins two APs.
+/// K5 on {6..10} with a triangle at each of the articulation points 6, 7
+/// and 8 ({0,1,6}, {2,3,7}, {4,5,8}): the K5 chord 7-8 joins two APs.
+/// Sub-graphs are ordered by their lowest vertex ids, so the triangles'
+/// come first.
 CsrGraph k5_with_triangles() {
   return CsrGraph::undirected_from_edges(
-      11, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4},
-           {2, 3}, {2, 4}, {3, 4}, {0, 5}, {5, 6}, {6, 0}, {1, 7},
-           {7, 8}, {8, 1}, {2, 9}, {9, 10}, {10, 2}});
+      11, {{6, 7}, {6, 8}, {6, 9}, {6, 10}, {7, 8}, {7, 9}, {7, 10},
+           {8, 9}, {8, 10}, {9, 10}, {0, 1}, {1, 6}, {6, 0}, {2, 3},
+           {3, 7}, {7, 2}, {4, 5}, {5, 8}, {8, 4}});
 }
 
 /// Index of the first sub-graph holding global vertex u — or, given v, of
@@ -492,10 +479,10 @@ TEST(Solver, LocalBatchRoutesApChordToItsStoringSubgraph) {
   const Decomposition& dec = *solver.decomposition();
   // Each endpoint also sits in a triangle's sub-graph, numbered before the
   // K5's: routing must skip both to reach the one storing the arc.
-  const std::size_t stored = subgraph_of(dec, 1, 2);
+  const std::size_t stored = subgraph_of(dec, 7, 8);
   ASSERT_LT(stored, dec.subgraphs.size());
-  ASSERT_LT(subgraph_of(dec, 1), stored);
-  ASSERT_LT(subgraph_of(dec, 2), stored);
+  ASSERT_LT(subgraph_of(dec, 7), stored);
+  ASSERT_LT(subgraph_of(dec, 8), stored);
   const std::uint64_t dec_before = decompositions();
 
   BcOptions serial;
@@ -504,20 +491,20 @@ TEST(Solver, LocalBatchRoutesApChordToItsStoringSubgraph) {
   // re-insert is a chord inside one block too, so the block-cut tree and
   // every reach count survive it (classify_batch grades an AP-endpoint
   // insert structural only because it cannot tell in general).
-  const CsrGraph cut = with_edge_removed(g, 1, 2);
-  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{1, 2, /*insert=*/false}}),
+  const CsrGraph cut = with_edge_removed(g, 7, 8);
+  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{7, 8, /*insert=*/false}}),
             1u);
-  EXPECT_EQ(subgraph_of(dec, 1, 2), dec.subgraphs.size())
+  EXPECT_EQ(subgraph_of(dec, 7, 8), dec.subgraphs.size())
       << "the arc must leave the sub-graph that stored it";
   ScoreComparison cmp = compare_scores(betweenness(cut, serial).scores,
                                        *solver.tracked_scores());
   EXPECT_TRUE(cmp.ok) << "delete: worst vertex " << cmp.worst_vertex;
 
-  const CsrGraph restored = with_edge_inserted(cut, 2, 1);
+  const CsrGraph restored = with_edge_inserted(cut, 8, 7);
   ASSERT_EQ(
-      solver.apply_local_batch(restored, {EdgeOp{2, 1, /*insert=*/true}}),
+      solver.apply_local_batch(restored, {EdgeOp{8, 7, /*insert=*/true}}),
       1u);
-  EXPECT_EQ(subgraph_of(dec, 1, 2), stored);
+  EXPECT_EQ(subgraph_of(dec, 7, 8), stored);
   cmp = compare_scores(betweenness(restored, serial).scores,
                        *solver.tracked_scores());
   EXPECT_TRUE(cmp.ok) << "re-insert: worst vertex " << cmp.worst_vertex;
@@ -530,28 +517,68 @@ TEST(Solver, LocalBatchAfterRedecompositionRoutesThroughAFreshIndex) {
   solver.enable_contribution_tracking();
   const BcOptions opts = pinned_options();
   ASSERT_TRUE(solver.solve(opts).status.ok());
-  const std::size_t stored_before = subgraph_of(*solver.decomposition(), 1, 2);
+  const std::size_t stored_before = subgraph_of(*solver.decomposition(), 7, 8);
 
-  // Structural: deleting 9-10 turns a triangle into two bridges, which
-  // fold into the K5's sub-graph and renumber it — an index left over from
+  // Structural: deleting 4-5 turns a triangle into two bridges, numbered
+  // before the K5's sub-graph, which moves up one — an index left over from
   // the old decomposition would route the next batch to the wrong one.
-  const CsrGraph split = with_edge_removed(g, 9, 10);
+  const CsrGraph split = with_edge_removed(g, 4, 5);
   solver.rebind(split);
   ASSERT_TRUE(solver.solve(opts).status.ok());
   const Decomposition& dec = *solver.decomposition();
-  ASSERT_NE(subgraph_of(dec, 1, 2), stored_before);
+  ASSERT_NE(subgraph_of(dec, 7, 8), stored_before);
   const std::uint64_t dec_before = decompositions();
 
   BcOptions serial;
   serial.algorithm = Algorithm::kBrandesSerial;
-  const CsrGraph cut = with_edge_removed(split, 1, 2);
-  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{1, 2, /*insert=*/false}}),
+  const CsrGraph cut = with_edge_removed(split, 7, 8);
+  ASSERT_EQ(solver.apply_local_batch(cut, {EdgeOp{7, 8, /*insert=*/false}}),
             1u);
   EXPECT_EQ(decompositions(), dec_before);
-  EXPECT_EQ(subgraph_of(dec, 1, 2), dec.subgraphs.size());
+  EXPECT_EQ(subgraph_of(dec, 7, 8), dec.subgraphs.size());
   const ScoreComparison cmp = compare_scores(betweenness(cut, serial).scores,
                                              *solver.tracked_scores());
   EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+}
+
+// The DFS closes an articulation point's child blocks in the order of its
+// lowest neighbour in each. A local delete at the articulation point can
+// change that order, but not the sub-graph order: a cold decomposition of
+// the edited graph numbers the blocks as the patched store does, so the
+// store is a cold solve's bit for bit.
+TEST(Solver, LocalDeleteAtAnApKeepsTheColdSubgraphOrder) {
+  // Triangle {0,1,2}; AP 1 holds three child K4s, {1,3,6,7}, {1,4,8,9}
+  // and {1,5,10,11}, entered at 3, 4 and 5.
+  EdgeList edges{{0, 1}, {1, 2}, {2, 0}};
+  for (const std::array<Vertex, 3> block :
+       {std::array<Vertex, 3>{3, 6, 7}, std::array<Vertex, 3>{4, 8, 9},
+        std::array<Vertex, 3>{5, 10, 11}}) {
+    const std::array<Vertex, 4> members{1, block[0], block[1], block[2]};
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (std::size_t j = i + 1; j < members.size(); ++j) {
+        edges.push_back({members[i], members[j]});
+      }
+    }
+  }
+  const CsrGraph g = CsrGraph::undirected_from_edges(12, std::move(edges));
+  Solver solver(g);
+  solver.enable_contribution_tracking();
+  ASSERT_TRUE(solver.solve(pinned_options()).status.ok());
+
+  // Without 1-3 the first K4 is entered at 6, after the other two.
+  const std::vector<EdgeOp> ops{EdgeOp{1, 3, /*insert=*/false}};
+  ASSERT_FALSE(BlockCutQueries(g).classify_batch(ops).structural);
+  const CsrGraph cut = with_edge_removed(g, 1, 3);
+  ASSERT_EQ(solver.apply_local_batch(cut, ops), 1u);
+  const Decomposition cold = decompose(cut);
+  const Decomposition& patched = *solver.decomposition();
+  ASSERT_EQ(cold.subgraphs.size(), patched.subgraphs.size());
+  for (std::size_t i = 0; i < cold.subgraphs.size(); ++i) {
+    EXPECT_EQ(cold.subgraphs[i].to_global, patched.subgraphs[i].to_global)
+        << "sub-graph " << i;
+  }
+  EXPECT_EQ(tracked_or_empty(solver),
+            testing::cold_apgre_scores(cut, pinned_options()));
 }
 
 // The scorer splits a sub-graph into root batches when it carries at least
@@ -628,15 +655,33 @@ std::size_t first_maximum(const Decomposition& dec) {
   return best;
 }
 
+/// The sub-graphs whose arc count differs from `before`'s, ascending.
+std::vector<std::size_t> edited_subgraphs(const Decomposition& dec,
+                                          const std::vector<EdgeId>& before) {
+  std::vector<std::size_t> edited;
+  for (std::size_t i = 0; i < dec.subgraphs.size(); ++i) {
+    if (dec.subgraphs[i].num_arcs() != before[i]) edited.push_back(i);
+  }
+  return edited;
+}
+
+std::vector<EdgeId> arc_counts(const Decomposition& dec) {
+  std::vector<EdgeId> arcs;
+  for (const Subgraph& sg : dec.subgraphs) arcs.push_back(sg.num_arcs());
+  return arcs;
+}
+
 /// A seeded trajectory of local batches over a chain of four blocks with
 /// 6, 5, 6 and 5 vertices, each block a clique to start with, sharing
 /// articulation points 5, 9 and 14. Each batch toggles one random edge in
 /// each of two or three random blocks, drawn from the toggles that
-/// classify_batch grades local. After every batch the batch's sub-graphs
-/// must be reported re-scored, the top sub-graph must be the full scan's
-/// first maximum, and the scores exact. Returns how often a batch grew
-/// the top, shrank it, and left another sub-graph tied with it on arcs,
-/// so the caller can check that the trajectory reached those cases.
+/// classify_batch grades local. After every batch exactly the batch's
+/// sub-graphs must have changed arcs, the top sub-graph must be the full
+/// scan's first maximum, and the scores must equal a cold solve's bit for
+/// bit (and Brandes', within tolerance, at the end). Returns how often a
+/// batch grew the top, shrank it, and left another sub-graph tied with it
+/// on arcs, so the caller can check that the trajectory reached those
+/// cases.
 struct TopEvents {
   int grew = 0;
   int shrank = 0;
@@ -707,14 +752,13 @@ TopEvents multi_block_trajectory(std::uint64_t seed) {
 
     const std::size_t top = dec.top_subgraph;
     const EdgeId top_arcs = dec.subgraphs[top].num_arcs();
+    const std::vector<EdgeId> arcs_before = arc_counts(dec);
     apply_edge_ops_in_place(g, ops);
-    std::vector<std::size_t> rescored;
-    EXPECT_EQ(solver.apply_local_batch(g, ops, &rescored), ops.size());
-    EXPECT_EQ(rescored, expected);
+    EXPECT_EQ(solver.apply_local_batch(g, ops), ops.size());
+    EXPECT_EQ(edited_subgraphs(dec, arcs_before), expected);
     EXPECT_EQ(dec.top_subgraph, first_maximum(dec));
-    const ScoreComparison cmp = compare_scores(betweenness(g, serial).scores,
-                                               *solver.tracked_scores());
-    EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+    EXPECT_EQ(tracked_or_empty(solver),
+              testing::cold_apgre_scores(g, pinned_options()));
 
     const EdgeId arcs_now = dec.subgraphs[top].num_arcs();
     events.grew += arcs_now > top_arcs ? 1 : 0;
@@ -727,6 +771,9 @@ TopEvents multi_block_trajectory(std::uint64_t seed) {
       }
     }
   }
+  const ScoreComparison cmp =
+      compare_scores(betweenness(g, serial).scores, *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
   return events;
 }
 
@@ -757,35 +804,38 @@ TEST(Solver, LocalBatchesKeepTheTopSubgraphAndReportWhatTheyRescored) {
   const Vertex in_first = first == left ? 1 : 5;
   const Vertex in_second = first == left ? 5 : 1;
 
-  BcOptions serial;
-  serial.algorithm = Algorithm::kBrandesSerial;
-  // Each step toggles one chord of one block and must report that block's
-  // sub-graph as re-scored. The deletes each demote the current top:
-  // `second` takes over, then a tie hands it back to `first`. The
-  // re-inserts hit the other sub-graph, which must overtake the top: by
-  // outgrowing it, then by tying it from a lower index.
+  // Each step toggles one chord of one block and must edit that block's
+  // sub-graph alone. The deletes each demote the current top: `second`
+  // takes over, then a tie hands it back to `first`. The re-inserts hit
+  // the other sub-graph, which must overtake the top: by outgrowing it,
+  // then by tying it from a lower index.
   const struct {
     Vertex u;
     bool insert;
-    std::size_t rescored;
+    std::size_t edited;
   } steps[] = {{in_first, false, first},
                {in_second, false, second},
                {in_second, true, second},
                {in_first, true, first}};
-  std::vector<std::size_t> rescored;
   for (const auto& step : steps) {
     const EdgeOp op{step.u, step.u + 1, step.insert};
     CsrGraph next = g;
     apply_edge_ops_in_place(next, {op});
-    ASSERT_EQ(solver.apply_local_batch(next, {op}, &rescored), 1u);
+    const std::vector<EdgeId> arcs_before = arc_counts(dec);
+    ASSERT_EQ(solver.apply_local_batch(next, {op}), 1u);
     g = std::move(next);
-    EXPECT_EQ(rescored, std::vector<std::size_t>{step.rescored});
+    EXPECT_EQ(edited_subgraphs(dec, arcs_before),
+              std::vector<std::size_t>{step.edited});
     EXPECT_EQ(dec.top_subgraph, first_maximum(dec));
-    const ScoreComparison cmp = compare_scores(betweenness(g, serial).scores,
-                                               *solver.tracked_scores());
-    EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
+    EXPECT_EQ(tracked_or_empty(solver),
+              testing::cold_apgre_scores(g, pinned_options()));
   }
   EXPECT_EQ(dec.top_subgraph, first);
+  BcOptions serial;
+  serial.algorithm = Algorithm::kBrandesSerial;
+  const ScoreComparison cmp =
+      compare_scores(betweenness(g, serial).scores, *solver.tracked_scores());
+  EXPECT_TRUE(cmp.ok) << "worst vertex " << cmp.worst_vertex;
 
   // Seeded multi-block batches, some of which touch the top.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {

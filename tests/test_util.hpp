@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bc/bc.hpp"
 #include "check/corpus.hpp"
 #include "check/oracle.hpp"
 #include "graph/csr.hpp"
@@ -34,6 +35,16 @@ inline void expect_scores_near(const std::vector<double>& expected,
                       << ", tolerance excess " << cmp.worst_excess
                       << "); |expected|_2 = " << cmp.expected_norm
                       << ", |actual|_2 = " << cmp.actual_norm;
+}
+
+/// A cold APGRE solve of `g` at `opts`, algorithm forced to APGRE and
+/// halving off: the scores a patched contribution store must equal bit for
+/// bit at the same options and worker count.
+inline std::vector<double> cold_apgre_scores(const CsrGraph& g,
+                                             BcOptions opts = {}) {
+  opts.algorithm = Algorithm::kApgre;
+  opts.undirected_halving = false;
+  return betweenness(g, opts).scores;
 }
 
 /// Backwards-compatible aliases: the corpus moved into the library so the
